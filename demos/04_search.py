@@ -7,8 +7,9 @@ search returns a least-cost roofer.
 Run: python3 demos/04_search.py
 """
 
+from covmin.config import RunConfig
 from covmin.reduction import Component
-from covmin.search import ComponentProblem, MoccoParams, mocco_run
+from covmin.search import ComponentProblem, mocco_run
 
 cover = {
     1: frozenset({"bl1", "bl2"}),
@@ -24,7 +25,7 @@ component = Component(
 problem = ComponentProblem(component, cover, costs)
 print("fitness of {2, 3}: ", [round(v, 3) for v in problem.fitness(frozenset({2, 3}))])
 print("fitness of {1, 2}: ", [round(v, 3) for v in problem.fitness(frozenset({1, 2}))])
-print("exposure of {2}:   ", round(problem.exposure(frozenset({2})), 3))
+print("exposure of {2}:   ", round(problem.exposure(problem.individual({2})), 3))
 
 trace = []
 
@@ -34,7 +35,7 @@ def watch(gen, pops):
 
 
 result = mocco_run(component, cover, costs,
-                   MoccoParams(n_size=6, generations=40, seed=11),
+                   RunConfig(n_size=6, generations=40), seed=11,
                    on_generation=watch)
 
 print("\ngen  best-roofer-cost  misers")

@@ -19,6 +19,10 @@ class InfeasibleError(ValueError):
     """The candidate inputs cannot cover the requested universe."""
 
 
+class ExhaustiveLimitError(ValueError):
+    """A component has more inputs than the exact solver accepts."""
+
+
 @dataclass(frozen=True)
 class SelectionResult:
     selected: frozenset
@@ -102,7 +106,7 @@ def exhaustive_optimal(component: Component, cover, costs, seed: int = 0) -> Sel
     branch-and-bound: always branch on the uncovered objective with the
     fewest covering inputs, prune on the incumbent cost."""
     if len(component.inputs) > EXHAUSTIVE_INPUT_LIMIT:
-        raise ValueError(
+        raise ExhaustiveLimitError(
             f"component of {len(component.inputs)} inputs exceeds the "
             f"exhaustive limit {EXHAUSTIVE_INPUT_LIMIT}"
         )

@@ -1,7 +1,8 @@
 """Command line front end.
 
 Subcommands: ingest, cluster, reduce, minimize, bench, oracle.
-Exit codes: 0 on success, 2 on validation errors, 3 on infeasible instances.
+Exit codes: 0 on success, 2 on validation errors (including a component
+too large for the exact solver), 3 on infeasible instances.
 """
 
 from __future__ import annotations
@@ -147,14 +148,11 @@ def cmd_oracle(args) -> int:
     coverage = build_coverage(dataset, config, seed)
     costs = dataset.costs()
     reduction = reduce_problem(frozenset(costs), coverage.cover, costs)
-    per_component = []
-    for comp in reduction.components:
-        result = baselines.exhaustive_optimal(comp, coverage.cover, costs, seed)
-        per_component.append(result.selected)
-    selected = harness.assemble_solution(reduction, per_component)
+    solver = harness.component_solver("exhaustive", coverage.cover, costs, config)
+    solution = harness.solve(reduction, coverage.cover, costs, solver, seed)
     _write_json({
-        "selected": sorted(selected),
-        "total_cost": sum(costs[i] for i in selected),
+        "selected": sorted(solution.selected),
+        "total_cost": solution.total_cost,
         "necessary": sorted(reduction.necessary),
     }, args.out)
     return EXIT_OK
@@ -209,7 +207,7 @@ def main(argv=None) -> int:
     )
     try:
         return _COMMANDS[args.command](args)
-    except ValidationError as exc:
+    except (ValidationError, baselines.ExhaustiveLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except baselines.InfeasibleError as exc:

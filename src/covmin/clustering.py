@@ -82,15 +82,6 @@ def kmedoids(dm: DistanceMatrix, k: int, seed: int = 0) -> list[int]:
     return _canonical_labels(assign)
 
 
-def kmedoids_objective(dm: DistanceMatrix, labels) -> float:
-    """Sum of point-to-medoid distances for the best medoid of each cluster."""
-    total = 0.0
-    for c in set(labels):
-        members = [i for i, lab in enumerate(labels) if lab == c]
-        total += min(dm.values[np.ix_([m], members)].sum() for m in members)
-    return total
-
-
 def dbscan(dm: DistanceMatrix, eps: float, min_neighbors: int) -> list[int]:
     """Density clustering on a precomputed matrix. The eps-neighborhood
     excludes the point itself; noise points become singleton clusters."""

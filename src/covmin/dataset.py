@@ -104,17 +104,30 @@ class Dataset:
         return {rec.id: rec for rec in self.inputs}
 
 
+def _checked(value, kind, what: str):
+    """`value` if it is a `kind` (bool is not an int), else a ValidationError."""
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise ValidationError(f"{what} must be {kind.__name__}, got {value!r}")
+    return value
+
+
+def _objects(raw: dict, key: str) -> list:
+    items = _checked(raw.get(key, []), list, f"{key!r}")
+    return [_checked(obj, dict, f"entry of {key!r}") for obj in items]
+
+
 def _parse_param(obj: dict) -> tuple[str, ParamValue]:
     name = obj["name"]
     if obj["type"] == "str":
         return name, ParamValue(kind="text", text_value=str(obj["value"]))
     if obj["type"] == "int":
-        return name, ParamValue(kind="int", int_value=int(obj["value"]))
+        value = _checked(obj["value"], int, f"int parameter {name!r}")
+        return name, ParamValue(kind="int", int_value=value)
     raise ValidationError(f"unknown parameter type: {obj['type']!r}")
 
 
 def _parse_action(obj: dict) -> Action:
-    params = tuple(_parse_param(p) for p in obj.get("params", []))
+    params = tuple(_parse_param(p) for p in _objects(obj, "params"))
     return Action(
         method=obj["method"],
         url_words=split_url(obj["url"]),
@@ -129,15 +142,22 @@ def load_dataset(path) -> Dataset:
             raw = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValidationError(f"malformed dataset file {path}: {exc}") from exc
+    _checked(raw, dict, f"top level of {path}")
 
     records = []
     seen_ids = set()
-    for obj in raw.get("inputs", []):
+    for obj in _objects(raw, "inputs"):
+        input_id = _checked(obj["id"], int, "input id")
+        counts = _checked(obj.get("mr_action_counts", {}), dict,
+                          f"input {input_id} mr_action_counts")
         rec = InputRecord(
-            id=int(obj["id"]),
-            actions=tuple(_parse_action(a) for a in obj["actions"]),
-            outputs=tuple(obj["outputs"]),
-            mr_action_counts={str(k): int(v) for k, v in obj.get("mr_action_counts", {}).items()},
+            id=input_id,
+            actions=tuple(_parse_action(a) for a in _objects(obj, "actions")),
+            outputs=tuple(_checked(obj["outputs"], list, f"input {input_id} outputs")),
+            mr_action_counts={
+                str(k): _checked(v, int, f"input {input_id} MR action count")
+                for k, v in counts.items()
+            },
         )
         if rec.id in seen_ids:
             raise ValidationError(f"duplicate input id {rec.id}")
@@ -148,8 +168,11 @@ def load_dataset(path) -> Dataset:
         records.append(rec)
 
     vulns = []
-    for obj in raw.get("vulnerabilities", []):
-        groups = tuple(frozenset(int(i) for i in grp) for grp in obj["detecting_groups"])
+    for obj in _objects(raw, "vulnerabilities"):
+        groups = tuple(
+            frozenset(_checked(i, int, "detecting group member") for i in grp)
+            for grp in obj["detecting_groups"]
+        )
         for grp in groups:
             missing = grp - seen_ids
             if missing:

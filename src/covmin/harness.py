@@ -21,7 +21,7 @@ from .blocks import CoverageMap, build_coverage
 from .config import RunConfig
 from .dataset import Dataset
 from .reduction import ReductionResult, reduce_problem
-from .search import MoccoParams, mocco_run
+from .search import mocco_run
 
 logger = logging.getLogger(__name__)
 
@@ -31,12 +31,41 @@ def component_seed(seed: int, index: int) -> int:
     return seed ^ index
 
 
-def assemble_solution(reduction: ReductionResult, per_component) -> frozenset:
-    """Union of the necessary inputs and every component's minimized set."""
-    selected = set(reduction.necessary)
-    for picked in per_component:
-        selected |= set(picked)
-    return frozenset(selected)
+@dataclass(frozen=True)
+class Solution:
+    selected: frozenset
+    per_component: tuple[frozenset, ...]
+    total_cost: int
+    covers_all: bool
+
+
+def solve(reduction: ReductionResult, cover, costs, solve_component,
+          seed: int) -> Solution:
+    """Minimize every component with `solve_component(component, seed)` and
+    take the union with the necessary inputs. Component `idx` gets the seed
+    `component_seed(seed, idx)`."""
+    per_component = tuple(
+        solve_component(comp, component_seed(seed, idx))
+        for idx, comp in enumerate(reduction.components)
+    )
+    selected = reduction.necessary.union(*per_component)
+    covered = frozenset().union(*(cover[i] for i in selected))
+    return Solution(
+        selected=selected,
+        per_component=per_component,
+        total_cost=sum(costs[i] for i in selected),
+        covers_all=covered >= frozenset().union(*cover.values()),
+    )
+
+
+def component_solver(algorithm: str, cover, costs, config: RunConfig):
+    """`solve_component` for the genetic search ("mocco") or the exact
+    solver ("exhaustive"). `mocco_run` is looked up in this module on every
+    call, so a wrapper installed here sees each one."""
+    if algorithm == "mocco":
+        return lambda comp, seed: mocco_run(comp, cover, costs, config, seed)
+    return lambda comp, seed: baselines.exhaustive_optimal(
+        comp, cover, costs, seed).selected
 
 
 def vdr(selected, vulnerabilities) -> float:
@@ -93,33 +122,20 @@ def run_pipeline(dataset: Dataset, config: RunConfig, seed: int | None = None,
     if coverage is None:
         coverage = build_coverage(dataset, config, seed)
     reduction = reduce_problem(frozenset(costs), coverage.cover, costs)
-    per_component = []
-    params_base = MoccoParams(
-        n_size=config.n_size,
-        generations=config.generations,
-        time_budget_ms=config.time_budget_ms,
-    )
-    for idx, comp in enumerate(reduction.components):
-        params = MoccoParams(
-            n_size=params_base.n_size,
-            generations=params_base.generations,
-            time_budget_ms=params_base.time_budget_ms,
-            seed=component_seed(seed, idx),
-        )
-        per_component.append(mocco_run(comp, coverage.cover, costs, params))
-    selected = assemble_solution(reduction, per_component)
+    solver = component_solver("mocco", coverage.cover, costs, config)
+    solution = solve(reduction, coverage.cover, costs, solver, seed)
     return PipelineResult(
         config_label=config.label(),
         seed=seed,
-        selected=selected,
-        total_cost=sum(costs[i] for i in selected),
+        selected=solution.selected,
+        total_cost=solution.total_cost,
         original_cost=sum(costs.values()),
         block_count=len(coverage.all_blocks()),
         necessary=reduction.necessary,
         component_sizes=tuple(len(c.inputs) for c in reduction.components),
-        component_selected=tuple(per_component),
+        component_selected=solution.per_component,
         reduction_iterations=reduction.iterations,
-        vdr=vdr(selected, dataset.vulnerabilities),
+        vdr=vdr(solution.selected, dataset.vulnerabilities),
     )
 
 
@@ -170,33 +186,6 @@ class BenchReport:
         }
 
 
-def _run_reduced_algorithm(name: str, dataset: Dataset, coverage: CoverageMap,
-                           reduction: ReductionResult, config: RunConfig,
-                           seed: int) -> SelectionResult:
-    costs = dataset.costs()
-    per_component = []
-    for idx, comp in enumerate(reduction.components):
-        if name == "mocco":
-            params = MoccoParams(
-                n_size=config.n_size,
-                generations=config.generations,
-                time_budget_ms=config.time_budget_ms,
-                seed=component_seed(seed, idx),
-            )
-            per_component.append(mocco_run(comp, coverage.cover, costs, params))
-        else:
-            result = baselines.exhaustive_optimal(comp, coverage.cover, costs, seed)
-            per_component.append(result.selected)
-    selected = assemble_solution(reduction, per_component)
-    return SelectionResult(
-        selected=selected,
-        total_cost=sum(costs[i] for i in selected),
-        covers_all=True,
-        algorithm=name,
-        seed=seed,
-    )
-
-
 def run_repetition(dataset: Dataset, config: RunConfig, algorithms,
                    seed: int, repetition: int,
                    coverage: CoverageMap | None = None) -> list[BenchRow]:
@@ -232,8 +221,15 @@ def run_repetition(dataset: Dataset, config: RunConfig, algorithms,
             continue  # needs the other selection sizes; runs last
         started = time.perf_counter()
         if name in ("mocco", "exhaustive"):
-            result = _run_reduced_algorithm(
-                name, dataset, coverage, reduction, config, seed)
+            solver = component_solver(name, coverage.cover, costs, config)
+            solution = solve(reduction, coverage.cover, costs, solver, seed)
+            result = SelectionResult(
+                selected=solution.selected,
+                total_cost=solution.total_cost,
+                covers_all=solution.covers_all,
+                algorithm=name,
+                seed=seed,
+            )
         elif name == "greedy":
             result = baselines.greedy_cover(
                 universe, frozenset(costs), coverage.cover, costs, seed)

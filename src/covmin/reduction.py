@@ -270,12 +270,6 @@ def _greedy_gain(members, rcover, costs, superpos):
         order.append(pick)
 
 
-def reduce_set(ids, cover, costs, objectives=None) -> frozenset:
-    """Apply a maximal-gain valid removal order and return what remains."""
-    _, order = valid_orders_gain(ids, cover, costs, objectives)
-    return frozenset(ids) - set(order)
-
-
 def reduce_problem(ids, cover, costs) -> ReductionResult:
     """Iterate redundancy determination, duplicate removal, and dominance
     removal until a fixpoint, then split the rest into components."""

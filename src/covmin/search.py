@@ -14,12 +14,12 @@ import random
 import time
 from dataclasses import dataclass, field
 
+from .config import RunConfig
 from .distance import normalize
 from .reduction import Component, valid_orders_gain
 
 __all__ = [
-    "ComponentProblem", "Individual", "MoccoParams", "Populations",
-    "dominates", "mocco_run",
+    "ComponentProblem", "Individual", "Populations", "dominates", "mocco_run",
 ]
 
 
@@ -35,18 +35,6 @@ class Populations:
     roofers: list[Individual]
     misers: list[Individual]
     occurrence: dict = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
-class MoccoParams:
-    n_size: int = 20
-    generations: int = 100
-    time_budget_ms: int | None = None
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.n_size < 2:
-            raise ValueError("population size must be at least 2")
 
 
 def dominates(f1, f2) -> bool:
@@ -112,9 +100,9 @@ class ComponentProblem:
             return 0.0
         return 1.0 / (self.potential(members, bl) + 1)
 
-    def exposure(self, members) -> float:
-        covered = self.cover_of(members)
-        return sum(self.objective_value(members, covered, bl) for bl in self.objectives)
+    def exposure(self, ind: Individual) -> float:
+        """Sum of the objective values: the tail of the fitness vector."""
+        return sum(ind.fitness[1:])
 
     def fitness(self, members) -> tuple[float, ...]:
         covered = self.cover_of(members)
@@ -176,7 +164,7 @@ def select_parents(problem: ComponentProblem, pops: Populations,
     exist; otherwise two distinct roofers, both weighted by 1/cost."""
     if pops.misers:
         miser = _weighted_choice(
-            rng, pops.misers, [1.0 / problem.exposure(m.members) for m in pops.misers]
+            rng, pops.misers, [1.0 / problem.exposure(m) for m in pops.misers]
         )
         roofer = _weighted_choice(
             rng, pops.roofers, [1.0 / r.cost for r in pops.roofers]
@@ -243,22 +231,23 @@ def update_populations(problem: ComponentProblem, pops: Populations,
 
 
 def mocco_run(component: Component, cover, costs,
-              params: MoccoParams = MoccoParams(),
+              config: RunConfig = RunConfig(), seed: int = 0,
               on_generation=None) -> frozenset:
     """Minimize one component; returns a least-cost full-coverage member set.
 
+    Reads `n_size`, `generations` and `time_budget_ms` from `config`.
     `on_generation(gen, pops)` is an optional observation hook, used by the
     invariant-checking tests.
     """
     problem = ComponentProblem(component, cover, costs)
-    rng = random.Random(params.seed)
-    pops = init_roofers(problem, params.n_size, rng)
+    rng = random.Random(seed)
+    pops = init_roofers(problem, config.n_size, rng)
     if on_generation is not None:
         on_generation(0, pops)
     deadline = None
-    if params.time_budget_ms is not None:
-        deadline = time.monotonic() + params.time_budget_ms / 1000.0
-    for gen in range(1, params.generations + 1):
+    if config.time_budget_ms is not None:
+        deadline = time.monotonic() + config.time_budget_ms / 1000.0
+    for gen in range(1, config.generations + 1):
         if deadline is not None and time.monotonic() >= deadline:
             break
         p1, p2 = select_parents(problem, pops, rng)

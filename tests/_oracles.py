@@ -9,6 +9,10 @@ from __future__ import annotations
 import random
 from functools import lru_cache
 
+import numpy as np
+
+from covmin.reduction import valid_orders_gain
+
 
 def random_instance(rng: random.Random, max_inputs: int = 10, max_blocks: int = 12):
     """A random set-cover-style instance: cover map and costs keyed by
@@ -145,3 +149,18 @@ def bruteforce_min_cover(ids, cover, costs, objectives):
             if best_cost is None or c < best_cost:
                 best_cost, best_set = c, frozenset(subset)
     return best_cost, best_set
+
+
+def reduce_set(ids, cover, costs, objectives=None) -> frozenset:
+    """Apply a maximal-gain valid removal order and return what remains."""
+    _, order = valid_orders_gain(ids, cover, costs, objectives)
+    return frozenset(ids) - set(order)
+
+
+def kmedoids_objective(dm, labels) -> float:
+    """Sum of point-to-medoid distances for the best medoid of each cluster."""
+    total = 0.0
+    for c in set(labels):
+        members = [i for i, lab in enumerate(labels) if lab == c]
+        total += min(dm.values[np.ix_([m], members)].sum() for m in members)
+    return total

@@ -14,7 +14,7 @@ from covmin.distance import bag_distance, levenshtein, param_distance, params_ma
 from covmin.dataset import ParamValue
 from covmin.harness import run_pipeline, write_result
 from covmin.reduction import Component, SearchState, reduce_problem, split_components, valid_orders_gain
-from covmin.search import ComponentProblem, MoccoParams, crossover, dominates, mocco_run
+from covmin.search import ComponentProblem, crossover, dominates, mocco_run
 from covmin.synthetic import make_synthetic_dataset, planted_optimum_cost
 
 from _oracles import (
@@ -228,7 +228,7 @@ def _run_desk_scale_searches():
         problem = ComponentProblem(comp, cover, costs)
         tracker = _InvariantTracker(problem, n_size=20)
         members = mocco_run(comp, cover, costs,
-                            MoccoParams(n_size=20, generations=150, seed=k),
+                            RunConfig(n_size=20, generations=150), seed=k,
                             on_generation=tracker)
         got = sum(costs[i] for i in members)
         want = exhaustive_optimal(comp, cover, costs).total_cost

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from covmin.baselines import (
+    ExhaustiveLimitError,
     InfeasibleError,
     a12_effect_size,
     art_select,
@@ -91,7 +92,7 @@ def test_exhaustive_matches_bruteforce_random_sweep():
 def test_exhaustive_input_limit():
     cover = {i: frozenset({"b"}) for i in range(1, 25)}
     comp = Component(inputs=frozenset(cover), objectives=frozenset({"b"}))
-    with pytest.raises(ValueError):
+    with pytest.raises(ExhaustiveLimitError):
         exhaustive_optimal(comp, cover, {i: 1 for i in cover})
 
 

@@ -1,7 +1,13 @@
 import json
+from pathlib import Path
 
+from covmin import baselines
 from covmin.cli import main
 from covmin.synthetic import write_synthetic_dataset
+
+ROOT = Path(__file__).resolve().parents[1]
+BUNDLED = str(ROOT / "data" / "synthetic.json")
+GOLDEN = Path(__file__).resolve().parent / "data"
 
 
 def _dataset(tmp_path):
@@ -20,8 +26,27 @@ def test_ingest_summary(tmp_path, capsys):
 
 def test_ingest_validation_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.json"
-    bad.write_text('{"inputs": [{"id": 1, "actions": [], "outputs": []}]}')
-    assert main(["ingest", "--dataset", str(bad)]) == 2
+    good_input = {"id": 1, "actions": [{"method": "GET", "url": "http://h/p"}],
+                  "outputs": ["x"], "mr_action_counts": {"a": 1}}
+    for payload in (
+        {"inputs": [{"id": 1, "actions": [], "outputs": []}]},
+        [good_input],
+        {"inputs": {"1": good_input}},
+        {"inputs": [good_input, 7]},
+        {"inputs": [{**good_input, "id": "1"}]},
+        {"inputs": [{**good_input, "mr_action_counts": {"a": "x"}}]},
+        {"inputs": [{**good_input, "mr_action_counts": [1]}]},
+        {"inputs": [{**good_input, "actions": 5}]},
+        {"inputs": [{**good_input, "outputs": "x"}]},
+        {"inputs": [good_input],
+         "vulnerabilities": [{"id": "v", "detecting_groups": [["1"]]}]},
+        {"inputs": [{**good_input, "actions": [{
+            "method": "GET", "url": "http://h/p",
+            "params": [{"name": "q", "type": "int", "value": "x"}]}]}]},
+    ):
+        bad.write_text(json.dumps(payload))
+        assert main(["ingest", "--dataset", str(bad)]) == 2, payload
+        assert capsys.readouterr().err.startswith("error: "), payload
 
 
 def test_missing_file_exit_code(tmp_path):
@@ -88,3 +113,25 @@ def test_oracle_matches_minimize_on_synthetic(tmp_path, capsys):
     oracle = json.loads(capsys.readouterr().out)
     assert oracle["total_cost"] == 151
     assert len(oracle["necessary"]) == 30
+
+
+def test_exact_solver_over_limit_exit_code(monkeypatch, capsys):
+    # The bundled dataset's two components have four inputs each.
+    monkeypatch.setattr(baselines, "EXHAUSTIVE_INPUT_LIMIT", 2)
+    for args in (["oracle"], ["bench", "--reps", "1", "--algo", "exhaustive"]):
+        assert main(args + ["--dataset", BUNDLED]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: component of 4 inputs exceeds"), err
+        assert err.count("\n") == 1
+
+
+def test_result_bytes_match_golden_files(tmp_path):
+    # Result bytes pinned across code versions: regenerate these files only
+    # in a change that means to alter results, and say so in CHANGES.md.
+    for args, golden in (
+        (["minimize", "--seed", "7"], "minimize_synthetic_seed7.json"),
+        (["oracle"], "oracle_synthetic.json"),
+    ):
+        out = tmp_path / golden
+        assert main(args + ["--dataset", BUNDLED, "--out", str(out)]) == 0
+        assert out.read_bytes() == (GOLDEN / golden).read_bytes(), golden

@@ -9,10 +9,11 @@ from covmin.clustering import (
     dbscan,
     gini,
     kmedoids,
-    kmedoids_objective,
     select_hyperparams,
     silhouette,
 )
+
+from _oracles import kmedoids_objective
 
 
 def _dm(rows):

@@ -1,5 +1,6 @@
 import json
 import logging
+import random
 
 import pytest
 
@@ -8,14 +9,19 @@ from covmin.config import RunConfig
 from covmin.dataset import Action, Dataset, InputRecord
 from covmin.harness import (
     bench,
+    component_solver,
     run_pipeline,
     run_repetition,
+    solve,
     vdr,
     write_bench_csv,
     write_bench_json,
     write_result,
 )
+from covmin.reduction import reduce_problem
 from covmin.synthetic import make_synthetic_dataset, planted_optimum_cost
+
+from _oracles import bruteforce_min_cover, coverage_of, random_instance
 
 CONFIG = RunConfig()
 
@@ -54,6 +60,26 @@ def test_run_pipeline_byte_identical_per_seed(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def test_solve_exact_is_optimal_and_mocco_covers():
+    rng = random.Random(2025)
+    config = RunConfig(n_size=6, generations=30)
+    for _ in range(20):
+        cover, costs = random_instance(rng, max_inputs=8, max_blocks=8)
+        universe = coverage_of(cover, cover)
+        reduction = reduce_problem(frozenset(cover), cover, costs)
+        want, _ = bruteforce_min_cover(frozenset(cover), cover, costs, universe)
+        exact = solve(reduction, cover, costs,
+                      component_solver("exhaustive", cover, costs, config), seed=3)
+        assert exact.total_cost == want
+        assert exact.covers_all
+        found = solve(reduction, cover, costs,
+                      component_solver("mocco", cover, costs, config), seed=3)
+        assert coverage_of(found.selected, cover) == universe
+        assert found.covers_all
+        assert found.total_cost >= want
+        assert len(found.per_component) == len(reduction.components)
+
+
 def _fixture_dataset_and_coverage():
     # The ratio-trap instance: in1:{bl1,bl2} cost 2, in2:{bl1,bl3} cost 3,
     # in3:{bl2,bl4} cost 3. Actions are placeholders; coverage is injected.
@@ -83,6 +109,7 @@ def test_bench_greedy_vs_exhaustive_fixture():
     assert len(report.rows) == 2  # one row per algorithm
     assert by_algo["greedy"].cost == 8
     assert by_algo["exhaustive"].cost == 6
+    assert by_algo["exhaustive"].covers_all
     assert report.a12[("exhaustive", "greedy")] == 0.0
     assert report.a12[("greedy", "exhaustive")] == 1.0
 

@@ -7,7 +7,6 @@ from covmin.reduction import (
     determine_redundancy,
     locally_dominated,
     reduce_problem,
-    reduce_set,
     redundancy,
     remove_duplicates,
     remove_locally_dominated,
@@ -26,6 +25,7 @@ from _oracles import (
     is_redundant_in,
     order_is_valid,
     random_instance,
+    reduce_set,
 )
 
 # Three inputs where the cheapest-ratio pick is a trap: taking in1 first

@@ -2,10 +2,10 @@ import random
 
 import pytest
 
+from covmin.config import RunConfig
 from covmin.reduction import Component
 from covmin.search import (
     ComponentProblem,
-    MoccoParams,
     crossover,
     dominates,
     init_roofers,
@@ -80,8 +80,8 @@ def test_objective_value_and_exposure():
     covered_partial = problem.cover_of({2})
     assert "bl2" not in covered_partial
     assert problem.objective_value({2}, covered_partial, "bl2") == 1.0
-    assert problem.exposure({2, 3}) == 0.0
-    assert problem.exposure({2}) > 0.0
+    assert problem.exposure(problem.individual({2, 3})) == 0.0
+    assert problem.exposure(problem.individual({2})) > 0.0
 
 
 def test_fitness_vector_shape_and_range():
@@ -233,7 +233,7 @@ def test_update_populations_miser_dominance():
 def test_mocco_beats_greedy_trap():
     result = mocco_run(
         GREEDY_COMPONENT, GREEDY_COVER, GREEDY_COSTS,
-        MoccoParams(n_size=4, generations=50, seed=11),
+        RunConfig(n_size=4, generations=50), seed=11,
     )
     assert result == frozenset({2, 3})
     assert sum(GREEDY_COSTS[i] for i in result) == 6
@@ -241,16 +241,16 @@ def test_mocco_beats_greedy_trap():
 
 def test_mocco_deterministic_per_seed():
     a = mocco_run(GREEDY_COMPONENT, GREEDY_COVER, GREEDY_COSTS,
-                  MoccoParams(n_size=4, generations=30, seed=3))
+                  RunConfig(n_size=4, generations=30), seed=3)
     b = mocco_run(GREEDY_COMPONENT, GREEDY_COVER, GREEDY_COSTS,
-                  MoccoParams(n_size=4, generations=30, seed=3))
+                  RunConfig(n_size=4, generations=30), seed=3)
     assert a == b
 
 
 def test_mocco_time_budget_stops_early():
     result = mocco_run(
         GREEDY_COMPONENT, GREEDY_COVER, GREEDY_COSTS,
-        MoccoParams(n_size=4, generations=10_000, time_budget_ms=50, seed=0),
+        RunConfig(n_size=4, generations=10_000, time_budget_ms=50), seed=0,
     )
     assert GREEDY_COMPONENT.objectives <= frozenset().union(
         *(GREEDY_COVER[i] for i in result)
@@ -264,7 +264,7 @@ def test_mocco_matches_bruteforce_on_small_components():
         objectives = frozenset().union(*cover.values())
         comp = Component(inputs=frozenset(cover), objectives=objectives)
         result = mocco_run(cover and comp, cover, costs,
-                           MoccoParams(n_size=8, generations=100, seed=1))
+                           RunConfig(n_size=8, generations=100), seed=1)
         got = sum(costs[i] for i in result)
         want, _ = bruteforce_min_cover(frozenset(cover), cover, costs, objectives)
         assert got == want
