@@ -5,12 +5,11 @@ optimum, and the A12 effect size."""
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from .blocks import cluster_actions, partition_by_method
 from .config import RunConfig
 from .dataset import Dataset
-from .reduction import Component
+from .reduction import Component, min_cover
 
 EXHAUSTIVE_INPUT_LIMIT = 20
 
@@ -23,16 +22,7 @@ class ExhaustiveLimitError(ValueError):
     """A component has more inputs than the exact solver accepts."""
 
 
-@dataclass(frozen=True)
-class SelectionResult:
-    selected: frozenset
-    total_cost: int
-    covers_all: bool
-    algorithm: str
-    seed: int = 0
-
-
-def greedy_cover(universe, candidates, cover, costs, seed: int = 0) -> SelectionResult:
+def greedy_cover(universe, candidates, cover, costs) -> frozenset:
     """Repeatedly take the input with the best coverage-per-cost ratio.
     Ties break toward lower cost, then lower id."""
     uncovered = set(universe)
@@ -49,38 +39,23 @@ def greedy_cover(universe, candidates, cover, costs, seed: int = 0) -> Selection
         )
         selected.add(best)
         uncovered -= cover[best]
-    return SelectionResult(
-        selected=frozenset(selected),
-        total_cost=sum(costs[i] for i in selected),
-        covers_all=True,
-        algorithm="greedy",
-        seed=seed,
-    )
+    return frozenset(selected)
 
 
-def random_select(candidates, n: int, costs, seed: int = 0) -> SelectionResult:
+def random_select(candidates, n: int, seed: int = 0) -> frozenset:
     candidates = sorted(candidates)
     if n > len(candidates):
         raise ValueError(f"cannot sample {n} of {len(candidates)} candidates")
-    rng = random.Random(seed)
-    selected = frozenset(rng.sample(candidates, n))
-    return SelectionResult(
-        selected=selected,
-        total_cost=sum(costs[i] for i in selected),
-        covers_all=False,
-        algorithm="random",
-        seed=seed,
-    )
+    return frozenset(random.Random(seed).sample(candidates, n))
 
 
-def art_select(dataset: Dataset, config: RunConfig, seed: int = 0) -> SelectionResult:
+def art_select(dataset: Dataset, config: RunConfig, seed: int = 0) -> frozenset:
     """Cluster all action occurrences directly (no output-clustering stage)
     and pick one covering input per cluster, uniformly at random."""
     rng = random.Random(seed)
     occurrences = [
         (rec.id, pos) for rec in dataset.inputs for pos in range(len(rec.actions))
     ]
-    costs = dataset.costs()
     selected: set[int] = set()
     for part in partition_by_method(dataset, occurrences):
         if not part:
@@ -92,60 +67,22 @@ def art_select(dataset: Dataset, config: RunConfig, seed: int = 0) -> SelectionR
         for lab in sorted(clusters):
             covering = sorted(set(clusters[lab]))
             selected.add(rng.choice(covering))
-    return SelectionResult(
-        selected=frozenset(selected),
-        total_cost=sum(costs[i] for i in selected),
-        covers_all=False,
-        algorithm="art",
-        seed=seed,
-    )
+    return frozenset(selected)
 
 
-def exhaustive_optimal(component: Component, cover, costs, seed: int = 0) -> SelectionResult:
-    """Exact minimum-cost cover of the component's objectives, by
-    branch-and-bound: always branch on the uncovered objective with the
-    fewest covering inputs, prune on the incumbent cost."""
+def exhaustive_optimal(component: Component, cover, costs) -> frozenset:
+    """Exact minimum-cost cover of the component's objectives by its inputs
+    (`reduction.min_cover`)."""
     if len(component.inputs) > EXHAUSTIVE_INPUT_LIMIT:
         raise ExhaustiveLimitError(
             f"component of {len(component.inputs)} inputs exceeds the "
             f"exhaustive limit {EXHAUSTIVE_INPUT_LIMIT}"
         )
-    rcover = {i: cover[i] & component.objectives for i in component.inputs}
-    inputs_of = {
-        bl: sorted(i for i in component.inputs if bl in rcover[i])
-        for bl in component.objectives
-    }
-    for bl, covering in inputs_of.items():
-        if not covering:
-            raise InfeasibleError(f"objective {bl!r} covered by no input")
-
-    best_cost = sum(costs[i] for i in component.inputs) + 1
-    best_set: frozenset = frozenset()
-
-    def branch(selected, sel_cost, uncovered):
-        nonlocal best_cost, best_set
-        if sel_cost >= best_cost:
-            return
-        if not uncovered:
-            best_cost = sel_cost
-            best_set = frozenset(selected)
-            return
-        bl = min(uncovered, key=lambda b: (len(inputs_of[b]), str(b)))
-        for i in inputs_of[bl]:
-            if i in selected:
-                continue
-            selected.add(i)
-            branch(selected, sel_cost + costs[i], uncovered - rcover[i])
-            selected.discard(i)
-
-    branch(set(), 0, frozenset(component.objectives))
-    return SelectionResult(
-        selected=best_set,
-        total_cost=best_cost,
-        covers_all=True,
-        algorithm="exhaustive",
-        seed=seed,
-    )
+    budget = sum(costs[i] for i in component.inputs)
+    selected = min_cover(component.objectives, component.inputs, cover, costs, budget)
+    if selected is None:
+        raise InfeasibleError("the component's inputs cannot cover its objectives")
+    return selected
 
 
 def a12_effect_size(sample1, sample2) -> float:

@@ -149,7 +149,7 @@ def cmd_oracle(args) -> int:
     costs = dataset.costs()
     reduction = reduce_problem(frozenset(costs), coverage.cover, costs)
     solver = harness.component_solver("exhaustive", coverage.cover, costs, config)
-    solution = harness.solve(reduction, coverage.cover, costs, solver, seed)
+    solution = harness.solve(reduction, costs, solver, seed)
     _write_json({
         "selected": sorted(solution.selected),
         "total_cost": solution.total_cost,

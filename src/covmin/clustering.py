@@ -199,8 +199,8 @@ def _grid_points(dm: DistanceMatrix, grid: HyperParamGrid):
 
 
 def select_hyperparams(dm: DistanceMatrix, grid: HyperParamGrid, seed: int = 0) -> HyperParamChoice:
-    """Evaluate every grid point, keep the non-dominated set for (silhouette
-    up, Gini down), and return the front member with the highest silhouette.
+    """Evaluate every grid point and return the one with the highest
+    silhouette, a member of the (silhouette up, Gini down) Pareto front.
     Ties break toward lower Gini, then grid order."""
     candidates: list[HyperParamChoice] = []
     for params in _grid_points(dm, grid):
@@ -218,14 +218,5 @@ def select_hyperparams(dm: DistanceMatrix, grid: HyperParamGrid, seed: int = 0) 
         ))
     if not candidates:
         raise ValueError("empty hyper-parameter grid")
-
-    def dominated(c: HyperParamChoice) -> bool:
-        return any(
-            o.silhouette_mean >= c.silhouette_mean and o.gini <= c.gini
-            and (o.silhouette_mean > c.silhouette_mean or o.gini < c.gini)
-            for o in candidates
-        )
-
-    front = [c for c in candidates if not dominated(c)]
-    best = max(front, key=lambda c: (c.silhouette_mean, -c.gini))
-    return best
+    # The lexicographic maximum is never dominated, so it is on the front.
+    return max(candidates, key=lambda c: (c.silhouette_mean, -c.gini))

@@ -10,13 +10,11 @@ and effect sizes.
 from __future__ import annotations
 
 import csv
-import json
 import logging
 import time
 from dataclasses import dataclass
 
 from . import baselines
-from .baselines import SelectionResult
 from .blocks import CoverageMap, build_coverage
 from .config import RunConfig
 from .dataset import Dataset
@@ -36,10 +34,9 @@ class Solution:
     selected: frozenset
     per_component: tuple[frozenset, ...]
     total_cost: int
-    covers_all: bool
 
 
-def solve(reduction: ReductionResult, cover, costs, solve_component,
+def solve(reduction: ReductionResult, costs, solve_component,
           seed: int) -> Solution:
     """Minimize every component with `solve_component(component, seed)` and
     take the union with the necessary inputs. Component `idx` gets the seed
@@ -49,12 +46,10 @@ def solve(reduction: ReductionResult, cover, costs, solve_component,
         for idx, comp in enumerate(reduction.components)
     )
     selected = reduction.necessary.union(*per_component)
-    covered = frozenset().union(*(cover[i] for i in selected))
     return Solution(
         selected=selected,
         per_component=per_component,
         total_cost=sum(costs[i] for i in selected),
-        covers_all=covered >= frozenset().union(*cover.values()),
     )
 
 
@@ -64,8 +59,7 @@ def component_solver(algorithm: str, cover, costs, config: RunConfig):
     call, so a wrapper installed here sees each one."""
     if algorithm == "mocco":
         return lambda comp, seed: mocco_run(comp, cover, costs, config, seed)
-    return lambda comp, seed: baselines.exhaustive_optimal(
-        comp, cover, costs, seed).selected
+    return lambda comp, seed: baselines.exhaustive_optimal(comp, cover, costs)
 
 
 def vdr(selected, vulnerabilities) -> float:
@@ -123,7 +117,7 @@ def run_pipeline(dataset: Dataset, config: RunConfig, seed: int | None = None,
         coverage = build_coverage(dataset, config, seed)
     reduction = reduce_problem(frozenset(costs), coverage.cover, costs)
     solver = component_solver("mocco", coverage.cover, costs, config)
-    solution = solve(reduction, coverage.cover, costs, solver, seed)
+    solution = solve(reduction, costs, solver, seed)
     return PipelineResult(
         config_label=config.label(),
         seed=seed,
@@ -137,12 +131,6 @@ def run_pipeline(dataset: Dataset, config: RunConfig, seed: int | None = None,
         reduction_iterations=reduction.iterations,
         vdr=vdr(solution.selected, dataset.vulnerabilities),
     )
-
-
-def write_result(result: PipelineResult, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(result.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 ALGORITHMS = ("mocco", "greedy", "random", "art", "exhaustive")
@@ -193,7 +181,9 @@ def run_repetition(dataset: Dataset, config: RunConfig, algorithms,
     baselines run on the full instance; the genetic search and the exact
     solver run after problem reduction. The random baseline draws as many
     inputs as the largest selection produced by the other algorithms in the
-    same repetition (or the reduced instance size when it runs alone)."""
+    same repetition (or the reduced instance size when it runs alone).
+    Every algorithm returns only its selection; `record` scores each row
+    from it and the coverage map."""
     costs = dataset.costs()
     if coverage is None:
         coverage = build_coverage(dataset, config, seed)
@@ -202,19 +192,20 @@ def run_repetition(dataset: Dataset, config: RunConfig, algorithms,
     rows: list[BenchRow] = []
     sizes: list[int] = []
 
-    def record(result: SelectionResult, runtime_ms: float) -> None:
+    def record(name: str, selected: frozenset, started: float) -> None:
+        runtime_ms = (time.perf_counter() - started) * 1000.0
         rows.append(BenchRow(
-            algorithm=result.algorithm,
+            algorithm=name,
             config_label=config.label(),
             seed=seed,
             repetition=repetition,
-            size=len(result.selected),
-            cost=result.total_cost,
+            size=len(selected),
+            cost=sum(costs[i] for i in selected),
             runtime_ms=runtime_ms,
-            vdr=vdr(result.selected, dataset.vulnerabilities),
-            covers_all=result.covers_all,
+            vdr=vdr(selected, dataset.vulnerabilities),
+            covers_all=coverage.cover_of_set(selected) >= universe,
         ))
-        sizes.append(len(result.selected))
+        sizes.append(len(selected))
 
     for name in algorithms:
         if name == "random":
@@ -222,22 +213,15 @@ def run_repetition(dataset: Dataset, config: RunConfig, algorithms,
         started = time.perf_counter()
         if name in ("mocco", "exhaustive"):
             solver = component_solver(name, coverage.cover, costs, config)
-            solution = solve(reduction, coverage.cover, costs, solver, seed)
-            result = SelectionResult(
-                selected=solution.selected,
-                total_cost=solution.total_cost,
-                covers_all=solution.covers_all,
-                algorithm=name,
-                seed=seed,
-            )
+            selected = solve(reduction, costs, solver, seed).selected
         elif name == "greedy":
-            result = baselines.greedy_cover(
-                universe, frozenset(costs), coverage.cover, costs, seed)
+            selected = baselines.greedy_cover(
+                universe, frozenset(costs), coverage.cover, costs)
         elif name == "art":
-            result = baselines.art_select(dataset, config, seed)
+            selected = baselines.art_select(dataset, config, seed)
         else:
             raise ValueError(f"unknown algorithm {name!r}")
-        record(result, (time.perf_counter() - started) * 1000.0)
+        record(name, selected, started)
 
     if "random" in algorithms:
         if sizes:
@@ -246,16 +230,7 @@ def run_repetition(dataset: Dataset, config: RunConfig, algorithms,
             n = len(reduction.necessary) + sum(
                 len(c.inputs) for c in reduction.components)
         started = time.perf_counter()
-        result = baselines.random_select(frozenset(costs), n, costs, seed)
-        covered = coverage.cover_of_set(result.selected)
-        result = SelectionResult(
-            selected=result.selected,
-            total_cost=result.total_cost,
-            covers_all=covered >= universe,
-            algorithm=result.algorithm,
-            seed=result.seed,
-        )
-        record(result, (time.perf_counter() - started) * 1000.0)
+        record("random", baselines.random_select(frozenset(costs), n, seed), started)
     return rows
 
 
@@ -291,12 +266,6 @@ def bench(dataset: Dataset, config: RunConfig, algorithms=ALGORITHMS,
 
 def _rep_star(args):
     return run_repetition(*args)
-
-
-def write_bench_json(report: BenchReport, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def write_bench_csv(report: BenchReport, path) -> None:

@@ -1,6 +1,7 @@
 """Search-space reduction: the redundancy loop, duplicate removal,
 local-dominance removal, overlap-graph component split, and the gain of
-valid removal orders.
+valid removal orders. `min_cover`, the exact minimum-cost cover search, also
+serves as the exact solver in `baselines`.
 
 Functions take a plain coverage mapping (input id -> frozenset of blocks)
 and a cost mapping, so they work both on real coverage maps and on the small
@@ -111,11 +112,44 @@ def _neighbors(input_id, state: SearchState, cover):
     ]
 
 
+def min_cover(objectives, candidates, cover, costs, budget):
+    """Cheapest subset of `candidates` covering `objectives` at an integer
+    cost of at most `budget`, or None. Branch-and-bound: always branch on
+    the uncovered objective with the fewest covering candidates (ties by
+    `str`), trying them in id order, and prune at the incumbent, so the
+    first cheapest cover found wins."""
+    rcover = {i: cover[i] & objectives for i in candidates}
+    inputs_of = {
+        bl: sorted(i for i in candidates if bl in rcover[i])
+        for bl in objectives
+    }
+    best_set = None
+    best_cost = budget + 1
+
+    def branch(selected, sel_cost, uncovered):
+        nonlocal best_cost, best_set
+        if sel_cost >= best_cost:
+            return
+        if not uncovered:
+            best_cost = sel_cost
+            best_set = frozenset(selected)
+            return
+        bl = min(uncovered, key=lambda b: (len(inputs_of[b]), str(b)))
+        for i in inputs_of[bl]:
+            if i in selected:
+                continue
+            selected.add(i)
+            branch(selected, sel_cost + costs[i], uncovered - rcover[i])
+            selected.discard(i)
+
+    branch(set(), 0, frozenset(objectives))
+    return best_set
+
+
 def locally_dominated(input_id, state: SearchState, cover, costs,
                       neighbor_cap: int = NEIGHBOR_CAP) -> bool:
     """True iff some subset of the input's overlap neighbors replicates its
-    remaining coverage at no greater cost. Branch-and-bound over neighbors
-    sorted by increasing cost, pruned at the input's own cost."""
+    remaining coverage at no greater cost."""
     target = cover[input_id] & state.objectives
     if not target:
         return True
@@ -126,30 +160,7 @@ def locally_dominated(input_id, state: SearchState, cover, costs,
             input_id, len(neighbors), neighbor_cap,
         )
         return False
-    neighbors.sort(key=lambda j: (costs[j], j))
-    budget = costs[input_id]
-    ncover = [cover[j] & target for j in neighbors]
-
-    def search(idx, remaining, budget_left) -> bool:
-        if not remaining:
-            return True
-        if idx == len(neighbors):
-            return False
-        # Feasibility: the rest of the list must still be able to cover.
-        reachable = set()
-        for k in range(idx, len(neighbors)):
-            reachable |= ncover[k]
-        if not remaining <= reachable:
-            return False
-        for k in range(idx, len(neighbors)):
-            if costs[neighbors[k]] > budget_left:
-                break
-            if ncover[k] & remaining:
-                if search(k + 1, remaining - ncover[k], budget_left - costs[neighbors[k]]):
-                    return True
-        return False
-
-    return search(0, set(target), budget)
+    return min_cover(target, neighbors, cover, costs, costs[input_id]) is not None
 
 
 def remove_locally_dominated(state: SearchState, cover, costs) -> SearchState:
@@ -169,7 +180,8 @@ def remove_locally_dominated(state: SearchState, cover, costs) -> SearchState:
 
 def split_components(state: SearchState, cover) -> tuple[Component, ...]:
     """Connected components of the overlap graph (inputs sharing a remaining
-    objective), each carrying the objectives its inputs cover."""
+    objective), each carrying the objectives its inputs cover. Each is found
+    from its smallest input, so they come out ordered by it."""
     block_to_inputs: dict = {}
     for i in state.search:
         for bl in cover[i] & state.objectives:
@@ -192,7 +204,6 @@ def split_components(state: SearchState, cover) -> tuple[Component, ...]:
                         queue.append(j)
         objectives = frozenset().union(*(cover[i] & state.objectives for i in comp))
         components.append(Component(inputs=frozenset(comp), objectives=objectives))
-    components.sort(key=lambda c: min(c.inputs))
     return tuple(components)
 
 

@@ -11,6 +11,7 @@ from covmin.baselines import (
     greedy_cover,
     random_select,
 )
+from covmin.blocks import build_coverage
 from covmin.config import RunConfig
 from covmin.reduction import Component
 from covmin.synthetic import make_synthetic_dataset
@@ -28,9 +29,9 @@ UNIVERSE = frozenset({"bl1", "bl2", "bl3", "bl4"})
 
 def test_greedy_falls_into_ratio_trap():
     result = greedy_cover(UNIVERSE, frozenset(GREEDY_COVER), GREEDY_COVER, GREEDY_COSTS)
-    assert result.selected == frozenset({1, 2, 3})
-    assert result.total_cost == 8
-    assert result.covers_all
+    assert result == frozenset({1, 2, 3})
+    assert sum(GREEDY_COSTS[i] for i in result) == 8
+    assert coverage_of(result, GREEDY_COVER) == UNIVERSE
 
 
 def test_greedy_infeasible():
@@ -45,20 +46,20 @@ def test_greedy_always_covers_when_feasible():
         cover, costs = random_instance(rng)
         universe = coverage_of(cover, cover)
         result = greedy_cover(universe, frozenset(cover), cover, costs)
-        assert coverage_of(result.selected, cover) >= universe
+        assert coverage_of(result, cover) >= universe
 
 
 def test_random_select_reproducible_and_uniform_size():
     costs = {i: i for i in range(1, 11)}
-    a = random_select(frozenset(costs), 4, costs, seed=9)
-    b = random_select(frozenset(costs), 4, costs, seed=9)
-    c = random_select(frozenset(costs), 4, costs, seed=10)
-    assert a.selected == b.selected
-    assert len(a.selected) == 4
-    assert a.total_cost == sum(costs[i] for i in a.selected)
-    assert a.selected != c.selected or True  # different seed may collide, size fixed
+    a = random_select(frozenset(costs), 4, seed=9)
+    b = random_select(frozenset(costs), 4, seed=9)
+    c = random_select(frozenset(costs), 4, seed=10)
+    assert a == b
+    assert len(a) == 4
+    assert a <= frozenset(costs)
+    assert a != c or True  # different seed may collide, size fixed
     with pytest.raises(ValueError):
-        random_select(frozenset(costs), 11, costs)
+        random_select(frozenset(costs), 11)
 
 
 def test_art_select_reproducible_and_covers_clusters():
@@ -66,16 +67,17 @@ def test_art_select_reproducible_and_covers_clusters():
     config = RunConfig()
     a = art_select(ds, config, seed=1)
     b = art_select(ds, config, seed=1)
-    assert a.selected == b.selected
-    assert a.selected
-    assert not a.covers_all
+    assert a == b
+    assert a
+    coverage = build_coverage(ds, config, seed=1)
+    assert coverage.cover_of_set(a) != coverage.all_blocks()
 
 
 def test_exhaustive_optimal_greedy_instance():
     comp = Component(inputs=frozenset(GREEDY_COVER), objectives=UNIVERSE)
     result = exhaustive_optimal(comp, GREEDY_COVER, GREEDY_COSTS)
-    assert result.selected == frozenset({2, 3})
-    assert result.total_cost == 6
+    assert result == frozenset({2, 3})
+    assert sum(GREEDY_COSTS[i] for i in result) == 6
 
 
 def test_exhaustive_matches_bruteforce_random_sweep():
@@ -86,7 +88,8 @@ def test_exhaustive_matches_bruteforce_random_sweep():
         comp = Component(inputs=frozenset(cover), objectives=objectives)
         result = exhaustive_optimal(comp, cover, costs)
         want, _ = bruteforce_min_cover(frozenset(cover), cover, costs, objectives)
-        assert result.total_cost == want
+        assert sum(costs[i] for i in result) == want
+        assert coverage_of(result, cover) == objectives
 
 
 def test_exhaustive_input_limit():

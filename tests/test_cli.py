@@ -107,6 +107,20 @@ def test_bench_csv_and_json(tmp_path):
         ["exhaustive", "greedy", "random"]
 
 
+def test_bench_art_row_covers_all_is_computed(tmp_path, capsys):
+    # With one input, art must pick it, and it covers every block.
+    one = tmp_path / "one.json"
+    one.write_text(json.dumps({"inputs": [{
+        "id": 1, "actions": [{"method": "GET", "url": "http://h/p"}],
+        "outputs": ["x"], "mr_action_counts": {"a": 1}}]}))
+    assert main(["bench", "--dataset", str(one), "--reps", "1",
+                 "--algo", "art"]) == 0
+    (row,) = json.loads(capsys.readouterr().out)["rows"]
+    assert row["algorithm"] == "art"
+    assert row["size"] == 1
+    assert row["covers_all"] is True
+
+
 def test_oracle_matches_minimize_on_synthetic(tmp_path, capsys):
     ds = _dataset(tmp_path)
     assert main(["oracle", "--dataset", ds]) == 0

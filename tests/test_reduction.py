@@ -6,6 +6,7 @@ from covmin.reduction import (
     SearchState,
     determine_redundancy,
     locally_dominated,
+    min_cover,
     reduce_problem,
     redundancy,
     remove_duplicates,
@@ -17,6 +18,7 @@ from covmin.reduction import (
 
 from _oracles import (
     bruteforce_gain,
+    bruteforce_min_cover,
     coverage_of,
     dedupe_profiles,
     dominance_relation,
@@ -248,6 +250,19 @@ def test_gain_decomposes_over_components():
             valid_orders_gain(c.inputs, cover, costs)[0] for c in comps
         )
         assert whole == parts
+
+
+def test_min_cover_matches_bruteforce_within_budget():
+    rng = random.Random(29)
+    for _ in range(150):
+        cover, costs = random_instance(rng, max_inputs=7, max_blocks=7)
+        objectives = coverage_of(cover, cover)
+        want, _ = bruteforce_min_cover(frozenset(cover), cover, costs, objectives)
+        found = min_cover(objectives, frozenset(cover), cover, costs, want)
+        assert coverage_of(found, cover) >= objectives
+        assert sum(costs[i] for i in found) == want
+        assert min_cover(objectives, frozenset(cover), cover, costs, want - 1) is None
+    assert min_cover(frozenset({"a", "b"}), [1], {1: frozenset({"a"})}, {1: 1}, 5) is None
 
 
 def test_locally_dominated_matches_unrestricted_bruteforce():
