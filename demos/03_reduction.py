@@ -8,7 +8,7 @@ the greedy total of 8.
 Run: python3 demos/03_reduction.py
 """
 
-from covmin.reduction import reduce_problem, redundancy, valid_orders_gain
+from covmin.reduction import determine_redundancy, reduce_problem, valid_orders_gain
 
 cover = {
     1: frozenset({"bl1", "bl2"}),
@@ -18,9 +18,10 @@ cover = {
 costs = {1: 2, 2: 3, 3: 3}
 ids = frozenset(cover)
 
+# The sole cover of some block is necessary; the rest is redundant.
+necessary, _ = determine_redundancy(cover)
 for i in sorted(ids):
-    r = redundancy(i, ids, cover)
-    print(f"in{i}: redundancy {r}", "(necessary)" if r == 0 else "(redundant)")
+    print(f"in{i}:", "necessary" if i in necessary else "redundant")
 
 gain, order = valid_orders_gain(ids, cover, costs)
 print("\nmax removable cost:", gain, "via removal order", order)

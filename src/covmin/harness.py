@@ -242,7 +242,9 @@ def bench(dataset: Dataset, config: RunConfig, algorithms=ALGORITHMS,
     if repetitions is None:
         repetitions = config.repetitions
     algorithms = tuple(algorithms)
-    reps = [(dataset, config, algorithms, seed + r, r, coverage)
+    # Repetition seeds step by 2**32, so `component_seed(seed + (r << 32), idx)`
+    # never repeats across repetitions for any idx < 2**32.
+    reps = [(dataset, config, algorithms, seed + (r << 32), r, coverage)
             for r in range(repetitions)]
     if jobs > 1 and repetitions > 1:
         from concurrent.futures import ProcessPoolExecutor

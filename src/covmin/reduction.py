@@ -6,26 +6,21 @@ serves as the exact solver in `baselines`.
 Functions take a plain coverage mapping (input id -> frozenset of blocks)
 and a cost mapping, so they work both on real coverage maps and on the small
 synthetic instances used in property tests. Blocks are any hashable,
-orderable values.
+orderable values. The reduction steps take and return a restricted cover
+map: the search inputs, each mapped to the objectives it still covers, so
+the remaining objectives are the union of its values.
 """
 
 from __future__ import annotations
 
 import logging
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 logger = logging.getLogger(__name__)
 
 EXHAUSTIVE_GAIN_THRESHOLD = 20
 NEIGHBOR_CAP = 20
-
-
-@dataclass
-class SearchState:
-    necessary: set = field(default_factory=set)
-    search: set = field(default_factory=set)
-    objectives: set = field(default_factory=set)
 
 
 @dataclass(frozen=True)
@@ -41,75 +36,29 @@ class ReductionResult:
     iterations: int
 
 
-def restricted_cover(cover, ids, objectives):
-    return {i: cover[i] & objectives for i in ids}
-
-
-def superposition(bl, ids, cover) -> int:
-    """Number of inputs in `ids` covering block `bl`."""
-    return sum(1 for i in ids if bl in cover[i])
-
-
-def redundancy(input_id, ids, cover, objectives=None) -> int:
-    """min over the input's blocks of their superposition, minus one.
-    Zero means the input is necessary for the coverage of `ids`."""
-    if input_id not in ids:
-        raise ValueError(f"input {input_id} not in the considered set")
-    blocks = cover[input_id]
-    if objectives is not None:
-        blocks = blocks & objectives
-    if not blocks:
-        # Covers nothing that still matters: removable at no coverage loss.
-        return len(ids)
-    return min(superposition(bl, ids, cover) for bl in blocks) - 1
-
-
-def determine_redundancy(state: SearchState, cover) -> SearchState:
-    """Move the necessary inputs out of the search set, discharge the
-    objectives they cover, and drop inputs left covering nothing."""
-    rcover = restricted_cover(cover, state.search, state.objectives)
+def determine_redundancy(rcover):
+    """Split off the inputs that are the sole cover of some remaining
+    objective, discharge the objectives they cover, and drop inputs left
+    covering nothing. Returns (new necessary inputs, restricted cover)."""
     superpos = Counter()
-    for i in state.search:
-        superpos.update(rcover[i])
-    new_necessary = {
-        i for i in state.search
-        if rcover[i] and min(superpos[bl] for bl in rcover[i]) == 1
+    for blocks in rcover.values():
+        superpos.update(blocks)
+    necessary = {
+        i for i, blocks in rcover.items()
+        if blocks and min(superpos[bl] for bl in blocks) == 1
     }
-    covered = set()
-    for i in new_necessary:
-        covered |= rcover[i]
-    objectives = state.objectives - covered
-    search = {
-        i for i in state.search - new_necessary
-        if cover[i] & objectives
+    covered = frozenset().union(*(rcover[i] for i in necessary))
+    return necessary, {
+        i: left for i, blocks in rcover.items() if (left := blocks - covered)
     }
-    return SearchState(
-        necessary=state.necessary | new_necessary,
-        search=search,
-        objectives=objectives,
-    )
 
 
-def remove_duplicates(state: SearchState, cover, costs) -> SearchState:
+def remove_duplicates(rcover, costs):
     """Among inputs equal in remaining coverage and cost, keep the lowest id."""
     best: dict[tuple, int] = {}
-    for i in sorted(state.search):
-        profile = (frozenset(cover[i] & state.objectives), costs[i])
-        if profile not in best:
-            best[profile] = i
-    return SearchState(
-        necessary=set(state.necessary),
-        search=set(best.values()),
-        objectives=set(state.objectives),
-    )
-
-
-def _neighbors(input_id, state: SearchState, cover):
-    target = cover[input_id] & state.objectives
-    return [
-        j for j in state.search
-        if j != input_id and (cover[j] & state.objectives) & target
-    ]
+    for i in sorted(rcover):
+        best.setdefault((rcover[i], costs[i]), i)
+    return {i: rcover[i] for i in best.values()}
 
 
 def min_cover(objectives, candidates, cover, costs, budget):
@@ -146,49 +95,42 @@ def min_cover(objectives, candidates, cover, costs, budget):
     return best_set
 
 
-def locally_dominated(input_id, state: SearchState, cover, costs,
+def locally_dominated(input_id, rcover, costs,
                       neighbor_cap: int = NEIGHBOR_CAP) -> bool:
     """True iff some subset of the input's overlap neighbors replicates its
     remaining coverage at no greater cost."""
-    target = cover[input_id] & state.objectives
+    target = rcover[input_id]
     if not target:
         return True
-    neighbors = _neighbors(input_id, state, cover)
+    neighbors = [j for j in rcover if j != input_id and rcover[j] & target]
     if len(neighbors) > neighbor_cap:
         logger.warning(
             "input %s has %d overlap neighbors (cap %d): conservatively kept",
             input_id, len(neighbors), neighbor_cap,
         )
         return False
-    return min_cover(target, neighbors, cover, costs, costs[input_id]) is not None
+    return min_cover(target, neighbors, rcover, costs, costs[input_id]) is not None
 
 
-def remove_locally_dominated(state: SearchState, cover, costs) -> SearchState:
+def remove_locally_dominated(rcover, costs):
     """Remove every input dominated in the pre-removal state. Removal order
     cannot strand coverage: dominated inputs are always dominated by a set
     of non-dominated ones."""
-    dominated = {
-        i for i in sorted(state.search)
-        if locally_dominated(i, state, cover, costs)
-    }
-    return SearchState(
-        necessary=set(state.necessary),
-        search=state.search - dominated,
-        objectives=set(state.objectives),
-    )
+    dominated = {i for i in sorted(rcover) if locally_dominated(i, rcover, costs)}
+    return {i: blocks for i, blocks in rcover.items() if i not in dominated}
 
 
-def split_components(state: SearchState, cover) -> tuple[Component, ...]:
+def split_components(rcover) -> tuple[Component, ...]:
     """Connected components of the overlap graph (inputs sharing a remaining
     objective), each carrying the objectives its inputs cover. Each is found
     from its smallest input, so they come out ordered by it."""
     block_to_inputs: dict = {}
-    for i in state.search:
-        for bl in cover[i] & state.objectives:
+    for i, blocks in rcover.items():
+        for bl in blocks:
             block_to_inputs.setdefault(bl, set()).add(i)
-    unvisited = set(state.search)
+    unvisited = set(rcover)
     components = []
-    for start in sorted(state.search):
+    for start in sorted(rcover):
         if start not in unvisited:
             continue
         comp = set()
@@ -197,17 +139,17 @@ def split_components(state: SearchState, cover) -> tuple[Component, ...]:
         while queue:
             i = queue.pop()
             comp.add(i)
-            for bl in cover[i] & state.objectives:
+            for bl in rcover[i]:
                 for j in block_to_inputs[bl]:
                     if j in unvisited:
                         unvisited.discard(j)
                         queue.append(j)
-        objectives = frozenset().union(*(cover[i] & state.objectives for i in comp))
+        objectives = frozenset().union(*(rcover[i] for i in comp))
         components.append(Component(inputs=frozenset(comp), objectives=objectives))
     return tuple(components)
 
 
-def valid_orders_gain(ids, cover, costs, objectives=None,
+def valid_orders_gain(ids, cover, costs,
                       threshold: int = EXHAUSTIVE_GAIN_THRESHOLD):
     """Maximal removable cost over valid removal orders, plus one witness.
 
@@ -217,18 +159,12 @@ def valid_orders_gain(ids, cover, costs, objectives=None,
     costly currently-redundant input.
     """
     members = sorted(ids)
-    rcover = {
-        i: (cover[i] & objectives if objectives is not None else cover[i])
-        for i in members
-    }
     superpos = Counter()
     for i in members:
-        superpos.update(rcover[i])
+        superpos.update(cover[i])
 
     def redundant_now(i) -> bool:
-        if not rcover[i]:
-            return True
-        return all(superpos[bl] >= 2 for bl in rcover[i])
+        return all(superpos[bl] >= 2 for bl in cover[i])
 
     redundant = [i for i in members if redundant_now(i)]
     if len(redundant) > threshold:
@@ -236,7 +172,7 @@ def valid_orders_gain(ids, cover, costs, objectives=None,
             "%d redundant inputs exceed the exhaustive threshold %d: "
             "using greedy removal", len(redundant), threshold,
         )
-        return _greedy_gain(members, rcover, costs, superpos)
+        return _greedy_gain(members, cover, costs, superpos, redundant_now)
 
     best_gain = 0
     best_order: list = []
@@ -251,11 +187,11 @@ def valid_orders_gain(ids, cover, costs, objectives=None,
             if i in removed or not redundant_now(i):
                 continue
             removed.add(i)
-            superpos.subtract(rcover[i])
+            superpos.subtract(cover[i])
             order.append(i)
             dfs(idx + 1, gained + costs[i], order)
             order.pop()
-            superpos.update(rcover[i])
+            superpos.update(cover[i])
             removed.discard(i)
 
     removed: set = set()
@@ -263,45 +199,40 @@ def valid_orders_gain(ids, cover, costs, objectives=None,
     return best_gain, best_order
 
 
-def _greedy_gain(members, rcover, costs, superpos):
+def _greedy_gain(members, cover, costs, superpos, redundant_now):
     remaining = set(members)
     gain = 0
     order = []
     while True:
-        candidates = [
-            i for i in remaining
-            if not rcover[i] or all(superpos[bl] >= 2 for bl in rcover[i])
-        ]
+        candidates = [i for i in remaining if redundant_now(i)]
         if not candidates:
             return gain, order
         pick = max(candidates, key=lambda i: (costs[i], -i))
         remaining.discard(pick)
-        superpos.subtract(rcover[pick])
+        superpos.subtract(cover[pick])
         gain += costs[pick]
         order.append(pick)
 
 
 def reduce_problem(ids, cover, costs) -> ReductionResult:
     """Iterate redundancy determination, duplicate removal, and dominance
-    removal until a fixpoint, then split the rest into components."""
-    objectives = set()
-    for i in ids:
-        objectives |= cover[i]
-    state = SearchState(necessary=set(), search=set(ids), objectives=objectives)
+    removal on the restricted cover map (input id -> its still-uncovered
+    objectives) until a pass finds no new necessary input and leaves the
+    map unchanged, then split the rest into components."""
+    rcover = {i: frozenset(cover[i]) for i in ids}
+    necessary: set = set()
     iterations = 0
     while True:
-        new_state = determine_redundancy(state, cover)
-        new_state = remove_duplicates(new_state, cover, costs)
-        new_state = remove_locally_dominated(new_state, cover, costs)
-        if (new_state.necessary == state.necessary
-                and new_state.search == state.search
-                and new_state.objectives == state.objectives):
+        found, reduced = determine_redundancy(rcover)
+        reduced = remove_duplicates(reduced, costs)
+        reduced = remove_locally_dominated(reduced, costs)
+        if not found and reduced == rcover:
             break
-        state = new_state
+        necessary |= found
+        rcover = reduced
         iterations += 1
-    components = split_components(state, cover)
     return ReductionResult(
-        necessary=frozenset(state.necessary),
-        components=components,
+        necessary=frozenset(necessary),
+        components=split_components(rcover),
         iterations=iterations,
     )

@@ -151,9 +151,25 @@ def bruteforce_min_cover(ids, cover, costs, objectives):
     return best_cost, best_set
 
 
-def reduce_set(ids, cover, costs, objectives=None) -> frozenset:
+def superposition(bl, ids, cover) -> int:
+    """Number of inputs in `ids` covering block `bl`."""
+    return sum(1 for i in ids if bl in cover[i])
+
+
+def redundancy(input_id, ids, cover) -> int:
+    """min over the input's blocks of their superposition, minus one.
+    Zero means the input is necessary for the coverage of `ids`."""
+    if input_id not in ids:
+        raise ValueError(f"input {input_id} not in the considered set")
+    if not cover[input_id]:
+        # Covers nothing: removable at no coverage loss.
+        return len(ids)
+    return min(superposition(bl, ids, cover) for bl in cover[input_id]) - 1
+
+
+def reduce_set(ids, cover, costs) -> frozenset:
     """Apply a maximal-gain valid removal order and return what remains."""
-    _, order = valid_orders_gain(ids, cover, costs, objectives)
+    _, order = valid_orders_gain(ids, cover, costs)
     return frozenset(ids) - set(order)
 
 

@@ -13,7 +13,7 @@ from covmin.config import RunConfig
 from covmin.distance import bag_distance, levenshtein, param_distance, params_match, url_distance
 from covmin.dataset import ParamValue
 from covmin.harness import run_pipeline
-from covmin.reduction import Component, SearchState, reduce_problem, split_components, valid_orders_gain
+from covmin.reduction import Component, reduce_problem, split_components, valid_orders_gain
 from covmin.search import ComponentProblem, crossover, dominates, mocco_run
 from covmin.synthetic import make_synthetic_dataset, planted_optimum_cost
 
@@ -125,15 +125,10 @@ def test_criterion_2_theorem_property_suite():
             if not order_is_valid(order, ids, cover):
                 violations += 1
 
-        def fresh_state(cover):
-            objectives = coverage_of(cover, cover)
-            return SearchState(necessary=set(), search=set(cover),
-                               objectives=set(objectives))
-
         rng = random.Random(104)
         for _ in range(500):  # gain decomposes over components
             cover, costs = random_instance(rng)
-            comps = split_components(fresh_state(cover), cover)
+            comps = split_components(cover)
             whole, _ = valid_orders_gain(frozenset(cover), cover, costs)
             if whole != sum(valid_orders_gain(c.inputs, cover, costs)[0]
                             for c in comps):
@@ -150,7 +145,7 @@ def test_criterion_2_theorem_property_suite():
         rng = random.Random(106)
         for _ in range(500):  # concatenated per-component orders valid on union
             cover, costs = random_instance(rng)
-            comps = split_components(fresh_state(cover), cover)
+            comps = split_components(cover)
             concatenated = []
             for c in comps:
                 concatenated.extend(valid_orders_gain(c.inputs, cover, costs)[1])

@@ -7,6 +7,7 @@ from covmin.blocks import BlockId, CoverageMap, build_coverage
 from covmin.cli import main
 from covmin.config import RunConfig
 from covmin.dataset import Action, Dataset, InputRecord
+from covmin import harness
 from covmin.harness import (
     bench,
     component_solver,
@@ -142,6 +143,23 @@ def test_bench_reproducible_modulo_runtime():
         ], report.a12
 
     assert strip(r1) == strip(r2)
+
+
+def test_bench_component_seeds_distinct_across_repetitions(monkeypatch):
+    # Component seeds are `seed ^ idx`; repetition seeds must not let two
+    # (repetition, component) pairs share one.
+    seeds = []
+    real_mocco_run = harness.mocco_run
+
+    def recording(component, cover, costs, config, seed, *args, **kwargs):
+        seeds.append(seed)
+        return real_mocco_run(component, cover, costs, config, seed, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "mocco_run", recording)
+    bench(make_synthetic_dataset(), RunConfig(generations=5),
+          algorithms=("mocco",), repetitions=3, seed=7)
+    assert len(seeds) == 6  # two components in each of three repetitions
+    assert len(set(seeds)) == len(seeds)
 
 
 def test_bench_parallel_jobs_match_sequential():

@@ -3,16 +3,13 @@ import random
 import pytest
 
 from covmin.reduction import (
-    SearchState,
     determine_redundancy,
     locally_dominated,
     min_cover,
     reduce_problem,
-    redundancy,
     remove_duplicates,
     remove_locally_dominated,
     split_components,
-    superposition,
     valid_orders_gain,
 )
 
@@ -28,6 +25,8 @@ from _oracles import (
     order_is_valid,
     random_instance,
     reduce_set,
+    redundancy,
+    superposition,
 )
 
 # Three inputs where the cheapest-ratio pick is a trap: taking in1 first
@@ -39,13 +38,6 @@ GREEDY_COVER = {
 }
 GREEDY_COSTS = {1: 2, 2: 3, 3: 3}
 ALL = frozenset(GREEDY_COVER)
-
-
-def _fresh_state(cover):
-    objectives = set()
-    for blocks in cover.values():
-        objectives |= blocks
-    return SearchState(necessary=set(), search=set(cover), objectives=objectives)
 
 
 def test_superposition():
@@ -63,51 +55,49 @@ def test_redundancy():
 
 
 def test_determine_redundancy_on_greedy_instance():
-    state = determine_redundancy(_fresh_state(GREEDY_COVER), GREEDY_COVER)
-    assert state.necessary == {2, 3}
-    assert state.objectives == set()
-    assert state.search == set()  # in1 covers nothing remaining
+    necessary, rcover = determine_redundancy(GREEDY_COVER)
+    assert necessary == {2, 3}
+    assert coverage_of(rcover, rcover) == set()
+    assert set(rcover) == set()  # in1 covers nothing remaining
 
 
 def test_determine_redundancy_all_distinct():
     cover = {1: frozenset({"a"}), 2: frozenset({"b"})}
-    state = determine_redundancy(_fresh_state(cover), cover)
-    assert state.necessary == {1, 2}
-    assert state.search == set()
+    necessary, rcover = determine_redundancy(cover)
+    assert necessary == {1, 2}
+    assert set(rcover) == set()
 
 
 def test_determine_redundancy_keeps_tied_pair():
     cover = {1: frozenset({"a"}), 2: frozenset({"a"})}
-    state = determine_redundancy(_fresh_state(cover), cover)
-    assert state.necessary == set()
-    assert state.search == {1, 2}
+    necessary, rcover = determine_redundancy(cover)
+    assert necessary == set()
+    assert set(rcover) == {1, 2}
 
 
 def test_remove_duplicates_keeps_lowest_id():
     cover = {1: frozenset({"a"}), 2: frozenset({"a"}), 3: frozenset({"a"})}
     costs = {1: 5, 2: 5, 3: 4}
-    state = remove_duplicates(_fresh_state(cover), cover, costs)
+    rcover = remove_duplicates(cover, costs)
     # 1 and 2 share a profile; 3 differs in cost and stays.
-    assert state.search == {1, 3}
+    assert set(rcover) == {1, 3}
 
 
 def test_locally_dominated_examples():
-    state = _fresh_state(GREEDY_COVER)
     # {in2, in3} replicates in1's coverage but costs 6 > 2.
-    assert not locally_dominated(1, state, GREEDY_COVER, GREEDY_COSTS)
+    assert not locally_dominated(1, GREEDY_COVER, GREEDY_COSTS)
 
     cover = {1: frozenset({"b1"}), 2: frozenset({"b1", "b2"})}
     costs = {1: 5, 2: 3}
-    assert locally_dominated(1, _fresh_state(cover), cover, costs)
-    assert not locally_dominated(2, _fresh_state(cover), cover, costs)
+    assert locally_dominated(1, cover, costs)
+    assert not locally_dominated(2, cover, costs)
 
 
 def test_locally_dominated_neighbor_cap_conservative(caplog):
     cover = {i: frozenset({"shared"}) for i in range(1, 30)}
     costs = {i: 1 for i in cover}
-    state = _fresh_state(cover)
-    assert not locally_dominated(1, state, cover, costs, neighbor_cap=5)
-    assert locally_dominated(1, state, cover, costs, neighbor_cap=28)
+    assert not locally_dominated(1, cover, costs, neighbor_cap=5)
+    assert locally_dominated(1, cover, costs, neighbor_cap=28)
 
 
 def test_remove_locally_dominated_chain():
@@ -118,8 +108,8 @@ def test_remove_locally_dominated_chain():
         3: frozenset({"x", "y", "z"}),
     }
     costs = {1: 3, 2: 2, 3: 1}
-    state = remove_locally_dominated(_fresh_state(cover), cover, costs)
-    assert state.search == {3}
+    rcover = remove_locally_dominated(cover, costs)
+    assert set(rcover) == {3}
 
 
 def test_split_components_two_groups():
@@ -130,7 +120,7 @@ def test_split_components_two_groups():
         4: frozenset({"c"}),
         5: frozenset({"c", "d"}),
     }
-    comps = split_components(_fresh_state(cover), cover)
+    comps = split_components(cover)
     assert [sorted(c.inputs) for c in comps] == [[1, 2, 3], [4, 5]]
     assert comps[0].objectives == frozenset({"a", "b"})
     assert comps[1].objectives == frozenset({"c", "d"})
@@ -194,6 +184,13 @@ def test_reduce_problem_is_fixpoint_and_preserves_coverage():
         for comp in again.components:
             kept_again |= comp.inputs
         assert kept_again == kept
+        # The necessary inputs plus an optimal cover of each component's
+        # objectives cost exactly the optimum over all inputs.
+        optimum, _ = bruteforce_min_cover(ids, cover, costs, coverage_of(ids, cover))
+        assert sum(costs[i] for i in result.necessary) + sum(
+            bruteforce_min_cover(comp.inputs, cover, costs, comp.objectives)[0]
+            for comp in result.components
+        ) == optimum
 
 
 def test_redundancy_soundness_random_sweep():
@@ -244,7 +241,7 @@ def test_gain_decomposes_over_components():
     for _ in range(200):
         cover, costs = random_instance(rng, max_inputs=8, max_blocks=8)
         ids = frozenset(cover)
-        comps = split_components(_fresh_state(cover), cover)
+        comps = split_components(cover)
         whole, _ = valid_orders_gain(ids, cover, costs)
         parts = sum(
             valid_orders_gain(c.inputs, cover, costs)[0] for c in comps
@@ -271,7 +268,6 @@ def test_locally_dominated_matches_unrestricted_bruteforce():
     rng = random.Random(17)
     for _ in range(150):
         cover, costs = random_instance(rng, max_inputs=7, max_blocks=7)
-        state = _fresh_state(cover)
         ids = sorted(cover)
         for i in ids:
             others = [j for j in ids if j != i]
@@ -283,7 +279,7 @@ def test_locally_dominated_matches_unrestricted_bruteforce():
                 )
                 for mask in range(1, 1 << len(others))
             )
-            assert locally_dominated(i, state, cover, costs) == expected
+            assert locally_dominated(i, cover, costs) == expected
 
 
 def test_dominance_relation_asymmetric_transitive_acyclic():
@@ -306,7 +302,7 @@ def test_concatenated_component_orders_valid_on_union():
     for _ in range(200):
         cover, costs = random_instance(rng, max_inputs=8, max_blocks=8)
         ids = frozenset(cover)
-        comps = split_components(_fresh_state(cover), cover)
+        comps = split_components(cover)
         concatenated = []
         for c in comps:
             _, order = valid_orders_gain(c.inputs, cover, costs)

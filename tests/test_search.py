@@ -263,7 +263,7 @@ def test_mocco_matches_bruteforce_on_small_components():
         cover, costs = random_instance(rng, max_inputs=6, max_blocks=6)
         objectives = frozenset().union(*cover.values())
         comp = Component(inputs=frozenset(cover), objectives=objectives)
-        result = mocco_run(cover and comp, cover, costs,
+        result = mocco_run(comp, cover, costs,
                            RunConfig(n_size=8, generations=100), seed=1)
         got = sum(costs[i] for i in result)
         want, _ = bruteforce_min_cover(frozenset(cover), cover, costs, objectives)
