@@ -17,12 +17,9 @@ cover = {
     3: frozenset({"bl2", "bl4"}),
 }
 costs = {1: 2, 2: 3, 3: 3}
-component = Component(
-    inputs=frozenset(cover),
-    objectives=frozenset({"bl1", "bl2", "bl3", "bl4"}),
-)
+component = Component(cover=cover)
 
-problem = ComponentProblem(component, cover, costs)
+problem = ComponentProblem(component, costs)
 print("fitness of {2, 3}: ", [round(v, 3) for v in problem.fitness(frozenset({2, 3}))])
 print("fitness of {1, 2}: ", [round(v, 3) for v in problem.fitness(frozenset({1, 2}))])
 print("exposure of {2}:   ", round(problem.exposure(problem.individual({2})), 3))
@@ -34,7 +31,7 @@ def watch(gen, pops):
     trace.append((gen, min(r.cost for r in pops.roofers), len(pops.misers)))
 
 
-result = mocco_run(component, cover, costs,
+result = mocco_run(component, costs,
                    RunConfig(n_size=6, generations=40), seed=11,
                    on_generation=watch)
 

@@ -70,19 +70,17 @@ def art_select(dataset: Dataset, config: RunConfig, seed: int = 0) -> frozenset:
     return frozenset(selected)
 
 
-def exhaustive_optimal(component: Component, cover, costs) -> frozenset:
+def exhaustive_optimal(component: Component, costs) -> frozenset:
     """Exact minimum-cost cover of the component's objectives by its inputs
-    (`reduction.min_cover`)."""
+    (`reduction.min_cover`). Always found: the objectives are what the
+    inputs cover."""
     if len(component.inputs) > EXHAUSTIVE_INPUT_LIMIT:
         raise ExhaustiveLimitError(
             f"component of {len(component.inputs)} inputs exceeds the "
             f"exhaustive limit {EXHAUSTIVE_INPUT_LIMIT}"
         )
-    budget = sum(costs[i] for i in component.inputs)
-    selected = min_cover(component.objectives, component.inputs, cover, costs, budget)
-    if selected is None:
-        raise InfeasibleError("the component's inputs cannot cover its objectives")
-    return selected
+    budget = sum(costs[i] for i in component.cover)
+    return min_cover(component.objectives, component.cover, costs, budget)
 
 
 def a12_effect_size(sample1, sample2) -> float:

@@ -75,10 +75,14 @@ def coverage_to_dict(coverage: CoverageMap) -> dict:
 
 
 def coverage_from_dict(obj: dict) -> CoverageMap:
-    cover = {
-        int(i): frozenset(BlockId.from_str(s) for s in blocks)
-        for i, blocks in obj["cover"].items()
-    }
+    """Inverse of `coverage_to_dict`; malformed input is a ValidationError."""
+    try:
+        cover = {
+            int(i): frozenset(BlockId.from_str(s) for s in blocks)
+            for i, blocks in obj["cover"].items()
+        }
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ValidationError(f"malformed coverage file: {exc!r}") from exc
     return CoverageMap.from_cover(cover)
 
 
@@ -128,6 +132,10 @@ def cmd_bench(args) -> int:
     algorithms = []
     for entry in args.algo or ["mocco,greedy,random,art"]:
         algorithms.extend(a for a in entry.split(",") if a)
+    unknown = [a for a in algorithms if a not in harness.ALGORITHMS]
+    if unknown:
+        raise ValidationError(f"unknown algorithms {unknown}; "
+                              f"known: {', '.join(harness.ALGORITHMS)}")
     report = harness.bench(
         dataset, config,
         algorithms=algorithms,
@@ -148,7 +156,7 @@ def cmd_oracle(args) -> int:
     coverage = build_coverage(dataset, config, seed)
     costs = dataset.costs()
     reduction = reduce_problem(frozenset(costs), coverage.cover, costs)
-    solver = harness.component_solver("exhaustive", coverage.cover, costs, config)
+    solver = harness.component_solver("exhaustive", costs, config)
     solution = harness.solve(reduction, costs, solver, seed)
     _write_json({
         "selected": sorted(solution.selected),

@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import types
+import typing
+from dataclasses import dataclass
 
 from .clustering import HyperParamGrid
+from .dataset import ValidationError, _checked
 
 
 @dataclass(frozen=True)
@@ -26,12 +29,12 @@ class RunConfig:
 
     def __post_init__(self):
         if self.output_metric not in ("lev", "bag"):
-            raise ValueError(f"unknown output metric: {self.output_metric!r}")
+            raise ValidationError(f"unknown output metric: {self.output_metric!r}")
         for algo in (self.output_algo, self.action_algo):
             if algo not in ("kmeans", "dbscan"):
-                raise ValueError(f"unknown clustering algorithm: {algo!r}")
+                raise ValidationError(f"unknown clustering algorithm: {algo!r}")
         if self.n_size < 2:
-            raise ValueError("population size must be at least 2")
+            raise ValidationError("population size must be at least 2")
 
     def grid(self, algo: str) -> HyperParamGrid:
         return HyperParamGrid(
@@ -55,14 +58,32 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
-        kwargs = {}
-        for key in cls.__dataclass_fields__:
-            if key in data:
-                value = data[key]
-                if isinstance(value, list):
-                    value = tuple(value)
-                kwargs[key] = value
+        """A config from its JSON form: an object of known fields, each of
+        its annotated type (JSON lists as tuples)."""
+        _checked(data, dict, "config")
         unknown = set(data) - set(cls.__dataclass_fields__)
         if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        return cls(**kwargs)
+            raise ValidationError(f"unknown config keys: {sorted(unknown)}")
+        hints = typing.get_type_hints(cls)
+        return cls(**{
+            key: _typed(value, hints[key], f"config {key!r}")
+            for key, value in data.items()
+        })
+
+
+def _typed(value, hint, what: str):
+    """`value` checked against a field type: `X | None` takes null, a tuple
+    type takes a list of that length, a float takes an int."""
+    if isinstance(hint, types.UnionType):
+        if value is None:
+            return None
+        (hint,) = (h for h in typing.get_args(hint) if h is not type(None))
+    if typing.get_origin(hint) is tuple:
+        kinds = typing.get_args(hint)
+        items = _checked(value, list, what)
+        if len(items) != len(kinds):
+            raise ValidationError(f"{what} must have {len(kinds)} items, got {value!r}")
+        return tuple(_typed(v, k, what) for v, k in zip(items, kinds))
+    if hint is float and type(value) is int:
+        return value
+    return _checked(value, hint, what)

@@ -53,13 +53,13 @@ def solve(reduction: ReductionResult, costs, solve_component,
     )
 
 
-def component_solver(algorithm: str, cover, costs, config: RunConfig):
+def component_solver(algorithm: str, costs, config: RunConfig):
     """`solve_component` for the genetic search ("mocco") or the exact
     solver ("exhaustive"). `mocco_run` is looked up in this module on every
     call, so a wrapper installed here sees each one."""
     if algorithm == "mocco":
-        return lambda comp, seed: mocco_run(comp, cover, costs, config, seed)
-    return lambda comp, seed: baselines.exhaustive_optimal(comp, cover, costs)
+        return lambda comp, seed: mocco_run(comp, costs, config, seed)
+    return lambda comp, seed: baselines.exhaustive_optimal(comp, costs)
 
 
 def vdr(selected, vulnerabilities) -> float:
@@ -116,7 +116,7 @@ def run_pipeline(dataset: Dataset, config: RunConfig, seed: int | None = None,
     if coverage is None:
         coverage = build_coverage(dataset, config, seed)
     reduction = reduce_problem(frozenset(costs), coverage.cover, costs)
-    solver = component_solver("mocco", coverage.cover, costs, config)
+    solver = component_solver("mocco", costs, config)
     solution = solve(reduction, costs, solver, seed)
     return PipelineResult(
         config_label=config.label(),
@@ -212,7 +212,7 @@ def run_repetition(dataset: Dataset, config: RunConfig, algorithms,
             continue  # needs the other selection sizes; runs last
         started = time.perf_counter()
         if name in ("mocco", "exhaustive"):
-            solver = component_solver(name, coverage.cover, costs, config)
+            solver = component_solver(name, costs, config)
             selected = solve(reduction, costs, solver, seed).selected
         elif name == "greedy":
             selected = baselines.greedy_cover(

@@ -25,8 +25,16 @@ NEIGHBOR_CAP = 20
 
 @dataclass(frozen=True)
 class Component:
-    inputs: frozenset
-    objectives: frozenset
+    """An overlap-graph component as its slice of the restricted cover map."""
+    cover: dict
+
+    @property
+    def inputs(self) -> frozenset:
+        return frozenset(self.cover)
+
+    @property
+    def objectives(self) -> frozenset:
+        return frozenset().union(*self.cover.values())
 
 
 @dataclass(frozen=True)
@@ -61,15 +69,14 @@ def remove_duplicates(rcover, costs):
     return {i: rcover[i] for i in best.values()}
 
 
-def min_cover(objectives, candidates, cover, costs, budget):
-    """Cheapest subset of `candidates` covering `objectives` at an integer
-    cost of at most `budget`, or None. Branch-and-bound: always branch on
-    the uncovered objective with the fewest covering candidates (ties by
-    `str`), trying them in id order, and prune at the incumbent, so the
+def min_cover(objectives, cover, costs, budget):
+    """Cheapest subset of the inputs of `cover` covering `objectives` at an
+    integer cost of at most `budget`, or None. Branch-and-bound: always
+    branch on the uncovered objective with the fewest covering inputs (ties
+    by `str`), trying them in id order, and prune at the incumbent, so the
     first cheapest cover found wins."""
-    rcover = {i: cover[i] & objectives for i in candidates}
     inputs_of = {
-        bl: sorted(i for i in candidates if bl in rcover[i])
+        bl: sorted(i for i, blocks in cover.items() if bl in blocks)
         for bl in objectives
     }
     best_set = None
@@ -88,7 +95,7 @@ def min_cover(objectives, candidates, cover, costs, budget):
             if i in selected:
                 continue
             selected.add(i)
-            branch(selected, sel_cost + costs[i], uncovered - rcover[i])
+            branch(selected, sel_cost + costs[i], uncovered - cover[i])
             selected.discard(i)
 
     branch(set(), 0, frozenset(objectives))
@@ -102,14 +109,14 @@ def locally_dominated(input_id, rcover, costs,
     target = rcover[input_id]
     if not target:
         return True
-    neighbors = [j for j in rcover if j != input_id and rcover[j] & target]
+    neighbors = {j: b for j, b in rcover.items() if j != input_id and b & target}
     if len(neighbors) > neighbor_cap:
         logger.warning(
             "input %s has %d overlap neighbors (cap %d): conservatively kept",
             input_id, len(neighbors), neighbor_cap,
         )
         return False
-    return min_cover(target, neighbors, rcover, costs, costs[input_id]) is not None
+    return min_cover(target, neighbors, costs, costs[input_id]) is not None
 
 
 def remove_locally_dominated(rcover, costs):
@@ -122,8 +129,8 @@ def remove_locally_dominated(rcover, costs):
 
 def split_components(rcover) -> tuple[Component, ...]:
     """Connected components of the overlap graph (inputs sharing a remaining
-    objective), each carrying the objectives its inputs cover. Each is found
-    from its smallest input, so they come out ordered by it."""
+    objective), each carrying its slice of `rcover`. Each is found from its
+    smallest input, so they come out ordered by it."""
     block_to_inputs: dict = {}
     for i, blocks in rcover.items():
         for bl in blocks:
@@ -144,8 +151,7 @@ def split_components(rcover) -> tuple[Component, ...]:
                     if j in unvisited:
                         unvisited.discard(j)
                         queue.append(j)
-        objectives = frozenset().union(*(rcover[i] for i in comp))
-        components.append(Component(inputs=frozenset(comp), objectives=objectives))
+        components.append(Component(cover={i: rcover[i] for i in sorted(comp)}))
     return tuple(components)
 
 

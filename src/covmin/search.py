@@ -45,24 +45,17 @@ def dominates(f1, f2) -> bool:
 
 
 class ComponentProblem:
-    """A component plus the coverage and cost context it is minimized in."""
+    """A component plus the costs it is minimized under."""
 
-    def __init__(self, component: Component, cover, costs):
-        self.component = component
+    def __init__(self, component: Component, costs):
+        self.cover = component.cover
         self.objectives = sorted(component.objectives)
-        self.inputs = sorted(component.inputs)
+        self.inputs = sorted(self.cover)
         self.costs = costs
-        # Coverage restricted to the component's objectives.
-        self.cover = {
-            i: cover[i] & component.objectives for i in component.inputs
-        }
         self.inputs_of = {
-            bl: sorted(i for i in component.inputs if bl in self.cover[i])
+            bl: [i for i in self.inputs if bl in self.cover[i]]
             for bl in self.objectives
         }
-        for bl, covering in self.inputs_of.items():
-            if not covering:
-                raise ValueError(f"objective {bl!r} covered by no component input")
         self._min_cost_of = {
             bl: min(costs[i] for i in covering)
             for bl, covering in self.inputs_of.items()
@@ -117,9 +110,6 @@ class ComponentProblem:
             cost=self.cost_of(members),
             fitness=self.fitness(members),
         )
-
-    def covers_all(self, members) -> bool:
-        return self.cover_of(members) == frozenset(self.objectives)
 
 
 def _weighted_choice(rng: random.Random, items, weights):
@@ -214,7 +204,7 @@ def update_populations(problem: ComponentProblem, pops: Populations,
     if any(candidate_members == m.members for m in pops.misers):
         return
     candidate = problem.individual(candidate_members)
-    if problem.covers_all(candidate.members):
+    if not any(candidate.fitness[1:]):  # every objective value 0: covers all
         max_cost = max(r.cost for r in pops.roofers)
         if candidate.cost <= max_cost:
             ties = [idx for idx, r in enumerate(pops.roofers) if r.cost == max_cost]
@@ -230,16 +220,15 @@ def update_populations(problem: ComponentProblem, pops: Populations,
     pops.misers.append(candidate)
 
 
-def mocco_run(component: Component, cover, costs,
-              config: RunConfig = RunConfig(), seed: int = 0,
-              on_generation=None) -> frozenset:
+def mocco_run(component: Component, costs, config: RunConfig = RunConfig(),
+              seed: int = 0, on_generation=None) -> frozenset:
     """Minimize one component; returns a least-cost full-coverage member set.
 
     Reads `n_size`, `generations` and `time_budget_ms` from `config`.
     `on_generation(gen, pops)` is an optional observation hook, used by the
     invariant-checking tests.
     """
-    problem = ComponentProblem(component, cover, costs)
+    problem = ComponentProblem(component, costs)
     rng = random.Random(seed)
     pops = init_roofers(problem, config.n_size, rng)
     if on_generation is not None:

@@ -151,6 +151,11 @@ def bruteforce_min_cover(ids, cover, costs, objectives):
     return best_cost, best_set
 
 
+def covers_all(problem, members) -> bool:
+    """Whether `members` cover every objective of a `ComponentProblem`."""
+    return problem.cover_of(members) == frozenset(problem.objectives)
+
+
 def superposition(bl, ids, cover) -> int:
     """Number of inputs in `ids` covering block `bl`."""
     return sum(1 for i in ids if bl in cover[i])

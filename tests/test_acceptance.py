@@ -20,6 +20,7 @@ from covmin.synthetic import make_synthetic_dataset, planted_optimum_cost
 from _oracles import (
     bruteforce_gain,
     coverage_of,
+    covers_all,
     dedupe_profiles,
     dominance_relation,
     has_cycle,
@@ -64,9 +65,7 @@ def test_criterion_1_worked_example_fixtures():
         # Crossover halves fixture.
         cover = {1: frozenset({"a"}), 2: frozenset({"b"}), 3: frozenset({"a", "c"}),
                  4: frozenset({"d"}), 5: frozenset({"c", "d"})}
-        problem = ComponentProblem(
-            Component(inputs=frozenset(cover), objectives=frozenset("abcd")),
-            cover, {i: 1 for i in cover})
+        problem = ComponentProblem(Component(cover=cover), {i: 1 for i in cover})
 
         class Fixed:
             def shuffle(self, items):
@@ -81,9 +80,7 @@ def test_criterion_1_worked_example_fixtures():
         # Greedy trap vs optimum.
         greedy = greedy_cover(GREEDY_UNIVERSE, frozenset(GREEDY_COVER),
                               GREEDY_COVER, GREEDY_COSTS)
-        optimal = exhaustive_optimal(
-            Component(inputs=frozenset(GREEDY_COVER), objectives=GREEDY_UNIVERSE),
-            GREEDY_COVER, GREEDY_COSTS)
+        optimal = exhaustive_optimal(Component(cover=GREEDY_COVER), GREEDY_COSTS)
         assert sum(GREEDY_COSTS[i] for i in greedy) == 8
         assert sum(GREEDY_COSTS[i] for i in optimal) == 6
         assert time.perf_counter() - started < 1.0
@@ -168,9 +165,7 @@ def _random_component(rng):
         size = rng.randrange(1, min(n_blocks, 4) + 1)
         cover[i] = frozenset(rng.sample(range(n_blocks), size))
         costs[i] = rng.randrange(1, 10)
-    objectives = coverage_of(cover, cover)
-    comp = Component(inputs=frozenset(cover), objectives=objectives)
-    return comp, cover, costs
+    return Component(cover=cover), costs
 
 
 class _InvariantTracker:
@@ -186,7 +181,7 @@ class _InvariantTracker:
         if len(pops.roofers) != self.n_size:
             self.violations.append((gen, "roofer count"))
         for r in pops.roofers:
-            if not problem.covers_all(r.members):
+            if not covers_all(problem, r.members):
                 self.violations.append((gen, "roofer coverage"))
             if any(is_redundant_in(i, r.members, problem.cover) for i in r.members):
                 self.violations.append((gen, "roofer not reduced"))
@@ -195,7 +190,7 @@ class _InvariantTracker:
             self.violations.append((gen, "min roofer cost increased"))
         self.prev_min_cost = min_cost
         for m in pops.misers:
-            if problem.covers_all(m.members):
+            if covers_all(problem, m.members):
                 self.violations.append((gen, "miser full coverage"))
             if any(is_redundant_in(i, m.members, problem.cover) for i in m.members):
                 self.violations.append((gen, "miser not reduced"))
@@ -219,14 +214,14 @@ def _run_desk_scale_searches():
     violations = []
     started = time.perf_counter()
     for k in range(30):
-        comp, cover, costs = _random_component(rng)
-        problem = ComponentProblem(comp, cover, costs)
+        comp, costs = _random_component(rng)
+        problem = ComponentProblem(comp, costs)
         tracker = _InvariantTracker(problem, n_size=20)
-        members = mocco_run(comp, cover, costs,
+        members = mocco_run(comp, costs,
                             RunConfig(n_size=20, generations=150), seed=k,
                             on_generation=tracker)
         got = sum(costs[i] for i in members)
-        want = sum(costs[i] for i in exhaustive_optimal(comp, cover, costs))
+        want = sum(costs[i] for i in exhaustive_optimal(comp, costs))
         total += 1
         if got == want:
             exact += 1
@@ -273,7 +268,7 @@ def test_criterion_5_end_to_end_determinism(tmp_path):
         oracle_cost = sum(costs[i] for i in reduction.necessary) + sum(
             costs[i]
             for c in reduction.components
-            for i in exhaustive_optimal(c, coverage.cover, costs)
+            for i in exhaustive_optimal(c, costs)
         )
         assert result.total_cost == oracle_cost == planted_optimum_cost()
         p1, p2 = tmp_path / "r1.json", tmp_path / "r2.json"

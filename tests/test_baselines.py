@@ -74,8 +74,7 @@ def test_art_select_reproducible_and_covers_clusters():
 
 
 def test_exhaustive_optimal_greedy_instance():
-    comp = Component(inputs=frozenset(GREEDY_COVER), objectives=UNIVERSE)
-    result = exhaustive_optimal(comp, GREEDY_COVER, GREEDY_COSTS)
+    result = exhaustive_optimal(Component(cover=GREEDY_COVER), GREEDY_COSTS)
     assert result == frozenset({2, 3})
     assert sum(GREEDY_COSTS[i] for i in result) == 6
 
@@ -85,8 +84,7 @@ def test_exhaustive_matches_bruteforce_random_sweep():
     for _ in range(100):
         cover, costs = random_instance(rng, max_inputs=8, max_blocks=8)
         objectives = coverage_of(cover, cover)
-        comp = Component(inputs=frozenset(cover), objectives=objectives)
-        result = exhaustive_optimal(comp, cover, costs)
+        result = exhaustive_optimal(Component(cover=cover), costs)
         want, _ = bruteforce_min_cover(frozenset(cover), cover, costs, objectives)
         assert sum(costs[i] for i in result) == want
         assert coverage_of(result, cover) == objectives
@@ -94,15 +92,8 @@ def test_exhaustive_matches_bruteforce_random_sweep():
 
 def test_exhaustive_input_limit():
     cover = {i: frozenset({"b"}) for i in range(1, 25)}
-    comp = Component(inputs=frozenset(cover), objectives=frozenset({"b"}))
     with pytest.raises(ExhaustiveLimitError):
-        exhaustive_optimal(comp, cover, {i: 1 for i in cover})
-
-
-def test_exhaustive_infeasible():
-    comp = Component(inputs=frozenset({1}), objectives=frozenset({"a", "b"}))
-    with pytest.raises(InfeasibleError):
-        exhaustive_optimal(comp, {1: frozenset({"a"})}, {1: 1})
+        exhaustive_optimal(Component(cover=cover), {i: 1 for i in cover})
 
 
 def test_a12_effect_size_fixtures():

@@ -139,6 +139,33 @@ def test_exact_solver_over_limit_exit_code(monkeypatch, capsys):
         assert err.count("\n") == 1
 
 
+def test_malformed_config_algo_and_coverage_exit_code(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    cases = [(["minimize", "--config"], payload) for payload in (
+        {"generations": 10, "colour": "red"},
+        [{"generations": 10}],
+        {"output_metric": "cosine"},
+        {"generations": "10"},
+        {"n_size": True},
+        {"k_range": [1]},
+        {"eps_range": [2.0, "10"]},
+    )] + [(["reduce", "--coverage"], payload) for payload in (
+        {"cover": {"1": ["bad"]}},
+        {"cover": {"x": ["1:GET:0"]}},
+        {"cover": ["1:GET:0"]},
+        [],
+    )]
+    for args, payload in cases:
+        bad.write_text(json.dumps(payload))
+        assert main(args + [str(bad), "--dataset", BUNDLED]) == 2, payload
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, (payload, err)
+    assert main(["bench", "--dataset", BUNDLED, "--algo", "greedy,foo"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: unknown algorithms ['foo']"), err
+    assert err.count("\n") == 1
+
+
 def test_result_bytes_match_golden_files(tmp_path):
     # Result bytes pinned across code versions: regenerate these files only
     # in a change that means to alter results, and say so in CHANGES.md.

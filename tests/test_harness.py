@@ -70,11 +70,11 @@ def test_solve_exact_is_optimal_and_mocco_covers():
         reduction = reduce_problem(frozenset(cover), cover, costs)
         want, _ = bruteforce_min_cover(frozenset(cover), cover, costs, universe)
         exact = solve(reduction, costs,
-                      component_solver("exhaustive", cover, costs, config), seed=3)
+                      component_solver("exhaustive", costs, config), seed=3)
         assert exact.total_cost == want
         assert coverage_of(exact.selected, cover) == universe
         found = solve(reduction, costs,
-                      component_solver("mocco", cover, costs, config), seed=3)
+                      component_solver("mocco", costs, config), seed=3)
         assert coverage_of(found.selected, cover) == universe
         assert found.total_cost >= want
         assert len(found.per_component) == len(reduction.components)
@@ -151,9 +151,9 @@ def test_bench_component_seeds_distinct_across_repetitions(monkeypatch):
     seeds = []
     real_mocco_run = harness.mocco_run
 
-    def recording(component, cover, costs, config, seed, *args, **kwargs):
+    def recording(component, costs, config, seed, *args, **kwargs):
         seeds.append(seed)
-        return real_mocco_run(component, cover, costs, config, seed, *args, **kwargs)
+        return real_mocco_run(component, costs, config, seed, *args, **kwargs)
 
     monkeypatch.setattr(harness, "mocco_run", recording)
     bench(make_synthetic_dataset(), RunConfig(generations=5),

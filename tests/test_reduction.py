@@ -177,6 +177,8 @@ def test_reduce_problem_is_fixpoint_and_preserves_coverage():
         for comp in result.components:
             assert not (comp.inputs & seen)
             assert comp.objectives
+            # Each component's map is the full cover restricted to it.
+            assert comp.cover == {i: cover[i] & comp.objectives for i in comp.inputs}
             seen |= comp.inputs
         # Re-running on the kept set keeps everything.
         again = reduce_problem(frozenset(kept), cover, costs)
@@ -255,11 +257,11 @@ def test_min_cover_matches_bruteforce_within_budget():
         cover, costs = random_instance(rng, max_inputs=7, max_blocks=7)
         objectives = coverage_of(cover, cover)
         want, _ = bruteforce_min_cover(frozenset(cover), cover, costs, objectives)
-        found = min_cover(objectives, frozenset(cover), cover, costs, want)
+        found = min_cover(objectives, cover, costs, want)
         assert coverage_of(found, cover) >= objectives
         assert sum(costs[i] for i in found) == want
-        assert min_cover(objectives, frozenset(cover), cover, costs, want - 1) is None
-    assert min_cover(frozenset({"a", "b"}), [1], {1: frozenset({"a"})}, {1: 1}, 5) is None
+        assert min_cover(objectives, cover, costs, want - 1) is None
+    assert min_cover(frozenset({"a", "b"}), {1: frozenset({"a"})}, {1: 1}, 5) is None
 
 
 def test_locally_dominated_matches_unrestricted_bruteforce():

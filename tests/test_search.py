@@ -15,7 +15,7 @@ from covmin.search import (
     update_populations,
 )
 
-from _oracles import bruteforce_min_cover, is_redundant_in, random_instance
+from _oracles import bruteforce_min_cover, covers_all, is_redundant_in, random_instance
 
 GREEDY_COVER = {
     1: frozenset({"bl1", "bl2"}),
@@ -23,14 +23,11 @@ GREEDY_COVER = {
     3: frozenset({"bl2", "bl4"}),
 }
 GREEDY_COSTS = {1: 2, 2: 3, 3: 3}
-GREEDY_COMPONENT = Component(
-    inputs=frozenset({1, 2, 3}),
-    objectives=frozenset({"bl1", "bl2", "bl3", "bl4"}),
-)
+GREEDY_COMPONENT = Component(cover=GREEDY_COVER)
 
 
 def _greedy_problem():
-    return ComponentProblem(GREEDY_COMPONENT, GREEDY_COVER, GREEDY_COSTS)
+    return ComponentProblem(GREEDY_COMPONENT, GREEDY_COSTS)
 
 
 def test_dominates():
@@ -47,10 +44,7 @@ def test_potential_examples():
     # shift by the cheapest cover of bl2 (in1, cost 2).
     assert problem.potential({2, 3}, "bl2") == 2
     # A block covered by a single input always has potential 0.
-    single = ComponentProblem(
-        Component(inputs=frozenset({1}), objectives=frozenset({"b"})),
-        {1: frozenset({"b"})}, {1: 4},
-    )
+    single = ComponentProblem(Component(cover={1: frozenset({"b"})}), {1: 4})
     assert single.potential(frozenset(), "b") == 0
 
 
@@ -58,11 +52,7 @@ def test_potential_non_negative_random_sweep():
     rng = random.Random(77)
     for _ in range(100):
         cover, costs = random_instance(rng, max_inputs=6, max_blocks=6)
-        comp = Component(
-            inputs=frozenset(cover),
-            objectives=frozenset().union(*cover.values()),
-        )
-        problem = ComponentProblem(comp, cover, costs)
+        problem = ComponentProblem(Component(cover=cover), costs)
         members = frozenset(
             i for i in cover if rng.random() < 0.5
         )
@@ -99,7 +89,7 @@ def test_init_roofers_cover_everything():
     pops = init_roofers(problem, n_size=10, rng=random.Random(5))
     assert len(pops.roofers) == 10
     for roofer in pops.roofers:
-        assert problem.covers_all(roofer.members)
+        assert covers_all(problem, roofer.members)
         for i in roofer.members:
             assert not is_redundant_in(i, roofer.members, problem.cover)
     assert sum(pops.occurrence.values()) > 0
@@ -107,11 +97,7 @@ def test_init_roofers_cover_everything():
 
 
 def test_init_roofers_singleton_component():
-    cover = {7: frozenset({"a", "b"})}
-    problem = ComponentProblem(
-        Component(inputs=frozenset({7}), objectives=frozenset({"a", "b"})),
-        cover, {7: 3},
-    )
+    problem = ComponentProblem(Component(cover={7: frozenset({"a", "b"})}), {7: 3})
     pops = init_roofers(problem, n_size=4, rng=random.Random(0))
     assert all(r.members == frozenset({7}) for r in pops.roofers)
 
@@ -164,10 +150,7 @@ def test_crossover_halves_fixture():
         5: frozenset({"c", "d"}),
     }
     costs = {i: 1 for i in cover}
-    problem = ComponentProblem(
-        Component(inputs=frozenset(cover), objectives=frozenset("abcd")),
-        cover, costs,
-    )
+    problem = ComponentProblem(Component(cover=cover), costs)
     p1 = problem.individual(frozenset({1, 3, 4}))
     p2 = problem.individual(frozenset({2, 5}))
     # First half {a, b} is covered by inputs {1, 2, 3}; second half {c, d}
@@ -191,11 +174,7 @@ def test_mutate_results_are_reduced():
     rng = random.Random(31)
     for _ in range(500):
         cover, costs = random_instance(rng, max_inputs=6, max_blocks=6)
-        comp = Component(
-            inputs=frozenset(cover),
-            objectives=frozenset().union(*cover.values()),
-        )
-        problem = ComponentProblem(comp, cover, costs)
+        problem = ComponentProblem(Component(cover=cover), costs)
         members = frozenset(i for i in cover if rng.random() < 0.5)
         mutated = mutate(problem, members, rng)
         for i in mutated:
@@ -232,7 +211,7 @@ def test_update_populations_miser_dominance():
 
 def test_mocco_beats_greedy_trap():
     result = mocco_run(
-        GREEDY_COMPONENT, GREEDY_COVER, GREEDY_COSTS,
+        GREEDY_COMPONENT, GREEDY_COSTS,
         RunConfig(n_size=4, generations=50), seed=11,
     )
     assert result == frozenset({2, 3})
@@ -240,16 +219,16 @@ def test_mocco_beats_greedy_trap():
 
 
 def test_mocco_deterministic_per_seed():
-    a = mocco_run(GREEDY_COMPONENT, GREEDY_COVER, GREEDY_COSTS,
+    a = mocco_run(GREEDY_COMPONENT, GREEDY_COSTS,
                   RunConfig(n_size=4, generations=30), seed=3)
-    b = mocco_run(GREEDY_COMPONENT, GREEDY_COVER, GREEDY_COSTS,
+    b = mocco_run(GREEDY_COMPONENT, GREEDY_COSTS,
                   RunConfig(n_size=4, generations=30), seed=3)
     assert a == b
 
 
 def test_mocco_time_budget_stops_early():
     result = mocco_run(
-        GREEDY_COMPONENT, GREEDY_COVER, GREEDY_COSTS,
+        GREEDY_COMPONENT, GREEDY_COSTS,
         RunConfig(n_size=4, generations=10_000, time_budget_ms=50), seed=0,
     )
     assert GREEDY_COMPONENT.objectives <= frozenset().union(
@@ -262,8 +241,7 @@ def test_mocco_matches_bruteforce_on_small_components():
     for _ in range(10):
         cover, costs = random_instance(rng, max_inputs=6, max_blocks=6)
         objectives = frozenset().union(*cover.values())
-        comp = Component(inputs=frozenset(cover), objectives=objectives)
-        result = mocco_run(comp, cover, costs,
+        result = mocco_run(Component(cover=cover), costs,
                            RunConfig(n_size=8, generations=100), seed=1)
         got = sum(costs[i] for i in result)
         want, _ = bruteforce_min_cover(frozenset(cover), cover, costs, objectives)

@@ -1,12 +1,17 @@
 """The benchmark's tracer (`perfbench/tracer.py`) wraps covmin entry points
 by module and attribute path. Each must still resolve to a callable, or its
-per-layer metrics would silently read as missing."""
+per-layer metrics would silently read as missing. The benchmark's own
+self-test must pass against the current API."""
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER = ROOT / "perfbench" / "tracer.py"
 
 
 def _entry_points():
@@ -28,3 +33,11 @@ def test_tracer_entry_points_resolve_to_callables():
         for attr in path.split("."):
             obj = getattr(obj, attr)
         assert callable(obj), (module, path)
+
+
+def test_perfbench_selftest_passes():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, "perfbench/selftest.py"], cwd=ROOT,
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert "perfbench self-test: ok" in done.stdout
