@@ -10,9 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .clustering import DistanceMatrix, select_hyperparams
 from .config import RunConfig
-from .dataset import Dataset, build_shared_filter, preprocess_output
+from .dataset import Dataset, TokenDoc, build_shared_filter, preprocess_output
 from .distance import action_distance, output_distance, pairwise_matrix
 
 Occurrence = tuple[int, int]  # (input id, action position)
@@ -78,10 +80,15 @@ def cluster_outputs(dataset: Dataset, config: RunConfig, seed: int) -> dict[Occu
         raise ValueError("cannot cluster an empty dataset")
     docs = preprocess_all(dataset, config)
     keys = sorted(docs)
-    matrix = pairwise_matrix(
-        [docs[k] for k in keys],
+    # Equal documents are at distance 0 under every metric, so the distance
+    # of each distinct pair is computed once and expanded to all occurrences.
+    index: dict[TokenDoc, int] = {}
+    rows = [index.setdefault(docs[k], len(index)) for k in keys]
+    unique = pairwise_matrix(
+        list(index),
         lambda a, b: output_distance(a, b, config.output_metric),
     )
+    matrix = unique[np.ix_(rows, rows)]
     choice = select_hyperparams(DistanceMatrix(matrix), config.grid(config.output_algo), seed)
     return {k: lab for k, lab in zip(keys, choice.labels)}
 

@@ -109,12 +109,18 @@ def reduction_to_dict(reduction: ReductionResult) -> dict:
 
 def cmd_reduce(args) -> int:
     dataset, config = _load(args)
+    costs = dataset.costs()
     if args.coverage:
         with open(args.coverage, encoding="utf-8") as fh:
             coverage = coverage_from_dict(json.load(fh))
+        missing = sorted(set(costs) - set(coverage.cover))
+        unknown = sorted(set(coverage.cover) - set(costs))
+        if missing or unknown:
+            raise ValidationError(
+                f"coverage file {args.coverage} does not match the dataset: "
+                f"missing input ids {missing}, unknown input ids {unknown}")
     else:
         coverage = build_coverage(dataset, config, _seed(args, config))
-    costs = dataset.costs()
     reduction = reduce_problem(frozenset(costs), coverage.cover, costs)
     _write_json(reduction_to_dict(reduction), args.out)
     return EXIT_OK

@@ -90,10 +90,9 @@ def dbscan(dm: DistanceMatrix, eps: float, min_neighbors: int) -> list[int]:
     if min_neighbors < 1:
         raise ValueError(f"min_neighbors must be >= 1, got {min_neighbors}")
     n = dm.n
-    v = dm.values
-    neighborhoods = [
-        [j for j in range(n) if j != i and v[i, j] <= eps] for i in range(n)
-    ]
+    within = dm.values <= eps
+    np.fill_diagonal(within, False)
+    neighborhoods = [np.flatnonzero(row).tolist() for row in within]
     core = [len(nb) >= min_neighbors for nb in neighborhoods]
     labels = [-1] * n
     cluster = 0
@@ -201,20 +200,26 @@ def _grid_points(dm: DistanceMatrix, grid: HyperParamGrid):
 def select_hyperparams(dm: DistanceMatrix, grid: HyperParamGrid, seed: int = 0) -> HyperParamChoice:
     """Evaluate every grid point and return the one with the highest
     silhouette, a member of the (silhouette up, Gini down) Pareto front.
-    Ties break toward lower Gini, then grid order."""
+    Ties break toward lower Gini, then grid order. Grid points often yield
+    the same labelling; each distinct labelling is scored once."""
     candidates: list[HyperParamChoice] = []
+    scored: dict[tuple[int, ...], tuple[float, float]] = {}
     for params in _grid_points(dm, grid):
         if grid.algo == "kmeans":
             labels = kmedoids(dm, params["k"], seed=seed)
         else:
             labels = dbscan(dm, params["eps"], params["min_neighbors"])
-        scores = silhouette(dm, labels)
+        key = tuple(labels)
+        if key not in scored:
+            scores = silhouette(dm, labels)
+            scored[key] = float(scores.mean()), gini(scores)
+        silhouette_mean, dispersion = scored[key]
         candidates.append(HyperParamChoice(
             algo=grid.algo,
             params=params,
             labels=labels,
-            silhouette_mean=float(scores.mean()),
-            gini=gini(scores),
+            silhouette_mean=silhouette_mean,
+            gini=dispersion,
         ))
     if not candidates:
         raise ValueError("empty hyper-parameter grid")

@@ -23,22 +23,44 @@ def normalize(x: float) -> float:
 
 
 def levenshtein(a, b) -> int:
-    """Unit-cost insert/delete/substitute edit distance over two sequences."""
+    """Unit-cost insert/delete/substitute edit distance over two sequences of
+    hashable items.
+
+    Myers' (1999) bit-vector algorithm in Hyyrö's (2003) Levenshtein form:
+    one column of the DP table is held as vertical +1/-1 delta bit vectors
+    over the shorter sequence, one Python int each, so any length works. The
+    longer sequence is scanned once; `mask` trims every complement and shift
+    back to the column's length.
+    """
     if len(a) < len(b):
         a, b = b, a
-    if not b:
+    m = len(b)
+    if not m:
         return len(a)
-    prev = list(range(len(b) + 1))
-    for i, xa in enumerate(a, start=1):
-        cur = [i]
-        for j, xb in enumerate(b, start=1):
-            cur.append(min(
-                prev[j] + 1,
-                cur[j - 1] + 1,
-                prev[j - 1] + (xa != xb),
-            ))
-        prev = cur
-    return prev[-1]
+    peq: dict = {}
+    bit = 1
+    for x in b:
+        peq[x] = peq.get(x, 0) | bit
+        bit <<= 1
+    mask = bit - 1
+    last = 1 << (m - 1)
+    pv, mv, score = mask, 0, m
+    for x in a:
+        eq = peq.get(x, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = mv | (~(xh | pv) & mask)
+        mh = pv & xh
+        if ph & last:
+            score += 1
+        elif mh & last:
+            score -= 1
+        # The first row is 0, 1, 2, ...: a +1 horizontal delta enters at bit 0.
+        ph = ((ph << 1) | 1) & mask
+        mh = (mh << 1) & mask
+        pv = mh | (~(xv | ph) & mask)
+        mv = ph & xv
+    return score
 
 
 def bag_distance(a, b) -> int:

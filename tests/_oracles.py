@@ -11,6 +11,14 @@ from functools import lru_cache
 
 import numpy as np
 
+from covmin.clustering import (
+    HyperParamChoice,
+    _canonical_labels,
+    _grid_points,
+    gini,
+    kmedoids,
+    silhouette,
+)
 from covmin.reduction import valid_orders_gain
 
 
@@ -185,3 +193,72 @@ def kmedoids_objective(dm, labels) -> float:
         members = [i for i, lab in enumerate(labels) if lab == c]
         total += min(dm.values[np.ix_([m], members)].sum() for m in members)
     return total
+
+
+def levenshtein_dp(a, b) -> int:
+    """Unit-cost edit distance by the textbook O(len(a)·len(b)) DP."""
+    if len(a) < len(b):
+        a, b = b, a
+    if not b:
+        return len(a)
+    prev = list(range(len(b) + 1))
+    for i, xa in enumerate(a, start=1):
+        cur = [i]
+        for j, xb in enumerate(b, start=1):
+            cur.append(min(
+                prev[j] + 1,
+                cur[j - 1] + 1,
+                prev[j - 1] + (xa != xb),
+            ))
+        prev = cur
+    return prev[-1]
+
+
+def dbscan_by_scan(dm, eps: float, min_neighbors: int) -> list[int]:
+    """DBSCAN with each eps-neighbourhood collected by scanning its row."""
+    n = dm.n
+    v = dm.values
+    neighborhoods = [
+        [j for j in range(n) if j != i and v[i, j] <= eps] for i in range(n)
+    ]
+    core = [len(nb) >= min_neighbors for nb in neighborhoods]
+    labels = [-1] * n
+    cluster = 0
+    for i in range(n):
+        if labels[i] != -1 or not core[i]:
+            continue
+        labels[i] = cluster
+        queue = list(neighborhoods[i])
+        while queue:
+            j = queue.pop(0)
+            if labels[j] != -1:
+                continue
+            labels[j] = cluster
+            if core[j]:
+                queue.extend(neighborhoods[j])
+        cluster += 1
+    for i in range(n):
+        if labels[i] == -1:
+            labels[i] = cluster
+            cluster += 1
+    return _canonical_labels(labels)
+
+
+def select_hyperparams_uncached(dm, grid, seed: int = 0) -> HyperParamChoice:
+    """Grid selection that scores every grid point, clustering with
+    `dbscan_by_scan`."""
+    candidates = []
+    for params in _grid_points(dm, grid):
+        if grid.algo == "kmeans":
+            labels = kmedoids(dm, params["k"], seed=seed)
+        else:
+            labels = dbscan_by_scan(dm, params["eps"], params["min_neighbors"])
+        scores = silhouette(dm, labels)
+        candidates.append(HyperParamChoice(
+            algo=grid.algo,
+            params=params,
+            labels=labels,
+            silhouette_mean=float(scores.mean()),
+            gini=gini(scores),
+        ))
+    return max(candidates, key=lambda c: (c.silhouette_mean, -c.gini))

@@ -1,3 +1,9 @@
+import random
+from pathlib import Path
+
+import numpy as np
+
+from covmin import blocks
 from covmin.blocks import (
     BlockId,
     CoverageMap,
@@ -6,9 +12,11 @@ from covmin.blocks import (
     cluster_actions,
     cluster_outputs,
     partition_by_method,
+    preprocess_all,
 )
 from covmin.config import RunConfig
-from covmin.dataset import Action, Dataset, InputRecord, split_url
+from covmin.dataset import Action, Dataset, InputRecord, load_dataset, split_url
+from covmin.distance import output_distance, pairwise_matrix
 from covmin.synthetic import make_synthetic_dataset
 
 CONFIG = RunConfig()
@@ -119,3 +127,44 @@ def test_build_coverage_on_synthetic_dataset_recovers_planted_blocks():
     # Every input's block count equals its number of distinct planted pages.
     for rec in ds.inputs:
         assert len(cm.cover[rec.id]) == len(set(rec.outputs))
+
+
+def _repeated_pages_dataset():
+    """Inputs whose pages repeat across and within inputs."""
+    rng = random.Random(5)
+    templates = [LOGIN_PAGE, JOBS_PAGE, LOGIN_PAGE + " expired",
+                 JOBS_PAGE + " failed node", "empty"]
+    return Dataset(inputs=tuple(
+        _record(i, [("GET", f"http://h/p{rng.randrange(3)}", rng.choice(templates))
+                    for _ in range(rng.randrange(1, 4))])
+        for i in range(1, 13)
+    ))
+
+
+def test_cluster_outputs_expands_distinct_document_matrix(monkeypatch):
+    selected, matrix_items = [], []
+    real_select, real_pairwise = blocks.select_hyperparams, blocks.pairwise_matrix
+
+    def select(dm, grid, seed):
+        selected.append(dm.values)
+        return real_select(dm, grid, seed)
+
+    def pairwise(items, dist):
+        matrix_items.append(items)
+        return real_pairwise(items, dist)
+
+    monkeypatch.setattr(blocks, "select_hyperparams", select)
+    monkeypatch.setattr(blocks, "pairwise_matrix", pairwise)
+    bundled = load_dataset(Path(__file__).resolve().parents[1] / "data" / "synthetic.json")
+    for dataset in (bundled, _repeated_pages_dataset()):
+        for config in (CONFIG, RunConfig(output_metric="bag")):
+            selected.clear()
+            matrix_items.clear()
+            cluster_outputs(dataset, config, seed=0)
+            docs = preprocess_all(dataset, config)
+            full = pairwise_matrix(
+                [docs[k] for k in sorted(docs)],
+                lambda a, b: output_distance(a, b, config.output_metric),
+            )
+            assert np.array_equal(selected[0], full)
+            assert len(matrix_items[0]) == len(set(docs.values())) < len(docs)

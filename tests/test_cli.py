@@ -166,6 +166,23 @@ def test_malformed_config_algo_and_coverage_exit_code(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+def test_reduce_coverage_ids_must_match_dataset(tmp_path, capsys):
+    # data/synthetic.json has input ids 1..40.
+    cov = tmp_path / "coverage.json"
+    every = {str(i): ["0:GET:0"] for i in range(1, 41)}
+    for cover, named in (
+        ({"1": ["0:GET:0"]}, "missing input ids [2, 3, "),
+        ({**every, "41": ["0:GET:0"], "99": []}, "unknown input ids [41, 99]"),
+    ):
+        cov.write_text(json.dumps({"cover": cover}))
+        assert main(["reduce", "--dataset", BUNDLED, "--coverage", str(cov)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: coverage file {cov} ") and named in err, err
+        assert err.count("\n") == 1, err
+    cov.write_text(json.dumps({"cover": every}))
+    assert main(["reduce", "--dataset", BUNDLED, "--coverage", str(cov)]) == 0
+
+
 def test_result_bytes_match_golden_files(tmp_path):
     # Result bytes pinned across code versions: regenerate these files only
     # in a change that means to alter results, and say so in CHANGES.md.

@@ -6,6 +6,7 @@ import pytest
 from covmin.clustering import (
     DistanceMatrix,
     HyperParamGrid,
+    _grid_points,
     dbscan,
     gini,
     kmedoids,
@@ -13,7 +14,7 @@ from covmin.clustering import (
     silhouette,
 )
 
-from _oracles import kmedoids_objective
+from _oracles import dbscan_by_scan, kmedoids_objective, select_hyperparams_uncached
 
 
 def _dm(rows):
@@ -142,7 +143,6 @@ def test_select_hyperparams_is_on_pareto_front():
         choice = select_hyperparams(dm, grid)
         # No other evaluated point may strictly dominate the choice; spot
         # check against a re-evaluation of the full grid.
-        from covmin.clustering import _grid_points
         for params in _grid_points(dm, grid):
             labels = dbscan(dm, params["eps"], params["min_neighbors"])
             s = float(silhouette(dm, labels).mean())
@@ -151,3 +151,29 @@ def test_select_hyperparams_is_on_pareto_front():
                 s >= choice.silhouette_mean and g <= choice.gini
                 and (s > choice.silhouette_mean or g < choice.gini)
             ), (trial, params)
+
+
+def _line_matrix(rng, n, unit):
+    """Distances between points on a line at multiples of `unit`: tight
+    groups, duplicates (distance 0) and gaps."""
+    xs = [rng.randrange(0, 30) * unit for _ in range(n)]
+    return DistanceMatrix(np.abs(np.subtract.outer(xs, xs)).astype(float))
+
+
+def test_dbscan_and_selection_match_oracles_on_random_matrices():
+    rng = random.Random(20261018)
+    grids = (
+        HyperParamGrid(algo="dbscan"),
+        HyperParamGrid(algo="dbscan", eps_range=(0.5, 6.0), min_neighbors_range=(1, 3)),
+    )
+    for trial in range(24):
+        # Integer matrices get eps steps of 1.0, half-integer ones 0.5.
+        dm = _line_matrix(rng, rng.randrange(2, 28), 1.0 if trial % 2 else 0.5)
+        for grid in grids:
+            for params in _grid_points(dm, grid):
+                assert dbscan(dm, params["eps"], params["min_neighbors"]) == \
+                    dbscan_by_scan(dm, params["eps"], params["min_neighbors"]), (trial, params)
+            assert select_hyperparams(dm, grid) == select_hyperparams_uncached(dm, grid), trial
+        kmeans = HyperParamGrid(algo="kmeans", k_range=(1, dm.n))
+        assert select_hyperparams(dm, kmeans, seed=trial) == \
+            select_hyperparams_uncached(dm, kmeans, seed=trial), trial

@@ -2,6 +2,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from covmin.dataset import Action, ParamValue, TokenDoc
 from covmin.distance import (
@@ -16,6 +18,8 @@ from covmin.distance import (
     params_match,
     url_distance,
 )
+
+from _oracles import levenshtein_dp
 
 
 def _text(s):
@@ -40,6 +44,42 @@ def test_levenshtein_known_values():
     assert levenshtein("", "abc") == 3
     assert levenshtein("kitten", "sitting") == 3
     assert levenshtein(("a", "b"), ("a", "c", "b")) == 1
+
+
+WORDS = ("add", "user", "ok", "error", "login", "job", "build", "queue")
+
+
+@st.composite
+def _sequence_pair(draw):
+    """Two sequences over a 1-8 symbol alphabet of ints, characters (as str)
+    or word tokens (as tuples), each 0-150 long so the bit vectors cross the
+    64-bit word size."""
+    size = draw(st.integers(1, 8))
+    kind = draw(st.sampled_from(("int", "str", "words")))
+    symbol = st.integers(0, size - 1)
+
+    def sequence():
+        return st.integers(0, 150).flatmap(
+            lambda n: st.lists(symbol, min_size=n, max_size=n))
+
+    a, b = draw(sequence()), draw(sequence())
+    if kind == "str":
+        return "".join(chr(97 + x) for x in a), "".join(chr(97 + x) for x in b)
+    if kind == "words":
+        return tuple(WORDS[x] for x in a), tuple(WORDS[x] for x in b)
+    return a, b
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(_sequence_pair())
+@example(("a" * 64, "a" * 65))
+@example(("ab" * 75, "ba" * 75))
+@example((list(range(8)) * 18, list(range(7, -1, -1)) * 8))
+@example(((), ("ok",) * 150))
+def test_levenshtein_matches_dp(pair):
+    a, b = pair
+    assert levenshtein(a, b) == levenshtein_dp(a, b)
+    assert levenshtein(b, a) == levenshtein_dp(a, b)
 
 
 def test_bag_distance_known_values():
