@@ -123,12 +123,10 @@ def cluster_actions(dataset: Dataset, part, config: RunConfig, seed: int) -> lis
     return choice.labels
 
 
-def build_coverage(dataset: Dataset, config: RunConfig, seed: int,
-                   assignments: dict[Occurrence, int] | None = None) -> CoverageMap:
+def build_coverage(dataset: Dataset, config: RunConfig, seed: int) -> CoverageMap:
     """Run action clustering over every (output class, method) part and fold
     the subclass of each occurrence into a bidirectional coverage map."""
-    if assignments is None:
-        assignments = cluster_outputs(dataset, config, seed)
+    assignments = cluster_outputs(dataset, config, seed)
     block_of: dict[Occurrence, BlockId] = {}
     for out_cl, occurrences in sorted(build_action_sets(assignments).items()):
         for method, part in zip(("GET", "POST"), partition_by_method(dataset, occurrences)):

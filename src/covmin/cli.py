@@ -135,6 +135,9 @@ def cmd_minimize(args) -> int:
 
 def cmd_bench(args) -> int:
     dataset, config = _load(args)
+    for flag, value in (("--reps", args.reps), ("--jobs", args.jobs)):
+        if value is not None and value < 1:
+            raise ValidationError(f"{flag} must be at least 1, got {value}")
     algorithms = []
     for entry in args.algo or ["mocco,greedy,random,art"]:
         algorithms.extend(a for a in entry.split(",") if a)

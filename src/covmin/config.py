@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import types
 import typing
 from dataclasses import dataclass
@@ -23,7 +24,6 @@ class RunConfig:
     min_neighbors_range: tuple[int, int] = (1, 5)
     n_size: int = 20
     generations: int = 100
-    time_budget_ms: int | None = None
     repetitions: int = 1
     seed: int = 0
 
@@ -35,6 +35,21 @@ class RunConfig:
                 raise ValidationError(f"unknown clustering algorithm: {algo!r}")
         if self.n_size < 2:
             raise ValidationError("population size must be at least 2")
+        if self.generations < 0:
+            raise ValidationError("generations must be at least 0")
+        if self.repetitions < 1:
+            raise ValidationError("repetitions must be at least 1")
+        for name, (lo, hi) in (("k_range", self.k_range),
+                               ("min_neighbors_range", self.min_neighbors_range)):
+            if not 1 <= lo <= hi:
+                raise ValidationError(f"{name} must be ordered and start at 1 or more, "
+                                      f"got {[lo, hi]}")
+        lo, hi = self.eps_range
+        if not 0 < lo <= hi < math.inf:
+            raise ValidationError("eps_range must be ordered, positive and finite, "
+                                  f"got {[lo, hi]}")
+        if self.eps_step is not None and not 0 < self.eps_step < math.inf:
+            raise ValidationError(f"eps_step must be positive and finite, got {self.eps_step}")
 
     def grid(self, algo: str) -> HyperParamGrid:
         return HyperParamGrid(

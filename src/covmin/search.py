@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import math
 import random
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .config import RunConfig
 from .distance import normalize
@@ -34,7 +33,6 @@ class Individual:
 class Populations:
     roofers: list[Individual]
     misers: list[Individual]
-    occurrence: dict = field(default_factory=dict)
 
 
 def dominates(f1, f2) -> bool:
@@ -145,7 +143,7 @@ def init_roofers(problem: ComponentProblem, n_size: int, rng: random.Random) -> 
             occurrence[pick] += 1
             covered |= problem.cover[pick]
         roofers.append(problem.individual(problem.reduce(members)))
-    return Populations(roofers=roofers, misers=[], occurrence=occurrence)
+    return Populations(roofers=roofers, misers=[])
 
 
 def select_parents(problem: ComponentProblem, pops: Populations,
@@ -224,7 +222,8 @@ def mocco_run(component: Component, costs, config: RunConfig = RunConfig(),
               seed: int = 0, on_generation=None) -> frozenset:
     """Minimize one component; returns a least-cost full-coverage member set.
 
-    Reads `n_size`, `generations` and `time_budget_ms` from `config`.
+    Reads `n_size` and `generations` from `config`; at most
+    `n_size + 2 * generations` individuals are evaluated.
     `on_generation(gen, pops)` is an optional observation hook, used by the
     invariant-checking tests.
     """
@@ -233,12 +232,7 @@ def mocco_run(component: Component, costs, config: RunConfig = RunConfig(),
     pops = init_roofers(problem, config.n_size, rng)
     if on_generation is not None:
         on_generation(0, pops)
-    deadline = None
-    if config.time_budget_ms is not None:
-        deadline = time.monotonic() + config.time_budget_ms / 1000.0
     for gen in range(1, config.generations + 1):
-        if deadline is not None and time.monotonic() >= deadline:
-            break
         p1, p2 = select_parents(problem, pops, rng)
         children = crossover(problem, p1, p2, rng)
         for child in children:

@@ -7,6 +7,7 @@ full enumeration) so it can cross-check the optimized implementations.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from functools import lru_cache
 
 import numpy as np
@@ -212,6 +213,12 @@ def levenshtein_dp(a, b) -> int:
             ))
         prev = cur
     return prev[-1]
+
+
+def bag_distance_by_differences(a, b) -> int:
+    """Bag distance as the larger of the two multiset differences."""
+    ca, cb = Counter(a), Counter(b)
+    return max(sum((ca - cb).values()), sum((cb - ca).values()))
 
 
 def dbscan_by_scan(dm, eps: float, min_neighbors: int) -> list[int]:

@@ -1,8 +1,12 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from covmin import baselines
 from covmin.cli import main
+from covmin.config import RunConfig
+from covmin.dataset import ValidationError
 from covmin.synthetic import write_synthetic_dataset
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -149,6 +153,12 @@ def test_malformed_config_algo_and_coverage_exit_code(tmp_path, capsys):
         {"n_size": True},
         {"k_range": [1]},
         {"eps_range": [2.0, "10"]},
+        {"eps_range": [0, 10]},
+        {"eps_range": [10, 2]},
+        {"min_neighbors_range": [0, 5]},
+        {"k_range": [5, 1], "output_algo": "kmeans"},
+        {"generations": -5},
+        {"repetitions": 0},
     )] + [(["reduce", "--coverage"], payload) for payload in (
         {"cover": {"1": ["bad"]}},
         {"cover": {"x": ["1:GET:0"]}},
@@ -164,6 +174,18 @@ def test_malformed_config_algo_and_coverage_exit_code(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: unknown algorithms ['foo']"), err
     assert err.count("\n") == 1
+    for flags in (["--reps", "0"], ["--reps", "-2"], ["--jobs", "-1"], ["--jobs", "0"]):
+        assert main(["bench", "--dataset", BUNDLED, "--algo", "greedy"] + flags) == 2, flags
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flags[0]} must be at least 1"), err
+        assert err.count("\n") == 1
+
+
+def test_config_rejects_nonpositive_eps_step():
+    # A step of 0 would never advance the DBSCAN eps grid.
+    for step in (0, 0.0, -0.5):
+        with pytest.raises(ValidationError, match="eps_step"):
+            RunConfig(eps_step=step)
 
 
 def test_reduce_coverage_ids_must_match_dataset(tmp_path, capsys):

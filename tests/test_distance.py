@@ -19,7 +19,7 @@ from covmin.distance import (
     url_distance,
 )
 
-from _oracles import levenshtein_dp
+from _oracles import bag_distance_by_differences, levenshtein_dp
 
 
 def _text(s):
@@ -80,6 +80,17 @@ def test_levenshtein_matches_dp(pair):
     a, b = pair
     assert levenshtein(a, b) == levenshtein_dp(a, b)
     assert levenshtein(b, a) == levenshtein_dp(a, b)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(_sequence_pair())
+@example(("", ""))
+@example(("aab", "abb"))
+@example(((), ("ok",) * 150))
+def test_bag_distance_matches_multiset_differences(pair):
+    a, b = pair
+    assert bag_distance(a, b) == bag_distance_by_differences(a, b)
+    assert bag_distance(b, a) == bag_distance_by_differences(a, b)
 
 
 def test_bag_distance_known_values():

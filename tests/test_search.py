@@ -92,7 +92,6 @@ def test_init_roofers_cover_everything():
         assert covers_all(problem, roofer.members)
         for i in roofer.members:
             assert not is_redundant_in(i, roofer.members, problem.cover)
-    assert sum(pops.occurrence.values()) > 0
     assert pops.misers == []
 
 
@@ -224,16 +223,6 @@ def test_mocco_deterministic_per_seed():
     b = mocco_run(GREEDY_COMPONENT, GREEDY_COSTS,
                   RunConfig(n_size=4, generations=30), seed=3)
     assert a == b
-
-
-def test_mocco_time_budget_stops_early():
-    result = mocco_run(
-        GREEDY_COMPONENT, GREEDY_COSTS,
-        RunConfig(n_size=4, generations=10_000, time_budget_ms=50), seed=0,
-    )
-    assert GREEDY_COMPONENT.objectives <= frozenset().union(
-        *(GREEDY_COVER[i] for i in result)
-    )
 
 
 def test_mocco_matches_bruteforce_on_small_components():
