@@ -14,7 +14,8 @@ import numpy as np
 
 from .clustering import DistanceMatrix, select_hyperparams
 from .config import RunConfig
-from .dataset import Dataset, TokenDoc, build_shared_filter, preprocess_output
+from .dataset import (Dataset, TokenDoc, ValidationError, build_shared_filter,
+                      preprocess_output)
 from .distance import action_distance, output_distance, pairwise_matrix
 
 Occurrence = tuple[int, int]  # (input id, action position)
@@ -77,7 +78,7 @@ def cluster_outputs(dataset: Dataset, config: RunConfig, seed: int) -> dict[Occu
     """One clustering over all output documents; returns the output class of
     every (input, position)."""
     if not dataset.inputs:
-        raise ValueError("cannot cluster an empty dataset")
+        raise ValidationError("cannot cluster an empty dataset")
     docs = preprocess_all(dataset, config)
     keys = sorted(docs)
     # Equal documents are at distance 0 under every metric, so the distance

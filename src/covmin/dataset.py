@@ -130,7 +130,7 @@ def _parse_action(obj: dict) -> Action:
     params = tuple(_parse_param(p) for p in _objects(obj, "params"))
     return Action(
         method=obj["method"],
-        url_words=split_url(obj["url"]),
+        url_words=split_url(_checked(obj["url"], str, "URL")),
         params=params,
     )
 
@@ -153,7 +153,10 @@ def load_dataset(path) -> Dataset:
         rec = InputRecord(
             id=input_id,
             actions=tuple(_parse_action(a) for a in _objects(obj, "actions")),
-            outputs=tuple(_checked(obj["outputs"], list, f"input {input_id} outputs")),
+            outputs=tuple(
+                _checked(out, str, f"input {input_id} output")
+                for out in _checked(obj["outputs"], list, f"input {input_id} outputs")
+            ),
             mr_action_counts={
                 str(k): _checked(v, int, f"input {input_id} MR action count")
                 for k, v in counts.items()
@@ -170,8 +173,9 @@ def load_dataset(path) -> Dataset:
     vulns = []
     for obj in _objects(raw, "vulnerabilities"):
         groups = tuple(
-            frozenset(_checked(i, int, "detecting group member") for i in grp)
-            for grp in obj["detecting_groups"]
+            frozenset(_checked(i, int, "detecting group member")
+                      for i in _checked(grp, list, "detecting group"))
+            for grp in _checked(obj["detecting_groups"], list, "detecting_groups")
         )
         for grp in groups:
             missing = grp - seen_ids
@@ -195,18 +199,12 @@ class TokenDoc:
     tokens: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class SharedFilter:
-    shared_tokens: frozenset[str]
-    document_frequency_threshold: float
-
-
 def _tokenize(raw: str) -> list[str]:
     text = _TAG_RE.sub(" ", raw).lower()
     return [tok for tok in _TOKEN_RE.split(text) if tok]
 
 
-def build_shared_filter(docs, threshold: float = 0.8) -> SharedFilter:
+def build_shared_filter(docs, threshold: float = 0.8) -> frozenset[str]:
     """Tokens present in at least `threshold` of the documents.
 
     Boilerplate shared across most pages (menus, version strings, dates)
@@ -222,16 +220,14 @@ def build_shared_filter(docs, threshold: float = 0.8) -> SharedFilter:
     for raw in docs:
         for tok in set(_tokenize(raw)):
             freq[tok] = freq.get(tok, 0) + 1
-    shared = frozenset(tok for tok, n in freq.items() if n / len(docs) >= threshold)
-    return SharedFilter(shared_tokens=shared, document_frequency_threshold=threshold)
+    return frozenset(tok for tok, n in freq.items() if n / len(docs) >= threshold)
 
 
-def preprocess_output(raw: str, shared: SharedFilter | None = None) -> TokenDoc:
+def preprocess_output(raw: str, shared: frozenset[str] = frozenset()) -> TokenDoc:
     """Strip markup, tokenize, drop shared/stop/numeric tokens, then stem."""
-    shared_tokens = shared.shared_tokens if shared is not None else frozenset()
     out = []
     for tok in _tokenize(raw):
-        if tok in shared_tokens:
+        if tok in shared:
             continue
         if tok in STOPWORDS:
             continue

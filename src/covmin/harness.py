@@ -106,15 +106,14 @@ class PipelineResult:
         }
 
 
-def run_pipeline(dataset: Dataset, config: RunConfig, seed: int | None = None,
-                 coverage: CoverageMap | None = None) -> PipelineResult:
+def run_pipeline(dataset: Dataset, config: RunConfig,
+                 seed: int | None = None) -> PipelineResult:
     """Full minimization run. Deterministic for a given (dataset, config,
     seed); wall-clock time is deliberately kept out of the result."""
     if seed is None:
         seed = config.seed
     costs = dataset.costs()
-    if coverage is None:
-        coverage = build_coverage(dataset, config, seed)
+    coverage = build_coverage(dataset, config, seed)
     reduction = reduce_problem(frozenset(costs), coverage.cover, costs)
     solver = component_solver("mocco", costs, config)
     solution = solve(reduction, costs, solver, seed)

@@ -1,7 +1,8 @@
 """Search-space reduction: the redundancy loop, duplicate removal,
 local-dominance removal, overlap-graph component split, and the gain of
-valid removal orders. `min_cover`, the exact minimum-cost cover search, also
-serves as the exact solver in `baselines`.
+valid removal orders. `min_cover`, the exact minimum-cost cover search,
+decides local dominance and the removal gain and also serves as the exact
+solver in `baselines`.
 
 Functions take a plain coverage mapping (input id -> frozenset of blocks)
 and a cost mapping, so they work both on real coverage maps and on the small
@@ -44,17 +45,21 @@ class ReductionResult:
     iterations: int
 
 
+def _once_twice(covers):
+    """The blocks covered at least once and at least twice by `covers`."""
+    once, twice = frozenset(), frozenset()
+    for blocks in covers:
+        twice |= once & blocks
+        once |= blocks
+    return once, twice
+
+
 def determine_redundancy(rcover):
     """Split off the inputs that are the sole cover of some remaining
     objective, discharge the objectives they cover, and drop inputs left
     covering nothing. Returns (new necessary inputs, restricted cover)."""
-    superpos = Counter()
-    for blocks in rcover.values():
-        superpos.update(blocks)
-    necessary = {
-        i for i, blocks in rcover.items()
-        if blocks and min(superpos[bl] for bl in blocks) == 1
-    }
+    _, twice = _once_twice(rcover.values())
+    necessary = {i for i, blocks in rcover.items() if not blocks <= twice}
     covered = frozenset().union(*(rcover[i] for i in necessary))
     return necessary, {
         i: left for i, blocks in rcover.items() if (left := blocks - covered)
@@ -159,58 +164,40 @@ def valid_orders_gain(ids, cover, costs,
                       threshold: int = EXHAUSTIVE_GAIN_THRESHOLD):
     """Maximal removable cost over valid removal orders, plus one witness.
 
-    Only index-increasing (canonical) orders are enumerated: any valid order
-    can be permuted into one, so the maximum is unaffected. Above the
-    redundant-input threshold, falls back to greedily removing the most
-    costly currently-redundant input.
+    A set of inputs can be removed one at a time, each redundant when it
+    goes, exactly when the inputs left still cover every block; then any
+    order is valid. An input that is the sole cover of a block stays in
+    every such cover, so the gain is the cost of the redundant inputs minus
+    the cheapest cover, among them only, of the blocks the others leave
+    uncovered. The witness is the redundant inputs that cover drops, in id
+    order. Above the redundant-input threshold, falls back to greedily
+    removing the most costly currently-redundant input.
     """
     members = sorted(ids)
-    superpos = Counter()
-    for i in members:
-        superpos.update(cover[i])
-
-    def redundant_now(i) -> bool:
-        return all(superpos[bl] >= 2 for bl in cover[i])
-
-    redundant = [i for i in members if redundant_now(i)]
+    once, twice = _once_twice(cover[i] for i in members)
+    redundant = {i: cover[i] for i in members if cover[i] <= twice}
     if len(redundant) > threshold:
         logger.warning(
             "%d redundant inputs exceed the exhaustive threshold %d: "
             "using greedy removal", len(redundant), threshold,
         )
-        return _greedy_gain(members, cover, costs, superpos, redundant_now)
-
-    best_gain = 0
-    best_order: list = []
-
-    def dfs(start_idx, gained, order):
-        nonlocal best_gain, best_order
-        if gained > best_gain:
-            best_gain = gained
-            best_order = list(order)
-        for idx in range(start_idx, len(members)):
-            i = members[idx]
-            if i in removed or not redundant_now(i):
-                continue
-            removed.add(i)
-            superpos.subtract(cover[i])
-            order.append(i)
-            dfs(idx + 1, gained + costs[i], order)
-            order.pop()
-            superpos.update(cover[i])
-            removed.discard(i)
-
-    removed: set = set()
-    dfs(0, 0, [])
-    return best_gain, best_order
+        return _greedy_gain(members, cover, costs)
+    kept_cover = frozenset().union(*(cover[i] for i in members if i not in redundant))
+    redundant_cost = sum(costs[i] for i in redundant)
+    kept = min_cover(once - kept_cover, redundant, costs, redundant_cost)
+    order = [i for i in redundant if i not in kept]
+    return redundant_cost - sum(costs[i] for i in kept), order
 
 
-def _greedy_gain(members, cover, costs, superpos, redundant_now):
+def _greedy_gain(members, cover, costs):
+    superpos = Counter()
+    for i in members:
+        superpos.update(cover[i])
     remaining = set(members)
     gain = 0
     order = []
     while True:
-        candidates = [i for i in remaining if redundant_now(i)]
+        candidates = [i for i in remaining if all(superpos[bl] >= 2 for bl in cover[i])]
         if not candidates:
             return gain, order
         pick = max(candidates, key=lambda i: (costs[i], -i))

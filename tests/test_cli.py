@@ -42,8 +42,12 @@ def test_ingest_validation_error_exit_code(tmp_path, capsys):
         {"inputs": [{**good_input, "mr_action_counts": [1]}]},
         {"inputs": [{**good_input, "actions": 5}]},
         {"inputs": [{**good_input, "outputs": "x"}]},
+        {"inputs": [{**good_input, "outputs": [3]}]},
+        {"inputs": [{**good_input, "actions": [{"method": "GET", "url": 5}]}]},
         {"inputs": [good_input],
          "vulnerabilities": [{"id": "v", "detecting_groups": [["1"]]}]},
+        {"inputs": [good_input],
+         "vulnerabilities": [{"id": "v", "detecting_groups": [1]}]},
         {"inputs": [{**good_input, "actions": [{
             "method": "GET", "url": "http://h/p",
             "params": [{"name": "q", "type": "int", "value": "x"}]}]}]},
@@ -51,6 +55,21 @@ def test_ingest_validation_error_exit_code(tmp_path, capsys):
         bad.write_text(json.dumps(payload))
         assert main(["ingest", "--dataset", str(bad)]) == 2, payload
         assert capsys.readouterr().err.startswith("error: "), payload
+
+
+def test_empty_dataset_exit_code(tmp_path, capsys):
+    # No inputs, or only zero-cost ones (dropped on load): nothing to cluster.
+    free_input = {"id": 1, "actions": [{"method": "GET", "url": "http://h/p"}],
+                  "outputs": ["x"], "mr_action_counts": {"a": 0}}
+    data = tmp_path / "empty.json"
+    for payload in ({"inputs": []}, {"inputs": [free_input]}):
+        data.write_text(json.dumps(payload))
+        for command in ("minimize", "oracle", "bench"):
+            args = [command, "--dataset", str(data), "--out", str(tmp_path / "out")]
+            assert main(args) == 2, (payload, command)
+            err = [line for line in capsys.readouterr().err.splitlines()
+                   if not line.startswith("WARNING")]
+            assert err == ["error: cannot cluster an empty dataset"], (payload, command)
 
 
 def test_missing_file_exit_code(tmp_path):

@@ -1,12 +1,15 @@
+import importlib.util
 import logging
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
 from covmin.blocks import BlockId, CoverageMap, build_coverage
 from covmin.cli import main
 from covmin.config import RunConfig
-from covmin.dataset import Action, Dataset, InputRecord
+from covmin.dataset import Action, Dataset, InputRecord, load_dataset
 from covmin import harness
 from covmin.harness import (
     bench,
@@ -23,6 +26,7 @@ from covmin.synthetic import make_synthetic_dataset, planted_optimum_cost, write
 from _oracles import bruteforce_min_cover, coverage_of, random_instance
 
 CONFIG = RunConfig()
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_vdr_examples(caplog):
@@ -59,6 +63,29 @@ def test_run_pipeline_byte_identical_per_seed(tmp_path):
         assert main(["minimize", "--dataset", str(ds), "--seed", "3",
                      "--out", str(path)]) == 0
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def _perfbench_run():
+    """`perfbench/run.py` as a module, for its workloads and result bytes."""
+    spec = importlib.util.spec_from_file_location("perfbench_run",
+                                                  ROOT / "perfbench" / "run.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up here
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_deep_overlap_result_bytes_match_golden_file(tmp_path):
+    # Pins the search on the benchmark's cycle components, which are larger
+    # than the 4-cycles of data/synthetic.json. Regenerate only in a change
+    # that means to alter results, and say so in CHANGES.md.
+    bench_run = _perfbench_run()
+    workload = bench_run.WORKLOADS["deep-overlap"]
+    path = tmp_path / "deep-overlap.json"
+    bench_run.generate(workload.spec, 1).write(path)
+    result = run_pipeline(load_dataset(path), RunConfig(**workload.config), 1)
+    golden = ROOT / "tests" / "data" / "minimize_deep_overlap_seed1.json"
+    assert bench_run.result_bytes(result) == golden.read_bytes()
 
 
 def test_solve_exact_is_optimal_and_mocco_covers():

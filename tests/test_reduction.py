@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from covmin.reduction import (
     determine_redundancy,
@@ -236,6 +238,42 @@ def test_shuffled_witness_orders_stay_valid():
         shuffled = list(order)
         rng.shuffle(shuffled)
         assert order_is_valid(shuffled, ids, cover)
+
+
+@st.composite
+def _instance(draw):
+    """Up to 12 inputs over a 1-8 block alphabet (ints or strings), each
+    covering 0-4 blocks at a cost of 0-9: small alphabets make most inputs
+    redundant at once."""
+    n_blocks = draw(st.integers(1, 8))
+    label = draw(st.sampled_from((int, lambda b: f"b{b}")))
+    covers = draw(st.lists(
+        st.frozensets(st.integers(0, n_blocks - 1), max_size=4),
+        min_size=1, max_size=12))
+    costs = draw(st.lists(st.integers(0, 9), min_size=len(covers),
+                          max_size=len(covers)))
+    cover = {i: frozenset(map(label, c)) for i, c in enumerate(covers, start=1)}
+    return cover, dict(enumerate(costs, start=1))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(_instance())
+@example(({i: frozenset({0}) for i in range(1, 13)}, {i: i for i in range(1, 13)}))
+@example(({1: frozenset(), 2: frozenset({"a"}), 3: frozenset({"a"})}, {1: 0, 2: 1, 3: 1}))
+def test_gain_and_min_cover_match_bruteforce(instance):
+    cover, costs = instance
+    ids = frozenset(cover)
+    gain, order = valid_orders_gain(ids, cover, costs)
+    assert gain == bruteforce_gain(ids, cover, costs)
+    assert sum(costs[i] for i in order) == gain
+    assert order_is_valid(order, ids, cover)
+    assert order_is_valid(order[::-1], ids, cover)
+    objectives = coverage_of(ids, cover)
+    want, _ = bruteforce_min_cover(ids, cover, costs, objectives)
+    found = min_cover(objectives, cover, costs, want)
+    assert coverage_of(found, cover) >= objectives
+    assert sum(costs[i] for i in found) == want
+    assert min_cover(objectives, cover, costs, want - 1) is None
 
 
 def test_gain_decomposes_over_components():
