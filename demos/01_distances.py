@@ -3,7 +3,7 @@
 Run: python3 demos/01_distances.py
 """
 
-from covmin.dataset import Action, ParamValue, preprocess_output
+from covmin.dataset import Action, preprocess_output
 from covmin.distance import (
     action_distance,
     bag_distance,
@@ -28,12 +28,11 @@ u1 = ("http", "hostname", "login")
 u2 = ("http", "hostname", "job", "try1", "lastBuild")
 print("\nurl distance:", url_distance(u1, u2), "(1 word vs 3 past the prefix)")
 
-# Parameter lists match positionally by kind; each value distance is
-# squashed into [0, 1) before summing, and the sum is squashed again.
-p1 = (("count", ParamValue(kind="int", int_value=10)),
-      ("name", ParamValue(kind="text", text_value="John")))
-p2 = (("count", ParamValue(kind="int", int_value=42)),
-      ("name", ParamValue(kind="text", text_value="Johnny")))
+# Parameter lists match positionally by value type (str or int); each value
+# distance is squashed into [0, 1) before summing, and the sum is squashed
+# again.
+p1 = (("count", 10), ("name", "John"))
+p2 = (("count", 42), ("name", "Johnny"))
 print("param distance:", round(param_distance(p1, p2), 4))
 print("non-matching lists score exactly:", param_distance(p1, ()))
 
@@ -41,7 +40,6 @@ print("non-matching lists score exactly:", param_distance(p1, ()))
 # decimal part = parameter dissimilarity.
 a1 = Action(method="GET", url_words=u1, params=p1)
 a2 = Action(method="GET", url_words=u2, params=p2)
-d = action_distance(a1, a2)
-print("\naction distance:", round(d.value, 4),
-      "= url", d.url_part, "+ params", round(d.param_part, 4))
+print("\naction distance:", round(action_distance(a1, a2), 4),
+      "= url", url_distance(u1, u2), "+ params", round(param_distance(p1, p2), 4))
 print("normalize(32) =", round(normalize(32), 4), "(maps any count into [0, 1))")

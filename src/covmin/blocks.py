@@ -117,7 +117,7 @@ def cluster_actions(dataset: Dataset, part, config: RunConfig, seed: int) -> lis
         return [0]
     by_id = dataset.by_id()
     actions = [by_id[i].actions[pos] for i, pos in part]
-    matrix = pairwise_matrix(actions, lambda a, b: action_distance(a, b).value)
+    matrix = pairwise_matrix(actions, action_distance)
     if not matrix.any():
         return [0] * len(part)
     choice = select_hyperparams(DistanceMatrix(matrix), config.grid(config.action_algo), seed)

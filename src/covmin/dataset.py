@@ -23,27 +23,10 @@ class ValidationError(ValueError):
 
 
 @dataclass(frozen=True)
-class ParamValue:
-    kind: str  # "text" or "int"
-    text_value: str | None = None
-    int_value: int | None = None
-
-    def __post_init__(self):
-        if self.kind == "text":
-            if self.text_value is None or self.int_value is not None:
-                raise ValidationError("text parameter must carry exactly a text value")
-        elif self.kind == "int":
-            if self.int_value is None or self.text_value is not None:
-                raise ValidationError("int parameter must carry exactly an int value")
-        else:
-            raise ValidationError(f"unknown parameter kind: {self.kind!r}")
-
-
-@dataclass(frozen=True)
 class Action:
     method: str  # "GET" or "POST"
     url_words: tuple[str, ...]
-    params: tuple[tuple[str, ParamValue], ...] = ()
+    params: tuple[tuple[str, str | int], ...] = ()
 
     def __post_init__(self):
         if self.method not in ("GET", "POST"):
@@ -116,13 +99,11 @@ def _objects(raw: dict, key: str) -> list:
     return [_checked(obj, dict, f"entry of {key!r}") for obj in items]
 
 
-def _parse_param(obj: dict) -> tuple[str, ParamValue]:
-    name = obj["name"]
-    if obj["type"] == "str":
-        return name, ParamValue(kind="text", text_value=str(obj["value"]))
-    if obj["type"] == "int":
-        value = _checked(obj["value"], int, f"int parameter {name!r}")
-        return name, ParamValue(kind="int", int_value=value)
+def _parse_param(obj: dict) -> tuple[str, str | int]:
+    name = _checked(obj["name"], str, "parameter name")
+    for kind in (str, int):
+        if obj["type"] == kind.__name__:
+            return name, _checked(obj["value"], kind, f"parameter {name!r}")
     raise ValidationError(f"unknown parameter type: {obj['type']!r}")
 
 
@@ -172,6 +153,7 @@ def load_dataset(path) -> Dataset:
 
     vulns = []
     for obj in _objects(raw, "vulnerabilities"):
+        vuln_id = _checked(obj["id"], str, "vulnerability id")
         groups = tuple(
             frozenset(_checked(i, int, "detecting group member")
                       for i in _checked(grp, list, "detecting group"))
@@ -181,9 +163,9 @@ def load_dataset(path) -> Dataset:
             missing = grp - seen_ids
             if missing:
                 raise ValidationError(
-                    f"vulnerability {obj['id']!r} references unknown inputs {sorted(missing)}"
+                    f"vulnerability {vuln_id!r} references unknown inputs {sorted(missing)}"
                 )
-        vulns.append((str(obj["id"]), groups))
+        vulns.append((vuln_id, groups))
 
     return Dataset(inputs=tuple(records), vulnerabilities=tuple(vulns))
 

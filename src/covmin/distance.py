@@ -2,17 +2,16 @@
 the composite action distance, and the normalization x/(x+1).
 
 Output distances operate on word tokens; parameter string distances operate
-on characters. Parameter matching is positional and kind-based.
+on characters. Parameter matching is positional and type-based.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Action, ParamValue, TokenDoc
+from .dataset import Action, TokenDoc
 
 
 def normalize(x: float) -> float:
@@ -69,8 +68,8 @@ def bag_distance(a, b) -> int:
     return max(len(a), len(b)) - sum((Counter(a) & Counter(b)).values())
 
 
-def output_distance(d1: TokenDoc, d2: TokenDoc, metric: str = "levenshtein") -> int:
-    if metric in ("levenshtein", "lev"):
+def output_distance(d1: TokenDoc, d2: TokenDoc, metric: str) -> int:
+    if metric == "lev":
         return levenshtein(d1.tokens, d2.tokens)
     if metric == "bag":
         return bag_distance(d1.tokens, d2.tokens)
@@ -87,19 +86,19 @@ def url_distance(u1, u2) -> int:
     return len(u1) + len(u2) - 2 * lca
 
 
-def param_value_distance(v1: ParamValue, v2: ParamValue) -> int | None:
-    """Character edit distance for text pairs, absolute difference for int
-    pairs, None (undefined) for mixed kinds."""
-    if v1.kind == "text" and v2.kind == "text":
-        return levenshtein(v1.text_value, v2.text_value)
-    if v1.kind == "int" and v2.kind == "int":
-        return abs(v1.int_value - v2.int_value)
-    return None
+def param_value_distance(v1: str | int, v2: str | int) -> int | None:
+    """Character edit distance for str pairs, absolute difference for int
+    pairs, None (undefined) for mixed types."""
+    if type(v1) is not type(v2):
+        return None
+    if isinstance(v1, str):
+        return levenshtein(v1, v2)
+    return abs(v1 - v2)
 
 
 def params_match(p1, p2) -> bool:
     return len(p1) == len(p2) and all(
-        a[1].kind == b[1].kind for a, b in zip(p1, p2)
+        type(a[1]) is type(b[1]) for a, b in zip(p1, p2)
     )
 
 
@@ -114,19 +113,10 @@ def param_distance(p1, p2) -> float:
     return normalize(total)
 
 
-@dataclass(frozen=True)
-class ActionDistance:
-    value: float
-    url_part: int
-    param_part: float
-
-
-def action_distance(a1: Action, a2: Action) -> ActionDistance:
+def action_distance(a1: Action, a2: Action) -> float:
     """URL distance as the integral part, parameter distance as the decimal
     part. Method equality is enforced upstream by the request partition."""
-    u = url_distance(a1.url_words, a2.url_words)
-    p = param_distance(a1.params, a2.params)
-    return ActionDistance(value=u + p, url_part=u, param_part=p)
+    return url_distance(a1.url_words, a2.url_words) + param_distance(a1.params, a2.params)
 
 
 def pairwise_matrix(items, dist) -> np.ndarray:

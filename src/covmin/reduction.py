@@ -125,11 +125,16 @@ def locally_dominated(input_id, rcover, costs,
 
 
 def remove_locally_dominated(rcover, costs):
-    """Remove every input dominated in the pre-removal state. Removal order
-    cannot strand coverage: dominated inputs are always dominated by a set
-    of non-dominated ones."""
-    dominated = {i for i in sorted(rcover) if locally_dominated(i, rcover, costs)}
-    return {i: blocks for i, blocks in rcover.items() if i not in dominated}
+    """Remove, in id order, every input dominated in the pre-removal state
+    (where the neighbour cap is judged) that the inputs still left dominate
+    too, so no removal strands coverage. Through zero-cost inputs two inputs
+    can dominate each other: 2 and 3 in the cover {1: {a}, 2: {a, b},
+    3: {b, c}, 4: {c}} at costs 0, 1, 1, 0."""
+    kept = dict(rcover)
+    for i in sorted(rcover):
+        if locally_dominated(i, rcover, costs) and locally_dominated(i, kept, costs):
+            del kept[i]
+    return kept
 
 
 def split_components(rcover) -> tuple[Component, ...]:

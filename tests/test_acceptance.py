@@ -11,7 +11,6 @@ from covmin.baselines import a12_effect_size, art_select, exhaustive_optimal, gr
 from covmin.blocks import build_coverage
 from covmin.config import RunConfig
 from covmin.distance import bag_distance, levenshtein, param_distance, params_match, url_distance
-from covmin.dataset import ParamValue
 from covmin.harness import run_pipeline
 from covmin.reduction import Component, reduce_problem, split_components, valid_orders_gain
 from covmin.search import ComponentProblem, crossover, dominates, mocco_run
@@ -52,12 +51,8 @@ def test_criterion_1_worked_example_fixtures():
         started = time.perf_counter()
         assert url_distance(("http", "hostname", "login"),
                             ("http", "hostname", "job", "try1", "lastBuild")) == 4
-        p1 = (("a", ParamValue(kind="int", int_value=10)),
-              ("b", ParamValue(kind="text", text_value="John")),
-              ("c", ParamValue(kind="text", text_value="qwerty")))
-        p2 = (("a", ParamValue(kind="int", int_value=42)),
-              ("b", ParamValue(kind="text", text_value="Johnny")),
-              ("c", ParamValue(kind="text", text_value="qwertyuiop")))
+        p1 = (("a", 10), ("b", "John"), ("c", "qwerty"))
+        p2 = (("a", 42), ("b", "Johnny"), ("c", "qwertyuiop"))
         assert param_distance(p1, p2) == pytest.approx(0.71, abs=0.005)
         assert levenshtein("John", "Johnny") == 2
         assert levenshtein("qwerty", "qwertyuiop") == 4
@@ -300,12 +295,9 @@ def test_criterion_6_distance_properties():
             out = []
             for i in range(rng.randrange(0, 4)):
                 if rng.random() < 0.5:
-                    out.append((f"p{i}", ParamValue(kind="int",
-                                                    int_value=rng.randrange(50))))
+                    out.append((f"p{i}", rng.randrange(50)))
                 else:
-                    out.append((f"p{i}", ParamValue(
-                        kind="text",
-                        text_value="".join(rng.choices("xyz", k=3)))))
+                    out.append((f"p{i}", "".join(rng.choices("xyz", k=3))))
             return tuple(out)
 
         for _ in range(3000):

@@ -51,6 +51,14 @@ def test_ingest_validation_error_exit_code(tmp_path, capsys):
         {"inputs": [{**good_input, "actions": [{
             "method": "GET", "url": "http://h/p",
             "params": [{"name": "q", "type": "int", "value": "x"}]}]}]},
+        *({"inputs": [{**good_input, "actions": [{
+            "method": "GET", "url": "http://h/p", "params": [param]}]}]}
+          for param in ({"name": ["q"], "type": "str", "value": "x"},
+                        {"name": "q", "type": "str", "value": [1]},
+                        {"name": "q", "type": "str", "value": 5},
+                        {"name": "q", "type": "blob", "value": "x"})),
+        {"inputs": [good_input],
+         "vulnerabilities": [{"id": [1, 2], "detecting_groups": [[1]]}]},
     ):
         bad.write_text(json.dumps(payload))
         assert main(["ingest", "--dataset", str(bad)]) == 2, payload

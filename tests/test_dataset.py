@@ -1,12 +1,12 @@
 import json
 import logging
+from pathlib import Path
 
 import pytest
 
 from covmin.dataset import (
     Action,
     InputRecord,
-    ParamValue,
     ValidationError,
     build_shared_filter,
     compute_cost,
@@ -14,6 +14,9 @@ from covmin.dataset import (
     preprocess_output,
     split_url,
 )
+from covmin.synthetic import write_synthetic_dataset
+
+BUNDLED = Path(__file__).resolve().parents[1] / "data" / "synthetic.json"
 
 
 def _write(tmp_path, payload):
@@ -44,14 +47,6 @@ def test_action_requires_two_words():
         Action(method="PUT", url_words=("http", "host"))
 
 
-def test_param_value_invariants():
-    assert ParamValue(kind="int", int_value=5).int_value == 5
-    with pytest.raises(ValidationError):
-        ParamValue(kind="int", text_value="5")
-    with pytest.raises(ValidationError):
-        ParamValue(kind="blob")
-
-
 def test_cost_is_sum_over_relations():
     rec = InputRecord(
         id=1,
@@ -70,6 +65,13 @@ def test_load_roundtrip(tmp_path):
     assert [rec.id for rec in ds.inputs] == [1, 2]
     assert ds.costs() == {1: 3, 2: 5}
     assert ds.vulnerabilities == (("v1", (frozenset({1, 2}),)),)
+
+
+def test_bundled_dataset_is_the_synthetic_generator_output(tmp_path):
+    # The golden files in tests/data/ are computed from data/synthetic.json.
+    path = tmp_path / "synthetic.json"
+    write_synthetic_dataset(path)
+    assert path.read_bytes() == BUNDLED.read_bytes()
 
 
 def test_zero_cost_inputs_dropped_with_warning(tmp_path, caplog):

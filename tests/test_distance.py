@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from covmin.dataset import Action, ParamValue, TokenDoc
+from covmin.dataset import Action, TokenDoc
 from covmin.distance import (
     action_distance,
     bag_distance,
@@ -20,14 +20,6 @@ from covmin.distance import (
 )
 
 from _oracles import bag_distance_by_differences, levenshtein_dp
-
-
-def _text(s):
-    return ParamValue(kind="text", text_value=s)
-
-
-def _int(n):
-    return ParamValue(kind="int", int_value=n)
 
 
 def test_normalize_maps_to_unit_interval():
@@ -112,10 +104,10 @@ def test_output_distance_dispatch():
     d1 = TokenDoc(tokens=("add", "user", "ok"))
     d2 = TokenDoc(tokens=("add", "ok", "user"))
     assert output_distance(d1, d2, "lev") == 2
-    assert output_distance(d1, d2, "levenshtein") == 2
     assert output_distance(d1, d2, "bag") == 0
-    with pytest.raises(ValueError):
-        output_distance(d1, d2, "cosine")
+    for metric in ("cosine", "levenshtein"):
+        with pytest.raises(ValueError):
+            output_distance(d1, d2, metric)
 
 
 def test_url_distance_worked_example():
@@ -140,27 +132,27 @@ def test_url_distance_triangle_inequality_random_sweep():
 
 
 def test_param_value_distance_kinds():
-    assert param_value_distance(_int(10), _int(42)) == 32
-    assert param_value_distance(_text("John"), _text("Johnny")) == 2
-    assert param_value_distance(_int(10), _text("10")) is None
+    assert param_value_distance(10, 42) == 32
+    assert param_value_distance("John", "Johnny") == 2
+    assert param_value_distance(10, "10") is None
 
 
 def test_param_distance_worked_example():
     # Per-value distances 32, 2, 4 normalize to 32/33, 2/3, 4/5; the
     # normalized sum lands near 0.71.
-    p1 = (("a", _int(10)), ("b", _text("John")), ("c", _text("qwerty")))
-    p2 = (("a", _int(42)), ("b", _text("Johnny")), ("c", _text("qwertyuiop")))
+    p1 = (("a", 10), ("b", "John"), ("c", "qwerty"))
+    p2 = (("a", 42), ("b", "Johnny"), ("c", "qwertyuiop"))
     assert params_match(p1, p2)
     assert param_distance(p1, p2) == pytest.approx(0.71, abs=0.005)
 
 
 def test_param_distance_is_one_exactly_when_lists_do_not_match():
-    matched = (("a", _int(1)),)
-    assert param_distance(matched, (("a", _int(1)),)) == 0.0
+    matched = (("a", 1),)
+    assert param_distance(matched, (("a", 1),)) == 0.0
     # Different lengths.
     assert param_distance(matched, ()) == 1.0
-    # Same length, different kind at one position.
-    assert param_distance(matched, (("a", _text("1")),)) == 1.0
+    # Same length, different value type at one position.
+    assert param_distance(matched, (("a", "1"),)) == 1.0
 
 
 def test_param_distance_range_random_sweep():
@@ -170,9 +162,9 @@ def test_param_distance_range_random_sweep():
         out = []
         for i in range(rng.randrange(0, 4)):
             if rng.random() < 0.5:
-                out.append((f"p{i}", _int(rng.randrange(0, 50))))
+                out.append((f"p{i}", rng.randrange(0, 50)))
             else:
-                out.append((f"p{i}", _text("".join(rng.choices("xyz", k=3)))))
+                out.append((f"p{i}", "".join(rng.choices("xyz", k=3))))
         return tuple(out)
 
     for _ in range(2000):
@@ -185,14 +177,16 @@ def test_param_distance_range_random_sweep():
 
 def test_action_distance_combines_url_and_params():
     a1 = Action(method="GET", url_words=("http", "hostname", "login"),
-                params=(("q", _int(10)),))
+                params=(("q", 10),))
     a2 = Action(method="GET", url_words=("http", "hostname", "job", "try1", "lastBuild"),
-                params=(("q", _int(42)),))
+                params=(("q", 42),))
     d = action_distance(a1, a2)
-    assert d.url_part == 4
-    assert d.param_part == pytest.approx(normalize(normalize(32)))
-    assert d.value == pytest.approx(4 + d.param_part)
-    assert int(d.value) == d.url_part
+    u = url_distance(a1.url_words, a2.url_words)
+    p = param_distance(a1.params, a2.params)
+    assert u == 4
+    assert p == pytest.approx(normalize(normalize(32)))
+    assert d == u + p
+    assert int(d) == u
 
 
 def test_pairwise_matrix_shape_and_symmetry():

@@ -276,6 +276,28 @@ def test_gain_and_min_cover_match_bruteforce(instance):
     assert min_cover(objectives, cover, costs, want - 1) is None
 
 
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(_instance())
+@example(({1: frozenset(), 2: frozenset()}, {1: 0, 2: 3}))
+@example(({1: frozenset({0, 1, 2}), 2: frozenset({0, 1}), 3: frozenset({2})},
+          {1: 0, 2: 0, 3: 0}))
+@example(({1: frozenset("a"), 2: frozenset("ab"), 3: frozenset("bc"), 4: frozenset("c")},
+          {1: 0, 2: 1, 3: 1, 4: 0}))
+def test_reduce_problem_matches_bruteforce(instance):
+    cover, costs = instance
+    ids = frozenset(cover)
+    result = reduce_problem(ids, cover, costs)
+    kept = result.necessary.union(*(comp.inputs for comp in result.components))
+    assert coverage_of(kept, cover) == coverage_of(ids, cover)
+    for comp in result.components:
+        assert comp.cover == {i: cover[i] & comp.objectives for i in comp.inputs}
+    optimum, _ = bruteforce_min_cover(ids, cover, costs, coverage_of(ids, cover))
+    assert sum(costs[i] for i in result.necessary) + sum(
+        bruteforce_min_cover(comp.inputs, cover, costs, comp.objectives)[0]
+        for comp in result.components
+    ) == optimum
+
+
 def test_gain_decomposes_over_components():
     rng = random.Random(5)
     for _ in range(200):
