@@ -16,7 +16,7 @@ from .clustering import DistanceMatrix, select_hyperparams
 from .config import RunConfig
 from .dataset import (Dataset, TokenDoc, ValidationError, build_shared_filter,
                       preprocess_output)
-from .distance import action_distance, output_distance, pairwise_matrix
+from .distance import action_distance, bag_matrix, output_distance, pairwise_matrix
 
 Occurrence = tuple[int, int]  # (input id, action position)
 
@@ -64,13 +64,15 @@ class CoverageMap:
 
 def preprocess_all(dataset: Dataset, config: RunConfig):
     """TokenDoc per action occurrence, with the shared-content filter built
-    over every raw page in the dataset."""
+    over every raw page in the dataset. Stems are memoized for this call
+    only, so every run pays for its own stemming."""
     raw_pages = [out for rec in dataset.inputs for out in rec.outputs]
     shared = build_shared_filter(raw_pages, config.shared_threshold)
+    stems: dict[str, str] = {}
     docs = {}
     for rec in dataset.inputs:
         for pos, raw in enumerate(rec.outputs):
-            docs[(rec.id, pos)] = preprocess_output(raw, shared)
+            docs[(rec.id, pos)] = preprocess_output(raw, shared, stems)
     return docs
 
 
@@ -85,10 +87,13 @@ def cluster_outputs(dataset: Dataset, config: RunConfig, seed: int) -> dict[Occu
     # of each distinct pair is computed once and expanded to all occurrences.
     index: dict[TokenDoc, int] = {}
     rows = [index.setdefault(docs[k], len(index)) for k in keys]
-    unique = pairwise_matrix(
-        list(index),
-        lambda a, b: output_distance(a, b, config.output_metric),
-    )
+    if config.output_metric == "bag":
+        unique = pairwise_matrix(list(index), matrix_of=bag_matrix)
+    else:
+        unique = pairwise_matrix(
+            list(index),
+            lambda a, b: output_distance(a, b, config.output_metric),
+        )
     matrix = unique[np.ix_(rows, rows)]
     choice = select_hyperparams(DistanceMatrix(matrix), config.grid(config.output_algo), seed)
     return {k: lab for k, lab in zip(keys, choice.labels)}

@@ -82,17 +82,10 @@ def kmedoids(dm: DistanceMatrix, k: int, seed: int = 0) -> list[int]:
     return _canonical_labels(assign)
 
 
-def dbscan(dm: DistanceMatrix, eps: float, min_neighbors: int) -> list[int]:
-    """Density clustering on a precomputed matrix. The eps-neighborhood
-    excludes the point itself; noise points become singleton clusters."""
-    if eps <= 0:
-        raise ValueError(f"eps must be positive, got {eps}")
-    if min_neighbors < 1:
-        raise ValueError(f"min_neighbors must be >= 1, got {min_neighbors}")
-    n = dm.n
-    within = dm.values <= eps
-    np.fill_diagonal(within, False)
-    neighborhoods = [np.flatnonzero(row).tolist() for row in within]
+def _dbscan_labels(neighborhoods: list[list[int]], min_neighbors: int) -> list[int]:
+    """DBSCAN's expansion over given eps-neighbourhoods; noise points become
+    singleton clusters."""
+    n = len(neighborhoods)
     core = [len(nb) >= min_neighbors for nb in neighborhoods]
     labels = [-1] * n
     cluster = 0
@@ -116,8 +109,48 @@ def dbscan(dm: DistanceMatrix, eps: float, min_neighbors: int) -> list[int]:
     return _canonical_labels(labels)
 
 
+def dbscan(dm: DistanceMatrix, eps: float, min_neighbors: int) -> list[int]:
+    """Density clustering on a precomputed matrix. The eps-neighborhood
+    excludes the point itself; noise points become singleton clusters."""
+    return next(_dbscan_sweep(dm, [{"eps": eps, "min_neighbors": min_neighbors}]))
+
+
+def _dbscan_sweep(dm: DistanceMatrix, points):
+    """`dbscan` labels of each grid point in turn. Labels depend only on the
+    neighbourhood mask and `min_neighbors`, and neighbouring eps values often
+    give the same mask, so the neighbourhoods are built once per distinct
+    mask and the labels once per (mask, min_neighbors)."""
+    neighborhoods: dict[bytes, list[list[int]]] = {}
+    labelled: dict[tuple[bytes, int], list[int]] = {}
+    last_eps = mask = None
+    for params in points:
+        eps, min_neighbors = params["eps"], params["min_neighbors"]
+        if eps <= 0:
+            raise ValueError(f"eps must be positive, got {eps}")
+        if min_neighbors < 1:
+            raise ValueError(f"min_neighbors must be >= 1, got {min_neighbors}")
+        if eps != last_eps:
+            within = dm.values <= eps
+            np.fill_diagonal(within, False)
+            last_eps, mask = eps, within.tobytes()
+            if mask not in neighborhoods:
+                neighborhoods[mask] = [np.flatnonzero(row).tolist() for row in within]
+        key = (mask, min_neighbors)
+        if key not in labelled:
+            labelled[key] = _dbscan_labels(neighborhoods[mask], min_neighbors)
+        yield labelled[key]
+
+
 def silhouette(dm: DistanceMatrix, labels) -> np.ndarray:
-    """Per-point (b - a) / max(a, b); points in singleton clusters score 0."""
+    """Per-point (b - a) / max(a, b); points in singleton clusters score 0.
+
+    One pass per cluster: its matrix columns give every point's mean
+    distance to it. `a` is summed in member order, as a loop over the
+    members would; the cluster means sum each row sequentially, which equals
+    numpy's pairwise 1-D `mean` for integer and half-integer distances and
+    for clusters of fewer than 8 members, and may differ from it in the
+    last bits otherwise.
+    """
     n = dm.n
     if len(labels) != n:
         raise ValueError("one label per point required")
@@ -128,18 +161,23 @@ def silhouette(dm: DistanceMatrix, labels) -> np.ndarray:
     scores = np.zeros(n)
     if len(clusters) < 2:
         return scores
-    for i in range(n):
-        own = clusters[labels[i]]
-        if len(own) == 1:
-            continue
-        a = sum(v[i, j] for j in own if j != i) / (len(own) - 1)
-        b = min(
-            v[i, members].mean()
-            for lab, members in clusters.items()
-            if lab != labels[i]
-        )
-        denom = max(a, b)
-        scores[i] = 0.0 if denom == 0 else (b - a) / denom
+    a = np.zeros(n)
+    mean_to = np.empty((n, len(clusters)))
+    own = np.empty(n, dtype=np.intp)
+    size = np.empty(n, dtype=np.intp)
+    for c, members in enumerate(clusters.values()):
+        columns = v[:, members]
+        mean_to[:, c] = columns.sum(axis=1) / len(members)
+        own[members] = c
+        size[members] = len(members)
+        if len(members) > 1:
+            block = columns[members]
+            np.fill_diagonal(block, 0.0)
+            a[members] = np.cumsum(block, axis=1)[:, -1] / (len(members) - 1)
+    mean_to[np.arange(n), own] = np.inf
+    b = mean_to.min(axis=1)
+    denom = np.maximum(a, b)
+    np.divide(b - a, denom, out=scores, where=(size > 1) & (denom != 0))
     return scores
 
 
@@ -202,26 +240,29 @@ def select_hyperparams(dm: DistanceMatrix, grid: HyperParamGrid, seed: int = 0) 
     silhouette, a member of the (silhouette up, Gini down) Pareto front.
     Ties break toward lower Gini, then grid order. Grid points often yield
     the same labelling; each distinct labelling is scored once."""
-    candidates: list[HyperParamChoice] = []
+    best: HyperParamChoice | None = None
     scored: dict[tuple[int, ...], tuple[float, float]] = {}
-    for params in _grid_points(dm, grid):
-        if grid.algo == "kmeans":
-            labels = kmedoids(dm, params["k"], seed=seed)
-        else:
-            labels = dbscan(dm, params["eps"], params["min_neighbors"])
+    points = list(_grid_points(dm, grid))
+    if grid.algo == "kmeans":
+        labellings = (kmedoids(dm, params["k"], seed=seed) for params in points)
+    else:
+        labellings = _dbscan_sweep(dm, points)
+    for params, labels in zip(points, labellings):
         key = tuple(labels)
         if key not in scored:
             scores = silhouette(dm, labels)
             scored[key] = float(scores.mean()), gini(scores)
         silhouette_mean, dispersion = scored[key]
-        candidates.append(HyperParamChoice(
-            algo=grid.algo,
-            params=params,
-            labels=labels,
-            silhouette_mean=silhouette_mean,
-            gini=dispersion,
-        ))
-    if not candidates:
+        # The lexicographic maximum is never dominated, so it is on the
+        # front; only a strictly better point replaces an earlier one.
+        if best is None or (silhouette_mean, -dispersion) > (best.silhouette_mean, -best.gini):
+            best = HyperParamChoice(
+                algo=grid.algo,
+                params=params,
+                labels=labels,
+                silhouette_mean=silhouette_mean,
+                gini=dispersion,
+            )
+    if best is None:
         raise ValueError("empty hyper-parameter grid")
-    # The lexicographic maximum is never dominated, so it is on the front.
-    return max(candidates, key=lambda c: (c.silhouette_mean, -c.gini))
+    return best

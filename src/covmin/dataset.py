@@ -205,8 +205,14 @@ def build_shared_filter(docs, threshold: float = 0.8) -> frozenset[str]:
     return frozenset(tok for tok, n in freq.items() if n / len(docs) >= threshold)
 
 
-def preprocess_output(raw: str, shared: frozenset[str] = frozenset()) -> TokenDoc:
-    """Strip markup, tokenize, drop shared/stop/numeric tokens, then stem."""
+def preprocess_output(raw: str, shared: frozenset[str] = frozenset(),
+                      stems: dict[str, str] | None = None) -> TokenDoc:
+    """Strip markup, tokenize, drop shared/stop/numeric tokens, then stem.
+
+    `stems` memoizes `stem` (word -> stem) across the calls that share it.
+    """
+    if stems is None:
+        stems = {}
     out = []
     for tok in _tokenize(raw):
         if tok in shared:
@@ -215,5 +221,7 @@ def preprocess_output(raw: str, shared: frozenset[str] = frozenset()) -> TokenDo
             continue
         if tok.isdigit():
             continue
-        out.append(stem(tok))
+        if tok not in stems:
+            stems[tok] = stem(tok)
+        out.append(stems[tok])
     return TokenDoc(tokens=tuple(out))

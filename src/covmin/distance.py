@@ -68,6 +68,30 @@ def bag_distance(a, b) -> int:
     return max(len(a), len(b)) - sum((Counter(a) & Counter(b)).values())
 
 
+def bag_matrix(docs) -> np.ndarray:
+    """`bag_distance` of every pair of TokenDocs as one float64 matrix.
+
+    Each token's postings (the documents holding it, with its count in each)
+    add min(count_i, count_j) to the intersection of every pair among them,
+    so only pairs that share a token cost work. The arithmetic is int64
+    until the last step, so the matrix equals the pair loop's exactly.
+    """
+    postings: dict[str, tuple[list[int], list[int]]] = {}
+    for i, doc in enumerate(docs):
+        for tok, count in Counter(doc.tokens).items():
+            ids, counts = postings.setdefault(tok, ([], []))
+            ids.append(i)
+            counts.append(count)
+    n = len(docs)
+    inter = np.zeros((n, n), dtype=np.int64)
+    for ids, counts in postings.values():
+        c = np.array(counts, dtype=np.int64)
+        # Each document appears once per posting, so no index repeats.
+        inter[np.ix_(ids, ids)] += np.minimum.outer(c, c)
+    lengths = np.array([len(doc.tokens) for doc in docs], dtype=np.int64)
+    return (np.maximum.outer(lengths, lengths) - inter).astype(np.float64)
+
+
 def output_distance(d1: TokenDoc, d2: TokenDoc, metric: str) -> int:
     if metric == "lev":
         return levenshtein(d1.tokens, d2.tokens)
@@ -119,8 +143,12 @@ def action_distance(a1: Action, a2: Action) -> float:
     return url_distance(a1.url_words, a2.url_words) + param_distance(a1.params, a2.params)
 
 
-def pairwise_matrix(items, dist) -> np.ndarray:
-    """Symmetric float64 distance matrix with zero diagonal."""
+def pairwise_matrix(items, dist=None, *, matrix_of=None) -> np.ndarray:
+    """Symmetric float64 distance matrix with zero diagonal: `dist` over
+    every pair of `items`, or `matrix_of(items)` when a whole-matrix form of
+    the distance is given instead."""
+    if matrix_of is not None:
+        return matrix_of(items)
     n = len(items)
     m = np.zeros((n, n), dtype=np.float64)
     for i in range(n):

@@ -68,9 +68,9 @@ def make_synthetic_dataset() -> Dataset:
     return Dataset(inputs=tuple(records), vulnerabilities=vulnerabilities)
 
 
-def write_synthetic_dataset(path) -> None:
-    """Serialize the synthetic dataset in the on-disk JSON schema."""
-    ds = make_synthetic_dataset()
+def write_dataset(ds: Dataset, path) -> None:
+    """Serialize a dataset in the on-disk JSON schema that `load_dataset`
+    reads back."""
     payload = {
         "inputs": [
             {
@@ -79,7 +79,10 @@ def write_synthetic_dataset(path) -> None:
                     {
                         "method": act.method,
                         "url": act.url_words[0] + "://" + "/".join(act.url_words[1:]),
-                        "params": [],
+                        "params": [
+                            {"name": name, "type": type(value).__name__, "value": value}
+                            for name, value in act.params
+                        ],
                     }
                     for act in rec.actions
                 ],
@@ -96,3 +99,8 @@ def write_synthetic_dataset(path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def write_synthetic_dataset(path) -> None:
+    """Serialize the synthetic dataset in the on-disk JSON schema."""
+    write_dataset(make_synthetic_dataset(), path)

@@ -18,7 +18,6 @@ from covmin.clustering import (
     _grid_points,
     gini,
     kmedoids,
-    silhouette,
 )
 from covmin.reduction import valid_orders_gain
 
@@ -251,16 +250,42 @@ def dbscan_by_scan(dm, eps: float, min_neighbors: int) -> list[int]:
     return _canonical_labels(labels)
 
 
+def silhouette_by_points(dm, labels) -> np.ndarray:
+    """Per-point silhouette, each point's a and b taken by its own loop over
+    the clusters; points in singleton clusters score 0."""
+    n = dm.n
+    v = dm.values
+    clusters: dict[int, list[int]] = {}
+    for i, lab in enumerate(labels):
+        clusters.setdefault(lab, []).append(i)
+    scores = np.zeros(n)
+    if len(clusters) < 2:
+        return scores
+    for i in range(n):
+        own = clusters[labels[i]]
+        if len(own) == 1:
+            continue
+        a = sum(v[i, j] for j in own if j != i) / (len(own) - 1)
+        b = min(
+            v[i, members].mean()
+            for lab, members in clusters.items()
+            if lab != labels[i]
+        )
+        denom = max(a, b)
+        scores[i] = 0.0 if denom == 0 else (b - a) / denom
+    return scores
+
+
 def select_hyperparams_uncached(dm, grid, seed: int = 0) -> HyperParamChoice:
     """Grid selection that scores every grid point, clustering with
-    `dbscan_by_scan`."""
+    `dbscan_by_scan` and scoring with `silhouette_by_points`."""
     candidates = []
     for params in _grid_points(dm, grid):
         if grid.algo == "kmeans":
             labels = kmedoids(dm, params["k"], seed=seed)
         else:
             labels = dbscan_by_scan(dm, params["eps"], params["min_neighbors"])
-        scores = silhouette(dm, labels)
+        scores = silhouette_by_points(dm, labels)
         candidates.append(HyperParamChoice(
             algo=grid.algo,
             params=params,

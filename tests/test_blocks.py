@@ -149,9 +149,9 @@ def test_cluster_outputs_expands_distinct_document_matrix(monkeypatch):
         selected.append(dm.values)
         return real_select(dm, grid, seed)
 
-    def pairwise(items, dist):
+    def pairwise(items, dist=None, **kwargs):
         matrix_items.append(items)
-        return real_pairwise(items, dist)
+        return real_pairwise(items, dist, **kwargs)
 
     monkeypatch.setattr(blocks, "select_hyperparams", select)
     monkeypatch.setattr(blocks, "pairwise_matrix", pairwise)

@@ -2,6 +2,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from covmin.clustering import (
     DistanceMatrix,
@@ -14,7 +16,12 @@ from covmin.clustering import (
     silhouette,
 )
 
-from _oracles import dbscan_by_scan, kmedoids_objective, select_hyperparams_uncached
+from _oracles import (
+    dbscan_by_scan,
+    kmedoids_objective,
+    select_hyperparams_uncached,
+    silhouette_by_points,
+)
 
 
 def _dm(rows):
@@ -177,3 +184,50 @@ def test_dbscan_and_selection_match_oracles_on_random_matrices():
         kmeans = HyperParamGrid(algo="kmeans", k_range=(1, dm.n))
         assert select_hyperparams(dm, kmeans, seed=trial) == \
             select_hyperparams_uncached(dm, kmeans, seed=trial), trial
+
+
+@st.composite
+def _labelled_matrix(draw):
+    """A symmetric matrix of 1-24 points whose distances are multiples of 1
+    or 0.5 up to 30, with a labelling into 1-6 clusters: singletons, empty
+    label ids and all-one-cluster labellings all occur."""
+    n = draw(st.integers(1, 24))
+    unit = draw(st.sampled_from((1.0, 0.5)))
+    m = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            m[i, j] = m[j, i] = draw(st.integers(0, 60)) * unit
+    k = draw(st.integers(1, 6))
+    labels = draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))
+    return DistanceMatrix(m), labels
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_labelled_matrix())
+@example((TWO_GROUPS, [0, 0, 1, 1]))
+@example((TWO_GROUPS, [0, 0, 0, 0]))
+@example((TWO_GROUPS, [0, 1, 2, 3]))
+@example((TWO_GROUPS, [5, 5, 9, 2]))
+@example((_dm([[0, 0, 0], [0, 0, 0], [0, 0, 0]]), [0, 0, 1]))
+def test_silhouette_matches_oracle_on_integer_and_half_integer_matrices(case):
+    dm, labels = case
+    assert np.array_equal(silhouette(dm, labels), silhouette_by_points(dm, labels))
+
+
+def test_silhouette_and_selection_close_to_oracles_on_fractional_matrices():
+    # Cluster means sum each row sequentially; the oracle's 1-D `mean` sums
+    # pairwise from 8 members on, so fractional scores may differ in the
+    # last bits (6 of the 288 labellings here do), never by more than
+    # rounding, and the choice stays the same.
+    rng = random.Random(20261018)
+    grid = HyperParamGrid(algo="dbscan", eps_range=(0.5, 4.0), min_neighbors_range=(1, 3))
+    for trial in range(12):
+        n = rng.randrange(10, 40)
+        pts = [(rng.random() * 6, rng.random() * 6) for _ in range(n)]
+        dm = DistanceMatrix(np.array([[abs(p[0] - q[0]) + abs(p[1] - q[1]) for q in pts]
+                                      for p in pts]))
+        for params in _grid_points(dm, grid):
+            labels = dbscan(dm, params["eps"], params["min_neighbors"])
+            np.testing.assert_allclose(silhouette(dm, labels),
+                                       silhouette_by_points(dm, labels), rtol=1e-12, atol=0)
+        assert select_hyperparams(dm, grid) == select_hyperparams_uncached(dm, grid), trial

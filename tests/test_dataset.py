@@ -6,6 +6,7 @@ import pytest
 
 from covmin.dataset import (
     Action,
+    Dataset,
     InputRecord,
     ValidationError,
     build_shared_filter,
@@ -14,7 +15,7 @@ from covmin.dataset import (
     preprocess_output,
     split_url,
 )
-from covmin.synthetic import write_synthetic_dataset
+from covmin.synthetic import write_dataset, write_synthetic_dataset
 
 BUNDLED = Path(__file__).resolve().parents[1] / "data" / "synthetic.json"
 
@@ -72,6 +73,33 @@ def test_bundled_dataset_is_the_synthetic_generator_output(tmp_path):
     path = tmp_path / "synthetic.json"
     write_synthetic_dataset(path)
     assert path.read_bytes() == BUNDLED.read_bytes()
+
+
+def test_written_dataset_loads_back_with_its_parameters(tmp_path):
+    ds = Dataset(
+        inputs=(
+            InputRecord(
+                id=1,
+                actions=(
+                    Action("POST", split_url("http://h/job/new"),
+                           (("name", "build"), ("retries", 3), ("name", ""))),
+                    Action("GET", split_url("http://h/job")),
+                ),
+                outputs=("created", "list"),
+                mr_action_counts={"mr": 2},
+            ),
+            InputRecord(
+                id=2,
+                actions=(Action("POST", split_url("http://h/job/7"), (("retries", -1),)),),
+                outputs=("updated",),
+                mr_action_counts={"mr": 1, "mr2": 4},
+            ),
+        ),
+        vulnerabilities=(("v1", (frozenset({1, 2}), frozenset({2}))),),
+    )
+    path = tmp_path / "ds.json"
+    write_dataset(ds, path)
+    assert load_dataset(path) == ds
 
 
 def test_zero_cost_inputs_dropped_with_warning(tmp_path, caplog):

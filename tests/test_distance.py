@@ -9,6 +9,7 @@ from covmin.dataset import Action, TokenDoc
 from covmin.distance import (
     action_distance,
     bag_distance,
+    bag_matrix,
     levenshtein,
     normalize,
     output_distance,
@@ -83,6 +84,31 @@ def test_bag_distance_matches_multiset_differences(pair):
     a, b = pair
     assert bag_distance(a, b) == bag_distance_by_differences(a, b)
     assert bag_distance(b, a) == bag_distance_by_differences(a, b)
+
+
+@st.composite
+def _documents(draw):
+    """0-12 token documents over a 1-6 word vocabulary, each 0-20 tokens
+    long, so tokens repeat within a document, and documents are empty,
+    one token long or equal to one another."""
+    size = draw(st.integers(1, 6))
+    token = st.sampled_from(WORDS[:size])
+    return [TokenDoc(tuple(doc)) for doc in draw(st.lists(
+        st.lists(token, max_size=20), max_size=12))]
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(_documents())
+@example([])
+@example([TokenDoc(()), TokenDoc(()), TokenDoc(("ok",))])
+@example([TokenDoc(("ok",) * 5), TokenDoc(("ok", "ok", "job")), TokenDoc(("job",) * 3)])
+def test_bag_matrix_matches_multiset_differences(docs):
+    m = bag_matrix(docs)
+    assert m.dtype == np.float64 and m.shape == (len(docs), len(docs))
+    want = np.array([[bag_distance_by_differences(a.tokens, b.tokens) for b in docs]
+                     for a in docs], dtype=np.float64).reshape(m.shape)
+    assert np.array_equal(m, want)
+    assert np.array_equal(m, pairwise_matrix(docs, lambda a, b: bag_distance(a.tokens, b.tokens)))
 
 
 def test_bag_distance_known_values():

@@ -1,7 +1,10 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from covmin.baselines import exhaustive_optimal
 from covmin.config import RunConfig
 from covmin.reduction import Component
 from covmin.search import (
@@ -15,7 +18,13 @@ from covmin.search import (
     update_populations,
 )
 
-from _oracles import bruteforce_min_cover, covers_all, is_redundant_in, random_instance
+from _oracles import (
+    bruteforce_min_cover,
+    coverage_of,
+    covers_all,
+    is_redundant_in,
+    random_instance,
+)
 
 GREEDY_COVER = {
     1: frozenset({"bl1", "bl2"}),
@@ -235,3 +244,43 @@ def test_mocco_matches_bruteforce_on_small_components():
         got = sum(costs[i] for i in result)
         want, _ = bruteforce_min_cover(frozenset(cover), cover, costs, objectives)
         assert got == want
+
+
+@st.composite
+def _component(draw, max_inputs=10):
+    """A component of 1-`max_inputs` inputs, each covering 1-4 of 1-8
+    blocks at a cost of 1-9, and a search seed."""
+    n_blocks = draw(st.integers(1, 8))
+    covers = draw(st.lists(
+        st.frozensets(st.integers(0, n_blocks - 1), min_size=1, max_size=4),
+        min_size=1, max_size=max_inputs))
+    costs = draw(st.lists(st.integers(1, 9), min_size=len(covers),
+                          max_size=len(covers)))
+    cover = dict(enumerate(covers, start=1))
+    return Component(cover=cover), dict(enumerate(costs, start=1)), draw(st.integers(0, 2**16))
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(_component(), st.integers(2, 6), st.integers(0, 20))
+@example((Component(cover={1: frozenset({0})}), {1: 3}, 0), 2, 0)
+@example((GREEDY_COMPONENT, GREEDY_COSTS, 5), 2, 0)
+def test_mocco_covers_every_objective(case, n_size, generations):
+    component, costs, seed = case
+    result = mocco_run(component, costs, RunConfig(n_size=n_size, generations=generations), seed)
+    assert result <= component.inputs
+    assert coverage_of(result, component.cover) == component.objectives
+    exact = exhaustive_optimal(component, costs)
+    assert coverage_of(exact, component.cover) == component.objectives
+    assert sum(costs[i] for i in exact) <= sum(costs[i] for i in result)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(_component(max_inputs=8))
+@example((GREEDY_COMPONENT, GREEDY_COSTS, 11))
+def test_long_mocco_run_and_exhaustive_match_bruteforce(case):
+    component, costs, seed = case
+    optimum, _ = bruteforce_min_cover(component.inputs, component.cover, costs,
+                                      component.objectives)
+    result = mocco_run(component, costs, RunConfig(n_size=8, generations=100), seed)
+    assert sum(costs[i] for i in result) == optimum
+    assert sum(costs[i] for i in exhaustive_optimal(component, costs)) == optimum
