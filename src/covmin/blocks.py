@@ -16,7 +16,7 @@ from .clustering import DistanceMatrix, select_hyperparams
 from .config import RunConfig
 from .dataset import (Dataset, TokenDoc, ValidationError, build_shared_filter,
                       preprocess_output)
-from .distance import action_distance, bag_matrix, output_distance, pairwise_matrix
+from .distance import action_distance, bag_matrix, lev_matrix, pairwise_matrix
 
 Occurrence = tuple[int, int]  # (input id, action position)
 
@@ -87,13 +87,8 @@ def cluster_outputs(dataset: Dataset, config: RunConfig, seed: int) -> dict[Occu
     # of each distinct pair is computed once and expanded to all occurrences.
     index: dict[TokenDoc, int] = {}
     rows = [index.setdefault(docs[k], len(index)) for k in keys]
-    if config.output_metric == "bag":
-        unique = pairwise_matrix(list(index), matrix_of=bag_matrix)
-    else:
-        unique = pairwise_matrix(
-            list(index),
-            lambda a, b: output_distance(a, b, config.output_metric),
-        )
+    matrix_of = bag_matrix if config.output_metric == "bag" else lev_matrix
+    unique = pairwise_matrix(list(index), matrix_of=matrix_of)
     matrix = unique[np.ix_(rows, rows)]
     choice = select_hyperparams(DistanceMatrix(matrix), config.grid(config.output_algo), seed)
     return {k: lab for k, lab in zip(keys, choice.labels)}

@@ -29,9 +29,12 @@ class DistanceMatrix:
         v = self.values
         if v.ndim != 2 or v.shape[0] != v.shape[1]:
             raise ValueError("distance matrix must be square")
-        if not np.allclose(v, v.T):
+        # Exact equality implies np.allclose, so trying it first accepts and
+        # rejects the same matrices; the pipeline's matrices all pass it.
+        if not np.array_equal(v, v.T) and not np.allclose(v, v.T):
             raise ValueError("distance matrix must be symmetric")
-        if not np.allclose(np.diag(v), 0.0):
+        diag = np.diag(v)
+        if diag.any() and not np.allclose(diag, 0.0):
             raise ValueError("distance matrix must have a zero diagonal")
         if (v < 0).any():
             raise ValueError("distances must be non-negative")
@@ -226,7 +229,9 @@ def _grid_points(dm: DistanceMatrix, grid: HyperParamGrid):
     else:
         step = grid.eps_step
         if step is None:
-            step = 1.0 if np.allclose(dm.values, np.round(dm.values)) else 0.5
+            rounded = np.round(dm.values)
+            integral = np.array_equal(dm.values, rounded) or np.allclose(dm.values, rounded)
+            step = 1.0 if integral else 0.5
         lo, hi = grid.eps_range
         eps = lo
         while eps <= hi + 1e-9:

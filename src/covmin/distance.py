@@ -11,7 +11,7 @@ from collections import Counter
 
 import numpy as np
 
-from .dataset import Action, TokenDoc
+from .dataset import Action
 
 
 def normalize(x: float) -> float:
@@ -92,12 +92,72 @@ def bag_matrix(docs) -> np.ndarray:
     return (np.maximum.outer(lengths, lengths) - inter).astype(np.float64)
 
 
-def output_distance(d1: TokenDoc, d2: TokenDoc, metric: str) -> int:
-    if metric == "lev":
-        return levenshtein(d1.tokens, d2.tokens)
-    if metric == "bag":
-        return bag_distance(d1.tokens, d2.tokens)
-    raise ValueError(f"unknown output metric: {metric!r}")
+def lev_matrix(docs) -> np.ndarray:
+    """`levenshtein` of every pair of TokenDocs as one float64 matrix.
+
+    The multi-pattern form of the bit-vector algorithm (Hyyrö, Fredriksson
+    and Navarro, "Increased bit-parallelism for approximate and multiple
+    string matching", ACM JEA 10, 2005). Every document is packed into one
+    Python int, each in its own bit segment, the last document lowest, so
+    the documents after document i are exactly the low `off[i]` bits. Each
+    document is scanned once as the text against all of those segments at
+    once. The addition is carry-blocked at each segment's top bit (`top`),
+    the shifts drop what crosses into a segment's bottom bit (`low`), where
+    the first row's +1 enters instead, and every vector stays within the low
+    `off[i]` bits, so a complement is an XOR with `mask`. The last column's
+    vertical deltas then give d(i, j) = len(i) + popcount(pv & seg_j) -
+    popcount(mv & seg_j). Every step is integer arithmetic, so the matrix
+    equals the pair loop's exactly.
+    """
+    n = len(docs)
+    lengths = np.array([len(doc.tokens) for doc in docs], dtype=np.int64)
+    off = np.cumsum(lengths[::-1])[::-1] - lengths
+    peq: dict = {}
+    low = top = 0
+    for doc, start in zip(docs, off.tolist()):
+        local: dict = {}
+        bit = 1
+        for tok in doc.tokens:
+            local[tok] = local.get(tok, 0) | bit
+            bit <<= 1
+        if doc.tokens:
+            low |= 1 << start
+            top |= bit >> 1 << start
+        for tok, bits in local.items():
+            peq[tok] = peq.get(tok, 0) | bits << start
+    out = np.zeros((n, n), dtype=np.int64)
+    for i, doc in enumerate(docs[:-1]):
+        width = int(off[i])
+        mask = (1 << width) - 1
+        h, lo = top & mask, low & mask
+        not_h, not_lo = mask ^ h, mask ^ lo
+        eqs = {tok: peq[tok] & mask for tok in set(doc.tokens)}
+        pv, mv = mask, 0
+        for tok in doc.tokens:
+            eq = eqs[tok]
+            xv = eq | mv
+            x = eq & pv
+            added = ((x & not_h) + (pv & not_h)) ^ ((x ^ pv) & h)
+            xh = (added ^ pv) | eq
+            ph = mv | ((xh | pv) ^ mask)
+            mh = pv & xh
+            ph = ((ph << 1) | lo) & mask
+            mh = (mh << 1) & not_lo
+            pv = mh | ((xv | ph) ^ mask)
+            mv = ph & xv
+        # Running sums of the vertical deltas, read off at segment bounds.
+        delta = _bits(pv, width) - _bits(mv, width)
+        sums = np.zeros(width + 1, dtype=np.int64)
+        np.cumsum(delta, out=sums[1:])
+        start = off[i + 1:]
+        out[i, i + 1:] = len(doc.tokens) + sums[start + lengths[i + 1:]] - sums[start]
+    return (out + out.T).astype(np.float64)
+
+
+def _bits(x: int, width: int) -> np.ndarray:
+    """The low `width` bits of a non-negative int as int64 0/1, lowest first."""
+    raw = np.frombuffer(x.to_bytes((width + 7) // 8, "little"), dtype=np.uint8)
+    return np.unpackbits(raw, count=width, bitorder="little").astype(np.int64)
 
 
 def url_distance(u1, u2) -> int:

@@ -6,9 +6,12 @@ full enumeration) so it can cross-check the optimized implementations.
 
 from __future__ import annotations
 
+import importlib.util
 import random
+import sys
 from collections import Counter
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 
@@ -19,7 +22,10 @@ from covmin.clustering import (
     gini,
     kmedoids,
 )
+from covmin.distance import bag_distance, levenshtein
 from covmin.reduction import valid_orders_gain
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def random_instance(rng: random.Random, max_inputs: int = 10, max_blocks: int = 12):
@@ -212,6 +218,23 @@ def levenshtein_dp(a, b) -> int:
             ))
         prev = cur
     return prev[-1]
+
+
+def output_distance(d1, d2, metric: str) -> int:
+    """The output distance of two TokenDocs, one pair at a time: the pair
+    loop that `lev_matrix` and `bag_matrix` replace."""
+    pair = {"lev": levenshtein, "bag": bag_distance}[metric]
+    return pair(d1.tokens, d2.tokens)
+
+
+def perfbench_run():
+    """`perfbench/run.py` as a module, for its workloads and result bytes."""
+    spec = importlib.util.spec_from_file_location("perfbench_run",
+                                                  ROOT / "perfbench" / "run.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up here
+    spec.loader.exec_module(module)
+    return module
 
 
 def bag_distance_by_differences(a, b) -> int:

@@ -16,8 +16,10 @@ from covmin.blocks import (
 )
 from covmin.config import RunConfig
 from covmin.dataset import Action, Dataset, InputRecord, load_dataset, split_url
-from covmin.distance import output_distance, pairwise_matrix
+from covmin.distance import pairwise_matrix
 from covmin.synthetic import make_synthetic_dataset
+
+from _oracles import output_distance, perfbench_run
 
 CONFIG = RunConfig()
 
@@ -168,3 +170,26 @@ def test_cluster_outputs_expands_distinct_document_matrix(monkeypatch):
             )
             assert np.array_equal(selected[0], full)
             assert len(matrix_items[0]) == len(set(docs.values())) < len(docs)
+
+
+def test_cluster_outputs_lev_matrix_equals_pair_loop_on_long_pages(monkeypatch, tmp_path):
+    selected = []
+    real_select = blocks.select_hyperparams
+
+    def select(dm, grid, seed):
+        selected.append(dm.values)
+        return real_select(dm, grid, seed)
+
+    monkeypatch.setattr(blocks, "select_hyperparams", select)
+    bench_run = perfbench_run()
+    workload = bench_run.WORKLOADS["long-pages"]
+    path = tmp_path / "long-pages.json"
+    bench_run.generate(workload.spec, 1).write(path)
+    dataset, config = load_dataset(path), RunConfig(**workload.config)
+    assert config.output_metric == "lev"
+    cluster_outputs(dataset, config, seed=1)
+    docs = preprocess_all(dataset, config)
+    index = {}
+    rows = [index.setdefault(docs[k], len(index)) for k in sorted(docs)]
+    unique = pairwise_matrix(list(index), lambda a, b: output_distance(a, b, "lev"))
+    assert np.array_equal(selected[0], unique[np.ix_(rows, rows)])

@@ -46,6 +46,32 @@ def test_distance_matrix_validation():
         _dm([[0, -1], [-1, 0]])
 
 
+def test_distance_matrix_validation_tolerance():
+    # Within np.allclose's tolerance: accepted although not exact.
+    _dm([[0, 1], [1 + 1e-12, 0]])
+    _dm([[1e-12, 1], [1, 0]])
+    for rows, message in (
+        ([[0, 1], [1 + 1e-3, 0]], "symmetric"),
+        ([[0, np.nan], [np.nan, 0]], "symmetric"),
+        ([[0, 1], [np.nan, 0]], "symmetric"),
+        ([[1e-3, 1], [1, 0]], "zero diagonal"),
+        ([[np.inf, 1], [1, 0]], "zero diagonal"),
+        ([[0, -1], [-1, 0]], "non-negative"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            _dm(rows)
+
+
+def test_eps_step_follows_integrality_within_tolerance():
+    grid = HyperParamGrid("dbscan", eps_range=(1.0, 2.0), min_neighbors_range=(1, 1))
+    for rows, eps in (
+        ([[0, 1], [1, 0]], [1.0, 2.0]),
+        ([[0, 1 + 1e-12], [1 + 1e-12, 0]], [1.0, 2.0]),
+        ([[0, 1.5], [1.5, 0]], [1.0, 1.5, 2.0]),
+    ):
+        assert [p["eps"] for p in _grid_points(_dm(rows), grid)] == eps
+
+
 def test_kmedoids_recovers_two_groups():
     labels = kmedoids(TWO_GROUPS, k=2, seed=3)
     assert labels[0] == labels[1]

@@ -10,9 +10,9 @@ from covmin.distance import (
     action_distance,
     bag_distance,
     bag_matrix,
+    lev_matrix,
     levenshtein,
     normalize,
-    output_distance,
     pairwise_matrix,
     param_distance,
     param_value_distance,
@@ -20,7 +20,7 @@ from covmin.distance import (
     url_distance,
 )
 
-from _oracles import bag_distance_by_differences, levenshtein_dp
+from _oracles import bag_distance_by_differences, levenshtein_dp, output_distance
 
 
 def test_normalize_maps_to_unit_interval():
@@ -126,14 +126,49 @@ def test_bag_is_levenshtein_lower_bound_random_sweep():
         assert bag_distance(a, b) <= levenshtein(a, b)
 
 
-def test_output_distance_dispatch():
+def test_output_distance_oracle_dispatch():
     d1 = TokenDoc(tokens=("add", "user", "ok"))
     d2 = TokenDoc(tokens=("add", "ok", "user"))
     assert output_distance(d1, d2, "lev") == 2
     assert output_distance(d1, d2, "bag") == 0
-    for metric in ("cosine", "levenshtein"):
-        with pytest.raises(ValueError):
-            output_distance(d1, d2, metric)
+    docs = [d1, d2, TokenDoc(()), TokenDoc(("ok",) * 4)]
+    for metric, matrix_of in (("lev", lev_matrix), ("bag", bag_matrix)):
+        loop = pairwise_matrix(docs, lambda a, b: output_distance(a, b, metric))
+        assert np.array_equal(pairwise_matrix(docs, matrix_of=matrix_of), loop)
+
+
+@st.composite
+def _packed_documents(draw):
+    """0-8 documents over a 1-3 letter alphabet, each 0-70 tokens long, so
+    tokens repeat heavily, segments are longer or shorter than the text,
+    the packed width crosses 64 bits and documents repeat."""
+    token = st.sampled_from("abc"[:draw(st.integers(1, 3))])
+    length = st.integers(0, draw(st.sampled_from((1, 4, 70))))
+    docs = draw(st.lists(length.flatmap(
+        lambda n: st.lists(token, min_size=n, max_size=n)), max_size=8))
+    if docs and draw(st.booleans()):
+        docs.append(draw(st.sampled_from(docs)))
+    return [TokenDoc(tuple(doc)) for doc in docs]
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(_packed_documents())
+@example([])
+@example([TokenDoc(("a",) * 3)])
+@example([TokenDoc(())])
+@example([TokenDoc(()), TokenDoc(()), TokenDoc(())])
+@example([TokenDoc(("a",)), TokenDoc(()), TokenDoc(("b",)), TokenDoc(("a",))])
+@example([TokenDoc(("a",)), TokenDoc(("ab",) * 40 + ("a",) * 30), TokenDoc(())])
+@example([TokenDoc(("a", "b") * 35), TokenDoc(("b",) * 65), TokenDoc(("a", "b") * 35)])
+def test_lev_matrix_matches_dp(docs):
+    m = lev_matrix(docs)
+    n = len(docs)
+    assert m.dtype == np.float64 and m.shape == (n, n)
+    want = np.array([[levenshtein_dp(a.tokens, b.tokens) for b in docs]
+                     for a in docs], dtype=np.float64).reshape(n, n)
+    assert np.array_equal(m, want)
+    assert np.array_equal(m, m.T)
+    assert not np.diag(m).any()
 
 
 def test_url_distance_worked_example():

@@ -1,7 +1,5 @@
-import importlib.util
 import logging
 import random
-import sys
 from pathlib import Path
 
 import pytest
@@ -23,7 +21,7 @@ from covmin.harness import (
 from covmin.reduction import reduce_problem
 from covmin.synthetic import make_synthetic_dataset, planted_optimum_cost, write_synthetic_dataset
 
-from _oracles import bruteforce_min_cover, coverage_of, random_instance
+from _oracles import bruteforce_min_cover, coverage_of, perfbench_run, random_instance
 
 CONFIG = RunConfig()
 ROOT = Path(__file__).resolve().parents[1]
@@ -65,27 +63,29 @@ def test_run_pipeline_byte_identical_per_seed(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
-def _perfbench_run():
-    """`perfbench/run.py` as a module, for its workloads and result bytes."""
-    spec = importlib.util.spec_from_file_location("perfbench_run",
-                                                  ROOT / "perfbench" / "run.py")
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # dataclasses look their module up here
-    spec.loader.exec_module(module)
-    return module
+def _workload_result_bytes(name, tmp_path) -> bytes:
+    """`run_pipeline`'s result bytes on a benchmark workload's seed-1 corpus."""
+    bench_run = perfbench_run()
+    workload = bench_run.WORKLOADS[name]
+    path = tmp_path / f"{name}.json"
+    bench_run.generate(workload.spec, 1).write(path)
+    result = run_pipeline(load_dataset(path), RunConfig(**workload.config), 1)
+    return bench_run.result_bytes(result)
 
 
 def test_deep_overlap_result_bytes_match_golden_file(tmp_path):
     # Pins the search on the benchmark's cycle components, which are larger
     # than the 4-cycles of data/synthetic.json. Regenerate only in a change
     # that means to alter results, and say so in CHANGES.md.
-    bench_run = _perfbench_run()
-    workload = bench_run.WORKLOADS["deep-overlap"]
-    path = tmp_path / "deep-overlap.json"
-    bench_run.generate(workload.spec, 1).write(path)
-    result = run_pipeline(load_dataset(path), RunConfig(**workload.config), 1)
     golden = ROOT / "tests" / "data" / "minimize_deep_overlap_seed1.json"
-    assert bench_run.result_bytes(result) == golden.read_bytes()
+    assert _workload_result_bytes("deep-overlap", tmp_path) == golden.read_bytes()
+
+
+def test_long_pages_result_bytes_match_golden_file(tmp_path):
+    # Pins the word-Levenshtein output path on long pages with shared
+    # boilerplate; regenerate under the same rule as deep-overlap's file.
+    golden = ROOT / "tests" / "data" / "minimize_long_pages_seed1.json"
+    assert _workload_result_bytes("long-pages", tmp_path) == golden.read_bytes()
 
 
 def test_solve_exact_is_optimal_and_mocco_covers():
