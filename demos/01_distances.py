@@ -6,8 +6,8 @@ Run: python3 demos/01_distances.py
 from covmin.dataset import Action, preprocess_output
 from covmin.distance import (
     action_distance,
-    bag_distance,
-    levenshtein,
+    bag_matrix,
+    lev_matrix,
     normalize,
     param_distance,
     url_distance,
@@ -19,8 +19,9 @@ doc1 = preprocess_output("<h1>Job created</h1> The build is running")
 doc2 = preprocess_output("<h1>Job deleted</h1> The build has stopped")
 print("tokens 1:", doc1.tokens)
 print("tokens 2:", doc2.tokens)
-print("word Levenshtein:", levenshtein(doc1.tokens, doc2.tokens))
-print("bag lower bound: ", bag_distance(doc1.tokens, doc2.tokens))
+# Output distances are taken as whole matrices over the distinct documents.
+print("word Levenshtein:", int(lev_matrix([doc1, doc2])[0, 1]))
+print("bag lower bound: ", int(bag_matrix([doc1, doc2])[0, 1]))
 
 # URLs are compared as word sequences: everything past the longest common
 # prefix counts on both sides.

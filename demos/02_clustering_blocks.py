@@ -43,4 +43,4 @@ print(f"input {some_input} covers:",
       sorted(bl.as_str() for bl in coverage.cover[some_input]))
 bl = sorted(coverage.cover[some_input])[0]
 print(f"block {bl.as_str()} is covered by inputs:",
-      sorted(coverage.inputs_of[bl]))
+      sorted(i for i, blocks in coverage.cover.items() if bl in blocks))

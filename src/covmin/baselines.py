@@ -6,9 +6,9 @@ from __future__ import annotations
 
 import random
 
-from .blocks import cluster_actions, partition_by_method
+from .blocks import cluster_actions
 from .config import RunConfig
-from .dataset import Dataset
+from .dataset import Action, Dataset
 from .reduction import Component, min_cover
 
 EXHAUSTIVE_INPUT_LIMIT = 20
@@ -53,17 +53,16 @@ def art_select(dataset: Dataset, config: RunConfig, seed: int = 0) -> frozenset:
     """Cluster all action occurrences directly (no output-clustering stage)
     and pick one covering input per cluster, uniformly at random."""
     rng = random.Random(seed)
-    occurrences = [
-        (rec.id, pos) for rec in dataset.inputs for pos in range(len(rec.actions))
-    ]
+    parts: dict[str, list[tuple[int, Action]]] = {}
+    for rec in dataset.inputs:
+        for action in rec.actions:
+            parts.setdefault(action.method, []).append((rec.id, action))
     selected: set[int] = set()
-    for part in partition_by_method(dataset, occurrences):
-        if not part:
-            continue
-        labels = cluster_actions(dataset, part, config, seed)
+    for _, part in sorted(parts.items()):
+        ids, actions = zip(*part)
         clusters: dict[int, list[int]] = {}
-        for occ, lab in zip(part, labels):
-            clusters.setdefault(lab, []).append(occ[0])
+        for input_id, lab in zip(ids, cluster_actions(list(actions), config, seed)):
+            clusters.setdefault(lab, []).append(input_id)
         for lab in sorted(clusters):
             covering = sorted(set(clusters[lab]))
             selected.add(rng.choice(covering))

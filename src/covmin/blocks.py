@@ -1,5 +1,6 @@
-"""Double-clustering pipeline: output classes, action sets, the request
-partition, action subclasses, and the resulting coverage map.
+"""Double-clustering pipeline: output classes, the (output class, request
+method) parts of the action occurrences, their action subclasses, and the
+resulting coverage map.
 
 Action occurrences (input id, position) are clustered rather than
 deduplicated actions; identical actions sit at distance zero and end up in
@@ -9,20 +10,20 @@ one subclass anyway.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .clustering import DistanceMatrix, select_hyperparams
 from .config import RunConfig
-from .dataset import (Dataset, TokenDoc, ValidationError, build_shared_filter,
-                      preprocess_output)
+from .dataset import (Action, Dataset, TokenDoc, ValidationError,
+                      build_shared_filter, preprocess_output)
 from .distance import action_distance, bag_matrix, lev_matrix, pairwise_matrix
 
 Occurrence = tuple[int, int]  # (input id, action position)
 
 
-@dataclass(frozen=True, order=True)
-class BlockId:
+class BlockId(NamedTuple):
     output_class: int
     method: str
     subclass_index: int
@@ -39,27 +40,12 @@ class BlockId:
 @dataclass(frozen=True)
 class CoverageMap:
     cover: dict[int, frozenset[BlockId]]
-    inputs_of: dict[BlockId, frozenset[int]]
-
-    @classmethod
-    def from_cover(cls, cover: dict[int, frozenset[BlockId]]) -> "CoverageMap":
-        inv: dict[BlockId, set[int]] = {}
-        for input_id, blocks in cover.items():
-            for bl in blocks:
-                inv.setdefault(bl, set()).add(input_id)
-        return cls(
-            cover={i: frozenset(bls) for i, bls in cover.items()},
-            inputs_of={bl: frozenset(ids) for bl, ids in inv.items()},
-        )
 
     def all_blocks(self) -> frozenset[BlockId]:
-        return frozenset(self.inputs_of)
+        return frozenset().union(*self.cover.values())
 
     def cover_of_set(self, ids) -> frozenset[BlockId]:
-        out: set[BlockId] = set()
-        for i in ids:
-            out |= self.cover[i]
-        return frozenset(out)
+        return frozenset().union(*(self.cover[i] for i in ids))
 
 
 def preprocess_all(dataset: Dataset, config: RunConfig):
@@ -94,49 +80,30 @@ def cluster_outputs(dataset: Dataset, config: RunConfig, seed: int) -> dict[Occu
     return {k: lab for k, lab in zip(keys, choice.labels)}
 
 
-def build_action_sets(assignments: dict[Occurrence, int]) -> dict[int, list[Occurrence]]:
-    """Group action occurrences by the output class of their output."""
-    sets: dict[int, list[Occurrence]] = {}
-    for occ in sorted(assignments):
-        sets.setdefault(assignments[occ], []).append(occ)
-    return sets
-
-
-def partition_by_method(dataset: Dataset, occurrences) -> tuple[list[Occurrence], list[Occurrence]]:
-    by_id = dataset.by_id()
-    get_part = [occ for occ in occurrences if by_id[occ[0]].actions[occ[1]].method == "GET"]
-    post_part = [occ for occ in occurrences if by_id[occ[0]].actions[occ[1]].method == "POST"]
-    return get_part, post_part
-
-
-def cluster_actions(dataset: Dataset, part, config: RunConfig, seed: int) -> list[int]:
-    """Subclass labels for one method part of one action set."""
-    if not part:
+def cluster_actions(actions: list[Action], config: RunConfig, seed: int) -> list[int]:
+    """Subclass labels for the actions of one (output class, method) part."""
+    if not actions:
         raise ValueError("cannot cluster an empty action-set part")
-    if len(part) == 1:
+    if len(actions) == 1:
         return [0]
-    by_id = dataset.by_id()
-    actions = [by_id[i].actions[pos] for i, pos in part]
     matrix = pairwise_matrix(actions, action_distance)
     if not matrix.any():
-        return [0] * len(part)
+        return [0] * len(actions)
     choice = select_hyperparams(DistanceMatrix(matrix), config.grid(config.action_algo), seed)
     return choice.labels
 
 
 def build_coverage(dataset: Dataset, config: RunConfig, seed: int) -> CoverageMap:
-    """Run action clustering over every (output class, method) part and fold
-    the subclass of each occurrence into a bidirectional coverage map."""
-    assignments = cluster_outputs(dataset, config, seed)
-    block_of: dict[Occurrence, BlockId] = {}
-    for out_cl, occurrences in sorted(build_action_sets(assignments).items()):
-        for method, part in zip(("GET", "POST"), partition_by_method(dataset, occurrences)):
-            if not part:
-                continue
-            labels = cluster_actions(dataset, part, config, seed)
-            for occ, lab in zip(part, labels):
-                block_of[occ] = BlockId(out_cl, method, lab)
+    """Group the action occurrences by (output class, method), cluster each
+    part's actions, and give every input the blocks of its occurrences."""
+    by_id = dataset.by_id()
+    parts: dict[tuple[int, str], list[tuple[int, Action]]] = {}
+    for (input_id, pos), out_cl in sorted(cluster_outputs(dataset, config, seed).items()):
+        action = by_id[input_id].actions[pos]
+        parts.setdefault((out_cl, action.method), []).append((input_id, action))
     cover: dict[int, set[BlockId]] = {rec.id: set() for rec in dataset.inputs}
-    for (input_id, _), bl in block_of.items():
-        cover[input_id].add(bl)
-    return CoverageMap.from_cover({i: frozenset(b) for i, b in cover.items()})
+    for (out_cl, method), part in sorted(parts.items()):
+        ids, actions = zip(*part)
+        for input_id, lab in zip(ids, cluster_actions(list(actions), config, seed)):
+            cover[input_id].add(BlockId(out_cl, method, lab))
+    return CoverageMap({i: frozenset(b) for i, b in cover.items()})

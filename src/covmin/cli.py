@@ -65,7 +65,7 @@ def coverage_to_dict(coverage: CoverageMap) -> dict:
                 "method": bl.method,
                 "subclass_index": bl.subclass_index,
             }
-            for bl in sorted(coverage.inputs_of)
+            for bl in sorted(coverage.all_blocks())
         ],
         "cover": {
             str(i): sorted(bl.as_str() for bl in blocks)
@@ -83,7 +83,7 @@ def coverage_from_dict(obj: dict) -> CoverageMap:
         }
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed coverage file: {exc!r}") from exc
-    return CoverageMap.from_cover(cover)
+    return CoverageMap(cover)
 
 
 def cmd_cluster(args) -> int:

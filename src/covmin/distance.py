@@ -28,48 +28,50 @@ def levenshtein(a, b) -> int:
     Myers' (1999) bit-vector algorithm in Hyyrö's (2003) Levenshtein form:
     one column of the DP table is held as vertical +1/-1 delta bit vectors
     over the shorter sequence, one Python int each, so any length works. The
-    longer sequence is scanned once; `mask` trims every complement and shift
-    back to the column's length.
+    longer sequence is scanned once by `_lev_scan` with the shorter one as
+    its only segment; the last row is len(a) plus the column's deltas.
     """
     if len(a) < len(b):
         a, b = b, a
-    m = len(b)
-    if not m:
-        return len(a)
     peq: dict = {}
     bit = 1
     for x in b:
         peq[x] = peq.get(x, 0) | bit
         bit <<= 1
     mask = bit - 1
-    last = 1 << (m - 1)
-    pv, mv, score = mask, 0, m
-    for x in a:
-        eq = peq.get(x, 0)
+    pv, mv = _lev_scan(a, peq, mask, bit >> 1, mask & 1)
+    return len(a) + pv.bit_count() - mv.bit_count()
+
+
+def _lev_scan(text, eqs, mask: int, top: int, low: int) -> tuple[int, int]:
+    """Hyyrö's Levenshtein column step over every item of `text`, against
+    patterns packed into bit segments within `mask`: `eqs` maps an item to
+    its match bits, `top` and `low` hold each segment's top and bottom bit.
+    The addition is carry-blocked at the top bits, the shifts drop what
+    crosses into a bottom bit, where the first row's +1 enters instead, and
+    every vector stays within `mask`, so a complement is an XOR with it.
+    Returns the last column's vertical +1 and -1 delta vectors."""
+    not_top, not_low = mask ^ top, mask ^ low
+    pv, mv = mask, 0
+    for x in text:
+        eq = eqs.get(x, 0)
         xv = eq | mv
-        xh = (((eq & pv) + pv) ^ pv) | eq
-        ph = mv | (~(xh | pv) & mask)
+        y = eq & pv
+        added = ((y & not_top) + (pv & not_top)) ^ ((y ^ pv) & top)
+        xh = (added ^ pv) | eq
+        ph = mv | ((xh | pv) ^ mask)
         mh = pv & xh
-        if ph & last:
-            score += 1
-        elif mh & last:
-            score -= 1
-        # The first row is 0, 1, 2, ...: a +1 horizontal delta enters at bit 0.
-        ph = ((ph << 1) | 1) & mask
-        mh = (mh << 1) & mask
-        pv = mh | (~(xv | ph) & mask)
+        ph = ((ph << 1) | low) & mask
+        mh = (mh << 1) & not_low
+        pv = mh | ((xv | ph) ^ mask)
         mv = ph & xv
-    return score
-
-
-def bag_distance(a, b) -> int:
-    """Multiset lower bound of the edit distance, computed in linear time:
-    the longer length minus the size of the multiset intersection."""
-    return max(len(a), len(b)) - sum((Counter(a) & Counter(b)).values())
+    return pv, mv
 
 
 def bag_matrix(docs) -> np.ndarray:
-    """`bag_distance` of every pair of TokenDocs as one float64 matrix.
+    """Bag distance of every pair of TokenDocs as one float64 matrix: the
+    longer length minus the size of the multiset intersection, a lower
+    bound of the edit distance.
 
     Each token's postings (the documents holding it, with its count in each)
     add min(count_i, count_j) to the intersection of every pair among them,
@@ -100,14 +102,11 @@ def lev_matrix(docs) -> np.ndarray:
     string matching", ACM JEA 10, 2005). Every document is packed into one
     Python int, each in its own bit segment, the last document lowest, so
     the documents after document i are exactly the low `off[i]` bits. Each
-    document is scanned once as the text against all of those segments at
-    once. The addition is carry-blocked at each segment's top bit (`top`),
-    the shifts drop what crosses into a segment's bottom bit (`low`), where
-    the first row's +1 enters instead, and every vector stays within the low
-    `off[i]` bits, so a complement is an XOR with `mask`. The last column's
-    vertical deltas then give d(i, j) = len(i) + popcount(pv & seg_j) -
-    popcount(mv & seg_j). Every step is integer arithmetic, so the matrix
-    equals the pair loop's exactly.
+    document is scanned once by `_lev_scan` as the text against all of
+    those segments at once. The last column's vertical deltas then give
+    d(i, j) = len(i) + popcount(pv & seg_j) - popcount(mv & seg_j). Every
+    step is integer arithmetic, so the matrix equals the pair loop's
+    exactly.
     """
     n = len(docs)
     lengths = np.array([len(doc.tokens) for doc in docs], dtype=np.int64)
@@ -129,22 +128,8 @@ def lev_matrix(docs) -> np.ndarray:
     for i, doc in enumerate(docs[:-1]):
         width = int(off[i])
         mask = (1 << width) - 1
-        h, lo = top & mask, low & mask
-        not_h, not_lo = mask ^ h, mask ^ lo
         eqs = {tok: peq[tok] & mask for tok in set(doc.tokens)}
-        pv, mv = mask, 0
-        for tok in doc.tokens:
-            eq = eqs[tok]
-            xv = eq | mv
-            x = eq & pv
-            added = ((x & not_h) + (pv & not_h)) ^ ((x ^ pv) & h)
-            xh = (added ^ pv) | eq
-            ph = mv | ((xh | pv) ^ mask)
-            mh = pv & xh
-            ph = ((ph << 1) | lo) & mask
-            mh = (mh << 1) & not_lo
-            pv = mh | ((xv | ph) ^ mask)
-            mv = ph & xv
+        pv, mv = _lev_scan(doc.tokens, eqs, mask, top & mask, low & mask)
         # Running sums of the vertical deltas, read off at segment bounds.
         delta = _bits(pv, width) - _bits(mv, width)
         sums = np.zeros(width + 1, dtype=np.int64)

@@ -22,7 +22,9 @@ from covmin.clustering import (
     gini,
     kmedoids,
 )
-from covmin.distance import bag_distance, levenshtein
+from covmin.config import RunConfig
+from covmin.dataset import load_dataset
+from covmin.distance import levenshtein
 from covmin.reduction import valid_orders_gain
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -235,6 +237,22 @@ def perfbench_run():
     sys.modules[spec.name] = module  # dataclasses look their module up here
     spec.loader.exec_module(module)
     return module
+
+
+def workload_corpus(name: str, seed: int, directory):
+    """A benchmark workload's corpus at `seed`, written under `directory` and
+    loaded back, and the workload's run configuration."""
+    bench_run = perfbench_run()
+    workload = bench_run.WORKLOADS[name]
+    path = Path(directory) / f"{name}-{seed}.json"
+    bench_run.generate(workload.spec, seed).write(path)
+    return load_dataset(path), RunConfig(**workload.config)
+
+
+def bag_distance(a, b) -> int:
+    """Multiset lower bound of the edit distance, one pair at a time: the
+    longer length minus the size of the multiset intersection."""
+    return max(len(a), len(b)) - sum((Counter(a) & Counter(b)).values())
 
 
 def bag_distance_by_differences(a, b) -> int:

@@ -10,7 +10,8 @@ import pytest
 from covmin.baselines import a12_effect_size, art_select, exhaustive_optimal, greedy_cover, random_select
 from covmin.blocks import build_coverage
 from covmin.config import RunConfig
-from covmin.distance import bag_distance, levenshtein, param_distance, params_match, url_distance
+from covmin.dataset import TokenDoc
+from covmin.distance import bag_matrix, lev_matrix, levenshtein, param_distance, params_match, url_distance
 from covmin.harness import run_pipeline
 from covmin.reduction import Component, reduce_problem, split_components, valid_orders_gain
 from covmin.search import ComponentProblem, crossover, dominates, mocco_run
@@ -278,10 +279,10 @@ def test_criterion_5_end_to_end_determinism(tmp_path):
 def test_criterion_6_distance_properties():
     def run():
         rng = random.Random(61)
-        for _ in range(10_000):
-            a = "".join(rng.choices("abcde", k=rng.randrange(0, 10)))
-            b = "".join(rng.choices("abcde", k=rng.randrange(0, 10)))
-            assert bag_distance(a, b) <= levenshtein(a, b)
+        for _ in range(250):
+            docs = [TokenDoc(tuple(rng.choices("abcde", k=rng.randrange(0, 10))))
+                    for _ in range(rng.randrange(1, 16))]
+            assert (bag_matrix(docs) <= lev_matrix(docs)).all()
 
         rng = random.Random(62)
         urls = lambda: tuple(rng.choices(["u", "v", "w"], k=rng.randrange(1, 6)))

@@ -1,4 +1,6 @@
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -16,7 +18,9 @@ from covmin.config import RunConfig
 from covmin.reduction import Component
 from covmin.synthetic import make_synthetic_dataset
 
-from _oracles import bruteforce_min_cover, coverage_of, random_instance
+from _oracles import bruteforce_min_cover, coverage_of, random_instance, workload_corpus
+
+ROOT = Path(__file__).resolve().parents[1]
 
 GREEDY_COVER = {
     1: frozenset({"bl1", "bl2"}),
@@ -71,6 +75,15 @@ def test_art_select_reproducible_and_covers_clusters():
     assert a
     coverage = build_coverage(ds, config, seed=1)
     assert coverage.cover_of_set(a) != coverage.all_blocks()
+
+
+def test_art_select_matches_golden_file_on_many_pages(tmp_path):
+    # Pins art's per-method action clustering on GET and POST parts with
+    # typed parameters; regenerate only in a change that means to alter
+    # results, and say so in CHANGES.md.
+    dataset, config = workload_corpus("many-pages", 1, tmp_path)
+    golden = json.loads((ROOT / "tests" / "data" / "art_many_pages_seed1.json").read_text())
+    assert sorted(art_select(dataset, config, seed=1)) == golden
 
 
 def test_exhaustive_optimal_greedy_instance():

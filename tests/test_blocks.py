@@ -7,11 +7,9 @@ from covmin import blocks
 from covmin.blocks import (
     BlockId,
     CoverageMap,
-    build_action_sets,
     build_coverage,
     cluster_actions,
     cluster_outputs,
-    partition_by_method,
     preprocess_all,
 )
 from covmin.config import RunConfig
@@ -19,7 +17,7 @@ from covmin.dataset import Action, Dataset, InputRecord, load_dataset, split_url
 from covmin.distance import pairwise_matrix
 from covmin.synthetic import make_synthetic_dataset
 
-from _oracles import output_distance, perfbench_run
+from _oracles import output_distance, workload_corpus
 
 CONFIG = RunConfig()
 
@@ -53,15 +51,22 @@ def test_block_id_string_roundtrip():
     bl = BlockId(3, "POST", 1)
     assert BlockId.from_str(bl.as_str()) == bl
     assert bl.as_str() == "3:POST:1"
+    # `reduction.min_cover` breaks ties by str(block), so the repr is part of
+    # the result bytes; hashing and ordering are those of the field tuple.
+    assert repr(bl) == "BlockId(output_class=3, method='POST', subclass_index=1)"
+    assert hash(bl) == hash((3, "POST", 1))
+    assert sorted([BlockId(1, "GET", 0), bl, BlockId(3, "GET", 2)]) == \
+        [BlockId(1, "GET", 0), BlockId(3, "GET", 2), bl]
 
 
-def test_coverage_map_inversion():
+def test_coverage_map_is_its_cover():
     b1, b2 = BlockId(0, "GET", 0), BlockId(1, "GET", 0)
-    cm = CoverageMap.from_cover({1: frozenset({b1, b2}), 2: frozenset({b2})})
-    assert cm.inputs_of[b1] == frozenset({1})
-    assert cm.inputs_of[b2] == frozenset({1, 2})
+    cm = CoverageMap({1: frozenset({b1, b2}), 2: frozenset({b2}), 3: frozenset()})
     assert cm.all_blocks() == frozenset({b1, b2})
     assert cm.cover_of_set({2}) == frozenset({b2})
+    assert cm.cover_of_set({2, 3}) == frozenset({b2})
+    assert cm.cover_of_set(()) == frozenset()
+    assert CoverageMap({}).all_blocks() == frozenset()
 
 
 def test_cluster_outputs_separates_distinct_pages():
@@ -73,53 +78,53 @@ def test_cluster_outputs_separates_distinct_pages():
     assert assignments[(3, 0)] == jobs_cls
 
 
-def test_build_action_sets_groups_by_class():
-    assignments = {(1, 0): 0, (1, 1): 1, (2, 0): 0}
-    sets = build_action_sets(assignments)
-    assert sets == {0: [(1, 0), (2, 0)], 1: [(1, 1)]}
-
-
-def test_partition_by_method():
-    ds = _two_page_dataset()
-    get_part, post_part = partition_by_method(ds, [(1, 0), (1, 1), (2, 0)])
-    assert get_part == [(1, 0), (1, 1)]
-    assert post_part == [(2, 0)]
-
-
 def test_cluster_actions_identical_actions_single_subclass():
-    ds = _two_page_dataset()
-    labels = cluster_actions(ds, [(1, 0), (2, 0)], CONFIG, seed=0)
-    assert labels == [0, 0]
-    assert cluster_actions(ds, [(1, 1)], CONFIG, seed=0) == [0]
+    by_id = _two_page_dataset().by_id()
+    login_get, login_post = by_id[1].actions[0], by_id[2].actions[0]
+    assert cluster_actions([login_get, login_get], CONFIG, seed=0) == [0, 0]
+    assert cluster_actions([login_post], CONFIG, seed=0) == [0]
 
 
 def test_cluster_actions_separates_distant_urls():
-    ds = Dataset(inputs=(
-        _record(1, [("GET", "http://h/a/b/c/d", LOGIN_PAGE)]),
-        _record(2, [("GET", "http://h/a/b/c/d", LOGIN_PAGE)]),
-        _record(3, [("GET", "http://h/x/y/z/w", LOGIN_PAGE)]),
-        _record(4, [("GET", "http://h/x/y/z/w", LOGIN_PAGE)]),
-    ))
+    near = Action(method="GET", url_words=split_url("http://h/a/b/c/d"))
+    far = Action(method="GET", url_words=split_url("http://h/x/y/z/w"))
     config = RunConfig(eps_range=(1.0, 10.0))
-    labels = cluster_actions(ds, [(1, 0), (2, 0), (3, 0), (4, 0)], config, seed=0)
+    labels = cluster_actions([near, near, far, far], config, seed=0)
     assert labels[0] == labels[1]
     assert labels[2] == labels[3]
     assert labels[0] != labels[2]
 
 
-def test_build_coverage_two_pages():
+def test_build_coverage_two_pages(monkeypatch):
     ds = _two_page_dataset()
+    by_id = ds.by_id()
+    parts = []
+    real_cluster_actions = blocks.cluster_actions
+
+    def record(actions, config, seed):
+        parts.append(actions)
+        return real_cluster_actions(actions, config, seed)
+
+    monkeypatch.setattr(blocks, "cluster_actions", record)
     cm = build_coverage(ds, CONFIG, seed=0)
-    # login GET, login POST, jobs GET.
+    assignments = cluster_outputs(ds, CONFIG, seed=0)
+    login, jobs = assignments[(1, 0)], assignments[(1, 1)]
+    # One part per (output class, method), clustered in sorted key order
+    # (GET before POST), each holding its occurrences in (input, position)
+    # order.
+    want_parts = sorted([
+        ((login, "GET"), [by_id[1].actions[0]]),
+        ((login, "POST"), [by_id[2].actions[0]]),
+        ((jobs, "GET"), [by_id[1].actions[1], by_id[3].actions[0]]),
+    ])
+    assert parts == [actions for _, actions in want_parts]
+    # login GET, login POST, jobs GET; inputs 1 and 3 share the jobs GET block.
+    assert cm.cover == {
+        1: frozenset({BlockId(login, "GET", 0), BlockId(jobs, "GET", 0)}),
+        2: frozenset({BlockId(login, "POST", 0)}),
+        3: frozenset({BlockId(jobs, "GET", 0)}),
+    }
     assert len(cm.all_blocks()) == 3
-    methods = sorted(bl.method for bl in cm.all_blocks())
-    assert methods == ["GET", "GET", "POST"]
-    assert len(cm.cover[1]) == 2
-    assert len(cm.cover[2]) == 1
-    assert len(cm.cover[3]) == 1
-    # Inputs 1 and 3 share the jobs GET block.
-    assert cm.cover[3] < cm.cover[1] | cm.cover[3]
-    assert next(iter(cm.cover[3])) in cm.cover[1]
 
 
 def test_build_coverage_on_synthetic_dataset_recovers_planted_blocks():
@@ -181,11 +186,7 @@ def test_cluster_outputs_lev_matrix_equals_pair_loop_on_long_pages(monkeypatch, 
         return real_select(dm, grid, seed)
 
     monkeypatch.setattr(blocks, "select_hyperparams", select)
-    bench_run = perfbench_run()
-    workload = bench_run.WORKLOADS["long-pages"]
-    path = tmp_path / "long-pages.json"
-    bench_run.generate(workload.spec, 1).write(path)
-    dataset, config = load_dataset(path), RunConfig(**workload.config)
+    dataset, config = workload_corpus("long-pages", 1, tmp_path)
     assert config.output_metric == "lev"
     cluster_outputs(dataset, config, seed=1)
     docs = preprocess_all(dataset, config)

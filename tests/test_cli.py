@@ -1,13 +1,19 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from covmin import baselines
-from covmin.cli import main
+from covmin.blocks import build_coverage
+from covmin.cli import coverage_to_dict, main
 from covmin.config import RunConfig
 from covmin.dataset import ValidationError
 from covmin.synthetic import write_synthetic_dataset
+
+from _oracles import workload_corpus
 
 ROOT = Path(__file__).resolve().parents[1]
 BUNDLED = str(ROOT / "data" / "synthetic.json")
@@ -112,6 +118,20 @@ def test_minimize_deterministic_output_file(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
     result = json.loads(out1.read_text())
     assert result["total_cost"] == 151
+
+
+def test_minimize_bytes_independent_of_hash_seed():
+    # Blocks hash through their method string, whose hash Python salts per
+    # process; the result must not depend on set iteration order.
+    outputs = []
+    for hash_seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=str(ROOT / "src"))
+        done = subprocess.run(
+            [sys.executable, "-m", "covmin.cli", "minimize", "--dataset", BUNDLED],
+            cwd=ROOT, env=env, capture_output=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        outputs.append(done.stdout)
+    assert outputs[0] == outputs[1]
 
 
 def test_minimize_honors_config_file(tmp_path):
@@ -242,3 +262,12 @@ def test_result_bytes_match_golden_files(tmp_path):
         out = tmp_path / golden
         assert main(args + ["--dataset", BUNDLED, "--out", str(out)]) == 0
         assert out.read_bytes() == (GOLDEN / golden).read_bytes(), golden
+
+
+def test_cluster_bytes_match_golden_file_on_many_pages(tmp_path):
+    # Pins the coverage map on GET and POST parts with typed parameters under
+    # the bag output distance; regenerate under the same rule as above.
+    dataset, config = workload_corpus("many-pages", 1, tmp_path)
+    coverage = coverage_to_dict(build_coverage(dataset, config, seed=1))
+    text = json.dumps(coverage, indent=2, sort_keys=True) + "\n"
+    assert text == (GOLDEN / "cluster_many_pages_seed1.json").read_text()

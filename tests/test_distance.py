@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from covmin.dataset import Action, TokenDoc
 from covmin.distance import (
     action_distance,
-    bag_distance,
     bag_matrix,
     lev_matrix,
     levenshtein,
@@ -20,7 +19,7 @@ from covmin.distance import (
     url_distance,
 )
 
-from _oracles import bag_distance_by_differences, levenshtein_dp, output_distance
+from _oracles import bag_distance, bag_distance_by_differences, levenshtein_dp, output_distance
 
 
 def test_normalize_maps_to_unit_interval():

@@ -7,7 +7,7 @@ import pytest
 from covmin.blocks import BlockId, CoverageMap, build_coverage
 from covmin.cli import main
 from covmin.config import RunConfig
-from covmin.dataset import Action, Dataset, InputRecord, load_dataset
+from covmin.dataset import Action, Dataset, InputRecord
 from covmin import harness
 from covmin.harness import (
     bench,
@@ -21,7 +21,8 @@ from covmin.harness import (
 from covmin.reduction import reduce_problem
 from covmin.synthetic import make_synthetic_dataset, planted_optimum_cost, write_synthetic_dataset
 
-from _oracles import bruteforce_min_cover, coverage_of, perfbench_run, random_instance
+from _oracles import (bruteforce_min_cover, coverage_of, perfbench_run, random_instance,
+                      workload_corpus)
 
 CONFIG = RunConfig()
 ROOT = Path(__file__).resolve().parents[1]
@@ -65,12 +66,8 @@ def test_run_pipeline_byte_identical_per_seed(tmp_path):
 
 def _workload_result_bytes(name, tmp_path) -> bytes:
     """`run_pipeline`'s result bytes on a benchmark workload's seed-1 corpus."""
-    bench_run = perfbench_run()
-    workload = bench_run.WORKLOADS[name]
-    path = tmp_path / f"{name}.json"
-    bench_run.generate(workload.spec, 1).write(path)
-    result = run_pipeline(load_dataset(path), RunConfig(**workload.config), 1)
-    return bench_run.result_bytes(result)
+    dataset, config = workload_corpus(name, 1, tmp_path)
+    return perfbench_run().result_bytes(run_pipeline(dataset, config, 1))
 
 
 def test_deep_overlap_result_bytes_match_golden_file(tmp_path):
@@ -120,7 +117,7 @@ def _fixture_dataset_and_coverage():
         for i, cost in ((1, 2), (2, 3), (3, 3))
     )
     bl = [BlockId(k, "GET", 0) for k in range(4)]
-    coverage = CoverageMap.from_cover({
+    coverage = CoverageMap({
         1: frozenset({bl[0], bl[1]}),
         2: frozenset({bl[0], bl[2]}),
         3: frozenset({bl[1], bl[3]}),
