@@ -10,7 +10,7 @@ Run: python3 demos/02_clustering_blocks.py
 import numpy as np
 
 from covmin.blocks import build_coverage, cluster_outputs
-from covmin.clustering import DistanceMatrix, HyperParamGrid, select_hyperparams
+from covmin.clustering import DistanceMatrix, select_hyperparams
 from covmin.config import RunConfig
 from covmin.synthetic import make_synthetic_dataset
 
@@ -23,7 +23,7 @@ toy = DistanceMatrix(np.array([
     [9, 9, 0, 1],
     [9, 9, 1, 0],
 ], dtype=float))
-choice = select_hyperparams(toy, HyperParamGrid(algo="dbscan", eps_range=(1, 8)))
+choice = select_hyperparams(toy, RunConfig(eps_range=(1, 8)).grid("dbscan"))
 print("toy matrix labels:", choice.labels)
 print("picked:", choice.params,
       "silhouette", round(choice.silhouette_mean, 3),

@@ -2,7 +2,7 @@
 
 Subcommands: ingest, cluster, reduce, minimize, bench, oracle.
 Exit codes: 0 on success, 2 on validation errors (including a component
-too large for the exact solver), 3 on infeasible instances.
+too large for the exact solver).
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from .reduction import ReductionResult, reduce_problem
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
-EXIT_INFEASIBLE = 3
 
 
 def _load(args) -> tuple[Dataset, RunConfig]:
@@ -227,9 +226,6 @@ def main(argv=None) -> int:
     except (ValidationError, baselines.ExhaustiveLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except baselines.InfeasibleError as exc:
-        print(f"infeasible: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
     except (FileNotFoundError, json.JSONDecodeError, KeyError) as exc:
         print(f"error: {exc!r}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -10,13 +10,13 @@ hence no coverage objective) is ever dropped downstream.
 
 from __future__ import annotations
 
-import logging
 import random
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-logger = logging.getLogger(__name__)
+from .dataset import ValidationError
 
 _MAX_KMEDOID_ITER = 100
 
@@ -64,25 +64,20 @@ def kmedoids(dm: DistanceMatrix, k: int, seed: int = 0) -> list[int]:
     rng = random.Random(seed)
     medoids = sorted(rng.sample(range(n), k))
     v = dm.values
-    assign = [0] * n
     for _ in range(_MAX_KMEDOID_ITER):
+        assign = np.argmin(v[:, medoids], axis=1)
         # Medoids stay in their own cluster so none ever empties.
-        for i in range(n):
-            if i in medoids:
-                assign[i] = medoids.index(i)
-            else:
-                dists = [v[i, m] for m in medoids]
-                assign[i] = int(np.argmin(dists))
+        assign[medoids] = np.arange(k)
         new_medoids = []
         for c in range(k):
-            members = [i for i in range(n) if assign[i] == c]
-            totals = [v[np.ix_([m], members)].sum() for m in members]
-            new_medoids.append(members[int(np.argmin(totals))])
-        new_medoids = sorted(new_medoids)
+            members = np.flatnonzero(assign == c)
+            totals = v[np.ix_(members, members)].sum(axis=1)
+            new_medoids.append(int(members[np.argmin(totals)]))
+        new_medoids.sort()
         if new_medoids == medoids:
             break
         medoids = new_medoids
-    return _canonical_labels(assign)
+    return _canonical_labels(assign.tolist())
 
 
 def _dbscan_labels(neighborhoods: list[list[int]], min_neighbors: int) -> list[int]:
@@ -112,14 +107,9 @@ def _dbscan_labels(neighborhoods: list[list[int]], min_neighbors: int) -> list[i
     return _canonical_labels(labels)
 
 
-def dbscan(dm: DistanceMatrix, eps: float, min_neighbors: int) -> list[int]:
-    """Density clustering on a precomputed matrix. The eps-neighborhood
-    excludes the point itself; noise points become singleton clusters."""
-    return next(_dbscan_sweep(dm, [{"eps": eps, "min_neighbors": min_neighbors}]))
-
-
 def _dbscan_sweep(dm: DistanceMatrix, points):
-    """`dbscan` labels of each grid point in turn. Labels depend only on the
+    """DBSCAN labels of each grid point in turn, on the precomputed matrix.
+    An eps-neighbourhood excludes the point itself. Labels depend only on the
     neighbourhood mask and `min_neighbors`, and neighbouring eps values often
     give the same mask, so the neighbourhoods are built once per distinct
     mask and the labels once per (mask, min_neighbors)."""
@@ -128,10 +118,6 @@ def _dbscan_sweep(dm: DistanceMatrix, points):
     last_eps = mask = None
     for params in points:
         eps, min_neighbors = params["eps"], params["min_neighbors"]
-        if eps <= 0:
-            raise ValueError(f"eps must be positive, got {eps}")
-        if min_neighbors < 1:
-            raise ValueError(f"min_neighbors must be >= 1, got {min_neighbors}")
         if eps != last_eps:
             within = dm.values <= eps
             np.fill_diagonal(within, False)
@@ -198,22 +184,19 @@ def gini(scores) -> float:
     return float(diffs / (2 * n * n * mean))
 
 
-@dataclass(frozen=True)
-class HyperParamGrid:
-    algo: str  # "kmeans" or "dbscan"
-    k_range: tuple[int, int] = (1, 70)
-    eps_range: tuple[float, float] = (2.0, 10.0)
-    eps_step: float | None = None  # default: 1.0 for integer matrices else 0.5
-    min_neighbors_range: tuple[int, int] = (1, 5)
+class HyperParamGrid(NamedTuple):
+    """One algorithm's grid, as `RunConfig.grid` reads it off the validated
+    run configuration."""
 
-    def __post_init__(self):
-        if self.algo not in ("kmeans", "dbscan"):
-            raise ValueError(f"unknown clustering algorithm: {self.algo!r}")
+    algo: str  # "kmeans" or "dbscan"
+    k_range: tuple[int, int]
+    eps_range: tuple[float, float]
+    eps_step: float | None  # None: 1.0 for integer matrices else 0.5
+    min_neighbors_range: tuple[int, int]
 
 
 @dataclass(frozen=True)
 class HyperParamChoice:
-    algo: str
     params: dict = field(hash=False)
     labels: list[int] = field(hash=False)
     silhouette_mean: float = 0.0
@@ -223,8 +206,10 @@ class HyperParamChoice:
 def _grid_points(dm: DistanceMatrix, grid: HyperParamGrid):
     if grid.algo == "kmeans":
         lo, hi = grid.k_range
-        hi = min(hi, dm.n)
-        for k in range(max(1, lo), hi + 1):
+        if lo > dm.n:
+            raise ValidationError(f"k_range {list(grid.k_range)} starts above "
+                                  f"the {dm.n} points to cluster")
+        for k in range(lo, min(hi, dm.n) + 1):
             yield {"k": k}
     else:
         step = grid.eps_step
@@ -262,12 +247,9 @@ def select_hyperparams(dm: DistanceMatrix, grid: HyperParamGrid, seed: int = 0) 
         # front; only a strictly better point replaces an earlier one.
         if best is None or (silhouette_mean, -dispersion) > (best.silhouette_mean, -best.gini):
             best = HyperParamChoice(
-                algo=grid.algo,
                 params=params,
                 labels=labels,
                 silhouette_mean=silhouette_mean,
                 gini=dispersion,
             )
-    if best is None:
-        raise ValueError("empty hyper-parameter grid")
     return best

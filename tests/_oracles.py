@@ -18,9 +18,9 @@ import numpy as np
 from covmin.clustering import (
     HyperParamChoice,
     _canonical_labels,
+    _dbscan_sweep,
     _grid_points,
     gini,
-    kmedoids,
 )
 from covmin.config import RunConfig
 from covmin.dataset import load_dataset
@@ -261,6 +261,40 @@ def bag_distance_by_differences(a, b) -> int:
     return max(sum((ca - cb).values()), sum((cb - ca).values()))
 
 
+def kmedoids_by_points(dm, k: int, seed: int = 0) -> list[int]:
+    """`kmedoids` with each point assigned and each medoid total summed by
+    its own loop."""
+    n = dm.n
+    if not 1 <= k <= n:
+        raise ValueError(f"k must be in [1, {n}], got {k}")
+    rng = random.Random(seed)
+    medoids = sorted(rng.sample(range(n), k))
+    v = dm.values
+    assign = [0] * n
+    for _ in range(100):
+        for i in range(n):
+            if i in medoids:
+                assign[i] = medoids.index(i)
+            else:
+                dists = [v[i, m] for m in medoids]
+                assign[i] = int(np.argmin(dists))
+        new_medoids = []
+        for c in range(k):
+            members = [i for i in range(n) if assign[i] == c]
+            totals = [v[np.ix_([m], members)].sum() for m in members]
+            new_medoids.append(members[int(np.argmin(totals))])
+        new_medoids = sorted(new_medoids)
+        if new_medoids == medoids:
+            break
+        medoids = new_medoids
+    return _canonical_labels(assign)
+
+
+def dbscan(dm, eps: float, min_neighbors: int) -> list[int]:
+    """The production DBSCAN sweep at one grid point."""
+    return next(_dbscan_sweep(dm, [{"eps": eps, "min_neighbors": min_neighbors}]))
+
+
 def dbscan_by_scan(dm, eps: float, min_neighbors: int) -> list[int]:
     """DBSCAN with each eps-neighbourhood collected by scanning its row."""
     n = dm.n
@@ -319,16 +353,16 @@ def silhouette_by_points(dm, labels) -> np.ndarray:
 
 def select_hyperparams_uncached(dm, grid, seed: int = 0) -> HyperParamChoice:
     """Grid selection that scores every grid point, clustering with
-    `dbscan_by_scan` and scoring with `silhouette_by_points`."""
+    `kmedoids_by_points` or `dbscan_by_scan` and scoring with
+    `silhouette_by_points`."""
     candidates = []
     for params in _grid_points(dm, grid):
         if grid.algo == "kmeans":
-            labels = kmedoids(dm, params["k"], seed=seed)
+            labels = kmedoids_by_points(dm, params["k"], seed=seed)
         else:
             labels = dbscan_by_scan(dm, params["eps"], params["min_neighbors"])
         scores = silhouette_by_points(dm, labels)
         candidates.append(HyperParamChoice(
-            algo=grid.algo,
             params=params,
             labels=labels,
             silhouette_mean=float(scores.mean()),

@@ -169,7 +169,8 @@ class _InvariantTracker:
         self.problem = problem
         self.n_size = n_size
         self.prev_min_cost = None
-        self.shadow_misers = []
+        # Every distinct miser fitness seen so far, each kept once.
+        self.shadow_misers = {}
         self.violations = []
 
     def __call__(self, gen, pops):
@@ -196,7 +197,7 @@ class _InvariantTracker:
             for past in self.shadow_misers:
                 if dominates(past, m.fitness):
                     self.violations.append((gen, "miser dominated by past miser"))
-        self.shadow_misers.extend(m.fitness for m in pops.misers)
+        self.shadow_misers.update(dict.fromkeys(m.fitness for m in pops.misers))
 
 
 _DESK_RUNS = {}

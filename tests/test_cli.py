@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -226,6 +227,24 @@ def test_malformed_config_algo_and_coverage_exit_code(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith(f"error: {flags[0]} must be at least 1"), err
         assert err.count("\n") == 1
+
+
+def test_kmeans_k_range_above_a_part_size_is_a_validation_error(tmp_path, capsys):
+    # data/synthetic.json has 80 output pages; each action part of
+    # many-pages has fewer than 10 actions.
+    _, workload = workload_corpus("many-pages", 1, tmp_path)
+    config = tmp_path / "c.json"
+    for dataset, payload, named in (
+        (BUNDLED, {"output_algo": "kmeans", "k_range": [100, 170]},
+         "error: k_range [100, 170] starts above the 80 points to cluster"),
+        (str(tmp_path / "many-pages-1.json"),
+         {**dataclasses.asdict(workload), "action_algo": "kmeans", "k_range": [10, 70]},
+         "error: k_range [10, 70] starts above the "),
+    ):
+        config.write_text(json.dumps(payload))
+        assert main(["minimize", "--dataset", dataset, "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(named) and err.count("\n") == 1, err
 
 
 def test_config_rejects_nonpositive_eps_step():

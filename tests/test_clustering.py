@@ -7,17 +7,18 @@ from hypothesis import strategies as st
 
 from covmin.clustering import (
     DistanceMatrix,
-    HyperParamGrid,
     _grid_points,
-    dbscan,
     gini,
     kmedoids,
     select_hyperparams,
     silhouette,
 )
+from covmin.config import RunConfig
 
 from _oracles import (
+    dbscan,
     dbscan_by_scan,
+    kmedoids_by_points,
     kmedoids_objective,
     select_hyperparams_uncached,
     silhouette_by_points,
@@ -63,7 +64,7 @@ def test_distance_matrix_validation_tolerance():
 
 
 def test_eps_step_follows_integrality_within_tolerance():
-    grid = HyperParamGrid("dbscan", eps_range=(1.0, 2.0), min_neighbors_range=(1, 1))
+    grid = RunConfig(eps_range=(1.0, 2.0), min_neighbors_range=(1, 1)).grid("dbscan")
     for rows, eps in (
         ([[0, 1], [1, 0]], [1.0, 2.0]),
         ([[0, 1 + 1e-12], [1 + 1e-12, 0]], [1.0, 2.0]),
@@ -90,6 +91,35 @@ def test_kmedoids_objective_decreases_with_k():
     o1 = kmedoids_objective(TWO_GROUPS, kmedoids(TWO_GROUPS, k=1))
     o2 = kmedoids_objective(TWO_GROUPS, kmedoids(TWO_GROUPS, k=2, seed=3))
     assert o2 < o1
+
+
+def _draw_matrix(draw, n, unit, top):
+    """A symmetric n-point matrix of drawn multiples of `unit` up to `top`."""
+    m = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            m[i, j] = m[j, i] = draw(st.integers(0, top)) * unit
+    return DistanceMatrix(m)
+
+
+@st.composite
+def _kmedoid_matrix(draw):
+    """A symmetric matrix of 1-20 points with integer, half-integer or
+    fractional distances; zero distances (duplicate points) and equal
+    totals, which make argmin ties, are common."""
+    n = draw(st.integers(1, 20))
+    unit = draw(st.sampled_from((1.0, 0.5, 1 / 7)))
+    return _draw_matrix(draw, n, unit, draw(st.sampled_from((3, 60))))
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(_kmedoid_matrix())
+@example(TWO_GROUPS)
+@example(_dm([[0, 0, 0], [0, 0, 0], [0, 0, 0]]))
+def test_kmedoids_matches_per_point_oracle_for_every_k(dm):
+    for k in range(1, dm.n + 1):
+        for seed in (0, 1, 7):
+            assert kmedoids(dm, k, seed=seed) == kmedoids_by_points(dm, k, seed=seed), (k, seed)
 
 
 def test_dbscan_two_groups():
@@ -145,7 +175,7 @@ def test_gini_known_values():
 
 
 def test_select_hyperparams_dbscan_finds_separating_eps():
-    grid = HyperParamGrid(algo="dbscan", eps_range=(1.0, 10.0), eps_step=1.0)
+    grid = RunConfig(eps_range=(1.0, 10.0), eps_step=1.0).grid("dbscan")
     choice = select_hyperparams(TWO_GROUPS, grid)
     assert choice.labels[0] == choice.labels[1]
     assert choice.labels[2] == choice.labels[3]
@@ -154,7 +184,7 @@ def test_select_hyperparams_dbscan_finds_separating_eps():
 
 
 def test_select_hyperparams_kmeans():
-    grid = HyperParamGrid(algo="kmeans", k_range=(1, 4))
+    grid = RunConfig(k_range=(1, 4)).grid("kmeans")
     choice = select_hyperparams(TWO_GROUPS, grid, seed=3)
     assert choice.params["k"] == 2
     assert len(set(choice.labels)) == 2
@@ -171,8 +201,8 @@ def test_select_hyperparams_is_on_pareto_front():
                 d = abs(pts[i][0] - pts[j][0]) + abs(pts[i][1] - pts[j][1])
                 m[i, j] = m[j, i] = d
         dm = DistanceMatrix(m)
-        grid = HyperParamGrid(algo="dbscan", eps_range=(1.0, 6.0), eps_step=1.0,
-                              min_neighbors_range=(1, 2))
+        grid = RunConfig(eps_range=(1.0, 6.0), eps_step=1.0,
+                         min_neighbors_range=(1, 2)).grid("dbscan")
         choice = select_hyperparams(dm, grid)
         # No other evaluated point may strictly dominate the choice; spot
         # check against a re-evaluation of the full grid.
@@ -196,8 +226,8 @@ def _line_matrix(rng, n, unit):
 def test_dbscan_and_selection_match_oracles_on_random_matrices():
     rng = random.Random(20261018)
     grids = (
-        HyperParamGrid(algo="dbscan"),
-        HyperParamGrid(algo="dbscan", eps_range=(0.5, 6.0), min_neighbors_range=(1, 3)),
+        RunConfig().grid("dbscan"),
+        RunConfig(eps_range=(0.5, 6.0), min_neighbors_range=(1, 3)).grid("dbscan"),
     )
     for trial in range(24):
         # Integer matrices get eps steps of 1.0, half-integer ones 0.5.
@@ -207,7 +237,7 @@ def test_dbscan_and_selection_match_oracles_on_random_matrices():
                 assert dbscan(dm, params["eps"], params["min_neighbors"]) == \
                     dbscan_by_scan(dm, params["eps"], params["min_neighbors"]), (trial, params)
             assert select_hyperparams(dm, grid) == select_hyperparams_uncached(dm, grid), trial
-        kmeans = HyperParamGrid(algo="kmeans", k_range=(1, dm.n))
+        kmeans = RunConfig(k_range=(1, dm.n)).grid("kmeans")
         assert select_hyperparams(dm, kmeans, seed=trial) == \
             select_hyperparams_uncached(dm, kmeans, seed=trial), trial
 
@@ -219,13 +249,10 @@ def _labelled_matrix(draw):
     label ids and all-one-cluster labellings all occur."""
     n = draw(st.integers(1, 24))
     unit = draw(st.sampled_from((1.0, 0.5)))
-    m = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            m[i, j] = m[j, i] = draw(st.integers(0, 60)) * unit
+    dm = _draw_matrix(draw, n, unit, 60)
     k = draw(st.integers(1, 6))
     labels = draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))
-    return DistanceMatrix(m), labels
+    return dm, labels
 
 
 @settings(max_examples=300, derandomize=True, deadline=None)
@@ -246,7 +273,7 @@ def test_silhouette_and_selection_close_to_oracles_on_fractional_matrices():
     # last bits (6 of the 288 labellings here do), never by more than
     # rounding, and the choice stays the same.
     rng = random.Random(20261018)
-    grid = HyperParamGrid(algo="dbscan", eps_range=(0.5, 4.0), min_neighbors_range=(1, 3))
+    grid = RunConfig(eps_range=(0.5, 4.0), min_neighbors_range=(1, 3)).grid("dbscan")
     for trial in range(12):
         n = rng.randrange(10, 40)
         pts = [(rng.random() * 6, rng.random() * 6) for _ in range(n)]

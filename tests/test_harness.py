@@ -1,3 +1,4 @@
+import dataclasses
 import logging
 import random
 from pathlib import Path
@@ -64,9 +65,11 @@ def test_run_pipeline_byte_identical_per_seed(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
-def _workload_result_bytes(name, tmp_path) -> bytes:
-    """`run_pipeline`'s result bytes on a benchmark workload's seed-1 corpus."""
+def _workload_result_bytes(name, tmp_path, **overrides) -> bytes:
+    """`run_pipeline`'s result bytes on a benchmark workload's seed-1 corpus,
+    with the workload's config fields replaced by `overrides`."""
     dataset, config = workload_corpus(name, 1, tmp_path)
+    config = dataclasses.replace(config, **overrides)
     return perfbench_run().result_bytes(run_pipeline(dataset, config, 1))
 
 
@@ -83,6 +86,15 @@ def test_long_pages_result_bytes_match_golden_file(tmp_path):
     # boilerplate; regenerate under the same rule as deep-overlap's file.
     golden = ROOT / "tests" / "data" / "minimize_long_pages_seed1.json"
     assert _workload_result_bytes("long-pages", tmp_path) == golden.read_bytes()
+
+
+def test_long_pages_kmeans_result_bytes_match_golden_file(tmp_path):
+    # Pins k-medoids on both clusterings, output and action, which no
+    # benchmark workload runs; regenerate under the same rule.
+    golden = ROOT / "tests" / "data" / "minimize_long_pages_kk_seed1.json"
+    got = _workload_result_bytes("long-pages", tmp_path,
+                                 output_algo="kmeans", action_algo="kmeans")
+    assert got == golden.read_bytes()
 
 
 def test_solve_exact_is_optimal_and_mocco_covers():
