@@ -71,7 +71,7 @@ def kmedoids(dm: DistanceMatrix, k: int, seed: int = 0) -> list[int]:
         new_medoids = []
         for c in range(k):
             members = np.flatnonzero(assign == c)
-            totals = v[np.ix_(members, members)].sum(axis=1)
+            totals = v[members][:, members].sum(axis=1)
             new_medoids.append(int(members[np.argmin(totals)]))
         new_medoids.sort()
         if new_medoids == medoids:

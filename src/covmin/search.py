@@ -58,6 +58,9 @@ class ComponentProblem:
             bl: min(costs[i] for i in covering)
             for bl, covering in self.inputs_of.items()
         }
+        # frozenset(members) -> valid_orders_gain's (gain, order): valid only
+        # for this component's cover and costs, so it lives on the problem.
+        self._solved = {}
 
     def cover_of(self, members) -> frozenset:
         out = set()
@@ -68,13 +71,20 @@ class ComponentProblem:
     def cost_of(self, members) -> int:
         return sum(self.costs[i] for i in members)
 
+    def _solve(self, members: frozenset):
+        solved = self._solved.get(members)
+        if solved is None:
+            solved = self._solved[members] = valid_orders_gain(
+                members, self.cover, self.costs
+            )
+        return solved
+
     def gain_of(self, members) -> int:
-        gain, _ = valid_orders_gain(members, self.cover, self.costs)
-        return gain
+        return self._solve(frozenset(members))[0]
 
     def reduce(self, members) -> frozenset:
-        _, order = valid_orders_gain(members, self.cover, self.costs)
-        return frozenset(members) - set(order)
+        members = frozenset(members)
+        return members - set(self._solve(members)[1])
 
     def potential(self, members, bl) -> int:
         """Best benefit-cost balance of covering `bl`, shifted by the cheapest

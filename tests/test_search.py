@@ -1,12 +1,14 @@
+import logging
 import random
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import covmin.search
 from covmin.baselines import exhaustive_optimal
 from covmin.config import RunConfig
-from covmin.reduction import Component
+from covmin.reduction import EXHAUSTIVE_GAIN_THRESHOLD, Component, valid_orders_gain
 from covmin.search import (
     ComponentProblem,
     crossover,
@@ -284,3 +286,70 @@ def test_long_mocco_run_and_exhaustive_match_bruteforce(case):
     result = mocco_run(component, costs, RunConfig(n_size=8, generations=100), seed)
     assert sum(costs[i] for i in result) == optimum
     assert sum(costs[i] for i in exhaustive_optimal(component, costs)) == optimum
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(_component(), st.data())
+def test_memo_matches_raw_valid_orders_gain(case, data):
+    component, costs, _ = case
+    problem = ComponentProblem(component, costs)
+    subsets = data.draw(st.lists(
+        st.frozensets(st.sampled_from(sorted(component.inputs))), max_size=6))
+    for _ in range(2):  # the first call solves, the repeat reads the cache
+        for s in subsets:
+            gain, order = valid_orders_gain(s, component.cover, costs)
+            assert problem.gain_of(sorted(s)) == gain
+            assert problem.reduce(set(s)) == s - set(order)
+
+
+@pytest.fixture
+def solved_sets(monkeypatch):
+    """Every member set `covmin.search` hands to `valid_orders_gain`."""
+    calls = []
+
+    def counting(ids, cover, costs, *args):
+        calls.append(frozenset(ids))
+        return valid_orders_gain(ids, cover, costs, *args)
+
+    monkeypatch.setattr(covmin.search, "valid_orders_gain", counting)
+    return calls
+
+
+def test_problem_solves_each_member_set_once(solved_sets):
+    problem = _greedy_problem()
+    for members in ({1, 2, 3}, {2, 3}, {2}):
+        problem.gain_of(members)
+        problem.reduce(members)
+        for bl in problem.objectives:
+            problem.potential(members, bl)
+    problem.individual(problem.reduce({1, 2, 3}))
+    assert solved_sets
+    assert len(solved_sets) == len(set(solved_sets))
+
+
+def test_problems_with_different_costs_do_not_share_gains(solved_sets):
+    cheap_first = _greedy_problem()
+    dear_first = ComponentProblem(GREEDY_COMPONENT, {1: 9, 2: 1, 3: 1})
+    assert cheap_first.gain_of({1, 2, 3}) == 2
+    assert dear_first.gain_of({1, 2, 3}) == 9
+    assert solved_sets == [frozenset({1, 2, 3})] * 2
+
+
+def test_mocco_run_solves_through_the_search_module_name(solved_sets):
+    mocco_run(GREEDY_COMPONENT, GREEDY_COSTS, RunConfig(n_size=4, generations=30), seed=3)
+    assert solved_sets
+    assert len(solved_sets) == len(set(solved_sets))
+
+
+def test_greedy_fallback_warns_once_per_member_set(caplog):
+    n = EXHAUSTIVE_GAIN_THRESHOLD + 2
+    cover = {i: frozenset({"a"}) for i in range(1, n + 1)}
+    problem = ComponentProblem(Component(cover=cover), {i: i for i in cover})
+    members = frozenset(cover)
+    with caplog.at_level(logging.WARNING, logger="covmin.reduction"):
+        first = problem.reduce(members)
+        second = problem.reduce(members)
+    assert first == second == frozenset({1})
+    warnings = [r for r in caplog.records if r.levelno == logging.WARNING]
+    assert len(warnings) == 1
+    assert "exhaustive threshold" in warnings[0].getMessage()
