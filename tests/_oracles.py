@@ -6,6 +6,7 @@ full enumeration) so it can cross-check the optimized implementations.
 
 from __future__ import annotations
 
+import dataclasses
 import importlib.util
 import random
 import sys
@@ -239,13 +240,19 @@ def perfbench_run():
     return module
 
 
-def workload_corpus(name: str, seed: int, directory):
+def workload_corpus(name: str, seed: int, directory, scale: int = 1):
     """A benchmark workload's corpus at `seed`, written under `directory` and
-    loaded back, and the workload's run configuration."""
+    loaded back, and the workload's run configuration. `scale` multiplies
+    the spec's inputs, cycles, duplicates and dominated copies."""
     bench_run = perfbench_run()
     workload = bench_run.WORKLOADS[name]
+    spec = workload.spec
+    spec = dataclasses.replace(
+        spec, inputs=spec.inputs * scale, cycles=spec.cycles * scale,
+        duplicates=spec.duplicates * scale, dominated=spec.dominated * scale,
+    )
     path = Path(directory) / f"{name}-{seed}.json"
-    bench_run.generate(workload.spec, seed).write(path)
+    bench_run.generate(spec, seed).write(path)
     return load_dataset(path), RunConfig(**workload.config)
 
 

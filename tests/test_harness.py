@@ -65,10 +65,11 @@ def test_run_pipeline_byte_identical_per_seed(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
-def _workload_result_bytes(name, tmp_path, **overrides) -> bytes:
+def _workload_result_bytes(name, tmp_path, scale=1, **overrides) -> bytes:
     """`run_pipeline`'s result bytes on a benchmark workload's seed-1 corpus,
-    with the workload's config fields replaced by `overrides`."""
-    dataset, config = workload_corpus(name, 1, tmp_path)
+    scaled by `scale`, with the workload's config fields replaced by
+    `overrides`."""
+    dataset, config = workload_corpus(name, 1, tmp_path, scale)
     config = dataclasses.replace(config, **overrides)
     return perfbench_run().result_bytes(run_pipeline(dataset, config, 1))
 
@@ -95,6 +96,18 @@ def test_long_pages_kmeans_result_bytes_match_golden_file(tmp_path):
     got = _workload_result_bytes("long-pages", tmp_path,
                                  output_algo="kmeans", action_algo="kmeans")
     assert got == golden.read_bytes()
+
+
+@pytest.mark.parametrize("name, golden", [
+    ("deep-overlap", "minimize_deep_overlap_x5_seed1.json"),
+    ("many-pages", "minimize_many_pages_x5_seed1.json"),
+])
+def test_scaled_result_bytes_match_golden_files(tmp_path, name, golden):
+    # Only at scale do the pinned bytes see hundreds of action parts, noise
+    # documents with several copies and dozens of components; regenerate
+    # under the same rule as deep-overlap's file.
+    got = _workload_result_bytes(name, tmp_path, scale=5)
+    assert got == (ROOT / "tests" / "data" / golden).read_bytes()
 
 
 def test_solve_exact_is_optimal_and_mocco_covers():
