@@ -110,24 +110,22 @@ def _dbscan_labels(neighborhoods: list[list[int]], min_neighbors: int) -> list[i
 def _dbscan_sweep(dm: DistanceMatrix, points):
     """DBSCAN labels of each grid point in turn, on the precomputed matrix.
     An eps-neighbourhood excludes the point itself. Labels depend only on the
-    neighbourhood mask and `min_neighbors`, and neighbouring eps values often
-    give the same mask, so the neighbourhoods are built once per distinct
-    mask and the labels once per (mask, min_neighbors)."""
-    neighborhoods: dict[bytes, list[list[int]]] = {}
-    labelled: dict[tuple[bytes, int], list[int]] = {}
+    neighbourhood mask and `min_neighbors`. Grid eps ascends and a mask only
+    grows with eps, so equal masks are consecutive: only the current mask is
+    kept, its neighbourhoods are rebuilt when it changes, and its labels are
+    cached per `min_neighbors`."""
     last_eps = mask = None
     for params in points:
         eps, min_neighbors = params["eps"], params["min_neighbors"]
         if eps != last_eps:
-            within = dm.values <= eps
+            last_eps, within = eps, dm.values <= eps
             np.fill_diagonal(within, False)
-            last_eps, mask = eps, within.tobytes()
-            if mask not in neighborhoods:
-                neighborhoods[mask] = [np.flatnonzero(row).tolist() for row in within]
-        key = (mask, min_neighbors)
-        if key not in labelled:
-            labelled[key] = _dbscan_labels(neighborhoods[mask], min_neighbors)
-        yield labelled[key]
+            if mask is None or not np.array_equal(within, mask):
+                mask, labelled = within, {}
+                neighborhoods = [np.flatnonzero(row).tolist() for row in within]
+        if min_neighbors not in labelled:
+            labelled[min_neighbors] = _dbscan_labels(neighborhoods, min_neighbors)
+        yield labelled[min_neighbors]
 
 
 def silhouette(dm: DistanceMatrix, labels) -> np.ndarray:

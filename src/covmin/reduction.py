@@ -2,7 +2,7 @@
 local-dominance removal, overlap-graph component split, and the gain of
 valid removal orders. `min_cover`, the exact minimum-cost cover search,
 decides local dominance and the removal gain and also serves as the exact
-solver in `baselines`.
+solver in `baselines`. `postings` is the one block -> holding inputs index.
 
 Functions take a plain coverage mapping (input id -> frozenset of blocks)
 and a cost mapping, so they work both on real coverage maps and on the small
@@ -45,21 +45,21 @@ class ReductionResult:
     iterations: int
 
 
-def _once_twice(covers):
-    """The blocks covered at least once and at least twice by `covers`."""
-    once, twice = frozenset(), frozenset()
-    for blocks in covers:
-        twice |= once & blocks
-        once |= blocks
-    return once, twice
+def postings(cover):
+    """Block -> ids of the inputs of `cover` that hold it, in ascending id
+    order: the one block -> inputs index."""
+    holders: dict = {}
+    for i in sorted(cover):
+        for bl in cover[i]:
+            holders.setdefault(bl, []).append(i)
+    return holders
 
 
 def determine_redundancy(rcover):
     """Split off the inputs that are the sole cover of some remaining
     objective, discharge the objectives they cover, and drop inputs left
     covering nothing. Returns (new necessary inputs, restricted cover)."""
-    _, twice = _once_twice(rcover.values())
-    necessary = {i for i, blocks in rcover.items() if not blocks <= twice}
+    necessary = {ids[0] for ids in postings(rcover).values() if len(ids) == 1}
     covered = frozenset().union(*(rcover[i] for i in necessary))
     return necessary, {
         i: left for i, blocks in rcover.items() if (left := blocks - covered)
@@ -80,10 +80,10 @@ def min_cover(objectives, cover, costs, budget):
     branch on the uncovered objective with the fewest covering inputs (ties
     by `str`), trying them in id order, and prune at the incumbent, so the
     first cheapest cover found wins."""
-    inputs_of = {
-        bl: sorted(i for i, blocks in cover.items() if bl in blocks)
-        for bl in objectives
-    }
+    inputs_of = postings(cover)
+    objectives = frozenset(objectives)
+    if not inputs_of.keys() >= objectives:
+        return None
     best_set = None
     best_cost = budget + 1
 
@@ -103,25 +103,29 @@ def min_cover(objectives, cover, costs, budget):
             branch(selected, sel_cost + costs[i], uncovered - cover[i])
             selected.discard(i)
 
-    branch(set(), 0, frozenset(objectives))
+    branch(set(), 0, objectives)
     return best_set
 
 
-def locally_dominated(input_id, rcover, costs,
-                      neighbor_cap: int = NEIGHBOR_CAP) -> bool:
+def locally_dominated(input_id, rcover, costs, by_block) -> bool:
     """True iff some subset of the input's overlap neighbors replicates its
-    remaining coverage at no greater cost."""
+    remaining coverage at no greater cost. `by_block` is the postings of
+    `rcover` or of a map it was cut from with the same values: its holders
+    that are still keys of `rcover` are the neighbours."""
     target = rcover[input_id]
     if not target:
         return True
-    neighbors = {j: b for j, b in rcover.items() if j != input_id and b & target}
-    if len(neighbors) > neighbor_cap:
+    neighbors = {j for bl in target for j in by_block[bl] if j in rcover}
+    neighbors.discard(input_id)
+    if len(neighbors) > NEIGHBOR_CAP:
         logger.warning(
             "input %s has %d overlap neighbors (cap %d): conservatively kept",
-            input_id, len(neighbors), neighbor_cap,
+            input_id, len(neighbors), NEIGHBOR_CAP,
         )
         return False
-    return min_cover(target, neighbors, costs, costs[input_id]) is not None
+    return min_cover(
+        target, {j: rcover[j] for j in neighbors}, costs, costs[input_id]
+    ) is not None
 
 
 def remove_locally_dominated(rcover, costs):
@@ -130,9 +134,11 @@ def remove_locally_dominated(rcover, costs):
     too, so no removal strands coverage. Through zero-cost inputs two inputs
     can dominate each other: 2 and 3 in the cover {1: {a}, 2: {a, b},
     3: {b, c}, 4: {c}} at costs 0, 1, 1, 0."""
+    by_block = postings(rcover)
     kept = dict(rcover)
     for i in sorted(rcover):
-        if locally_dominated(i, rcover, costs) and locally_dominated(i, kept, costs):
+        if (locally_dominated(i, rcover, costs, by_block)
+                and locally_dominated(i, kept, costs, by_block)):
             del kept[i]
     return kept
 
@@ -141,10 +147,7 @@ def split_components(rcover) -> tuple[Component, ...]:
     """Connected components of the overlap graph (inputs sharing a remaining
     objective), each carrying its slice of `rcover`. Each is found from its
     smallest input, so they come out ordered by it."""
-    block_to_inputs: dict = {}
-    for i, blocks in rcover.items():
-        for bl in blocks:
-            block_to_inputs.setdefault(bl, set()).add(i)
+    holders = postings(rcover)
     unvisited = set(rcover)
     components = []
     for start in sorted(rcover):
@@ -157,7 +160,7 @@ def split_components(rcover) -> tuple[Component, ...]:
             i = queue.pop()
             comp.add(i)
             for bl in rcover[i]:
-                for j in block_to_inputs[bl]:
+                for j in holders[bl]:
                     if j in unvisited:
                         unvisited.discard(j)
                         queue.append(j)
@@ -165,8 +168,7 @@ def split_components(rcover) -> tuple[Component, ...]:
     return tuple(components)
 
 
-def valid_orders_gain(ids, cover, costs,
-                      threshold: int = EXHAUSTIVE_GAIN_THRESHOLD):
+def valid_orders_gain(ids, cover, costs):
     """Maximal removable cost over valid removal orders, plus one witness.
 
     A set of inputs can be removed one at a time, each redundant when it
@@ -179,17 +181,18 @@ def valid_orders_gain(ids, cover, costs,
     removing the most costly currently-redundant input.
     """
     members = sorted(ids)
-    once, twice = _once_twice(cover[i] for i in members)
-    redundant = {i: cover[i] for i in members if cover[i] <= twice}
-    if len(redundant) > threshold:
+    by_block = postings({i: cover[i] for i in members})
+    sole = {holders[0] for holders in by_block.values() if len(holders) == 1}
+    redundant = {i: cover[i] for i in members if i not in sole}
+    if len(redundant) > EXHAUSTIVE_GAIN_THRESHOLD:
         logger.warning(
             "%d redundant inputs exceed the exhaustive threshold %d: "
-            "using greedy removal", len(redundant), threshold,
+            "using greedy removal", len(redundant), EXHAUSTIVE_GAIN_THRESHOLD,
         )
         return _greedy_gain(members, cover, costs)
-    kept_cover = frozenset().union(*(cover[i] for i in members if i not in redundant))
+    kept_cover = frozenset().union(*(cover[i] for i in sole))
     redundant_cost = sum(costs[i] for i in redundant)
-    kept = min_cover(once - kept_cover, redundant, costs, redundant_cost)
+    kept = min_cover(by_block.keys() - kept_cover, redundant, costs, redundant_cost)
     order = [i for i in redundant if i not in kept]
     return redundant_cost - sum(costs[i] for i in kept), order
 

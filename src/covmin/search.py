@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .config import RunConfig
 from .distance import normalize
-from .reduction import Component, valid_orders_gain
+from .reduction import Component, postings, valid_orders_gain
 
 __all__ = [
     "ComponentProblem", "Individual", "Populations", "dominates", "mocco_run",
@@ -50,10 +50,7 @@ class ComponentProblem:
         self.objectives = sorted(component.objectives)
         self.inputs = sorted(self.cover)
         self.costs = costs
-        self.inputs_of = {
-            bl: [i for i in self.inputs if bl in self.cover[i]]
-            for bl in self.objectives
-        }
+        self.inputs_of = postings(self.cover)
         self._min_cost_of = {
             bl: min(costs[i] for i in covering)
             for bl, covering in self.inputs_of.items()

@@ -62,8 +62,8 @@ def stem(word: str) -> str:
     word = _step1a(word)
     word = _step1b(word)
     word = _step1c(word)
-    word = _step2(word)
-    word = _step3(word)
+    word = _replace_suffix(word, _STEP2_RULES)
+    word = _replace_suffix(word, _STEP3_RULES)
     word = _step4(word)
     word = _step5a(word)
     word = _step5b(word)
@@ -129,18 +129,10 @@ _STEP4_SUFFIXES = [
 ]
 
 
-def _step2(w: str) -> str:
-    for suffix, repl in _STEP2_RULES:
-        if w.endswith(suffix):
-            stem_ = w[: -len(suffix)]
-            if _measure(stem_) > 0:
-                return stem_ + repl
-            return w
-    return w
-
-
-def _step3(w: str) -> str:
-    for suffix, repl in _STEP3_RULES:
+def _replace_suffix(w: str, rules) -> str:
+    """Steps 2 and 3: the first rule whose suffix ends `w` applies, and
+    only if the stem left has a positive measure."""
+    for suffix, repl in rules:
         if w.endswith(suffix):
             stem_ = w[: -len(suffix)]
             if _measure(stem_) > 0:

@@ -4,10 +4,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from covmin import reduction
 from covmin.reduction import (
     determine_redundancy,
     locally_dominated,
     min_cover,
+    postings,
     reduce_problem,
     remove_duplicates,
     remove_locally_dominated,
@@ -87,19 +89,27 @@ def test_remove_duplicates_keeps_lowest_id():
 
 def test_locally_dominated_examples():
     # {in2, in3} replicates in1's coverage but costs 6 > 2.
-    assert not locally_dominated(1, GREEDY_COVER, GREEDY_COSTS)
+    assert not locally_dominated(1, GREEDY_COVER, GREEDY_COSTS, postings(GREEDY_COVER))
 
     cover = {1: frozenset({"b1"}), 2: frozenset({"b1", "b2"})}
     costs = {1: 5, 2: 3}
-    assert locally_dominated(1, cover, costs)
-    assert not locally_dominated(2, cover, costs)
+    assert locally_dominated(1, cover, costs, postings(cover))
+    assert not locally_dominated(2, cover, costs, postings(cover))
 
 
-def test_locally_dominated_neighbor_cap_conservative(caplog):
+def test_locally_dominated_neighbor_cap_conservative(caplog, monkeypatch):
     cover = {i: frozenset({"shared"}) for i in range(1, 30)}
     costs = {i: 1 for i in cover}
-    assert not locally_dominated(1, cover, costs, neighbor_cap=5)
-    assert locally_dominated(1, cover, costs, neighbor_cap=28)
+    monkeypatch.setattr(reduction, "NEIGHBOR_CAP", 5)
+    assert not locally_dominated(1, cover, costs, postings(cover))
+    assert "28 overlap neighbors (cap 5)" in caplog.text
+    monkeypatch.setattr(reduction, "NEIGHBOR_CAP", 28)
+    assert locally_dominated(1, cover, costs, postings(cover))
+
+
+def test_postings_lists_holders_in_id_order():
+    cover = {3: frozenset({"a"}), 1: frozenset({"a", "b"}), 2: frozenset()}
+    assert postings(cover) == {"a": [1, 3], "b": [1]}
 
 
 def test_remove_locally_dominated_chain():
@@ -112,6 +122,38 @@ def test_remove_locally_dominated_chain():
     costs = {1: 3, 2: 2, 3: 1}
     rcover = remove_locally_dominated(cover, costs)
     assert set(rcover) == {3}
+
+
+def _dominated_in(input_id, cover, costs) -> bool:
+    """Some nonempty subset of the other inputs of `cover` dominates it."""
+    others = [j for j in sorted(cover) if j != input_id]
+    return any(
+        dominated_by_subset(
+            input_id,
+            frozenset(others[k] for k in range(len(others)) if mask >> k & 1),
+            cover, costs,
+        )
+        for mask in range(1, 1 << len(others))
+    )
+
+
+def test_remove_locally_dominated_matches_bruteforce():
+    # Costs in 0..3 make zero-cost inputs and mutual domination common, so
+    # the second check, against the inputs still kept, decides some cases.
+    rng = random.Random(23)
+    decided_by_kept = 0
+    for _ in range(200):
+        cover, _ = random_instance(rng, max_inputs=7, max_blocks=7)
+        costs = {i: rng.randrange(4) for i in cover}
+        kept = dict(cover)
+        for i in sorted(cover):
+            if _dominated_in(i, cover, costs):
+                if _dominated_in(i, kept, costs):
+                    del kept[i]
+                else:
+                    decided_by_kept += 1
+        assert remove_locally_dominated(cover, costs) == kept
+    assert decided_by_kept
 
 
 def test_split_components_two_groups():
@@ -139,11 +181,13 @@ def test_reduce_set_applies_witness():
     assert reduce_set(ALL, GREEDY_COVER, GREEDY_COSTS) == frozenset({2, 3})
 
 
-def test_greedy_fallback_over_threshold(caplog):
+def test_greedy_fallback_over_threshold(caplog, monkeypatch):
     # Many mutually redundant copies of one block: greedy keeps one.
     cover = {i: frozenset({"b"}) for i in range(1, 8)}
     costs = {i: i for i in cover}
-    gain, order = valid_orders_gain(frozenset(cover), cover, costs, threshold=3)
+    monkeypatch.setattr(reduction, "EXHAUSTIVE_GAIN_THRESHOLD", 3)
+    gain, order = valid_orders_gain(frozenset(cover), cover, costs)
+    assert "7 redundant inputs exceed the exhaustive threshold 3" in caplog.text
     assert gain == sum(range(2, 8))  # everything but the cheapest removed
     assert set(order) == set(range(2, 8))
     assert order_is_valid(order, frozenset(cover), cover)
@@ -330,18 +374,9 @@ def test_locally_dominated_matches_unrestricted_bruteforce():
     rng = random.Random(17)
     for _ in range(150):
         cover, costs = random_instance(rng, max_inputs=7, max_blocks=7)
-        ids = sorted(cover)
-        for i in ids:
-            others = [j for j in ids if j != i]
-            expected = any(
-                dominated_by_subset(
-                    i,
-                    frozenset(others[k] for k in range(len(others)) if mask >> k & 1),
-                    cover, costs,
-                )
-                for mask in range(1, 1 << len(others))
-            )
-            assert locally_dominated(i, cover, costs) == expected
+        for i in sorted(cover):
+            expected = _dominated_in(i, cover, costs)
+            assert locally_dominated(i, cover, costs, postings(cover)) == expected
 
 
 def test_dominance_relation_asymmetric_transitive_acyclic():
