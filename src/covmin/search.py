@@ -5,13 +5,20 @@ costly found so far) and misers (non-dominated partial-coverage sets). One
 parent comes from each population once misers exist; crossover swaps the
 two halves of a random objective split; mutation toggles a single input.
 Every individual is kept reduced (no redundant members).
+
+Inside the search a member set is an int bitmask over the component's
+sorted inputs: bit k stands for `problem.inputs[k]`. Frozensets are built
+only at the edge: `Individual.members` and `mocco_run`'s result.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 import random
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 
 from .config import RunConfig
 from .distance import normalize
@@ -33,13 +40,27 @@ class Individual:
 class Populations:
     roofers: list[Individual]
     misers: list[Individual]
+    # Kept parallel to the lists above by `update_populations`: each
+    # member's selection weight, computed once when it is admitted (1 / cost
+    # for a roofer, 1 / exposure for a miser), and the multiset of the live
+    # members' masks. Populations built from bare lists derive them on
+    # first use.
+    roofer_weights: list[float] | None = field(default=None, repr=False, compare=False)
+    miser_weights: list[float] | None = field(default=None, repr=False, compare=False)
+    live: Counter | None = field(default=None, repr=False, compare=False)
 
 
 def dominates(f1, f2) -> bool:
     """Pareto dominance over fitness vectors (minimization)."""
     if len(f1) != len(f2):
         raise ValueError("fitness vectors must have equal length")
-    return all(a <= b for a, b in zip(f1, f2)) and any(a < b for a, b in zip(f1, f2))
+    strictly = False
+    for a, b in zip(f1, f2):
+        if not a <= b:
+            return False
+        if a < b:
+            strictly = True
+    return strictly
 
 
 class ComponentProblem:
@@ -55,9 +76,24 @@ class ComponentProblem:
             bl: min(costs[i] for i in covering)
             for bl, covering in self.inputs_of.items()
         }
-        # frozenset(members) -> valid_orders_gain's (gain, order): valid only
-        # for this component's cover and costs, so it lives on the problem.
+        self.bits = [1 << k for k in range(len(self.inputs))]
+        self._bit = dict(zip(self.inputs, self.bits))
+        # Objective -> the mask of the inputs holding it, in objective order.
+        self.holders = {bl: self.mask_of(self.inputs_of[bl]) for bl in self.objectives}
+        # Memos keyed by member mask, valid only for this component's cover
+        # and costs, so they live on the problem: mask -> (removal gain,
+        # reduced mask) from valid_orders_gain, and mask -> (cost, fitness).
         self._solved = {}
+        self._evaluated = {}
+
+    def mask_of(self, members) -> int:
+        mask = 0
+        for i in members:
+            mask |= self._bit[i]
+        return mask
+
+    def set_of(self, mask: int) -> frozenset:
+        return frozenset(i for i, bit in zip(self.inputs, self.bits) if mask & bit)
 
     def cover_of(self, members) -> frozenset:
         out = set()
@@ -68,53 +104,61 @@ class ComponentProblem:
     def cost_of(self, members) -> int:
         return sum(self.costs[i] for i in members)
 
-    def _solve(self, members: frozenset):
-        solved = self._solved.get(members)
+    def _solve(self, mask: int):
+        solved = self._solved.get(mask)
         if solved is None:
-            solved = self._solved[members] = valid_orders_gain(
-                members, self.cover, self.costs
-            )
+            gain, order = valid_orders_gain(self.set_of(mask), self.cover, self.costs)
+            solved = self._solved[mask] = (gain, mask & ~self.mask_of(order))
         return solved
 
     def gain_of(self, members) -> int:
-        return self._solve(frozenset(members))[0]
+        return self._solve(self.mask_of(members))[0]
 
     def reduce(self, members) -> frozenset:
-        members = frozenset(members)
-        return members - set(self._solve(members)[1])
+        return self.set_of(self._solve(self.mask_of(members))[1])
+
+    def _potential(self, mask: int, bl) -> int:
+        best = -math.inf
+        for i in self.inputs_of[bl]:
+            balance = self._solve(mask | self._bit[i])[0] - self.costs[i]
+            best = max(best, balance)
+        return best + self._min_cost_of[bl]
 
     def potential(self, members, bl) -> int:
         """Best benefit-cost balance of covering `bl`, shifted by the cheapest
         covering input so the result is never negative."""
-        members = frozenset(members)
-        best = -math.inf
-        for i in self.inputs_of[bl]:
-            balance = self.gain_of(members | {i}) - self.costs[i]
-            best = max(best, balance)
-        return best + self._min_cost_of[bl]
+        return self._potential(self.mask_of(members), bl)
+
+    def _objective_value(self, mask: int, covered: bool, bl) -> float:
+        return 0.0 if covered else 1.0 / (self._potential(mask, bl) + 1)
 
     def objective_value(self, members, covered, bl) -> float:
-        if bl in covered:
-            return 0.0
-        return 1.0 / (self.potential(members, bl) + 1)
+        return self._objective_value(self.mask_of(members), bl in covered, bl)
 
     def exposure(self, ind: Individual) -> float:
         """Sum of the objective values: the tail of the fitness vector."""
         return sum(ind.fitness[1:])
 
+    def _evaluate(self, mask: int) -> tuple[int, tuple[float, ...]]:
+        evaluated = self._evaluated.get(mask)
+        if evaluated is None:
+            cost = self.cost_of(self.set_of(mask))
+            fitness = (normalize(cost),) + tuple(
+                self._objective_value(mask, bool(mask & held), bl)
+                for bl, held in self.holders.items()
+            )
+            evaluated = self._evaluated[mask] = (cost, fitness)
+        return evaluated
+
     def fitness(self, members) -> tuple[float, ...]:
-        covered = self.cover_of(members)
-        return (normalize(self.cost_of(members)),) + tuple(
-            self.objective_value(members, covered, bl) for bl in self.objectives
-        )
+        return self._evaluate(self.mask_of(members))[1]
+
+    def _individual(self, mask: int) -> Individual:
+        cost, fitness = self._evaluate(mask)
+        return Individual(members=self.set_of(mask), cost=cost, fitness=fitness)
 
     def individual(self, members) -> Individual:
-        members = frozenset(members)
-        return Individual(
-            members=members,
-            cost=self.cost_of(members),
-            fitness=self.fitness(members),
-        )
+        return self._individual(self.mask_of(members))
 
 
 def _weighted_choice(rng: random.Random, items, weights):
@@ -128,6 +172,31 @@ def _weighted_choice(rng: random.Random, items, weights):
     return items[-1]
 
 
+def _weights(problem: ComponentProblem, pops: Populations):
+    """The stored selection weights of `pops`, derived from its lists if it
+    has none yet."""
+    if pops.roofer_weights is None:
+        pops.roofer_weights = [1.0 / r.cost for r in pops.roofers]
+        pops.miser_weights = [1.0 / problem.exposure(m) for m in pops.misers]
+    return pops.roofer_weights, pops.miser_weights
+
+
+def _live(problem: ComponentProblem, pops: Populations) -> Counter:
+    """The multiset of the live members' masks of `pops`, derived from its
+    lists if it has none yet."""
+    if pops.live is None:
+        pops.live = Counter(
+            problem.mask_of(x.members) for x in pops.roofers + pops.misers
+        )
+    return pops.live
+
+
+def _forget(live: Counter, mask: int) -> None:
+    live[mask] -= 1
+    if not live[mask]:
+        del live[mask]
+
+
 def init_roofers(problem: ComponentProblem, n_size: int, rng: random.Random) -> Populations:
     """Build n_size full-coverage individuals. Objectives are visited in a
     fresh random order per roofer; the input covering each uncovered
@@ -138,91 +207,90 @@ def init_roofers(problem: ComponentProblem, n_size: int, rng: random.Random) -> 
     for _ in range(n_size):
         order = list(problem.objectives)
         rng.shuffle(order)
-        members: set = set()
-        covered: set = set()
+        members = 0
         for bl in order:
-            if bl in covered:
+            if members & problem.holders[bl]:  # a pick already covers it
                 continue
             candidates = problem.inputs_of[bl]
             weights = [1.0 / (1 + occurrence[i]) for i in candidates]
             pick = _weighted_choice(rng, candidates, weights)
-            members.add(pick)
+            members |= problem._bit[pick]
             occurrence[pick] += 1
-            covered |= problem.cover[pick]
-        roofers.append(problem.individual(problem.reduce(members)))
-    return Populations(roofers=roofers, misers=[])
+        roofers.append(problem._individual(problem._solve(members)[1]))
+    pops = Populations(roofers=roofers, misers=[])
+    _weights(problem, pops)
+    _live(problem, pops)
+    return pops
 
 
 def select_parents(problem: ComponentProblem, pops: Populations,
                    rng: random.Random) -> tuple[Individual, Individual]:
     """A miser (weight 1/exposure) and a roofer (weight 1/cost) when misers
     exist; otherwise two distinct roofers, both weighted by 1/cost."""
+    roofer_weights, miser_weights = _weights(problem, pops)
     if pops.misers:
-        miser = _weighted_choice(
-            rng, pops.misers, [1.0 / problem.exposure(m) for m in pops.misers]
-        )
-        roofer = _weighted_choice(
-            rng, pops.roofers, [1.0 / r.cost for r in pops.roofers]
-        )
+        miser = _weighted_choice(rng, pops.misers, miser_weights)
+        roofer = _weighted_choice(rng, pops.roofers, roofer_weights)
         return miser, roofer
-    first = _weighted_choice(rng, pops.roofers, [1.0 / r.cost for r in pops.roofers])
-    rest = [r for r in pops.roofers if r is not first]
-    second = _weighted_choice(rng, rest, [1.0 / r.cost for r in rest])
+    first = _weighted_choice(rng, pops.roofers, roofer_weights)
+    rest = [k for k, r in enumerate(pops.roofers) if r is not first]
+    second = _weighted_choice(rng, [pops.roofers[k] for k in rest],
+                              [roofer_weights[k] for k in rest])
     return first, second
 
 
-def crossover(problem: ComponentProblem, p1: Individual, p2: Individual,
-              rng: random.Random) -> tuple[frozenset, frozenset]:
+def crossover(problem: ComponentProblem, m1: int, m2: int,
+              rng: random.Random) -> tuple[int, int]:
     """Split the objectives into two random halves; each child takes one
     parent's inputs covering the first half and the other parent's inputs
     covering the second half."""
     objectives = list(problem.objectives)
     rng.shuffle(objectives)
     half = math.ceil(len(objectives) / 2)
-    o1, o2 = objectives[:half], objectives[half:]
-    s1 = set()
-    for bl in o1:
-        s1.update(problem.inputs_of[bl])
-    s2 = set()
-    for bl in o2:
-        s2.update(problem.inputs_of[bl])
-    child1 = (p1.members & s1) | (p2.members & s2)
-    child2 = (p2.members & s1) | (p1.members & s2)
-    return frozenset(child1), frozenset(child2)
+    holders = problem.holders
+    s1 = functools.reduce(operator.or_, map(holders.__getitem__, objectives[:half]), 0)
+    s2 = functools.reduce(operator.or_, map(holders.__getitem__, objectives[half:]), 0)
+    return (m1 & s1) | (m2 & s2), (m2 & s1) | (m1 & s2)
 
 
-def mutate(problem: ComponentProblem, members: frozenset, rng: random.Random) -> frozenset:
+def mutate(problem: ComponentProblem, mask: int, rng: random.Random) -> int:
     """Toggle one uniformly chosen component input, then reduce."""
-    toggle = rng.choice(problem.inputs)
-    if toggle in members:
-        members = members - {toggle}
-    else:
-        members = members | {toggle}
-    return problem.reduce(members)
+    return problem._solve(mask ^ rng.choice(problem.bits))[1]
 
 
 def update_populations(problem: ComponentProblem, pops: Populations,
-                       candidate_members: frozenset, rng: random.Random) -> None:
+                       mask: int, rng: random.Random) -> None:
     """Fold one offspring into the populations, in place."""
-    if any(candidate_members == r.members for r in pops.roofers):
+    live = _live(problem, pops)
+    if mask in live:
         return
-    if any(candidate_members == m.members for m in pops.misers):
-        return
-    candidate = problem.individual(candidate_members)
-    if not any(candidate.fitness[1:]):  # every objective value 0: covers all
+    roofer_weights, miser_weights = _weights(problem, pops)
+    cost, fitness = problem._evaluate(mask)
+    if not any(fitness[1:]):  # every objective value 0: covers all
         max_cost = max(r.cost for r in pops.roofers)
-        if candidate.cost <= max_cost:
+        if cost <= max_cost:
             ties = [idx for idx, r in enumerate(pops.roofers) if r.cost == max_cost]
             evict = rng.choice(ties)
-            pops.roofers[evict] = candidate
+            _forget(live, problem.mask_of(pops.roofers[evict].members))
+            pops.roofers[evict] = problem._individual(mask)
+            roofer_weights[evict] = 1.0 / cost
+            live[mask] += 1
         return
     for miser in pops.misers:
-        if dominates(miser.fitness, candidate.fitness):
+        if dominates(miser.fitness, fitness):
             return
-    pops.misers = [
-        m for m in pops.misers if not dominates(candidate.fitness, m.fitness)
-    ]
-    pops.misers.append(candidate)
+    misers, weights = [], []
+    for miser, weight in zip(pops.misers, miser_weights):
+        if dominates(fitness, miser.fitness):
+            _forget(live, problem.mask_of(miser.members))
+        else:
+            misers.append(miser)
+            weights.append(weight)
+    candidate = problem._individual(mask)
+    misers.append(candidate)
+    weights.append(1.0 / problem.exposure(candidate))
+    live[mask] += 1
+    pops.misers, pops.miser_weights = misers, weights
 
 
 def mocco_run(component: Component, costs, config: RunConfig = RunConfig(),
@@ -241,10 +309,10 @@ def mocco_run(component: Component, costs, config: RunConfig = RunConfig(),
         on_generation(0, pops)
     for gen in range(1, config.generations + 1):
         p1, p2 = select_parents(problem, pops, rng)
-        children = crossover(problem, p1, p2, rng)
+        children = crossover(problem, problem.mask_of(p1.members),
+                             problem.mask_of(p2.members), rng)
         for child in children:
-            mutated = mutate(problem, child, rng)
-            update_populations(problem, pops, mutated, rng)
+            update_populations(problem, pops, mutate(problem, child, rng), rng)
         if on_generation is not None:
             on_generation(gen, pops)
     min_cost = min(r.cost for r in pops.roofers)

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import dataclasses
 import importlib.util
+import math
 import random
 import sys
 from collections import Counter
@@ -27,6 +28,7 @@ from covmin.config import RunConfig
 from covmin.dataset import load_dataset
 from covmin.distance import levenshtein
 from covmin.reduction import valid_orders_gain
+from covmin.search import ComponentProblem, Populations
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -376,3 +378,132 @@ def select_hyperparams_uncached(dm, grid, seed: int = 0) -> HyperParamChoice:
             gini=gini(scores),
         ))
     return max(candidates, key=lambda c: (c.silhouette_mean, -c.gini))
+
+
+def dominates_all_any(f1, f2) -> bool:
+    """Pareto dominance (minimization) as the definition reads: no worse
+    everywhere and better somewhere."""
+    if len(f1) != len(f2):
+        raise ValueError("fitness vectors must have equal length")
+    return all(a <= b for a, b in zip(f1, f2)) and any(a < b for a, b in zip(f1, f2))
+
+
+def reference_mocco_run(component, costs, config: RunConfig, seed: int = 0,
+                        on_generation=None) -> frozenset:
+    """`search.mocco_run` with every individual a frozenset of input ids:
+    each miser's exposure recomputed on every selection, duplicates found
+    by scanning both populations and crossover halves rebuilt per pair.
+    It draws from the RNG exactly as the search does."""
+    problem = ComponentProblem(component, costs)
+    rng = random.Random(seed)
+    pops = _reference_init_roofers(problem, config.n_size, rng)
+    if on_generation is not None:
+        on_generation(0, pops)
+    for gen in range(1, config.generations + 1):
+        p1, p2 = _reference_select_parents(problem, pops, rng)
+        for child in _reference_crossover(problem, p1, p2, rng):
+            toggle = rng.choice(problem.inputs)
+            child = child - {toggle} if toggle in child else child | {toggle}
+            _reference_update_populations(problem, pops, problem.reduce(child), rng)
+        if on_generation is not None:
+            on_generation(gen, pops)
+    min_cost = min(r.cost for r in pops.roofers)
+    best = [r for r in pops.roofers if r.cost == min_cost]
+    return rng.choice(best).members
+
+
+def _reference_weighted_choice(rng, items, weights):
+    total = sum(weights)
+    x = rng.random() * total
+    acc = 0.0
+    for item, w in zip(items, weights):
+        acc += w
+        if x < acc:
+            return item
+    return items[-1]
+
+
+def _reference_init_roofers(problem, n_size, rng):
+    occurrence = {i: 0 for i in problem.inputs}
+    roofers = []
+    for _ in range(n_size):
+        order = list(problem.objectives)
+        rng.shuffle(order)
+        members, covered = set(), set()
+        for bl in order:
+            if bl in covered:
+                continue
+            candidates = problem.inputs_of[bl]
+            weights = [1.0 / (1 + occurrence[i]) for i in candidates]
+            pick = _reference_weighted_choice(rng, candidates, weights)
+            members.add(pick)
+            occurrence[pick] += 1
+            covered |= problem.cover[pick]
+        roofers.append(problem.individual(problem.reduce(members)))
+    return Populations(roofers=roofers, misers=[])
+
+
+def _reference_select_parents(problem, pops, rng):
+    if pops.misers:
+        miser = _reference_weighted_choice(
+            rng, pops.misers, [1.0 / problem.exposure(m) for m in pops.misers])
+        roofer = _reference_weighted_choice(
+            rng, pops.roofers, [1.0 / r.cost for r in pops.roofers])
+        return miser, roofer
+    first = _reference_weighted_choice(
+        rng, pops.roofers, [1.0 / r.cost for r in pops.roofers])
+    rest = [r for r in pops.roofers if r is not first]
+    second = _reference_weighted_choice(rng, rest, [1.0 / r.cost for r in rest])
+    return first, second
+
+
+def _reference_crossover(problem, p1, p2, rng):
+    objectives = list(problem.objectives)
+    rng.shuffle(objectives)
+    half = math.ceil(len(objectives) / 2)
+    s1, s2 = set(), set()
+    for bl in objectives[:half]:
+        s1.update(problem.inputs_of[bl])
+    for bl in objectives[half:]:
+        s2.update(problem.inputs_of[bl])
+    return ((p1.members & s1) | (p2.members & s2),
+            (p2.members & s1) | (p1.members & s2))
+
+
+def _reference_update_populations(problem, pops, members, rng):
+    if any(members == r.members for r in pops.roofers):
+        return
+    if any(members == m.members for m in pops.misers):
+        return
+    candidate = problem.individual(members)
+    if not any(candidate.fitness[1:]):
+        max_cost = max(r.cost for r in pops.roofers)
+        if candidate.cost <= max_cost:
+            ties = [k for k, r in enumerate(pops.roofers) if r.cost == max_cost]
+            pops.roofers[rng.choice(ties)] = candidate
+        return
+    if any(dominates_all_any(m.fitness, candidate.fitness) for m in pops.misers):
+        return
+    pops.misers = [m for m in pops.misers
+                   if not dominates_all_any(candidate.fitness, m.fitness)]
+    pops.misers.append(candidate)
+
+
+def fitness_by_definition(members, cover, costs) -> tuple[float, ...]:
+    """The search's fitness vector computed from raw `valid_orders_gain`:
+    the normalized cost, then per objective in sorted order 0 when covered,
+    else 1 / (potential + 1). The potential is the best gain of adding a
+    holder minus its cost, shifted by the cheapest holder's cost."""
+    members = frozenset(members)
+    covered = coverage_of(members, cover)
+    values = []
+    for bl in sorted(frozenset().union(*cover.values())):
+        if bl in covered:
+            values.append(0.0)
+            continue
+        holders = [i for i in sorted(cover) if bl in cover[i]]
+        best = max(valid_orders_gain(members | {i}, cover, costs)[0] - costs[i]
+                   for i in holders)
+        values.append(1.0 / (best + min(costs[i] for i in holders) + 1))
+    cost = sum(costs[i] for i in members)
+    return (cost / (cost + 1.0),) + tuple(values)

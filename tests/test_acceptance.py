@@ -4,6 +4,7 @@ PASS/FAIL line per criterion (run with -s or look at captured output)."""
 import json
 import random
 import time
+from collections import Counter
 
 import pytest
 
@@ -67,9 +68,9 @@ def test_criterion_1_worked_example_fixtures():
             def shuffle(self, items):
                 items[:] = ["a", "b", "c", "d"]
 
-        c1, c2 = crossover(problem,
-                           problem.individual(frozenset({1, 3, 4})),
-                           problem.individual(frozenset({2, 5})), Fixed())
+        c1, c2 = map(problem.set_of, crossover(problem,
+                                               problem.mask_of(frozenset({1, 3, 4})),
+                                               problem.mask_of(frozenset({2, 5})), Fixed()))
         assert c1 == frozenset({1, 3, 5})
         assert c2 == frozenset({2, 3, 4})
 
@@ -198,6 +199,14 @@ class _InvariantTracker:
                 if dominates(past, m.fitness):
                     self.violations.append((gen, "miser dominated by past miser"))
         self.shadow_misers.update(dict.fromkeys(m.fitness for m in pops.misers))
+        # The stored selection weights and live multiset match the lists.
+        if pops.roofer_weights != [1.0 / r.cost for r in pops.roofers]:
+            self.violations.append((gen, "stored roofer weights"))
+        if pops.miser_weights != [1.0 / problem.exposure(m) for m in pops.misers]:
+            self.violations.append((gen, "stored miser weights"))
+        members = pops.roofers + pops.misers
+        if pops.live != Counter(problem.mask_of(x.members) for x in members):
+            self.violations.append((gen, "live member multiset"))
 
 
 _DESK_RUNS = {}

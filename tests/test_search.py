@@ -24,8 +24,11 @@ from _oracles import (
     bruteforce_min_cover,
     coverage_of,
     covers_all,
+    dominates_all_any,
+    fitness_by_definition,
     is_redundant_in,
     random_instance,
+    reference_mocco_run,
 )
 
 GREEDY_COVER = {
@@ -47,6 +50,23 @@ def test_dominates():
     assert not dominates((0.1, 0.5), (0.2, 0.3))
     with pytest.raises(ValueError):
         dominates((0.1,), (0.1, 0.2))
+
+
+_FITNESS_VALUES = st.one_of(
+    st.sampled_from([0.0, 0.25, 0.5, 1.0]),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.integers(0, 6).flatmap(lambda n: st.tuples(
+    st.lists(_FITNESS_VALUES, min_size=n, max_size=n),
+    st.lists(_FITNESS_VALUES, min_size=n, max_size=n),
+)))
+def test_dominates_matches_all_any_definition(vectors):
+    f1, f2 = vectors
+    assert dominates(f1, f2) == dominates_all_any(f1, f2)
+    assert not dominates(f1, list(f1))
 
 
 def test_potential_examples():
@@ -165,7 +185,9 @@ def test_crossover_halves_fixture():
     p2 = problem.individual(frozenset({2, 5}))
     # First half {a, b} is covered by inputs {1, 2, 3}; second half {c, d}
     # by {3, 4, 5}.
-    child1, child2 = crossover(problem, p1, p2, _FixedOrder(["a", "b", "c", "d"]))
+    child1, child2 = map(problem.set_of, crossover(
+        problem, problem.mask_of(p1.members), problem.mask_of(p2.members),
+        _FixedOrder(["a", "b", "c", "d"])))
     assert child1 == frozenset({1, 3, 5})
     assert child2 == frozenset({2, 3, 4})
     assert child1 <= p1.members | p2.members
@@ -175,7 +197,8 @@ def test_crossover_halves_fixture():
 def test_crossover_identical_parents_returns_parents():
     problem = _greedy_problem()
     p = problem.individual(frozenset({2, 3}))
-    child1, child2 = crossover(problem, p, p, random.Random(0))
+    mask = problem.mask_of(p.members)
+    child1, child2 = map(problem.set_of, crossover(problem, mask, mask, random.Random(0)))
     assert child1 == p.members
     assert child2 == p.members
 
@@ -186,7 +209,7 @@ def test_mutate_results_are_reduced():
         cover, costs = random_instance(rng, max_inputs=6, max_blocks=6)
         problem = ComponentProblem(Component(cover=cover), costs)
         members = frozenset(i for i in cover if rng.random() < 0.5)
-        mutated = mutate(problem, members, rng)
+        mutated = problem.set_of(mutate(problem, problem.mask_of(members), rng))
         for i in mutated:
             assert not is_redundant_in(i, mutated, problem.cover)
 
@@ -198,11 +221,11 @@ def test_update_populations_roofer_replacement_and_duplicates():
     pops = Populations(roofers=[worst, worst], misers=[])
     rng = random.Random(0)
     # Equal-cost full-coverage candidate is accepted (<=, not <).
-    update_populations(problem, pops, frozenset({2, 3}), rng)
+    update_populations(problem, pops, problem.mask_of(frozenset({2, 3})), rng)
     assert any(r.members == frozenset({2, 3}) for r in pops.roofers)
     # Duplicate of an existing roofer is discarded silently.
     before = list(pops.roofers)
-    update_populations(problem, pops, frozenset({2, 3}), rng)
+    update_populations(problem, pops, problem.mask_of(frozenset({2, 3})), rng)
     assert pops.roofers == before
 
 
@@ -212,10 +235,10 @@ def test_update_populations_miser_dominance():
     from covmin.search import Populations
     pops = Populations(roofers=[roofer], misers=[])
     rng = random.Random(0)
-    update_populations(problem, pops, frozenset({1}), rng)
+    update_populations(problem, pops, problem.mask_of(frozenset({1})), rng)
     assert len(pops.misers) == 1
     # {1, 2} covers a superset of {1} at higher cost: incomparable, kept.
-    update_populations(problem, pops, frozenset({1, 2}), rng)
+    update_populations(problem, pops, problem.mask_of(frozenset({1, 2})), rng)
     assert len(pops.misers) == 2
 
 
@@ -300,6 +323,88 @@ def test_memo_matches_raw_valid_orders_gain(case, data):
             gain, order = valid_orders_gain(s, component.cover, costs)
             assert problem.gain_of(sorted(s)) == gain
             assert problem.reduce(set(s)) == s - set(order)
+
+
+def _generations(run, component, costs, config, seed):
+    """`run`'s result and, per generation, every roofer's and miser's
+    members, cost and fitness, in population order."""
+    seen = []
+
+    def record(gen, pops):
+        seen.append((gen,
+                     [(r.members, r.cost, r.fitness) for r in pops.roofers],
+                     [(m.members, m.cost, m.fitness) for m in pops.misers]))
+
+    return run(component, costs, config, seed, on_generation=record), seen
+
+
+# Equal initial roofers at n_size=2, and a miser evicted by a dominating one.
+EVICTING_COMPONENT = Component(cover={
+    1: frozenset({2}), 2: frozenset({1, 2}), 3: frozenset({0, 1}), 4: frozenset({1, 2}),
+})
+EVICTING_COSTS = {1: 1, 2: 2, 3: 7, 4: 7}
+
+
+def test_evicting_example_has_equal_roofers_and_evicts_a_miser():
+    _, seen = _generations(mocco_run, EVICTING_COMPONENT, EVICTING_COSTS,
+                           RunConfig(n_size=2, generations=20), 21)
+    roofers = [members for members, _, _ in seen[0][1]]
+    assert len(set(roofers)) < len(roofers)
+    misers = [{members for members, _, _ in gen[2]} for gen in seen]
+    assert any(before - after for before, after in zip(misers, misers[1:]))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(_component(), st.integers(2, 8), st.integers(0, 60))
+@example((EVICTING_COMPONENT, EVICTING_COSTS, 21), 2, 20)
+@example((Component(cover={1: frozenset({0})}), {1: 3}, 0), 3, 5)
+def test_mocco_run_matches_reference_search(case, n_size, generations):
+    component, costs, seed = case
+    config = RunConfig(n_size=n_size, generations=generations)
+    assert _generations(mocco_run, component, costs, config, seed) == \
+        _generations(reference_mocco_run, component, costs, config, seed)
+
+
+def test_exposure_called_once_per_admitted_miser(monkeypatch):
+    exposed = []
+    exposure = ComponentProblem.exposure
+
+    def counting(self, ind):
+        exposed.append(ind)
+        return exposure(self, ind)
+
+    admitted = []
+    update = covmin.search.update_populations
+
+    def watching(problem, pops, child, rng):
+        before = list(pops.misers)
+        update(problem, pops, child, rng)
+        if pops.misers and not any(pops.misers[-1] is m for m in before):
+            admitted.append(pops.misers[-1])
+
+    monkeypatch.setattr(ComponentProblem, "exposure", counting)
+    monkeypatch.setattr(covmin.search, "update_populations", watching)
+    rng = random.Random(17)
+    for seed in range(10):
+        cover, costs = random_instance(rng, max_inputs=8, max_blocks=8)
+        mocco_run(Component(cover=cover), costs,
+                  RunConfig(n_size=6, generations=60), seed)
+    assert len(admitted) > 10
+    assert len(exposed) == len(admitted)
+    assert all(e is a for e, a in zip(exposed, admitted))
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(_component(), st.data())
+def test_fitness_memo_matches_definition(case, data):
+    component, costs, _ = case
+    problem = ComponentProblem(component, costs)
+    subsets = data.draw(st.lists(
+        st.frozensets(st.sampled_from(sorted(component.inputs))), max_size=6))
+    for _ in range(2):  # the first call evaluates, the repeat reads the memo
+        for s in subsets:
+            assert problem.fitness(sorted(s)) == \
+                fitness_by_definition(s, component.cover, costs)
 
 
 @pytest.fixture
