@@ -3,7 +3,7 @@
 Run: python3 demos/01_distances.py
 """
 
-from covmin.dataset import Action, preprocess_output
+from covmin.dataset import Action, preprocess_output, tokenize
 from covmin.distance import (
     action_distance,
     bag_matrix,
@@ -15,8 +15,8 @@ from covmin.distance import (
 
 # Page texts are tokenized, stripped of markup and stopwords, and stemmed
 # before any distance is taken.
-doc1 = preprocess_output("<h1>Job created</h1> The build is running")
-doc2 = preprocess_output("<h1>Job deleted</h1> The build has stopped")
+doc1 = preprocess_output(tokenize("<h1>Job created</h1> The build is running"))
+doc2 = preprocess_output(tokenize("<h1>Job deleted</h1> The build has stopped"))
 print("tokens 1:", doc1.tokens)
 print("tokens 2:", doc2.tokens)
 # Output distances are taken as whole matrices over the distinct documents.

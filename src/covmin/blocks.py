@@ -17,7 +17,7 @@ import numpy as np
 from .clustering import DistanceMatrix, select_hyperparams
 from .config import RunConfig
 from .dataset import (Action, Dataset, TokenDoc, ValidationError,
-                      build_shared_filter, preprocess_output)
+                      build_shared_filter, preprocess_output, tokenize)
 from .distance import action_distance, bag_matrix, lev_matrix, pairwise_matrix
 
 Occurrence = tuple[int, int]  # (input id, action position)
@@ -50,16 +50,16 @@ class CoverageMap:
 
 def preprocess_all(dataset: Dataset, config: RunConfig):
     """TokenDoc per action occurrence, with the shared-content filter built
-    over every raw page in the dataset. Stems are memoized for this call
-    only, so every run pays for its own stemming."""
-    raw_pages = [out for rec in dataset.inputs for out in rec.outputs]
-    shared = build_shared_filter(raw_pages, config.shared_threshold)
-    stems: dict[str, str] = {}
-    docs = {}
-    for rec in dataset.inputs:
-        for pos, raw in enumerate(rec.outputs):
-            docs[(rec.id, pos)] = preprocess_output(raw, shared, stems)
-    return docs
+    over every raw page in the dataset, duplicates included. Each distinct
+    page is tokenized and preprocessed once. Token outcomes and documents
+    are memoized for this call only, so every run pays for its own work."""
+    pages = [out for rec in dataset.inputs for out in rec.outputs]
+    tokens = {raw: tokenize(raw) for raw in dict.fromkeys(pages)}
+    shared = build_shared_filter([tokens[raw] for raw in pages], config.shared_threshold)
+    kept: dict[str, str | None] = {}
+    doc_of = {raw: preprocess_output(toks, shared, kept) for raw, toks in tokens.items()}
+    return {(rec.id, pos): doc_of[raw]
+            for rec in dataset.inputs for pos, raw in enumerate(rec.outputs)}
 
 
 def cluster_outputs(dataset: Dataset, config: RunConfig, seed: int) -> dict[Occurrence, int]:

@@ -231,6 +231,10 @@ def select_hyperparams(dm: DistanceMatrix, grid: HyperParamGrid, seed: int = 0) 
     best: HyperParamChoice | None = None
     scored: dict[tuple[int, ...], tuple[float, float]] = {}
     points = list(_grid_points(dm, grid))
+    if dm.n <= 2:
+        # Two points form one cluster or two singletons, so every labelling
+        # scores silhouette 0 and Gini 0, and the tie goes to the first point.
+        points = points[:1]
     if grid.algo == "kmeans":
         labellings = (kmedoids(dm, params["k"], seed=seed) for params in points)
     else:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import logging
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .stemming import STOPWORDS, stem
@@ -173,7 +174,7 @@ def load_dataset(path) -> Dataset:
 # --- output text preprocessing ---
 
 _TAG_RE = re.compile(r"<[^>]*>")
-_TOKEN_RE = re.compile(r"[^0-9a-z]+")
+_TOKEN_RE = re.compile(r"[0-9a-z]+")
 
 
 @dataclass(frozen=True)
@@ -181,47 +182,46 @@ class TokenDoc:
     tokens: tuple[str, ...]
 
 
-def _tokenize(raw: str) -> list[str]:
-    text = _TAG_RE.sub(" ", raw).lower()
-    return [tok for tok in _TOKEN_RE.split(text) if tok]
+def tokenize(raw: str) -> list[str]:
+    """The words of a page: markup stripped, lowercased, the runs of ASCII
+    letters and digits."""
+    return _TOKEN_RE.findall(_TAG_RE.sub(" ", raw).lower())
 
 
-def build_shared_filter(docs, threshold: float = 0.8) -> frozenset[str]:
-    """Tokens present in at least `threshold` of the documents.
+def build_shared_filter(pages, threshold: float = 0.8) -> frozenset[str]:
+    """Tokens present in at least `threshold` of the pages, each page given
+    by its `tokenize` list.
 
     Boilerplate shared across most pages (menus, version strings, dates)
     cannot characterize a specific page, so it is filtered out before any
     further processing.
     """
-    docs = list(docs)
-    if not docs:
+    pages = list(pages)
+    if not pages:
         raise ValidationError("cannot build a shared-content filter from zero documents")
     if not (0.0 < threshold <= 1.0):
         raise ValidationError(f"threshold must be in (0, 1], got {threshold}")
-    freq: dict[str, int] = {}
-    for raw in docs:
-        for tok in set(_tokenize(raw)):
-            freq[tok] = freq.get(tok, 0) + 1
-    return frozenset(tok for tok, n in freq.items() if n / len(docs) >= threshold)
+    freq: Counter[str] = Counter()
+    for tokens in pages:
+        freq.update(set(tokens))
+    return frozenset(tok for tok, n in freq.items() if n / len(pages) >= threshold)
 
 
-def preprocess_output(raw: str, shared: frozenset[str] = frozenset(),
-                      stems: dict[str, str] | None = None) -> TokenDoc:
-    """Strip markup, tokenize, drop shared/stop/numeric tokens, then stem.
+def preprocess_output(tokens, shared: frozenset[str] = frozenset(),
+                      kept: dict[str, str | None] | None = None) -> TokenDoc:
+    """Drop shared, stop and numeric tokens from a page's `tokenize` list,
+    then stem the rest.
 
-    `stems` memoizes `stem` (word -> stem) across the calls that share it.
+    `kept` memoizes each token's outcome (its stem, or None when it is
+    dropped) across the calls that share it and `shared`.
     """
-    if stems is None:
-        stems = {}
+    if kept is None:
+        kept = {}
     out = []
-    for tok in _tokenize(raw):
-        if tok in shared:
-            continue
-        if tok in STOPWORDS:
-            continue
-        if tok.isdigit():
-            continue
-        if tok not in stems:
-            stems[tok] = stem(tok)
-        out.append(stems[tok])
+    for tok in tokens:
+        if tok not in kept:
+            dropped = tok in shared or tok in STOPWORDS or tok.isdigit()
+            kept[tok] = None if dropped else stem(tok)
+        if kept[tok] is not None:
+            out.append(kept[tok])
     return TokenDoc(tokens=tuple(out))

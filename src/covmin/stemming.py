@@ -1,115 +1,136 @@
 """English suffix stripping and the default stopword list.
 
-The stemmer follows the classic five-step suffix-stripping algorithm for
-English. It is embedded here so the preprocessing pipeline has no runtime
-dependency on an NLP toolkit.
+The stemmer is the classic five-step suffix-stripping algorithm for English
+(Porter, "An algorithm for suffix stripping", 1980). It is embedded here so
+the preprocessing pipeline has no runtime dependency on an NLP toolkit.
+
+Each word's consonant/vowel pattern is computed once and kept in step with
+the word, so the measure of a stem is a count over a prefix of the pattern.
+Steps 2-4 look the word's ending up in one dict per suffix length, longest
+first, instead of scanning their rule lists, and only when the word ends in
+the last letter of some rule suffix.
 """
 
 from __future__ import annotations
 
-_VOWELS = "aeiou"
+# ASCII code -> "v" (vowel), "c" (consonant) or "y" (decided by context).
+_CV = {code: "c" for code in range(128)}
+_CV.update({ord(ch): "v" for ch in "aeiou"})
+_CV[ord("y")] = "y"
 
 
-def _is_consonant(word: str, i: int) -> bool:
-    ch = word[i]
-    if ch in _VOWELS:
-        return False
-    if ch == "y":
-        return i == 0 or not _is_consonant(word, i - 1)
-    return True
+def _pattern(word: str) -> str:
+    """The word's consonant/vowel pattern: a y is a consonant at the start
+    or after a vowel, and a vowel after a consonant."""
+    cv = word.translate(_CV)
+    if "y" not in cv:
+        return cv
+    out = []
+    prev = "v"
+    for ch in cv:
+        if ch == "y":
+            ch = "v" if prev == "c" else "c"
+        out.append(ch)
+        prev = ch
+    return "".join(out)
 
 
-def _measure(stem: str) -> int:
-    """Number of vowel-consonant sequences in the stem."""
-    m = 0
-    prev_cons = True
-    for i in range(len(stem)):
-        cons = _is_consonant(stem, i)
-        if cons and not prev_cons:
-            m += 1
-        prev_cons = cons
-    return m
+def _ends_cvc(word: str, cv: str) -> bool:
+    """Consonant-vowel-consonant ending, the last not w, x or y."""
+    return cv.endswith("cvc") and word[-1] not in "wxy"
 
 
-def _has_vowel(stem: str) -> bool:
-    return any(not _is_consonant(stem, i) for i in range(len(stem)))
+def _by_length(rules):
+    """Rules (suffix, replacement) as the set of their suffixes' last
+    letters and [(length, {suffix: replacement})], longest suffix first."""
+    tables: dict[int, dict[str, str]] = {}
+    for suffix, repl in rules:
+        tables.setdefault(len(suffix), {})[suffix] = repl
+    last_letters = frozenset(suffix[-1] for table in tables.values() for suffix in table)
+    return last_letters, sorted(tables.items(), reverse=True)
 
 
-def _ends_double_consonant(word: str) -> bool:
-    return (
-        len(word) >= 2
-        and word[-1] == word[-2]
-        and _is_consonant(word, len(word) - 1)
-    )
-
-
-def _ends_cvc(word: str) -> bool:
-    if len(word) < 3:
-        return False
-    if not _is_consonant(word, len(word) - 3):
-        return False
-    if _is_consonant(word, len(word) - 2):
-        return False
-    if not _is_consonant(word, len(word) - 1):
-        return False
-    return word[-1] not in "wxy"
+def _lookup(word: str, tables):
+    """The (suffix length, replacement) of the longest rule suffix ending
+    `word`, or None."""
+    last_letters, by_length = tables
+    if word[-1:] in last_letters:
+        for n, rules in by_length:
+            repl = rules.get(word[-n:])
+            if repl is not None:
+                return n, repl
+    return None
 
 
 def stem(word: str) -> str:
-    """Stem a lowercase word."""
+    """Stem a lowercase word of ASCII letters and digits."""
     if len(word) <= 2:
         return word
-    word = _step1a(word)
-    word = _step1b(word)
-    word = _step1c(word)
-    word = _replace_suffix(word, _STEP2_RULES)
-    word = _replace_suffix(word, _STEP3_RULES)
-    word = _step4(word)
-    word = _step5a(word)
-    word = _step5b(word)
+    cv = _pattern(word)
+
+    # Step 1a: plurals.
+    if word.endswith(("sses", "ies")):
+        word, cv = word[:-2], cv[:-2]
+    elif word.endswith("s") and not word.endswith("ss"):
+        word, cv = word[:-1], cv[:-1]
+
+    # Step 1b: -eed, -ed, -ing.
+    if word.endswith("eed"):
+        if cv.count("vc", 0, len(word) - 3):
+            word, cv = word[:-1], cv[:-1]
+    elif word.endswith(("ed", "ing")):
+        n = len(word) - (2 if word.endswith("d") else 3)
+        if "v" in cv[:n]:
+            word, cv = word[:n], cv[:n]
+            if word.endswith(("at", "bl", "iz")):
+                word, cv = word + "e", cv + "v"
+            elif (len(word) >= 2 and word[-1] == word[-2] and cv[-1] == "c"
+                  and word[-1] not in "lsz"):
+                word, cv = word[:-1], cv[:-1]
+            elif cv.count("vc") == 1 and _ends_cvc(word, cv):
+                word, cv = word + "e", cv + "v"
+
+    # Step 1c: a final y after a vowel somewhere becomes i.
+    if word.endswith("y") and "v" in cv[:-1]:
+        word, cv = word[:-1] + "i", cv[:-1] + "v"
+
+    # Steps 2 and 3: the longest rule suffix applies if the stem left has a
+    # positive measure. No replacement holds a y, so its pattern needs no
+    # context.
+    for tables in (_STEP2, _STEP3):
+        hit = _lookup(word, tables)
+        if hit is not None:
+            n = len(word) - hit[0]
+            if cv.count("vc", 0, n):
+                word, cv = word[:n] + hit[1], cv[:n] + hit[1].translate(_CV)
+
+    # Step 4: drop the longest rule suffix (or -ion after s or t) if the
+    # stem left has a measure above 1.
+    hit = _lookup(word, _STEP4)
+    if hit is not None:
+        n = len(word) - hit[0]
+    elif word.endswith(("sion", "tion")):
+        n = len(word) - 3
+    else:
+        n = len(word)
+    if cv.count("vc", 0, n) > 1:
+        word, cv = word[:n], cv[:n]
+
+    # Step 5a: a final e goes after a measure above 1, or a measure of 1
+    # without a consonant-vowel-consonant ending before it.
+    if word.endswith("e"):
+        m = cv.count("vc", 0, len(word) - 1)
+        if m > 1 or (m == 1 and not _ends_cvc(word[:-1], cv[:-1])):
+            word, cv = word[:-1], cv[:-1]
+
+    # Step 5b: -ll becomes -l after a measure above 1.
+    if word.endswith("ll") and cv.count("vc") > 1:
+        word = word[:-1]
     return word
 
 
-def _step1a(w: str) -> str:
-    if w.endswith("sses"):
-        return w[:-2]
-    if w.endswith("ies"):
-        return w[:-2]
-    if w.endswith("ss"):
-        return w
-    if w.endswith("s"):
-        return w[:-1]
-    return w
-
-
-def _step1b(w: str) -> str:
-    if w.endswith("eed"):
-        if _measure(w[:-3]) > 0:
-            return w[:-1]
-        return w
-    flag = False
-    if w.endswith("ed") and _has_vowel(w[:-2]):
-        w = w[:-2]
-        flag = True
-    elif w.endswith("ing") and _has_vowel(w[:-3]):
-        w = w[:-3]
-        flag = True
-    if flag:
-        if w.endswith(("at", "bl", "iz")):
-            return w + "e"
-        if _ends_double_consonant(w) and not w.endswith(("l", "s", "z")):
-            return w[:-1]
-        if _measure(w) == 1 and _ends_cvc(w):
-            return w + "e"
-    return w
-
-
-def _step1c(w: str) -> str:
-    if w.endswith("y") and _has_vowel(w[:-1]):
-        return w[:-1] + "i"
-    return w
-
-
+# Within each step, a rule suffix that ends another comes after it, so the
+# first matching rule in list order is the longest matching suffix.
 _STEP2_RULES = [
     ("ational", "ate"), ("tional", "tion"), ("enci", "ence"), ("anci", "ance"),
     ("izer", "ize"), ("abli", "able"), ("alli", "al"), ("entli", "ent"),
@@ -128,52 +149,13 @@ _STEP4_SUFFIXES = [
     "ment", "ent", "ou", "ism", "ate", "iti", "ous", "ive", "ize",
 ]
 
-
-def _replace_suffix(w: str, rules) -> str:
-    """Steps 2 and 3: the first rule whose suffix ends `w` applies, and
-    only if the stem left has a positive measure."""
-    for suffix, repl in rules:
-        if w.endswith(suffix):
-            stem_ = w[: -len(suffix)]
-            if _measure(stem_) > 0:
-                return stem_ + repl
-            return w
-    return w
+_STEP2 = _by_length(_STEP2_RULES)
+_STEP3 = _by_length(_STEP3_RULES)
+_STEP4 = _by_length((suffix, "") for suffix in _STEP4_SUFFIXES)
 
 
-def _step4(w: str) -> str:
-    for suffix in _STEP4_SUFFIXES:
-        if w.endswith(suffix):
-            stem_ = w[: -len(suffix)]
-            if _measure(stem_) > 1:
-                return stem_
-            return w
-    if w.endswith("ion"):
-        stem_ = w[:-3]
-        if stem_.endswith(("s", "t")) and _measure(stem_) > 1:
-            return stem_
-    return w
-
-
-def _step5a(w: str) -> str:
-    if w.endswith("e"):
-        stem_ = w[:-1]
-        m = _measure(stem_)
-        if m > 1:
-            return stem_
-        if m == 1 and not _ends_cvc(stem_):
-            return stem_
-    return w
-
-
-def _step5b(w: str) -> str:
-    if _measure(w) > 1 and _ends_double_consonant(w) and w.endswith("l"):
-        return w[:-1]
-    return w
-
-
-# Standard English stopword list (~170 entries). Tokens are produced by
-# splitting on non-alphanumerics, so contraction fragments (don, ve, ll, ...)
+# Standard English stopword list (~170 entries). Tokens are the runs of
+# letters and digits, so contraction fragments (don, ve, ll, ...)
 # are included explicitly.
 STOPWORDS = frozenset("""
 a about above after again against all am an and any are aren as at be because

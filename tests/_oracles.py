@@ -10,6 +10,7 @@ import dataclasses
 import importlib.util
 import math
 import random
+import re
 import sys
 from collections import Counter
 from functools import lru_cache
@@ -17,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
+from covmin import stemming
 from covmin.clustering import (
     HyperParamChoice,
     _canonical_labels,
@@ -25,7 +27,7 @@ from covmin.clustering import (
     gini,
 )
 from covmin.config import RunConfig
-from covmin.dataset import load_dataset
+from covmin.dataset import TokenDoc, load_dataset
 from covmin.distance import levenshtein
 from covmin.reduction import valid_orders_gain
 from covmin.search import ComponentProblem, Populations
@@ -507,3 +509,178 @@ def fitness_by_definition(members, cover, costs) -> tuple[float, ...]:
         values.append(1.0 / (best + min(costs[i] for i in holders) + 1))
     cost = sum(costs[i] for i in members)
     return (cost / (cost + 1.0),) + tuple(values)
+
+
+# --- preprocessing as the table-driven stemmer and the one-pass
+# `preprocess_all` replaced it: list scans and a per-character recursion in
+# the stemmer, and every page tokenized twice ---
+
+_TAG_RE = re.compile(r"<[^>]*>")
+_NON_TOKEN_RE = re.compile(r"[^0-9a-z]+")
+
+
+def _is_consonant(word: str, i: int) -> bool:
+    ch = word[i]
+    if ch in "aeiou":
+        return False
+    if ch == "y":
+        return i == 0 or not _is_consonant(word, i - 1)
+    return True
+
+
+def _measure(stem: str) -> int:
+    """Number of vowel-consonant sequences in the stem."""
+    m = 0
+    prev_cons = True
+    for i in range(len(stem)):
+        cons = _is_consonant(stem, i)
+        if cons and not prev_cons:
+            m += 1
+        prev_cons = cons
+    return m
+
+
+def _has_vowel(stem: str) -> bool:
+    return any(not _is_consonant(stem, i) for i in range(len(stem)))
+
+
+def _ends_double_consonant(word: str) -> bool:
+    return len(word) >= 2 and word[-1] == word[-2] and _is_consonant(word, len(word) - 1)
+
+
+def _ends_cvc(word: str) -> bool:
+    if len(word) < 3:
+        return False
+    if not _is_consonant(word, len(word) - 3):
+        return False
+    if _is_consonant(word, len(word) - 2):
+        return False
+    if not _is_consonant(word, len(word) - 1):
+        return False
+    return word[-1] not in "wxy"
+
+
+def _step1a(w: str) -> str:
+    if w.endswith("sses"):
+        return w[:-2]
+    if w.endswith("ies"):
+        return w[:-2]
+    if w.endswith("ss"):
+        return w
+    if w.endswith("s"):
+        return w[:-1]
+    return w
+
+
+def _step1b(w: str) -> str:
+    if w.endswith("eed"):
+        if _measure(w[:-3]) > 0:
+            return w[:-1]
+        return w
+    flag = False
+    if w.endswith("ed") and _has_vowel(w[:-2]):
+        w = w[:-2]
+        flag = True
+    elif w.endswith("ing") and _has_vowel(w[:-3]):
+        w = w[:-3]
+        flag = True
+    if flag:
+        if w.endswith(("at", "bl", "iz")):
+            return w + "e"
+        if _ends_double_consonant(w) and not w.endswith(("l", "s", "z")):
+            return w[:-1]
+        if _measure(w) == 1 and _ends_cvc(w):
+            return w + "e"
+    return w
+
+
+def _step1c(w: str) -> str:
+    if w.endswith("y") and _has_vowel(w[:-1]):
+        return w[:-1] + "i"
+    return w
+
+
+def _replace_suffix(w: str, rules) -> str:
+    """Steps 2 and 3: the first rule whose suffix ends `w` applies, and
+    only if the stem left has a positive measure."""
+    for suffix, repl in rules:
+        if w.endswith(suffix):
+            stem_ = w[: -len(suffix)]
+            if _measure(stem_) > 0:
+                return stem_ + repl
+            return w
+    return w
+
+
+def _step4(w: str) -> str:
+    for suffix in stemming._STEP4_SUFFIXES:
+        if w.endswith(suffix):
+            stem_ = w[: -len(suffix)]
+            if _measure(stem_) > 1:
+                return stem_
+            return w
+    if w.endswith("ion"):
+        stem_ = w[:-3]
+        if stem_.endswith(("s", "t")) and _measure(stem_) > 1:
+            return stem_
+    return w
+
+
+def _step5a(w: str) -> str:
+    if w.endswith("e"):
+        stem_ = w[:-1]
+        m = _measure(stem_)
+        if m > 1:
+            return stem_
+        if m == 1 and not _ends_cvc(stem_):
+            return stem_
+    return w
+
+
+def _step5b(w: str) -> str:
+    if _measure(w) > 1 and _ends_double_consonant(w) and w.endswith("l"):
+        return w[:-1]
+    return w
+
+
+def reference_stem(word: str) -> str:
+    """The five-step stemmer with rules scanned in list order (the first
+    rule whose suffix ends the word applies) and the consonant test
+    recomputed per character."""
+    if len(word) <= 2:
+        return word
+    word = _step1a(word)
+    word = _step1b(word)
+    word = _step1c(word)
+    word = _replace_suffix(word, stemming._STEP2_RULES)
+    word = _replace_suffix(word, stemming._STEP3_RULES)
+    word = _step4(word)
+    word = _step5a(word)
+    word = _step5b(word)
+    return word
+
+
+def reference_tokenize(raw: str) -> list[str]:
+    """Markup stripped and lowercased, split on non-token runs, empty
+    pieces dropped."""
+    text = _TAG_RE.sub(" ", raw).lower()
+    return [tok for tok in _NON_TOKEN_RE.split(text) if tok]
+
+
+def reference_preprocess_all(dataset, config: RunConfig) -> dict:
+    """TokenDoc per action occurrence in two passes over every page: one
+    builds the shared-content filter, one tokenizes each page again and
+    filters and stems its tokens."""
+    raw_pages = [out for rec in dataset.inputs for out in rec.outputs]
+    freq: Counter = Counter()
+    for raw in raw_pages:
+        freq.update(set(reference_tokenize(raw)))
+    shared = {tok for tok, n in freq.items() if n / len(raw_pages) >= config.shared_threshold}
+    docs = {}
+    for rec in dataset.inputs:
+        for pos, raw in enumerate(rec.outputs):
+            docs[(rec.id, pos)] = TokenDoc(tuple(
+                reference_stem(tok) for tok in reference_tokenize(raw)
+                if tok not in shared and tok not in stemming.STOPWORDS and not tok.isdigit()
+            ))
+    return docs

@@ -13,11 +13,12 @@ from covmin.blocks import (
     preprocess_all,
 )
 from covmin.config import RunConfig
-from covmin.dataset import Action, Dataset, InputRecord, load_dataset, split_url
+from covmin.dataset import (Action, Dataset, InputRecord, TokenDoc, load_dataset,
+                            split_url)
 from covmin.distance import pairwise_matrix
 from covmin.synthetic import make_synthetic_dataset
 
-from _oracles import output_distance, workload_corpus
+from _oracles import ROOT, output_distance, reference_preprocess_all, workload_corpus
 
 CONFIG = RunConfig()
 
@@ -194,3 +195,22 @@ def test_cluster_outputs_lev_matrix_equals_pair_loop_on_long_pages(monkeypatch, 
     rows = [index.setdefault(docs[k], len(index)) for k in sorted(docs)]
     unique = pairwise_matrix(list(index), lambda a, b: output_distance(a, b, "lev"))
     assert np.array_equal(selected[0], unique[np.ix_(rows, rows)])
+
+
+def test_preprocess_all_matches_two_pass_oracle(tmp_path):
+    # The shared filter counts every page, duplicates included: "beta" is on
+    # 3 of 5 pages but on only 1 of the 2 distinct ones.
+    duplicates = Dataset(inputs=tuple(
+        _record(i, [("GET", "http://h/p", "alpha beta" if i <= 3 else "alpha gamma")])
+        for i in range(1, 6)
+    ))
+    threshold = RunConfig(shared_threshold=0.6)
+    assert set(preprocess_all(duplicates, threshold).values()) == \
+        {TokenDoc(()), TokenDoc(("gamma",))}
+    cases = [(duplicates, threshold), (_repeated_pages_dataset(), CONFIG),
+             (load_dataset(ROOT / "data" / "synthetic.json"), CONFIG)]
+    for name in ("long-pages", "many-pages", "deep-overlap"):
+        for scale in (1, 5):
+            cases.append(workload_corpus(name, 1, tmp_path, scale=scale))
+    for dataset, config in cases:
+        assert preprocess_all(dataset, config) == reference_preprocess_all(dataset, config)

@@ -14,6 +14,7 @@ from covmin.clustering import (
     silhouette,
 )
 from covmin.config import RunConfig
+from covmin.dataset import ValidationError
 
 from _oracles import (
     dbscan,
@@ -240,6 +241,29 @@ def test_dbscan_and_selection_match_oracles_on_random_matrices():
         kmeans = RunConfig(k_range=(1, dm.n)).grid("kmeans")
         assert select_hyperparams(dm, kmeans, seed=trial) == \
             select_hyperparams_uncached(dm, kmeans, seed=trial), trial
+
+
+def test_one_and_two_point_selection_matches_oracle():
+    # Two points form one cluster or two singletons, so only the first grid
+    # point is labelled; scoring the whole grid must choose the same.
+    grids = (
+        RunConfig().grid("dbscan"),
+        RunConfig(eps_range=(0.5, 6.0), min_neighbors_range=(1, 3)).grid("dbscan"),
+        RunConfig(eps_range=(0.5, 6.0), min_neighbors_range=(2, 3), eps_step=0.25).grid("dbscan"),
+        RunConfig(k_range=(1, 70)).grid("kmeans"),
+        RunConfig(k_range=(2, 5)).grid("kmeans"),
+    )
+    matrices = [_dm([[0]])] + [_dm([[0, d], [d, 0]])
+                               for d in (0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 5.5, 6.0, 12.0)]
+    for dm in matrices:
+        for grid in grids:
+            if grid.algo == "kmeans" and grid.k_range[0] > dm.n:
+                with pytest.raises(ValidationError):
+                    select_hyperparams(dm, grid)
+                continue
+            for seed in (0, 3):
+                assert select_hyperparams(dm, grid, seed) == \
+                    select_hyperparams_uncached(dm, grid, seed), (dm.values, grid, seed)
 
 
 @st.composite

@@ -3,6 +3,8 @@ import logging
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from covmin.dataset import (
     Action,
@@ -14,8 +16,11 @@ from covmin.dataset import (
     load_dataset,
     preprocess_output,
     split_url,
+    tokenize,
 )
 from covmin.synthetic import write_dataset, write_synthetic_dataset
+
+from _oracles import reference_tokenize
 
 BUNDLED = Path(__file__).resolve().parents[1] / "data" / "synthetic.json"
 
@@ -132,7 +137,7 @@ def test_malformed_json_rejected(tmp_path):
 
 
 def test_preprocess_strips_markup_stopwords_numbers_and_stems():
-    doc = preprocess_output("<p>The administrators deleted 42 running jobs</p>")
+    doc = preprocess_output(tokenize("<p>The administrators deleted 42 running jobs</p>"))
     assert "42" not in doc.tokens
     assert "the" not in doc.tokens
     assert "administr" in doc.tokens
@@ -148,14 +153,23 @@ def test_shared_filter_drops_boilerplate():
         "menu version home delta",
         "menu version home epsilon",
     ]
-    shared = build_shared_filter(docs, threshold=0.8)
+    shared = build_shared_filter(map(tokenize, docs), threshold=0.8)
     assert {"menu", "version", "home"} <= shared
     assert "alpha" not in shared
-    doc = preprocess_output(docs[0], shared)
+    doc = preprocess_output(tokenize(docs[0]), shared)
     assert doc.tokens == ("alpha",)
 
 
 def test_shared_filter_threshold_is_document_frequency():
     docs = ["alpha beta", "alpha gamma", "delta gamma", "alpha zeta"]
-    shared = build_shared_filter(docs, threshold=0.75)
+    shared = build_shared_filter(map(tokenize, docs), threshold=0.75)
     assert shared == frozenset({"alpha"})
+
+
+@settings(max_examples=500, derandomize=True, deadline=None)
+@given(st.text(alphabet=st.one_of(st.sampled_from("<>/ =-_.aZy9Q0\n\t\u00e9\u00df\u0130\u212a\u017f\ufb01"),
+                                  st.characters())))
+@example("<p class='x'>Jobs: 42 RUNNING</p>")
+@example("\u0130stanbul \u212aelvin \ufb01le")
+def test_tokenize_matches_split_and_filter(text):
+    assert tokenize(text) == reference_tokenize(text)

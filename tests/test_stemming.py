@@ -1,4 +1,16 @@
-from covmin.stemming import STOPWORDS, stem
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from covmin.dataset import load_dataset, tokenize
+from covmin.stemming import (
+    _STEP2_RULES,
+    _STEP3_RULES,
+    _STEP4_SUFFIXES,
+    STOPWORDS,
+    stem,
+)
+
+from _oracles import ROOT, reference_stem, workload_corpus
 
 
 KNOWN_PAIRS = [
@@ -46,3 +58,51 @@ def test_stopwords_contain_core_function_words():
     for word in ("the", "and", "of", "is", "to", "a"):
         assert word in STOPWORDS
     assert "password" not in STOPWORDS
+
+
+_RULE_SUFFIXES = sorted(
+    {suffix for suffix, _ in _STEP2_RULES + _STEP3_RULES}
+    | set(_STEP4_SUFFIXES)
+    | {"sses", "ies", "ss", "s", "eed", "ed", "ing", "at", "bl", "iz", "y", "e",
+       "ll", "ion", "sion", "tion"}
+)
+
+
+@st.composite
+def _suffixed_words(draw):
+    """A short lowercase start (y and digits included) and up to three rule
+    suffixes, so every step's rules and their measure conditions fire."""
+    start = draw(st.text(alphabet="abcdefghijklmnopqrstuvwxyzyyy0", max_size=6))
+    return start + "".join(draw(st.lists(st.sampled_from(_RULE_SUFFIXES), max_size=3)))
+
+
+@settings(max_examples=1500, derandomize=True, deadline=None)
+@given(_suffixed_words())
+@example("yyy")
+@example("sky")
+@example("aeed")
+def test_stem_matches_reference_on_suffixed_words(word):
+    assert stem(word) == reference_stem(word)
+
+
+def test_stem_matches_reference_on_workload_and_bundled_vocabularies(tmp_path):
+    datasets = [workload_corpus(name, 1, tmp_path)[0]
+                for name in ("long-pages", "many-pages", "deep-overlap")]
+    datasets.append(load_dataset(ROOT / "data" / "synthetic.json"))
+    vocabulary = {tok for ds in datasets for rec in ds.inputs
+                  for raw in rec.outputs for tok in tokenize(raw)}
+    assert len(vocabulary) > 1000
+    for word in sorted(vocabulary):
+        assert stem(word) == reference_stem(word), word
+
+
+def test_rule_lists_put_each_suffix_before_its_own_suffixes():
+    # Steps 2-4 look the longest suffix up first; the rule lists apply the
+    # first match in list order. Both pick the same rule exactly when a
+    # suffix that ends another comes after it.
+    for rules in ([s for s, _ in _STEP2_RULES], [s for s, _ in _STEP3_RULES],
+                  _STEP4_SUFFIXES):
+        for i, longer in enumerate(rules):
+            for j, shorter in enumerate(rules):
+                if i != j and longer.endswith(shorter):
+                    assert i < j, (longer, shorter)
