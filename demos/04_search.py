@@ -19,25 +19,29 @@ cover = {
 costs = {1: 2, 2: 3, 3: 3}
 component = Component(cover=cover)
 
+# The search speaks int bitmasks over the sorted inputs: bit k is
+# problem.inputs[k]. mask_of and set_of convert.
 problem = ComponentProblem(component, costs)
-print("fitness of {2, 3}: ", [round(v, 3) for v in problem.fitness(frozenset({2, 3}))])
-print("fitness of {1, 2}: ", [round(v, 3) for v in problem.fitness(frozenset({1, 2}))])
-print("exposure of {2}:   ", round(problem.exposure(problem.individual({2})), 3))
+for members in ({2, 3}, {1, 2}):
+    cost, fitness = problem.evaluate(problem.mask_of(members))
+    print(f"cost, fitness of {members}:", cost, [round(v, 3) for v in fitness])
+print("exposure of {2}:", round(problem.exposure(problem.individual(problem.mask_of({2}))), 3))
 
 trace = []
 
 
 def watch(gen, pops):
-    trace.append((gen, min(r.cost for r in pops.roofers), len(pops.misers)))
+    cheapest = min(pops.roofers, key=lambda r: r.cost)
+    trace.append((gen, cheapest.cost, sorted(problem.set_of(cheapest.mask)), len(pops.misers)))
 
 
 result = mocco_run(component, costs,
                    RunConfig(n_size=6, generations=40), seed=11,
                    on_generation=watch)
 
-print("\ngen  best-roofer-cost  misers")
-for gen, best, misers in trace[:5] + trace[-2:]:
-    print(f"{gen:>3}  {best:>16}  {misers:>6}")
+print("\ngen  best-roofer-cost  best-roofer  misers")
+for gen, best, members, misers in trace[:5] + trace[-2:]:
+    print(f"{gen:>3}  {best:>16}  {str(members):>11}  {misers:>6}")
 
 print("\nselected:", sorted(result),
       "cost", sum(costs[i] for i in result),

@@ -1,8 +1,8 @@
 """Command line front end.
 
 Subcommands: ingest, cluster, reduce, minimize, bench, oracle.
-Exit codes: 0 on success, 2 on validation errors (including a component
-too large for the exact solver).
+Exit codes: 0 on success, 2 on validation errors (including a file that
+cannot be read or written and a component too large for the exact solver).
 """
 
 from __future__ import annotations
@@ -226,7 +226,10 @@ def main(argv=None) -> int:
     except (ValidationError, baselines.ExhaustiveLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (FileNotFoundError, json.JSONDecodeError, KeyError) as exc:
+    except (OSError, UnicodeDecodeError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except (json.JSONDecodeError, KeyError) as exc:
         print(f"error: {exc!r}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -19,6 +19,8 @@ import numpy as np
 from .dataset import ValidationError
 
 _MAX_KMEDOID_ITER = 100
+# The DBSCAN eps grid runs up to the top of `eps_range` plus this slack.
+EPS_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -217,7 +219,7 @@ def _grid_points(dm: DistanceMatrix, grid: HyperParamGrid):
             step = 1.0 if integral else 0.5
         lo, hi = grid.eps_range
         eps = lo
-        while eps <= hi + 1e-9:
+        while eps <= hi + EPS_SLACK:
             for mn in range(grid.min_neighbors_range[0], grid.min_neighbors_range[1] + 1):
                 yield {"eps": round(eps, 9), "min_neighbors": mn}
             eps += step

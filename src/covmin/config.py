@@ -8,7 +8,7 @@ import types
 import typing
 from dataclasses import dataclass
 
-from .clustering import HyperParamGrid
+from .clustering import EPS_SLACK, HyperParamGrid
 from .dataset import ValidationError, _checked
 
 
@@ -48,8 +48,11 @@ class RunConfig:
         if not 0 < lo <= hi < math.inf:
             raise ValidationError("eps_range must be ordered, positive and finite, "
                                   f"got {[lo, hi]}")
-        if self.eps_step is not None and not 0 < self.eps_step < math.inf:
-            raise ValidationError(f"eps_step must be positive and finite, got {self.eps_step}")
+        # A step below the float spacing at the grid's top would leave eps
+        # where it is, and the grid would never end.
+        if self.eps_step is not None and not math.ulp(hi + EPS_SLACK) <= self.eps_step < math.inf:
+            raise ValidationError("eps_step must be finite and large enough to advance eps "
+                                  f"across eps_range {[lo, hi]}, got {self.eps_step}")
 
     def grid(self, algo: str) -> HyperParamGrid:
         return HyperParamGrid(

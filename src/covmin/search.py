@@ -6,9 +6,10 @@ parent comes from each population once misers exist; crossover swaps the
 two halves of a random objective split; mutation toggles a single input.
 Every individual is kept reduced (no redundant members).
 
-Inside the search a member set is an int bitmask over the component's
-sorted inputs: bit k stands for `problem.inputs[k]`. Frozensets are built
-only at the edge: `Individual.members` and `mocco_run`'s result.
+A member set is an int bitmask over the component's sorted inputs: bit k
+stands for `problem.inputs[k]`, and `ComponentProblem.mask_of` / `set_of`
+convert. Every `ComponentProblem` method and every `Individual` speaks
+masks; only `mocco_run`'s result is a frozenset.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import math
 import operator
 import random
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .config import RunConfig
 from .distance import normalize
@@ -31,7 +32,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Individual:
-    members: frozenset
+    mask: int
     cost: int
     fitness: tuple[float, ...]
 
@@ -43,11 +44,23 @@ class Populations:
     # Kept parallel to the lists above by `update_populations`: each
     # member's selection weight, computed once when it is admitted (1 / cost
     # for a roofer, 1 / exposure for a miser), and the multiset of the live
-    # members' masks. Populations built from bare lists derive them on
-    # first use.
-    roofer_weights: list[float] | None = field(default=None, repr=False, compare=False)
-    miser_weights: list[float] | None = field(default=None, repr=False, compare=False)
-    live: Counter | None = field(default=None, repr=False, compare=False)
+    # members' masks.
+    roofer_weights: list[float]
+    miser_weights: list[float]
+    live: Counter
+
+    @classmethod
+    def of(cls, problem: ComponentProblem, roofers, misers=()) -> Populations:
+        """Populations holding `roofers` and `misers`, their weights and
+        live multiset derived from them."""
+        roofers, misers = list(roofers), list(misers)
+        return cls(
+            roofers=roofers,
+            misers=misers,
+            roofer_weights=[1.0 / r.cost for r in roofers],
+            miser_weights=[1.0 / problem.exposure(m) for m in misers],
+            live=Counter(x.mask for x in roofers + misers),
+        )
 
 
 def dominates(f1, f2) -> bool:
@@ -78,6 +91,7 @@ class ComponentProblem:
         }
         self.bits = [1 << k for k in range(len(self.inputs))]
         self._bit = dict(zip(self.inputs, self.bits))
+        self._bit_costs = [(bit, costs[i]) for i, bit in zip(self.inputs, self.bits)]
         # Objective -> the mask of the inputs holding it, in objective order.
         self.holders = {bl: self.mask_of(self.inputs_of[bl]) for bl in self.objectives}
         # Memos keyed by member mask, valid only for this component's cover
@@ -95,70 +109,42 @@ class ComponentProblem:
     def set_of(self, mask: int) -> frozenset:
         return frozenset(i for i, bit in zip(self.inputs, self.bits) if mask & bit)
 
-    def cover_of(self, members) -> frozenset:
-        out = set()
-        for i in members:
-            out |= self.cover[i]
-        return frozenset(out)
-
-    def cost_of(self, members) -> int:
-        return sum(self.costs[i] for i in members)
-
-    def _solve(self, mask: int):
+    def removal(self, mask: int) -> tuple[int, int]:
+        """The removal gain of `mask` and the mask left once its removable
+        inputs are gone, solved once per mask."""
         solved = self._solved.get(mask)
         if solved is None:
             gain, order = valid_orders_gain(self.set_of(mask), self.cover, self.costs)
             solved = self._solved[mask] = (gain, mask & ~self.mask_of(order))
         return solved
 
-    def gain_of(self, members) -> int:
-        return self._solve(self.mask_of(members))[0]
-
-    def reduce(self, members) -> frozenset:
-        return self.set_of(self._solve(self.mask_of(members))[1])
-
-    def _potential(self, mask: int, bl) -> int:
-        best = -math.inf
-        for i in self.inputs_of[bl]:
-            balance = self._solve(mask | self._bit[i])[0] - self.costs[i]
-            best = max(best, balance)
-        return best + self._min_cost_of[bl]
-
-    def potential(self, members, bl) -> int:
+    def potential(self, mask: int, bl) -> int:
         """Best benefit-cost balance of covering `bl`, shifted by the cheapest
         covering input so the result is never negative."""
-        return self._potential(self.mask_of(members), bl)
-
-    def _objective_value(self, mask: int, covered: bool, bl) -> float:
-        return 0.0 if covered else 1.0 / (self._potential(mask, bl) + 1)
-
-    def objective_value(self, members, covered, bl) -> float:
-        return self._objective_value(self.mask_of(members), bl in covered, bl)
+        best = -math.inf
+        for i in self.inputs_of[bl]:
+            best = max(best, self.removal(mask | self._bit[i])[0] - self.costs[i])
+        return best + self._min_cost_of[bl]
 
     def exposure(self, ind: Individual) -> float:
         """Sum of the objective values: the tail of the fitness vector."""
         return sum(ind.fitness[1:])
 
-    def _evaluate(self, mask: int) -> tuple[int, tuple[float, ...]]:
+    def evaluate(self, mask: int) -> tuple[int, tuple[float, ...]]:
+        """The cost of `mask` and its fitness: the normalized cost, then per
+        objective 0 when covered, else 1 / (potential + 1)."""
         evaluated = self._evaluated.get(mask)
         if evaluated is None:
-            cost = self.cost_of(self.set_of(mask))
+            cost = sum(c for bit, c in self._bit_costs if mask & bit)
             fitness = (normalize(cost),) + tuple(
-                self._objective_value(mask, bool(mask & held), bl)
+                0.0 if mask & held else 1.0 / (self.potential(mask, bl) + 1)
                 for bl, held in self.holders.items()
             )
             evaluated = self._evaluated[mask] = (cost, fitness)
         return evaluated
 
-    def fitness(self, members) -> tuple[float, ...]:
-        return self._evaluate(self.mask_of(members))[1]
-
-    def _individual(self, mask: int) -> Individual:
-        cost, fitness = self._evaluate(mask)
-        return Individual(members=self.set_of(mask), cost=cost, fitness=fitness)
-
-    def individual(self, members) -> Individual:
-        return self._individual(self.mask_of(members))
+    def individual(self, mask: int) -> Individual:
+        return Individual(mask, *self.evaluate(mask))
 
 
 def _weighted_choice(rng: random.Random, items, weights):
@@ -170,25 +156,6 @@ def _weighted_choice(rng: random.Random, items, weights):
         if x < acc:
             return item
     return items[-1]
-
-
-def _weights(problem: ComponentProblem, pops: Populations):
-    """The stored selection weights of `pops`, derived from its lists if it
-    has none yet."""
-    if pops.roofer_weights is None:
-        pops.roofer_weights = [1.0 / r.cost for r in pops.roofers]
-        pops.miser_weights = [1.0 / problem.exposure(m) for m in pops.misers]
-    return pops.roofer_weights, pops.miser_weights
-
-
-def _live(problem: ComponentProblem, pops: Populations) -> Counter:
-    """The multiset of the live members' masks of `pops`, derived from its
-    lists if it has none yet."""
-    if pops.live is None:
-        pops.live = Counter(
-            problem.mask_of(x.members) for x in pops.roofers + pops.misers
-        )
-    return pops.live
 
 
 def _forget(live: Counter, mask: int) -> None:
@@ -216,20 +183,17 @@ def init_roofers(problem: ComponentProblem, n_size: int, rng: random.Random) -> 
             pick = _weighted_choice(rng, candidates, weights)
             members |= problem._bit[pick]
             occurrence[pick] += 1
-        roofers.append(problem._individual(problem._solve(members)[1]))
-    pops = Populations(roofers=roofers, misers=[])
-    _weights(problem, pops)
-    _live(problem, pops)
-    return pops
+        roofers.append(problem.individual(problem.removal(members)[1]))
+    return Populations.of(problem, roofers)
 
 
 def select_parents(problem: ComponentProblem, pops: Populations,
                    rng: random.Random) -> tuple[Individual, Individual]:
     """A miser (weight 1/exposure) and a roofer (weight 1/cost) when misers
     exist; otherwise two distinct roofers, both weighted by 1/cost."""
-    roofer_weights, miser_weights = _weights(problem, pops)
+    roofer_weights = pops.roofer_weights
     if pops.misers:
-        miser = _weighted_choice(rng, pops.misers, miser_weights)
+        miser = _weighted_choice(rng, pops.misers, pops.miser_weights)
         roofer = _weighted_choice(rng, pops.roofers, roofer_weights)
         return miser, roofer
     first = _weighted_choice(rng, pops.roofers, roofer_weights)
@@ -255,38 +219,37 @@ def crossover(problem: ComponentProblem, m1: int, m2: int,
 
 def mutate(problem: ComponentProblem, mask: int, rng: random.Random) -> int:
     """Toggle one uniformly chosen component input, then reduce."""
-    return problem._solve(mask ^ rng.choice(problem.bits))[1]
+    return problem.removal(mask ^ rng.choice(problem.bits))[1]
 
 
 def update_populations(problem: ComponentProblem, pops: Populations,
                        mask: int, rng: random.Random) -> None:
     """Fold one offspring into the populations, in place."""
-    live = _live(problem, pops)
+    live = pops.live
     if mask in live:
         return
-    roofer_weights, miser_weights = _weights(problem, pops)
-    cost, fitness = problem._evaluate(mask)
+    cost, fitness = problem.evaluate(mask)
     if not any(fitness[1:]):  # every objective value 0: covers all
         max_cost = max(r.cost for r in pops.roofers)
         if cost <= max_cost:
             ties = [idx for idx, r in enumerate(pops.roofers) if r.cost == max_cost]
             evict = rng.choice(ties)
-            _forget(live, problem.mask_of(pops.roofers[evict].members))
-            pops.roofers[evict] = problem._individual(mask)
-            roofer_weights[evict] = 1.0 / cost
+            _forget(live, pops.roofers[evict].mask)
+            pops.roofers[evict] = Individual(mask, cost, fitness)
+            pops.roofer_weights[evict] = 1.0 / cost
             live[mask] += 1
         return
     for miser in pops.misers:
         if dominates(miser.fitness, fitness):
             return
     misers, weights = [], []
-    for miser, weight in zip(pops.misers, miser_weights):
+    for miser, weight in zip(pops.misers, pops.miser_weights):
         if dominates(fitness, miser.fitness):
-            _forget(live, problem.mask_of(miser.members))
+            _forget(live, miser.mask)
         else:
             misers.append(miser)
             weights.append(weight)
-    candidate = problem._individual(mask)
+    candidate = Individual(mask, cost, fitness)
     misers.append(candidate)
     weights.append(1.0 / problem.exposure(candidate))
     live[mask] += 1
@@ -309,12 +272,10 @@ def mocco_run(component: Component, costs, config: RunConfig = RunConfig(),
         on_generation(0, pops)
     for gen in range(1, config.generations + 1):
         p1, p2 = select_parents(problem, pops, rng)
-        children = crossover(problem, problem.mask_of(p1.members),
-                             problem.mask_of(p2.members), rng)
-        for child in children:
+        for child in crossover(problem, p1.mask, p2.mask, rng):
             update_populations(problem, pops, mutate(problem, child, rng), rng)
         if on_generation is not None:
             on_generation(gen, pops)
     min_cost = min(r.cost for r in pops.roofers)
     best = [r for r in pops.roofers if r.cost == min_cost]
-    return rng.choice(best).members
+    return problem.set_of(rng.choice(best).mask)

@@ -30,7 +30,7 @@ from covmin.config import RunConfig
 from covmin.dataset import TokenDoc, load_dataset
 from covmin.distance import levenshtein
 from covmin.reduction import valid_orders_gain
-from covmin.search import ComponentProblem, Populations
+from covmin.search import ComponentProblem
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -174,7 +174,7 @@ def bruteforce_min_cover(ids, cover, costs, objectives):
 
 def covers_all(problem, members) -> bool:
     """Whether `members` cover every objective of a `ComponentProblem`."""
-    return problem.cover_of(members) == frozenset(problem.objectives)
+    return coverage_of(members, problem.cover) == frozenset(problem.objectives)
 
 
 def superposition(bl, ids, cover) -> int:
@@ -390,12 +390,26 @@ def dominates_all_any(f1, f2) -> bool:
     return all(a <= b for a, b in zip(f1, f2)) and any(a < b for a, b in zip(f1, f2))
 
 
+@dataclasses.dataclass(frozen=True)
+class ReferenceIndividual:
+    members: frozenset
+    cost: int
+    fitness: tuple[float, ...]
+
+
+@dataclasses.dataclass
+class ReferencePopulations:
+    roofers: list[ReferenceIndividual]
+    misers: list[ReferenceIndividual]
+
+
 def reference_mocco_run(component, costs, config: RunConfig, seed: int = 0,
                         on_generation=None) -> frozenset:
     """`search.mocco_run` with every individual a frozenset of input ids:
     each miser's exposure recomputed on every selection, duplicates found
     by scanning both populations and crossover halves rebuilt per pair.
-    It draws from the RNG exactly as the search does."""
+    It draws from the RNG exactly as the search does, and reads gains and
+    fitness from `ComponentProblem`."""
     problem = ComponentProblem(component, costs)
     rng = random.Random(seed)
     pops = _reference_init_roofers(problem, config.n_size, rng)
@@ -406,12 +420,21 @@ def reference_mocco_run(component, costs, config: RunConfig, seed: int = 0,
         for child in _reference_crossover(problem, p1, p2, rng):
             toggle = rng.choice(problem.inputs)
             child = child - {toggle} if toggle in child else child | {toggle}
-            _reference_update_populations(problem, pops, problem.reduce(child), rng)
+            _reference_update_populations(problem, pops, _reference_reduce(problem, child), rng)
         if on_generation is not None:
             on_generation(gen, pops)
     min_cost = min(r.cost for r in pops.roofers)
     best = [r for r in pops.roofers if r.cost == min_cost]
     return rng.choice(best).members
+
+
+def _reference_reduce(problem, members) -> frozenset:
+    return problem.set_of(problem.removal(problem.mask_of(members))[1])
+
+
+def _reference_individual(problem, members) -> ReferenceIndividual:
+    cost, fitness = problem.evaluate(problem.mask_of(members))
+    return ReferenceIndividual(frozenset(members), cost, fitness)
 
 
 def _reference_weighted_choice(rng, items, weights):
@@ -441,14 +464,14 @@ def _reference_init_roofers(problem, n_size, rng):
             members.add(pick)
             occurrence[pick] += 1
             covered |= problem.cover[pick]
-        roofers.append(problem.individual(problem.reduce(members)))
-    return Populations(roofers=roofers, misers=[])
+        roofers.append(_reference_individual(problem, _reference_reduce(problem, members)))
+    return ReferencePopulations(roofers=roofers, misers=[])
 
 
 def _reference_select_parents(problem, pops, rng):
     if pops.misers:
         miser = _reference_weighted_choice(
-            rng, pops.misers, [1.0 / problem.exposure(m) for m in pops.misers])
+            rng, pops.misers, [1.0 / sum(m.fitness[1:]) for m in pops.misers])
         roofer = _reference_weighted_choice(
             rng, pops.roofers, [1.0 / r.cost for r in pops.roofers])
         return miser, roofer
@@ -477,7 +500,7 @@ def _reference_update_populations(problem, pops, members, rng):
         return
     if any(members == m.members for m in pops.misers):
         return
-    candidate = problem.individual(members)
+    candidate = _reference_individual(problem, members)
     if not any(candidate.fitness[1:]):
         max_cost = max(r.cost for r in pops.roofers)
         if candidate.cost <= max_cost:

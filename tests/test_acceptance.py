@@ -179,18 +179,20 @@ class _InvariantTracker:
         if len(pops.roofers) != self.n_size:
             self.violations.append((gen, "roofer count"))
         for r in pops.roofers:
-            if not covers_all(problem, r.members):
+            members = problem.set_of(r.mask)
+            if not covers_all(problem, members):
                 self.violations.append((gen, "roofer coverage"))
-            if any(is_redundant_in(i, r.members, problem.cover) for i in r.members):
+            if any(is_redundant_in(i, members, problem.cover) for i in members):
                 self.violations.append((gen, "roofer not reduced"))
         min_cost = min(r.cost for r in pops.roofers)
         if self.prev_min_cost is not None and min_cost > self.prev_min_cost:
             self.violations.append((gen, "min roofer cost increased"))
         self.prev_min_cost = min_cost
         for m in pops.misers:
-            if covers_all(problem, m.members):
+            members = problem.set_of(m.mask)
+            if covers_all(problem, members):
                 self.violations.append((gen, "miser full coverage"))
-            if any(is_redundant_in(i, m.members, problem.cover) for i in m.members):
+            if any(is_redundant_in(i, members, problem.cover) for i in members):
                 self.violations.append((gen, "miser not reduced"))
             for other in pops.misers:
                 if other is not m and dominates(other.fitness, m.fitness):
@@ -204,8 +206,7 @@ class _InvariantTracker:
             self.violations.append((gen, "stored roofer weights"))
         if pops.miser_weights != [1.0 / problem.exposure(m) for m in pops.misers]:
             self.violations.append((gen, "stored miser weights"))
-        members = pops.roofers + pops.misers
-        if pops.live != Counter(problem.mask_of(x.members) for x in members):
+        if pops.live != Counter(x.mask for x in pops.roofers + pops.misers):
             self.violations.append((gen, "live member multiset"))
 
 

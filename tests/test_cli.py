@@ -87,8 +87,19 @@ def test_empty_dataset_exit_code(tmp_path, capsys):
             assert err == ["error: cannot cluster an empty dataset"], (payload, command)
 
 
-def test_missing_file_exit_code(tmp_path):
-    assert main(["ingest", "--dataset", str(tmp_path / "nope.json")]) == 2
+def test_missing_file_exit_code(tmp_path, capsys):
+    not_utf8 = tmp_path / "latin1.json"
+    not_utf8.write_bytes(b'{"inputs": [], "caf\xe9": 1}')
+    for argv in (
+        ["ingest", "--dataset", str(tmp_path / "nope.json")],
+        ["ingest", "--dataset", str(tmp_path)],
+        ["ingest", "--dataset", str(not_utf8)],
+        ["ingest", "--dataset", BUNDLED, "--config", str(not_utf8)],
+        ["ingest", "--dataset", BUNDLED, "--out", str(tmp_path)],
+    ):
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
 
 
 def test_cluster_then_reduce_roundtrip(tmp_path, capsys):
@@ -248,8 +259,9 @@ def test_kmeans_k_range_above_a_part_size_is_a_validation_error(tmp_path, capsys
 
 
 def test_config_rejects_nonpositive_eps_step():
-    # A step of 0 would never advance the DBSCAN eps grid.
-    for step in (0, 0.0, -0.5):
+    # A step of 0 would never advance the DBSCAN eps grid, and neither
+    # would one that vanishes when added to eps (2.0 + 1e-300 == 2.0).
+    for step in (0, 0.0, -0.5, 1e-300):
         with pytest.raises(ValidationError, match="eps_step"):
             RunConfig(eps_step=step)
 

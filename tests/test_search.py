@@ -11,6 +11,8 @@ from covmin.config import RunConfig
 from covmin.reduction import EXHAUSTIVE_GAIN_THRESHOLD, Component, valid_orders_gain
 from covmin.search import (
     ComponentProblem,
+    Individual,
+    Populations,
     crossover,
     dominates,
     init_roofers,
@@ -73,10 +75,10 @@ def test_potential_examples():
     problem = _greedy_problem()
     # Adding in1 to {in2, in3} makes in1 removable again: gain 2, own cost 2,
     # shift by the cheapest cover of bl2 (in1, cost 2).
-    assert problem.potential({2, 3}, "bl2") == 2
+    assert problem.potential(problem.mask_of({2, 3}), "bl2") == 2
     # A block covered by a single input always has potential 0.
     single = ComponentProblem(Component(cover={1: frozenset({"b"})}), {1: 4})
-    assert single.potential(frozenset(), "b") == 0
+    assert single.potential(0, "b") == 0
 
 
 def test_potential_non_negative_random_sweep():
@@ -84,34 +86,37 @@ def test_potential_non_negative_random_sweep():
     for _ in range(100):
         cover, costs = random_instance(rng, max_inputs=6, max_blocks=6)
         problem = ComponentProblem(Component(cover=cover), costs)
-        members = frozenset(
-            i for i in cover if rng.random() < 0.5
-        )
+        mask = problem.mask_of(i for i in cover if rng.random() < 0.5)
         for bl in problem.objectives:
-            assert problem.potential(members, bl) >= 0
+            assert problem.potential(mask, bl) >= 0
 
 
 def test_objective_value_and_exposure():
     problem = _greedy_problem()
-    covered = problem.cover_of({2, 3})
-    assert problem.objective_value({2, 3}, covered, "bl1") == 0.0
-    # A block treated as uncovered with potential 2 scores 1/(2+1).
-    assert problem.objective_value({2, 3}, frozenset(), "bl2") == pytest.approx(1 / 3)
+    # Fitness entries follow the cost, one per objective: bl1, bl2, bl3, bl4.
+    full, partial = problem.mask_of({2, 3}), problem.mask_of({2})
+    assert problem.evaluate(full)[1][1] == 0.0
+    # An uncovered block with potential 2 scores 1/(2+1): bl3 under {1, 3}.
+    missing_bl3 = problem.mask_of({1, 3})
+    assert not missing_bl3 & problem.holders["bl3"]
+    assert problem.potential(missing_bl3, "bl3") == 2
+    assert problem.evaluate(missing_bl3)[1][3] == pytest.approx(1 / 3)
     # Uncovered block with potential 0 scores exactly 1.
-    covered_partial = problem.cover_of({2})
-    assert "bl2" not in covered_partial
-    assert problem.objective_value({2}, covered_partial, "bl2") == 1.0
-    assert problem.exposure(problem.individual({2, 3})) == 0.0
-    assert problem.exposure(problem.individual({2})) > 0.0
+    assert not partial & problem.holders["bl2"]
+    assert problem.evaluate(partial)[1][2] == 1.0
+    assert problem.exposure(problem.individual(full)) == 0.0
+    assert problem.exposure(problem.individual(partial)) > 0.0
 
 
 def test_fitness_vector_shape_and_range():
     problem = _greedy_problem()
-    fit = problem.fitness(frozenset({2, 3}))
+    cost, fit = problem.evaluate(problem.mask_of({2, 3}))
+    assert cost == 6
     assert len(fit) == 1 + 4
     assert 0.0 <= fit[0] < 1.0
     assert fit[1:] == (0.0, 0.0, 0.0, 0.0)
-    partial = problem.fitness(frozenset({2}))
+    cost, partial = problem.evaluate(problem.mask_of({2}))
+    assert cost == 3
     assert any(v > 0 for v in partial[1:])
 
 
@@ -120,25 +125,25 @@ def test_init_roofers_cover_everything():
     pops = init_roofers(problem, n_size=10, rng=random.Random(5))
     assert len(pops.roofers) == 10
     for roofer in pops.roofers:
-        assert covers_all(problem, roofer.members)
-        for i in roofer.members:
-            assert not is_redundant_in(i, roofer.members, problem.cover)
+        members = problem.set_of(roofer.mask)
+        assert covers_all(problem, members)
+        for i in members:
+            assert not is_redundant_in(i, members, problem.cover)
     assert pops.misers == []
 
 
 def test_init_roofers_singleton_component():
     problem = ComponentProblem(Component(cover={7: frozenset({"a", "b"})}), {7: 3})
     pops = init_roofers(problem, n_size=4, rng=random.Random(0))
-    assert all(r.members == frozenset({7}) for r in pops.roofers)
+    assert all(problem.set_of(r.mask) == frozenset({7}) for r in pops.roofers)
 
 
 def test_select_parents_weights_toward_cheap_roofers():
     problem = _greedy_problem()
-    cheap = problem.individual(frozenset({2, 3}))     # cost 6
-    costly = problem.individual(frozenset({1, 2, 3}))  # would reduce, build raw
-    from covmin.search import Individual, Populations
-    costly = Individual(members=frozenset({9}), cost=12, fitness=cheap.fitness)
-    pops = Populations(roofers=[cheap, costly], misers=[])
+    cheap = problem.individual(problem.mask_of({2, 3}))  # cost 6
+    # Built raw: a roofer of cost 12 with cheap's fitness.
+    costly = Individual(mask=problem.mask_of({1, 2, 3}), cost=12, fitness=cheap.fitness)
+    pops = Populations.of(problem, [cheap, costly])
     rng = random.Random(123)
     first_counts = 0
     draws = 100_000
@@ -152,10 +157,9 @@ def test_select_parents_weights_toward_cheap_roofers():
 
 def test_select_parents_with_misers():
     problem = _greedy_problem()
-    roofer = problem.individual(frozenset({2, 3}))
-    miser = problem.individual(frozenset({2}))
-    from covmin.search import Populations
-    pops = Populations(roofers=[roofer], misers=[miser])
+    roofer = problem.individual(problem.mask_of({2, 3}))
+    miser = problem.individual(problem.mask_of({2}))
+    pops = Populations.of(problem, [roofer], [miser])
     p1, p2 = select_parents(problem, pops, random.Random(1))
     assert p1 is miser
     assert p2 is roofer
@@ -181,26 +185,23 @@ def test_crossover_halves_fixture():
     }
     costs = {i: 1 for i in cover}
     problem = ComponentProblem(Component(cover=cover), costs)
-    p1 = problem.individual(frozenset({1, 3, 4}))
-    p2 = problem.individual(frozenset({2, 5}))
+    p1, p2 = problem.mask_of({1, 3, 4}), problem.mask_of({2, 5})
     # First half {a, b} is covered by inputs {1, 2, 3}; second half {c, d}
     # by {3, 4, 5}.
     child1, child2 = map(problem.set_of, crossover(
-        problem, problem.mask_of(p1.members), problem.mask_of(p2.members),
-        _FixedOrder(["a", "b", "c", "d"])))
+        problem, p1, p2, _FixedOrder(["a", "b", "c", "d"])))
     assert child1 == frozenset({1, 3, 5})
     assert child2 == frozenset({2, 3, 4})
-    assert child1 <= p1.members | p2.members
-    assert child2 <= p1.members | p2.members
+    assert child1 <= problem.set_of(p1 | p2)
+    assert child2 <= problem.set_of(p1 | p2)
 
 
 def test_crossover_identical_parents_returns_parents():
     problem = _greedy_problem()
-    p = problem.individual(frozenset({2, 3}))
-    mask = problem.mask_of(p.members)
+    mask = problem.mask_of({2, 3})
     child1, child2 = map(problem.set_of, crossover(problem, mask, mask, random.Random(0)))
-    assert child1 == p.members
-    assert child2 == p.members
+    assert child1 == frozenset({2, 3})
+    assert child2 == frozenset({2, 3})
 
 
 def test_mutate_results_are_reduced():
@@ -216,29 +217,27 @@ def test_mutate_results_are_reduced():
 
 def test_update_populations_roofer_replacement_and_duplicates():
     problem = _greedy_problem()
-    worst = problem.individual(frozenset({1, 2, 3}))
-    from covmin.search import Populations
-    pops = Populations(roofers=[worst, worst], misers=[])
+    worst = problem.individual(problem.mask_of({1, 2, 3}))
+    pops = Populations.of(problem, [worst, worst])
     rng = random.Random(0)
     # Equal-cost full-coverage candidate is accepted (<=, not <).
-    update_populations(problem, pops, problem.mask_of(frozenset({2, 3})), rng)
-    assert any(r.members == frozenset({2, 3}) for r in pops.roofers)
+    update_populations(problem, pops, problem.mask_of({2, 3}), rng)
+    assert any(problem.set_of(r.mask) == frozenset({2, 3}) for r in pops.roofers)
     # Duplicate of an existing roofer is discarded silently.
     before = list(pops.roofers)
-    update_populations(problem, pops, problem.mask_of(frozenset({2, 3})), rng)
+    update_populations(problem, pops, problem.mask_of({2, 3}), rng)
     assert pops.roofers == before
 
 
 def test_update_populations_miser_dominance():
     problem = _greedy_problem()
-    roofer = problem.individual(frozenset({2, 3}))
-    from covmin.search import Populations
-    pops = Populations(roofers=[roofer], misers=[])
+    roofer = problem.individual(problem.mask_of({2, 3}))
+    pops = Populations.of(problem, [roofer])
     rng = random.Random(0)
-    update_populations(problem, pops, problem.mask_of(frozenset({1})), rng)
+    update_populations(problem, pops, problem.mask_of({1}), rng)
     assert len(pops.misers) == 1
     # {1, 2} covers a superset of {1} at higher cost: incomparable, kept.
-    update_populations(problem, pops, problem.mask_of(frozenset({1, 2})), rng)
+    update_populations(problem, pops, problem.mask_of({1, 2}), rng)
     assert len(pops.misers) == 2
 
 
@@ -321,19 +320,24 @@ def test_memo_matches_raw_valid_orders_gain(case, data):
     for _ in range(2):  # the first call solves, the repeat reads the cache
         for s in subsets:
             gain, order = valid_orders_gain(s, component.cover, costs)
-            assert problem.gain_of(sorted(s)) == gain
-            assert problem.reduce(set(s)) == s - set(order)
+            assert problem.removal(problem.mask_of(s)) == \
+                (gain, problem.mask_of(s - set(order)))
 
 
 def _generations(run, component, costs, config, seed):
     """`run`'s result and, per generation, every roofer's and miser's
-    members, cost and fitness, in population order."""
+    members, cost and fitness, in population order. `mocco_run`'s
+    individuals carry a mask, the reference's a frozenset."""
+    set_of = ComponentProblem(component, costs).set_of
     seen = []
+
+    def members(ind):
+        return ind.members if run is reference_mocco_run else set_of(ind.mask)
 
     def record(gen, pops):
         seen.append((gen,
-                     [(r.members, r.cost, r.fitness) for r in pops.roofers],
-                     [(m.members, m.cost, m.fitness) for m in pops.misers]))
+                     [(members(r), r.cost, r.fitness) for r in pops.roofers],
+                     [(members(m), m.cost, m.fitness) for m in pops.misers]))
 
     return run(component, costs, config, seed, on_generation=record), seen
 
@@ -403,8 +407,8 @@ def test_fitness_memo_matches_definition(case, data):
         st.frozensets(st.sampled_from(sorted(component.inputs))), max_size=6))
     for _ in range(2):  # the first call evaluates, the repeat reads the memo
         for s in subsets:
-            assert problem.fitness(sorted(s)) == \
-                fitness_by_definition(s, component.cover, costs)
+            assert problem.evaluate(problem.mask_of(s)) == (
+                sum(costs[i] for i in s), fitness_by_definition(s, component.cover, costs))
 
 
 @pytest.fixture
@@ -423,11 +427,11 @@ def solved_sets(monkeypatch):
 def test_problem_solves_each_member_set_once(solved_sets):
     problem = _greedy_problem()
     for members in ({1, 2, 3}, {2, 3}, {2}):
-        problem.gain_of(members)
-        problem.reduce(members)
+        mask = problem.mask_of(members)
+        assert problem.removal(mask) == problem.removal(mask)
         for bl in problem.objectives:
-            problem.potential(members, bl)
-    problem.individual(problem.reduce({1, 2, 3}))
+            problem.potential(mask, bl)
+    problem.individual(problem.removal(problem.mask_of({1, 2, 3}))[1])
     assert solved_sets
     assert len(solved_sets) == len(set(solved_sets))
 
@@ -435,8 +439,8 @@ def test_problem_solves_each_member_set_once(solved_sets):
 def test_problems_with_different_costs_do_not_share_gains(solved_sets):
     cheap_first = _greedy_problem()
     dear_first = ComponentProblem(GREEDY_COMPONENT, {1: 9, 2: 1, 3: 1})
-    assert cheap_first.gain_of({1, 2, 3}) == 2
-    assert dear_first.gain_of({1, 2, 3}) == 9
+    assert cheap_first.removal(cheap_first.mask_of({1, 2, 3}))[0] == 2
+    assert dear_first.removal(dear_first.mask_of({1, 2, 3}))[0] == 9
     assert solved_sets == [frozenset({1, 2, 3})] * 2
 
 
@@ -450,11 +454,12 @@ def test_greedy_fallback_warns_once_per_member_set(caplog):
     n = EXHAUSTIVE_GAIN_THRESHOLD + 2
     cover = {i: frozenset({"a"}) for i in range(1, n + 1)}
     problem = ComponentProblem(Component(cover=cover), {i: i for i in cover})
-    members = frozenset(cover)
+    mask = problem.mask_of(cover)
     with caplog.at_level(logging.WARNING, logger="covmin.reduction"):
-        first = problem.reduce(members)
-        second = problem.reduce(members)
-    assert first == second == frozenset({1})
+        first = problem.removal(mask)
+        second = problem.removal(mask)
+    assert first == second
+    assert problem.set_of(first[1]) == frozenset({1})
     warnings = [r for r in caplog.records if r.levelno == logging.WARNING]
     assert len(warnings) == 1
     assert "exhaustive threshold" in warnings[0].getMessage()
