@@ -26,7 +26,7 @@ for i in sorted(ids):
 gain, order = valid_orders_gain(ids, cover, costs)
 print("\nmax removable cost:", gain, "via removal order", order)
 
-result = reduce_problem(ids, cover, costs)
+result = reduce_problem(cover, costs)
 print("necessary inputs:", sorted(result.necessary))
 print("components left for the search:", len(result.components))
 print("iterations to fixpoint:", result.iterations)
@@ -40,6 +40,6 @@ cycle_cover = {
     4: frozenset({"d", "a"}),
 }
 cycle_costs = {1: 5, 2: 5, 3: 5, 4: 5}
-cycle = reduce_problem(frozenset(cycle_cover), cycle_cover, cycle_costs)
+cycle = reduce_problem(cycle_cover, cycle_costs)
 print("\n4-cycle: necessary =", sorted(cycle.necessary),
       "components =", [sorted(c.inputs) for c in cycle.components])

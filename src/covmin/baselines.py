@@ -4,38 +4,39 @@ optimum, and the A12 effect size."""
 
 from __future__ import annotations
 
+import math
 import random
 
-from .blocks import cluster_actions
+from .blocks import action_cover
 from .config import RunConfig
-from .dataset import Action, Dataset
-from .reduction import Component, min_cover
+from .dataset import Dataset
+from .reduction import Component, min_cover, postings
 
 EXHAUSTIVE_INPUT_LIMIT = 20
-
-
-class InfeasibleError(ValueError):
-    """The candidate inputs cannot cover the requested universe."""
 
 
 class ExhaustiveLimitError(ValueError):
     """A component has more inputs than the exact solver accepts."""
 
 
-def greedy_cover(universe, candidates, cover, costs) -> frozenset:
-    """Repeatedly take the input with the best coverage-per-cost ratio.
-    Ties break toward lower cost, then lower id."""
-    uncovered = set(universe)
-    reachable = set()
-    for i in candidates:
-        reachable |= cover[i]
-    if not uncovered <= reachable:
-        raise InfeasibleError("candidates cannot cover the universe")
+def greedy_cover(cover, costs) -> frozenset:
+    """Repeatedly take the input with the best ratio of newly covered blocks
+    to cost until the union of `cover` is covered. A zero-cost input that
+    covers something new ranks above every costed one, and one that covers
+    nothing new ranks lowest. Ties break toward lower cost, then lower id."""
+    uncovered = set().union(*cover.values())
     selected: set = set()
+
+    def ratio(i):
+        gain = len(cover[i] & uncovered)
+        if costs[i]:
+            return gain / costs[i]
+        return math.inf if gain else -math.inf
+
     while uncovered:
         best = max(
-            (i for i in candidates if i not in selected),
-            key=lambda i: (len(cover[i] & uncovered) / costs[i], -costs[i], -i),
+            (i for i in cover if i not in selected),
+            key=lambda i: (ratio(i), -costs[i], -i),
         )
         selected.add(best)
         uncovered -= cover[best]
@@ -50,23 +51,13 @@ def random_select(candidates, n: int, seed: int = 0) -> frozenset:
 
 
 def art_select(dataset: Dataset, config: RunConfig, seed: int = 0) -> frozenset:
-    """Cluster all action occurrences directly (no output-clustering stage)
-    and pick one covering input per cluster, uniformly at random."""
+    """Cluster all action occurrences directly, as one output class, and
+    pick one covering input per cluster, uniformly at random."""
     rng = random.Random(seed)
-    parts: dict[str, list[tuple[int, Action]]] = {}
-    for rec in dataset.inputs:
-        for action in rec.actions:
-            parts.setdefault(action.method, []).append((rec.id, action))
-    selected: set[int] = set()
-    for _, part in sorted(parts.items()):
-        ids, actions = zip(*part)
-        clusters: dict[int, list[int]] = {}
-        for input_id, lab in zip(ids, cluster_actions(list(actions), config, seed)):
-            clusters.setdefault(lab, []).append(input_id)
-        for lab in sorted(clusters):
-            covering = sorted(set(clusters[lab]))
-            selected.add(rng.choice(covering))
-    return frozenset(selected)
+    one_class = {(rec.id, pos): 0
+                 for rec in dataset.inputs for pos in range(len(rec.actions))}
+    holders = postings(action_cover(dataset, one_class, config, seed))
+    return frozenset(rng.choice(holders[bl]) for bl in sorted(holders))
 
 
 def exhaustive_optimal(component: Component, costs) -> frozenset:

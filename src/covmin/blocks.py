@@ -93,12 +93,14 @@ def cluster_actions(actions: list[Action], config: RunConfig, seed: int) -> list
     return choice.labels
 
 
-def build_coverage(dataset: Dataset, config: RunConfig, seed: int) -> CoverageMap:
-    """Group the action occurrences by (output class, method), cluster each
-    part's actions, and give every input the blocks of its occurrences."""
+def action_cover(dataset: Dataset, output_class: dict[Occurrence, int],
+                 config: RunConfig, seed: int) -> dict[int, frozenset[BlockId]]:
+    """Group the action occurrences by (output class, method), in id order,
+    cluster each part's actions, and give every input the blocks of its
+    occurrences."""
     by_id = dataset.by_id()
     parts: dict[tuple[int, str], list[tuple[int, Action]]] = {}
-    for (input_id, pos), out_cl in sorted(cluster_outputs(dataset, config, seed).items()):
+    for (input_id, pos), out_cl in sorted(output_class.items()):
         action = by_id[input_id].actions[pos]
         parts.setdefault((out_cl, action.method), []).append((input_id, action))
     cover: dict[int, set[BlockId]] = {rec.id: set() for rec in dataset.inputs}
@@ -106,4 +108,10 @@ def build_coverage(dataset: Dataset, config: RunConfig, seed: int) -> CoverageMa
         ids, actions = zip(*part)
         for input_id, lab in zip(ids, cluster_actions(list(actions), config, seed)):
             cover[input_id].add(BlockId(out_cl, method, lab))
-    return CoverageMap({i: frozenset(b) for i, b in cover.items()})
+    return {i: frozenset(b) for i, b in cover.items()}
+
+
+def build_coverage(dataset: Dataset, config: RunConfig, seed: int) -> CoverageMap:
+    """The action stage over the output classes of every occurrence."""
+    return CoverageMap(action_cover(
+        dataset, cluster_outputs(dataset, config, seed), config, seed))

@@ -15,7 +15,7 @@ import sys
 from . import baselines, harness
 from .blocks import BlockId, CoverageMap, build_coverage
 from .config import RunConfig
-from .dataset import Dataset, ValidationError, load_dataset
+from .dataset import Dataset, ValidationError, load_dataset, read_json
 from .reduction import ReductionResult, reduce_problem
 
 EXIT_OK = 0
@@ -110,8 +110,7 @@ def cmd_reduce(args) -> int:
     dataset, config = _load(args)
     costs = dataset.costs()
     if args.coverage:
-        with open(args.coverage, encoding="utf-8") as fh:
-            coverage = coverage_from_dict(json.load(fh))
+        coverage = coverage_from_dict(read_json(args.coverage, "coverage"))
         missing = sorted(set(costs) - set(coverage.cover))
         unknown = sorted(set(coverage.cover) - set(costs))
         if missing or unknown:
@@ -120,7 +119,7 @@ def cmd_reduce(args) -> int:
                 f"missing input ids {missing}, unknown input ids {unknown}")
     else:
         coverage = build_coverage(dataset, config, _seed(args, config))
-    reduction = reduce_problem(frozenset(costs), coverage.cover, costs)
+    reduction = reduce_problem(coverage.cover, costs)
     _write_json(reduction_to_dict(reduction), args.out)
     return EXIT_OK
 
@@ -163,7 +162,7 @@ def cmd_oracle(args) -> int:
     seed = _seed(args, config)
     coverage = build_coverage(dataset, config, seed)
     costs = dataset.costs()
-    reduction = reduce_problem(frozenset(costs), coverage.cover, costs)
+    reduction = reduce_problem(coverage.cover, costs)
     solver = harness.component_solver("exhaustive", costs, config)
     solution = harness.solve(reduction, costs, solver, seed)
     _write_json({
@@ -223,13 +222,10 @@ def main(argv=None) -> int:
     )
     try:
         return _COMMANDS[args.command](args)
-    except (ValidationError, baselines.ExhaustiveLimitError) as exc:
+    except (ValidationError, baselines.ExhaustiveLimitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (OSError, UnicodeDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except (json.JSONDecodeError, KeyError) as exc:
+    except KeyError as exc:
         print(f"error: {exc!r}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -2,14 +2,13 @@
 
 from __future__ import annotations
 
-import json
 import math
 import types
 import typing
 from dataclasses import dataclass
 
 from .clustering import EPS_SLACK, HyperParamGrid
-from .dataset import ValidationError, _checked
+from .dataset import ValidationError, _checked, read_json
 
 
 @dataclass(frozen=True)
@@ -70,9 +69,7 @@ class RunConfig:
 
     @classmethod
     def from_file(cls, path) -> "RunConfig":
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-        return cls.from_dict(data)
+        return cls.from_dict(read_json(path, "config"))
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":

@@ -117,13 +117,19 @@ def _parse_action(obj: dict) -> Action:
     )
 
 
+def read_json(path, what: str):
+    """The JSON value in the file at `path`. A file that is not UTF-8 JSON
+    is a ValidationError naming it as the `what` file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ValidationError(f"malformed {what} file {path}: {exc}") from exc
+
+
 def load_dataset(path) -> Dataset:
     """Load and validate a dataset file, dropping zero-cost inputs."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"malformed dataset file {path}: {exc}") from exc
+    raw = read_json(path, "dataset")
     _checked(raw, dict, f"top level of {path}")
 
     records = []

@@ -114,7 +114,7 @@ def run_pipeline(dataset: Dataset, config: RunConfig,
         seed = config.seed
     costs = dataset.costs()
     coverage = build_coverage(dataset, config, seed)
-    reduction = reduce_problem(frozenset(costs), coverage.cover, costs)
+    reduction = reduce_problem(coverage.cover, costs)
     solver = component_solver("mocco", costs, config)
     solution = solve(reduction, costs, solver, seed)
     return PipelineResult(
@@ -186,7 +186,7 @@ def run_repetition(dataset: Dataset, config: RunConfig, algorithms,
     costs = dataset.costs()
     if coverage is None:
         coverage = build_coverage(dataset, config, seed)
-    reduction = reduce_problem(frozenset(costs), coverage.cover, costs)
+    reduction = reduce_problem(coverage.cover, costs)
     universe = coverage.all_blocks()
     rows: list[BenchRow] = []
     sizes: list[int] = []
@@ -214,8 +214,7 @@ def run_repetition(dataset: Dataset, config: RunConfig, algorithms,
             solver = component_solver(name, costs, config)
             selected = solve(reduction, costs, solver, seed).selected
         elif name == "greedy":
-            selected = baselines.greedy_cover(
-                universe, frozenset(costs), coverage.cover, costs)
+            selected = baselines.greedy_cover(coverage.cover, costs)
         elif name == "art":
             selected = baselines.art_select(dataset, config, seed)
         else:
@@ -248,7 +247,7 @@ def bench(dataset: Dataset, config: RunConfig, algorithms=ALGORITHMS,
     if jobs > 1 and repetitions > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            chunks = list(pool.map(_rep_star, reps))
+            chunks = list(pool.map(run_repetition, *zip(*reps)))
     else:
         chunks = [run_repetition(*args) for args in reps]
     rows = tuple(row for chunk in chunks for row in chunk)
@@ -263,10 +262,6 @@ def bench(dataset: Dataset, config: RunConfig, algorithms=ALGORITHMS,
                 a12[(a, b)] = baselines.a12_effect_size(
                     cost_samples[a], cost_samples[b])
     return BenchReport(rows=rows, a12=a12)
-
-
-def _rep_star(args):
-    return run_repetition(*args)
 
 
 def write_bench_csv(report: BenchReport, path) -> None:

@@ -215,12 +215,13 @@ def _greedy_gain(members, cover, costs):
         order.append(pick)
 
 
-def reduce_problem(ids, cover, costs) -> ReductionResult:
+def reduce_problem(cover, costs) -> ReductionResult:
     """Iterate redundancy determination, duplicate removal, and dominance
     removal on the restricted cover map (input id -> its still-uncovered
-    objectives) until a pass finds no new necessary input and leaves the
-    map unchanged, then split the rest into components."""
-    rcover = {i: frozenset(cover[i]) for i in ids}
+    objectives), starting from all of `cover`, until a pass finds no new
+    necessary input and leaves the map unchanged, then split the rest into
+    components."""
+    rcover = {i: frozenset(blocks) for i, blocks in cover.items()}
     necessary: set = set()
     iterations = 0
     while True:

@@ -36,7 +36,6 @@ GREEDY_COVER = {
     3: frozenset({"bl2", "bl4"}),
 }
 GREEDY_COSTS = {1: 2, 2: 3, 3: 3}
-GREEDY_UNIVERSE = frozenset({"bl1", "bl2", "bl3", "bl4"})
 
 
 def _report(number, name, run):
@@ -75,8 +74,7 @@ def test_criterion_1_worked_example_fixtures():
         assert c2 == frozenset({2, 3, 4})
 
         # Greedy trap vs optimum.
-        greedy = greedy_cover(GREEDY_UNIVERSE, frozenset(GREEDY_COVER),
-                              GREEDY_COVER, GREEDY_COSTS)
+        greedy = greedy_cover(GREEDY_COVER, GREEDY_COSTS)
         optimal = exhaustive_optimal(Component(cover=GREEDY_COVER), GREEDY_COSTS)
         assert sum(GREEDY_COSTS[i] for i in greedy) == 8
         assert sum(GREEDY_COSTS[i] for i in optimal) == 6
@@ -271,7 +269,7 @@ def test_criterion_5_end_to_end_determinism(tmp_path):
             coverage.cover_of_set(all_ids)
         # Oracle optimum per component plus the necessary inputs.
         costs = ds.costs()
-        reduction = reduce_problem(all_ids, coverage.cover, costs)
+        reduction = reduce_problem(coverage.cover, costs)
         oracle_cost = sum(costs[i] for i in reduction.necessary) + sum(
             costs[i]
             for c in reduction.components
@@ -336,7 +334,7 @@ def test_criterion_7_baseline_sanity():
         for _ in range(100):
             cover, costs = random_instance(rng)
             universe = coverage_of(cover, cover)
-            result = greedy_cover(universe, frozenset(cover), cover, costs)
+            result = greedy_cover(cover, costs)
             assert coverage_of(result, cover) >= universe
 
     _report(7, "baseline sanity", run)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 from pathlib import Path
@@ -6,7 +7,6 @@ import pytest
 
 from covmin.baselines import (
     ExhaustiveLimitError,
-    InfeasibleError,
     a12_effect_size,
     art_select,
     exhaustive_optimal,
@@ -32,25 +32,26 @@ UNIVERSE = frozenset({"bl1", "bl2", "bl3", "bl4"})
 
 
 def test_greedy_falls_into_ratio_trap():
-    result = greedy_cover(UNIVERSE, frozenset(GREEDY_COVER), GREEDY_COVER, GREEDY_COSTS)
+    result = greedy_cover(GREEDY_COVER, GREEDY_COSTS)
     assert result == frozenset({1, 2, 3})
     assert sum(GREEDY_COSTS[i] for i in result) == 8
     assert coverage_of(result, GREEDY_COVER) == UNIVERSE
-
-
-def test_greedy_infeasible():
-    with pytest.raises(InfeasibleError):
-        greedy_cover(UNIVERSE | {"bl9"}, frozenset(GREEDY_COVER),
-                     GREEDY_COVER, GREEDY_COSTS)
 
 
 def test_greedy_always_covers_when_feasible():
     rng = random.Random(8)
     for _ in range(200):
         cover, costs = random_instance(rng)
-        universe = coverage_of(cover, cover)
-        result = greedy_cover(universe, frozenset(cover), cover, costs)
-        assert coverage_of(result, cover) >= universe
+        free = {i: c if rng.random() < 0.5 else 0 for i, c in costs.items()}
+        for weights in (costs, free):
+            result = greedy_cover(cover, weights)
+            assert coverage_of(result, cover) == coverage_of(cover, cover)
+    # A zero-cost input covering something new outranks every costed input;
+    # one covering nothing new is never taken.
+    cover = {1: frozenset("ab"), 2: frozenset("a"), 3: frozenset("b"), 4: frozenset("a")}
+    assert greedy_cover(cover, {1: 1, 2: 0, 3: 0, 4: 0}) == frozenset({2, 3})
+    cover = {1: frozenset("ab"), 2: frozenset("a"), 3: frozenset("c")}
+    assert greedy_cover(cover, {1: 0, 2: 0, 3: 5}) == frozenset({1, 3})
 
 
 def test_random_select_reproducible_and_uniform_size():
@@ -84,6 +85,14 @@ def test_art_select_matches_golden_file_on_many_pages(tmp_path):
     dataset, config = workload_corpus("many-pages", 1, tmp_path)
     golden = json.loads((ROOT / "tests" / "data" / "art_many_pages_seed1.json").read_text())
     assert sorted(art_select(dataset, config, seed=1)) == golden
+
+
+def test_art_select_ignores_input_order(tmp_path):
+    # Occurrences are clustered in id order, so listing the inputs in
+    # another order cannot change the parts, their labels or the picks.
+    dataset, config = workload_corpus("many-pages", 1, tmp_path)
+    reversed_inputs = dataclasses.replace(dataset, inputs=dataset.inputs[::-1])
+    assert art_select(reversed_inputs, config, seed=1) == art_select(dataset, config, seed=1)
 
 
 def test_exhaustive_optimal_greedy_instance():

@@ -90,16 +90,21 @@ def test_empty_dataset_exit_code(tmp_path, capsys):
 def test_missing_file_exit_code(tmp_path, capsys):
     not_utf8 = tmp_path / "latin1.json"
     not_utf8.write_bytes(b'{"inputs": [], "caf\xe9": 1}')
+    truncated = tmp_path / "truncated.json"
+    truncated.write_text('{"inputs": [')
     for argv in (
         ["ingest", "--dataset", str(tmp_path / "nope.json")],
         ["ingest", "--dataset", str(tmp_path)],
         ["ingest", "--dataset", str(not_utf8)],
+        ["ingest", "--dataset", str(truncated)],
         ["ingest", "--dataset", BUNDLED, "--config", str(not_utf8)],
+        ["ingest", "--dataset", BUNDLED, "--config", str(truncated)],
         ["ingest", "--dataset", BUNDLED, "--out", str(tmp_path)],
     ):
         assert main(argv) == 2, argv
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+        assert argv[-1] in err, (argv, err)
 
 
 def test_cluster_then_reduce_roundtrip(tmp_path, capsys):
@@ -229,6 +234,12 @@ def test_malformed_config_algo_and_coverage_exit_code(tmp_path, capsys):
         assert main(args + [str(bad), "--dataset", BUNDLED]) == 2, payload
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, (payload, err)
+    for args in (["minimize", "--config"], ["reduce", "--coverage"]):
+        bad.write_text('{"cover": {"1": ["1:GET:')
+        assert main(args + [str(bad), "--dataset", BUNDLED]) == 2, args
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, (args, err)
+        assert str(bad) in err, (args, err)
     assert main(["bench", "--dataset", BUNDLED, "--algo", "greedy,foo"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: unknown algorithms ['foo']"), err

@@ -116,7 +116,7 @@ def test_solve_exact_is_optimal_and_mocco_covers():
     for _ in range(20):
         cover, costs = random_instance(rng, max_inputs=8, max_blocks=8)
         universe = coverage_of(cover, cover)
-        reduction = reduce_problem(frozenset(cover), cover, costs)
+        reduction = reduce_problem(cover, costs)
         want, _ = bruteforce_min_cover(frozenset(cover), cover, costs, universe)
         exact = solve(reduction, costs,
                       component_solver("exhaustive", costs, config), seed=3)

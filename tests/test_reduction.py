@@ -194,7 +194,7 @@ def test_greedy_fallback_over_threshold(caplog, monkeypatch):
 
 
 def test_reduce_problem_greedy_instance():
-    result = reduce_problem(ALL, GREEDY_COVER, GREEDY_COSTS)
+    result = reduce_problem(GREEDY_COVER, GREEDY_COSTS)
     assert result.necessary == frozenset({2, 3})
     assert result.components == ()
 
@@ -202,7 +202,7 @@ def test_reduce_problem_greedy_instance():
 def test_reduce_problem_all_necessary_single_iteration():
     cover = {1: frozenset({"a"}), 2: frozenset({"b"}), 3: frozenset({"c"})}
     costs = {1: 1, 2: 1, 3: 1}
-    result = reduce_problem(frozenset(cover), cover, costs)
+    result = reduce_problem(cover, costs)
     assert result.necessary == frozenset({1, 2, 3})
     assert result.components == ()
     assert result.iterations == 1
@@ -213,7 +213,7 @@ def test_reduce_problem_is_fixpoint_and_preserves_coverage():
     for _ in range(200):
         cover, costs = random_instance(rng)
         ids = frozenset(cover)
-        result = reduce_problem(ids, cover, costs)
+        result = reduce_problem(cover, costs)
         kept = set(result.necessary)
         for comp in result.components:
             kept |= comp.inputs
@@ -227,7 +227,7 @@ def test_reduce_problem_is_fixpoint_and_preserves_coverage():
             assert comp.cover == {i: cover[i] & comp.objectives for i in comp.inputs}
             seen |= comp.inputs
         # Re-running on the kept set keeps everything.
-        again = reduce_problem(frozenset(kept), cover, costs)
+        again = reduce_problem({i: cover[i] for i in kept}, costs)
         kept_again = set(again.necessary)
         for comp in again.components:
             kept_again |= comp.inputs
@@ -330,7 +330,7 @@ def test_gain_and_min_cover_match_bruteforce(instance):
 def test_reduce_problem_matches_bruteforce(instance):
     cover, costs = instance
     ids = frozenset(cover)
-    result = reduce_problem(ids, cover, costs)
+    result = reduce_problem(cover, costs)
     kept = result.necessary.union(*(comp.inputs for comp in result.components))
     assert coverage_of(kept, cover) == coverage_of(ids, cover)
     for comp in result.components:
