@@ -73,15 +73,15 @@ def coverage_to_dict(coverage: CoverageMap) -> dict:
     }
 
 
-def coverage_from_dict(obj: dict) -> CoverageMap:
-    """Inverse of `coverage_to_dict`; malformed input is a ValidationError."""
+def coverage_from_dict(obj: dict, path) -> CoverageMap:
+    """Inverse of `coverage_to_dict`; a malformed file at `path` is a ValidationError."""
     try:
         cover = {
             int(i): frozenset(BlockId.from_str(s) for s in blocks)
             for i, blocks in obj["cover"].items()
         }
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise ValidationError(f"malformed coverage file: {exc!r}") from exc
+        raise ValidationError(f"malformed coverage file {path}: {exc!r}") from exc
     return CoverageMap(cover)
 
 
@@ -110,7 +110,7 @@ def cmd_reduce(args) -> int:
     dataset, config = _load(args)
     costs = dataset.costs()
     if args.coverage:
-        coverage = coverage_from_dict(read_json(args.coverage, "coverage"))
+        coverage = coverage_from_dict(read_json(args.coverage, "coverage"), args.coverage)
         missing = sorted(set(costs) - set(coverage.cover))
         unknown = sorted(set(coverage.cover) - set(costs))
         if missing or unknown:
@@ -224,9 +224,6 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command](args)
     except (ValidationError, baselines.ExhaustiveLimitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except KeyError as exc:
-        print(f"error: {exc!r}", file=sys.stderr)
         return EXIT_VALIDATION
 
 

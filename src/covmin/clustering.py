@@ -11,7 +11,7 @@ hence no coverage objective) is ever dropped downstream.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -93,41 +93,21 @@ def _dbscan_labels(neighborhoods: list[list[int]], min_neighbors: int) -> list[i
         if labels[i] != -1 or not core[i]:
             continue
         labels[i] = cluster
-        queue = list(neighborhoods[i])
-        while queue:
-            j = queue.pop(0)
+        # An expansion labels the points reachable from i, in any order.
+        stack = list(neighborhoods[i])
+        while stack:
+            j = stack.pop()
             if labels[j] != -1:
                 continue
             labels[j] = cluster
             if core[j]:
-                queue.extend(neighborhoods[j])
+                stack.extend(neighborhoods[j])
         cluster += 1
     for i in range(n):
         if labels[i] == -1:
             labels[i] = cluster
             cluster += 1
     return _canonical_labels(labels)
-
-
-def _dbscan_sweep(dm: DistanceMatrix, points):
-    """DBSCAN labels of each grid point in turn, on the precomputed matrix.
-    An eps-neighbourhood excludes the point itself. Labels depend only on the
-    neighbourhood mask and `min_neighbors`. Grid eps ascends and a mask only
-    grows with eps, so equal masks are consecutive: only the current mask is
-    kept, its neighbourhoods are rebuilt when it changes, and its labels are
-    cached per `min_neighbors`."""
-    last_eps = mask = None
-    for params in points:
-        eps, min_neighbors = params["eps"], params["min_neighbors"]
-        if eps != last_eps:
-            last_eps, within = eps, dm.values <= eps
-            np.fill_diagonal(within, False)
-            if mask is None or not np.array_equal(within, mask):
-                mask, labelled = within, {}
-                neighborhoods = [np.flatnonzero(row).tolist() for row in within]
-        if min_neighbors not in labelled:
-            labelled[min_neighbors] = _dbscan_labels(neighborhoods, min_neighbors)
-        yield labelled[min_neighbors]
 
 
 def silhouette(dm: DistanceMatrix, labels) -> np.ndarray:
@@ -195,53 +175,56 @@ class HyperParamGrid(NamedTuple):
     min_neighbors_range: tuple[int, int]
 
 
-@dataclass(frozen=True)
-class HyperParamChoice:
-    params: dict = field(hash=False)
-    labels: list[int] = field(hash=False)
-    silhouette_mean: float = 0.0
-    gini: float = 0.0
+class HyperParamChoice(NamedTuple):
+    params: dict
+    labels: list[int]
+    silhouette_mean: float
+    gini: float
 
 
-def _grid_points(dm: DistanceMatrix, grid: HyperParamGrid):
+def _labellings(dm: DistanceMatrix, grid: HyperParamGrid, seed: int):
+    """(params, labels) of each grid point in grid order, labelled lazily.
+    DBSCAN eps ascends by `eps_step`; when that is None, the step (1.0 for an
+    integral matrix, else 0.5) is decided once a second eps is needed. An
+    eps-neighbourhood excludes the point itself. Labels depend only on the
+    neighbourhood mask and `min_neighbors`, and a mask only grows with eps,
+    so only the current mask is kept, its neighbourhoods are rebuilt when it
+    changes, and its labels are cached per `min_neighbors`."""
     if grid.algo == "kmeans":
         lo, hi = grid.k_range
         if lo > dm.n:
             raise ValidationError(f"k_range {list(grid.k_range)} starts above "
                                   f"the {dm.n} points to cluster")
         for k in range(lo, min(hi, dm.n) + 1):
-            yield {"k": k}
-    else:
-        step = grid.eps_step
+            yield {"k": k}, kmedoids(dm, k, seed=seed)
+        return
+    lo, hi = grid.eps_range
+    v, step, eps, mask = dm.values, grid.eps_step, lo, None
+    while eps <= hi + EPS_SLACK:
+        point_eps = round(eps, 9)
+        within = v <= point_eps
+        np.fill_diagonal(within, False)
+        if mask is None or not np.array_equal(within, mask):
+            mask, labelled = within, {}
+            neighborhoods = [np.flatnonzero(row).tolist() for row in within]
+        for mn in range(grid.min_neighbors_range[0], grid.min_neighbors_range[1] + 1):
+            if mn not in labelled:
+                labelled[mn] = _dbscan_labels(neighborhoods, mn)
+            yield {"eps": point_eps, "min_neighbors": mn}, labelled[mn]
         if step is None:
-            rounded = np.round(dm.values)
-            integral = np.array_equal(dm.values, rounded) or np.allclose(dm.values, rounded)
-            step = 1.0 if integral else 0.5
-        lo, hi = grid.eps_range
-        eps = lo
-        while eps <= hi + EPS_SLACK:
-            for mn in range(grid.min_neighbors_range[0], grid.min_neighbors_range[1] + 1):
-                yield {"eps": round(eps, 9), "min_neighbors": mn}
-            eps += step
+            rounded = np.round(v)
+            step = 1.0 if np.array_equal(v, rounded) or np.allclose(v, rounded) else 0.5
+        eps += step
 
 
 def select_hyperparams(dm: DistanceMatrix, grid: HyperParamGrid, seed: int = 0) -> HyperParamChoice:
-    """Evaluate every grid point and return the one with the highest
-    silhouette, a member of the (silhouette up, Gini down) Pareto front.
-    Ties break toward lower Gini, then grid order. Grid points often yield
-    the same labelling; each distinct labelling is scored once."""
+    """Walk the grid and return the point with the highest silhouette, a
+    member of the (silhouette up, Gini down) Pareto front. Ties break toward
+    lower Gini, then grid order. Grid points often yield the same labelling;
+    each distinct labelling is scored once."""
     best: HyperParamChoice | None = None
     scored: dict[tuple[int, ...], tuple[float, float]] = {}
-    points = list(_grid_points(dm, grid))
-    if dm.n <= 2:
-        # Two points form one cluster or two singletons, so every labelling
-        # scores silhouette 0 and Gini 0, and the tie goes to the first point.
-        points = points[:1]
-    if grid.algo == "kmeans":
-        labellings = (kmedoids(dm, params["k"], seed=seed) for params in points)
-    else:
-        labellings = _dbscan_sweep(dm, points)
-    for params, labels in zip(points, labellings):
+    for params, labels in _labellings(dm, grid, seed):
         key = tuple(labels)
         if key not in scored:
             scores = silhouette(dm, labels)
@@ -250,10 +233,9 @@ def select_hyperparams(dm: DistanceMatrix, grid: HyperParamGrid, seed: int = 0) 
         # The lexicographic maximum is never dominated, so it is on the
         # front; only a strictly better point replaces an earlier one.
         if best is None or (silhouette_mean, -dispersion) > (best.silhouette_mean, -best.gini):
-            best = HyperParamChoice(
-                params=params,
-                labels=labels,
-                silhouette_mean=silhouette_mean,
-                gini=dispersion,
-            )
+            best = HyperParamChoice(params, labels, silhouette_mean, dispersion)
+        if dm.n <= 2:
+            # Two points form one cluster or two singletons, so every
+            # labelling scores silhouette 0 and Gini 0: the first point wins.
+            break
     return best

@@ -10,6 +10,10 @@ from dataclasses import dataclass
 from .clustering import EPS_SLACK, HyperParamGrid
 from .dataset import ValidationError, _checked, read_json
 
+# The most DBSCAN grid points (eps values times min_neighbors values) a run
+# configuration may ask for; the walk labels each of them in turn.
+MAX_GRID_POINTS = 100_000
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -47,11 +51,18 @@ class RunConfig:
         if not 0 < lo <= hi < math.inf:
             raise ValidationError("eps_range must be ordered, positive and finite, "
                                   f"got {[lo, hi]}")
-        # A step below the float spacing at the grid's top would leave eps
-        # where it is, and the grid would never end.
-        if self.eps_step is not None and not math.ulp(hi + EPS_SLACK) <= self.eps_step < math.inf:
-            raise ValidationError("eps_step must be finite and large enough to advance eps "
-                                  f"across eps_range {[lo, hi]}, got {self.eps_step}")
+        # The DBSCAN walk visits eps values (at 0.5, the finer step, when
+        # eps_step is None) times min_neighbors values. A step below the float
+        # spacing at the grid's top leaves eps where it is: an endless grid.
+        step = 0.5 if self.eps_step is None else self.eps_step
+        advances = math.ulp(hi + EPS_SLACK) <= step < math.inf
+        mn_lo, mn_hi = self.min_neighbors_range
+        eps_points = (hi + EPS_SLACK - lo) // step + 1 if advances else math.inf
+        points = eps_points * (mn_hi - mn_lo + 1)
+        if points > MAX_GRID_POINTS:
+            raise ValidationError(f"eps_range {[lo, hi]}, eps_step {self.eps_step} and "
+                                  f"min_neighbors_range {[mn_lo, mn_hi]} make a DBSCAN grid "
+                                  f"of {points:g} points, above the bound of {MAX_GRID_POINTS}")
 
     def grid(self, algo: str) -> HyperParamGrid:
         return HyperParamGrid(

@@ -100,20 +100,28 @@ def _objects(raw: dict, key: str) -> list:
     return [_checked(obj, dict, f"entry of {key!r}") for obj in items]
 
 
-def _parse_param(obj: dict) -> tuple[str, str | int]:
-    name = _checked(obj["name"], str, "parameter name")
+def _field(obj: dict, key: str, kind, entry: str):
+    """`obj[key]` checked to be a `kind`; a missing key or a wrong type is a
+    ValidationError naming the `entry`."""
+    if key not in obj:
+        raise ValidationError(f"{entry} has no {key!r}")
+    return _checked(obj[key], kind, f"{entry} {key!r}")
+
+
+def _parse_param(obj: dict, entry: str) -> tuple[str, str | int]:
+    name, type_name = _field(obj, "name", str, entry), _field(obj, "type", str, entry)
     for kind in (str, int):
-        if obj["type"] == kind.__name__:
-            return name, _checked(obj["value"], kind, f"parameter {name!r}")
-    raise ValidationError(f"unknown parameter type: {obj['type']!r}")
+        if type_name == kind.__name__:
+            return name, _field(obj, "value", kind, entry)
+    raise ValidationError(f"{entry}: unknown parameter type {type_name!r}")
 
 
-def _parse_action(obj: dict) -> Action:
-    params = tuple(_parse_param(p) for p in _objects(obj, "params"))
+def _parse_action(obj: dict, entry: str) -> Action:
     return Action(
-        method=obj["method"],
-        url_words=split_url(_checked(obj["url"], str, "URL")),
-        params=params,
+        method=_field(obj, "method", str, entry),
+        url_words=split_url(_field(obj, "url", str, entry)),
+        params=tuple(_parse_param(p, f"{entry} parameter {k}")
+                     for k, p in enumerate(_objects(obj, "params"))),
     )
 
 
@@ -134,17 +142,17 @@ def load_dataset(path) -> Dataset:
 
     records = []
     seen_ids = set()
-    for obj in _objects(raw, "inputs"):
-        input_id = _checked(obj["id"], int, "input id")
+    for index, obj in enumerate(_objects(raw, "inputs")):
+        entry = f"{path}: input entry {index}"
+        input_id = _field(obj, "id", int, entry)
         counts = _checked(obj.get("mr_action_counts", {}), dict,
                           f"input {input_id} mr_action_counts")
         rec = InputRecord(
             id=input_id,
-            actions=tuple(_parse_action(a) for a in _objects(obj, "actions")),
-            outputs=tuple(
-                _checked(out, str, f"input {input_id} output")
-                for out in _checked(obj["outputs"], list, f"input {input_id} outputs")
-            ),
+            actions=tuple(_parse_action(a, f"{entry} action {k}")
+                          for k, a in enumerate(_objects(obj, "actions"))),
+            outputs=tuple(_checked(out, str, f"input {input_id} output")
+                          for out in _field(obj, "outputs", list, entry)),
             mr_action_counts={
                 str(k): _checked(v, int, f"input {input_id} MR action count")
                 for k, v in counts.items()
@@ -159,12 +167,13 @@ def load_dataset(path) -> Dataset:
         records.append(rec)
 
     vulns = []
-    for obj in _objects(raw, "vulnerabilities"):
-        vuln_id = _checked(obj["id"], str, "vulnerability id")
+    for index, obj in enumerate(_objects(raw, "vulnerabilities")):
+        entry = f"{path}: vulnerability entry {index}"
+        vuln_id = _field(obj, "id", str, entry)
         groups = tuple(
             frozenset(_checked(i, int, "detecting group member")
                       for i in _checked(grp, list, "detecting group"))
-            for grp in _checked(obj["detecting_groups"], list, "detecting_groups")
+            for grp in _field(obj, "detecting_groups", list, entry)
         )
         for grp in groups:
             missing = grp - seen_ids

@@ -22,8 +22,7 @@ from covmin import stemming
 from covmin.clustering import (
     HyperParamChoice,
     _canonical_labels,
-    _dbscan_sweep,
-    _grid_points,
+    _labellings,
     gini,
 )
 from covmin.config import RunConfig
@@ -302,8 +301,9 @@ def kmedoids_by_points(dm, k: int, seed: int = 0) -> list[int]:
 
 
 def dbscan(dm, eps: float, min_neighbors: int) -> list[int]:
-    """The production DBSCAN sweep at one grid point."""
-    return next(_dbscan_sweep(dm, [{"eps": eps, "min_neighbors": min_neighbors}]))
+    """The production grid walk's labels at one DBSCAN grid point."""
+    config = RunConfig(eps_range=(eps, eps), min_neighbors_range=(min_neighbors, min_neighbors))
+    return next(_labellings(dm, config.grid("dbscan"), 0))[1]
 
 
 def dbscan_by_scan(dm, eps: float, min_neighbors: int) -> list[int]:
@@ -367,7 +367,7 @@ def select_hyperparams_uncached(dm, grid, seed: int = 0) -> HyperParamChoice:
     `kmedoids_by_points` or `dbscan_by_scan` and scoring with
     `silhouette_by_points`."""
     candidates = []
-    for params in _grid_points(dm, grid):
+    for params, _ in _labellings(dm, grid, seed):
         if grid.algo == "kmeans":
             labels = kmedoids_by_points(dm, params["k"], seed=seed)
         else:

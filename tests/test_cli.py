@@ -7,10 +7,10 @@ from pathlib import Path
 
 import pytest
 
-from covmin import baselines
+from covmin import baselines, harness
 from covmin.blocks import build_coverage
 from covmin.cli import coverage_to_dict, main
-from covmin.config import RunConfig
+from covmin.config import MAX_GRID_POINTS, RunConfig
 from covmin.dataset import ValidationError
 from covmin.synthetic import write_synthetic_dataset
 
@@ -70,6 +70,42 @@ def test_ingest_validation_error_exit_code(tmp_path, capsys):
         bad.write_text(json.dumps(payload))
         assert main(["ingest", "--dataset", str(bad)]) == 2, payload
         assert capsys.readouterr().err.startswith("error: "), payload
+
+
+def test_missing_dataset_key_names_file_and_entry(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    action = {"method": "GET", "url": "http://h/p"}
+    good_input = {"id": 1, "actions": [action], "outputs": ["x"], "mr_action_counts": {"a": 1}}
+    param = {"name": "q", "type": "str", "value": "x"}
+    for payload, entry in (
+        ({"inputs": [{}]}, "input entry 0 has no 'id'"),
+        ({"inputs": [good_input, {"id": 2, "actions": [action]}]},
+         "input entry 1 has no 'outputs'"),
+        ({"inputs": [{**good_input, "actions": [action, {"url": "http://h/p"}]}]},
+         "input entry 0 action 1 has no 'method'"),
+        ({"inputs": [{**good_input, "actions": [{"method": "GET"}]}]},
+         "input entry 0 action 0 has no 'url'"),
+        *(({"inputs": [{**good_input, "actions": [{**action, "params": [
+            param, {k: v for k, v in param.items() if k != key}]}]}]},
+           f"input entry 0 action 0 parameter 1 has no {key!r}") for key in param),
+        ({"inputs": [good_input], "vulnerabilities": [{"detecting_groups": [[1]]}]},
+         "vulnerability entry 0 has no 'id'"),
+        ({"inputs": [good_input], "vulnerabilities": [{"id": "v"}]},
+         "vulnerability entry 0 has no 'detecting_groups'"),
+    ):
+        bad.write_text(json.dumps(payload))
+        assert main(["ingest", "--dataset", str(bad)]) == 2, payload
+        assert capsys.readouterr().err == f"error: {bad}: {entry}\n", payload
+
+
+def test_internal_key_error_is_not_a_validation_error(monkeypatch):
+    # Exit 2 means bad input; a KeyError from a bug propagates.
+    def broken(*args):
+        raise KeyError("internal bug")
+
+    monkeypatch.setattr(harness, "run_pipeline", broken)
+    with pytest.raises(KeyError, match="internal bug"):
+        main(["minimize", "--dataset", BUNDLED])
 
 
 def test_empty_dataset_exit_code(tmp_path, capsys):
@@ -223,6 +259,7 @@ def test_malformed_config_algo_and_coverage_exit_code(tmp_path, capsys):
         {"k_range": [5, 1], "output_algo": "kmeans"},
         {"generations": -5},
         {"repetitions": 0},
+        {"eps_step": 1e-14},
     )] + [(["reduce", "--coverage"], payload) for payload in (
         {"cover": {"1": ["bad"]}},
         {"cover": {"x": ["1:GET:0"]}},
@@ -234,6 +271,8 @@ def test_malformed_config_algo_and_coverage_exit_code(tmp_path, capsys):
         assert main(args + [str(bad), "--dataset", BUNDLED]) == 2, payload
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, (payload, err)
+        if args[1] == "--coverage":
+            assert str(bad) in err, (payload, err)
     for args in (["minimize", "--config"], ["reduce", "--coverage"]):
         bad.write_text('{"cover": {"1": ["1:GET:')
         assert main(args + [str(bad), "--dataset", BUNDLED]) == 2, args
@@ -275,6 +314,24 @@ def test_config_rejects_nonpositive_eps_step():
     for step in (0, 0.0, -0.5, 1e-300):
         with pytest.raises(ValidationError, match="eps_step"):
             RunConfig(eps_step=step)
+
+
+def test_config_bounds_the_dbscan_grid():
+    # Only constructed: a walk over any of the rejected grids would not end
+    # in time, or at all.
+    for kwargs in (
+        {"eps_step": 1e-14},
+        {"eps_range": (2.0, 1e17)},
+        {"eps_range": (1e17, 1e17), "eps_step": 1.0},
+        {"min_neighbors_range": (1, 10**12)},
+        {"eps_range": (1.0, 1.0), "min_neighbors_range": (1, MAX_GRID_POINTS + 1)},
+        {"eps_range": (1.0, 1.0 + 0.5 * MAX_GRID_POINTS), "min_neighbors_range": (1, 1)},
+    ):
+        with pytest.raises(ValidationError, match="DBSCAN grid of .* points, above the bound"):
+            RunConfig(**kwargs)
+    # eps_step None is counted at 0.5, the finer of the two steps it may take.
+    RunConfig(eps_range=(1.0, 1.0), min_neighbors_range=(1, MAX_GRID_POINTS))
+    RunConfig(eps_range=(1.0, 1.0 + 0.5 * (MAX_GRID_POINTS - 1)), min_neighbors_range=(1, 1))
 
 
 def test_reduce_coverage_ids_must_match_dataset(tmp_path, capsys):

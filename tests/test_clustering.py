@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from covmin.clustering import (
     DistanceMatrix,
-    _grid_points,
+    _labellings,
     gini,
     kmedoids,
     select_hyperparams,
@@ -71,7 +71,7 @@ def test_eps_step_follows_integrality_within_tolerance():
         ([[0, 1 + 1e-12], [1 + 1e-12, 0]], [1.0, 2.0]),
         ([[0, 1.5], [1.5, 0]], [1.0, 1.5, 2.0]),
     ):
-        assert [p["eps"] for p in _grid_points(_dm(rows), grid)] == eps
+        assert [p["eps"] for p, _ in _labellings(_dm(rows), grid, 0)] == eps
 
 
 def test_kmedoids_recovers_two_groups():
@@ -207,8 +207,7 @@ def test_select_hyperparams_is_on_pareto_front():
         choice = select_hyperparams(dm, grid)
         # No other evaluated point may strictly dominate the choice; spot
         # check against a re-evaluation of the full grid.
-        for params in _grid_points(dm, grid):
-            labels = dbscan(dm, params["eps"], params["min_neighbors"])
+        for params, labels in _labellings(dm, grid, 0):
             s = float(silhouette(dm, labels).mean())
             g = gini(silhouette(dm, labels))
             assert not (
@@ -225,6 +224,15 @@ def _line_matrix(rng, n, unit):
 
 
 def test_dbscan_and_selection_match_oracles_on_random_matrices():
+    # Border point 0 is within eps of a core point of each of two clusters
+    # (1-4 and 5-8); it joins the one expanded first.
+    m = np.full((9, 9), 9.0)
+    m[1:5, 1:5] = m[5:, 5:] = 1.0
+    m[0, [1, 5]] = m[[1, 5], 0] = 2.0
+    np.fill_diagonal(m, 0.0)
+    two_reach = DistanceMatrix(m)
+    assert dbscan(two_reach, 2.0, 3) == dbscan_by_scan(two_reach, 2.0, 3) == \
+        [0, 0, 0, 0, 0, 1, 1, 1, 1]
     rng = random.Random(20261018)
     grids = (
         RunConfig().grid("dbscan"),
@@ -234,8 +242,8 @@ def test_dbscan_and_selection_match_oracles_on_random_matrices():
         # Integer matrices get eps steps of 1.0, half-integer ones 0.5.
         dm = _line_matrix(rng, rng.randrange(2, 28), 1.0 if trial % 2 else 0.5)
         for grid in grids:
-            for params in _grid_points(dm, grid):
-                assert dbscan(dm, params["eps"], params["min_neighbors"]) == \
+            for params, labels in _labellings(dm, grid, 0):
+                assert labels == dbscan(dm, params["eps"], params["min_neighbors"]) == \
                     dbscan_by_scan(dm, params["eps"], params["min_neighbors"]), (trial, params)
             assert select_hyperparams(dm, grid) == select_hyperparams_uncached(dm, grid), trial
         kmeans = RunConfig(k_range=(1, dm.n)).grid("kmeans")
@@ -245,7 +253,9 @@ def test_dbscan_and_selection_match_oracles_on_random_matrices():
 
 def test_one_and_two_point_selection_matches_oracle():
     # Two points form one cluster or two singletons, so only the first grid
-    # point is labelled; scoring the whole grid must choose the same.
+    # point is labelled; scoring the whole grid must choose the same. Three
+    # points need the whole walk: on the second grid their best point is not
+    # the first.
     grids = (
         RunConfig().grid("dbscan"),
         RunConfig(eps_range=(0.5, 6.0), min_neighbors_range=(1, 3)).grid("dbscan"),
@@ -255,6 +265,7 @@ def test_one_and_two_point_selection_matches_oracle():
     )
     matrices = [_dm([[0]])] + [_dm([[0, d], [d, 0]])
                                for d in (0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 5.5, 6.0, 12.0)]
+    matrices.append(_dm([[0, 1, 9], [1, 0, 9], [9, 9, 0]]))
     for dm in matrices:
         for grid in grids:
             if grid.algo == "kmeans" and grid.k_range[0] > dm.n:
@@ -303,8 +314,7 @@ def test_silhouette_and_selection_close_to_oracles_on_fractional_matrices():
         pts = [(rng.random() * 6, rng.random() * 6) for _ in range(n)]
         dm = DistanceMatrix(np.array([[abs(p[0] - q[0]) + abs(p[1] - q[1]) for q in pts]
                                       for p in pts]))
-        for params in _grid_points(dm, grid):
-            labels = dbscan(dm, params["eps"], params["min_neighbors"])
+        for params, labels in _labellings(dm, grid, 0):
             np.testing.assert_allclose(silhouette(dm, labels),
                                        silhouette_by_points(dm, labels), rtol=1e-12, atol=0)
         assert select_hyperparams(dm, grid) == select_hyperparams_uncached(dm, grid), trial
