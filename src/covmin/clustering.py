@@ -21,6 +21,10 @@ from .dataset import ValidationError
 _MAX_KMEDOID_ITER = 100
 # The DBSCAN eps grid runs up to the top of `eps_range` plus this slack.
 EPS_SLACK = 1e-9
+# Matrix rows or columns read per step where a whole-matrix temporary would
+# otherwise be built: singleton columns in `silhouette`, rows in the
+# integrality test of `_labellings`.
+_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -113,12 +117,17 @@ def _dbscan_labels(neighborhoods: list[list[int]], min_neighbors: int) -> list[i
 def silhouette(dm: DistanceMatrix, labels) -> np.ndarray:
     """Per-point (b - a) / max(a, b); points in singleton clusters score 0.
 
-    One pass per cluster: its matrix columns give every point's mean
-    distance to it. `a` is summed in member order, as a loop over the
-    members would; the cluster means sum each row sequentially, which equals
-    numpy's pairwise 1-D `mean` for integer and half-integer distances and
-    for clusters of fewer than 8 members, and may differ from it in the
-    last bits otherwise.
+    `b` is a running minimum over the clusters' mean distances, with no
+    n x (number of clusters) array. One pass per multi-member cluster: its
+    matrix columns give every point's mean distance to it, set to inf for
+    its own members. `a` is summed in member order, as a loop over the
+    members would; the cluster means sum each row sequentially, which
+    equals numpy's pairwise 1-D `mean` for integer and half-integer
+    distances and for clusters of fewer than 8 members, and may differ from
+    it in the last bits otherwise. A singleton's mean is its column itself,
+    so singletons are read `_CHUNK` columns at a time; a singleton is not
+    scored, so its own entry needs no inf. A minimum does not depend on
+    order, so the scores equal those of one mean matrix bit for bit.
     """
     n = dm.n
     if len(labels) != n:
@@ -131,28 +140,39 @@ def silhouette(dm: DistanceMatrix, labels) -> np.ndarray:
     if len(clusters) < 2:
         return scores
     a = np.zeros(n)
-    mean_to = np.empty((n, len(clusters)))
-    own = np.empty(n, dtype=np.intp)
-    size = np.empty(n, dtype=np.intp)
-    for c, members in enumerate(clusters.values()):
+    b = np.full(n, np.inf)
+    scored = np.zeros(n, dtype=bool)
+    singletons = []
+    for members in clusters.values():
+        if len(members) == 1:
+            singletons.append(members[0])
+            continue
         columns = v[:, members]
-        mean_to[:, c] = columns.sum(axis=1) / len(members)
-        own[members] = c
-        size[members] = len(members)
-        if len(members) > 1:
-            block = columns[members]
-            np.fill_diagonal(block, 0.0)
-            a[members] = np.cumsum(block, axis=1)[:, -1] / (len(members) - 1)
-    mean_to[np.arange(n), own] = np.inf
-    b = mean_to.min(axis=1)
+        mean = columns.sum(axis=1) / len(members)
+        mean[members] = np.inf
+        np.minimum(b, mean, out=b)
+        scored[members] = True
+        block = columns[members]
+        np.fill_diagonal(block, 0.0)
+        a[members] = np.cumsum(block, axis=1)[:, -1] / (len(members) - 1)
+    for start in range(0, len(singletons), _CHUNK):
+        np.minimum(b, v[:, singletons[start:start + _CHUNK]].min(axis=1), out=b)
     denom = np.maximum(a, b)
-    np.divide(b - a, denom, out=scores, where=(size > 1) & (denom != 0))
+    np.divide(b - a, denom, out=scores, where=scored & (denom != 0))
     return scores
 
 
 def gini(scores) -> float:
     """Dispersion of silhouette scores, shifted by +1 into [0, 2] so that
-    negative scores cannot break the ratio."""
+    negative scores cannot break the ratio.
+
+    The sum of |x_i - x_j| over all ordered pairs is taken in sorted order,
+    without the n x n difference array: the gap x_(k) - x_(k-1) lies
+    between k(n - k) pairs, so the sum is 2 * sum_k k(n - k) * gap_k. That
+    equals 2 * sum_k (2k - n + 1) x_(k) but adds no negative terms, so it
+    does not cancel when the scores are nearly equal. It may differ from
+    the pair sum in the last bits.
+    """
     x = np.asarray(scores, dtype=float) + 1.0
     n = len(x)
     if n == 0:
@@ -160,7 +180,9 @@ def gini(scores) -> float:
     mean = x.mean()
     if mean == 0:
         return 0.0
-    diffs = np.abs(x[:, None] - x[None, :]).sum()
+    x.sort()
+    k = np.arange(1, n)
+    diffs = 2 * (k * (n - k) * np.diff(x)).sum()
     return float(diffs / (2 * n * n * mean))
 
 
@@ -180,6 +202,18 @@ class HyperParamChoice(NamedTuple):
     labels: list[int]
     silhouette_mean: float
     gini: float
+
+
+def _is_integral(v: np.ndarray) -> bool:
+    """Whether every entry is `np.allclose` to its rounding. `allclose` is
+    elementwise, so testing `_CHUNK` rows at a time decides the same as
+    testing the whole matrix; exact equality implies it and is tried first."""
+    for start in range(0, len(v), _CHUNK):
+        rows = v[start:start + _CHUNK]
+        rounded = np.round(rows)
+        if not (np.array_equal(rows, rounded) or np.allclose(rows, rounded)):
+            return False
+    return True
 
 
 def _labellings(dm: DistanceMatrix, grid: HyperParamGrid, seed: int):
@@ -212,8 +246,7 @@ def _labellings(dm: DistanceMatrix, grid: HyperParamGrid, seed: int):
                 labelled[mn] = _dbscan_labels(neighborhoods, mn)
             yield {"eps": point_eps, "min_neighbors": mn}, labelled[mn]
         if step is None:
-            rounded = np.round(v)
-            step = 1.0 if np.array_equal(v, rounded) or np.allclose(v, rounded) else 0.5
+            step = 1.0 if _is_integral(v) else 0.5
         eps += step
 
 

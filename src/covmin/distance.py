@@ -75,21 +75,22 @@ def bag_matrix(docs) -> np.ndarray:
 
     Each token's postings (the documents holding it, with its count in each)
     add min(count_i, count_j) to the intersection of every pair among them,
-    so only pairs that share a token cost work. The arithmetic is int64
-    until the last step, so the matrix equals the pair loop's exactly.
+    so only pairs that share a token cost work. Tokens with identical
+    postings add the same block, so each such group adds it once, times the
+    group's size. The arithmetic is int64 until the last step, so the matrix
+    equals the pair loop's exactly.
     """
-    postings: dict[str, tuple[list[int], list[int]]] = {}
+    postings: dict[str, list[tuple[int, int]]] = {}
     for i, doc in enumerate(docs):
         for tok, count in Counter(doc.tokens).items():
-            ids, counts = postings.setdefault(tok, ([], []))
-            ids.append(i)
-            counts.append(count)
+            postings.setdefault(tok, []).append((i, count))
     n = len(docs)
     inter = np.zeros((n, n), dtype=np.int64)
-    for ids, counts in postings.values():
+    for posting, size in Counter(map(tuple, postings.values())).items():
+        ids, counts = zip(*posting)
         c = np.array(counts, dtype=np.int64)
         # Each document appears once per posting, so no index repeats.
-        inter[np.ix_(ids, ids)] += np.minimum.outer(c, c)
+        inter[np.ix_(ids, ids)] += size * np.minimum.outer(c, c)
     lengths = np.array([len(doc.tokens) for doc in docs], dtype=np.int64)
     return (np.maximum.outer(lengths, lengths) - inter).astype(np.float64)
 

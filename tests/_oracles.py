@@ -362,6 +362,50 @@ def silhouette_by_points(dm, labels) -> np.ndarray:
     return scores
 
 
+def silhouette_by_clusters(dm, labels) -> np.ndarray:
+    """Per-point silhouette from an n x (number of clusters) matrix of mean
+    distances, one column per cluster in first-occurrence order, each mean
+    its columns' row sum divided by the cluster size; `a` is summed in
+    member order. Points in singleton clusters score 0."""
+    n = dm.n
+    v = dm.values
+    clusters: dict[int, list[int]] = {}
+    for i, lab in enumerate(labels):
+        clusters.setdefault(lab, []).append(i)
+    scores = np.zeros(n)
+    if len(clusters) < 2:
+        return scores
+    a = np.zeros(n)
+    mean_to = np.empty((n, len(clusters)))
+    own = np.empty(n, dtype=np.intp)
+    size = np.empty(n, dtype=np.intp)
+    for c, members in enumerate(clusters.values()):
+        columns = v[:, members]
+        mean_to[:, c] = columns.sum(axis=1) / len(members)
+        own[members] = c
+        size[members] = len(members)
+        if len(members) > 1:
+            block = columns[members]
+            np.fill_diagonal(block, 0.0)
+            a[members] = np.cumsum(block, axis=1)[:, -1] / (len(members) - 1)
+    mean_to[np.arange(n), own] = np.inf
+    b = mean_to.min(axis=1)
+    denom = np.maximum(a, b)
+    np.divide(b - a, denom, out=scores, where=(size > 1) & (denom != 0))
+    return scores
+
+
+def gini_by_pairs(scores) -> float:
+    """`gini` from the n x n array of |x_i - x_j| over the shifted scores."""
+    x = np.asarray(scores, dtype=float) + 1.0
+    n = len(x)
+    mean = x.mean()
+    if mean == 0:
+        return 0.0
+    diffs = np.abs(x[:, None] - x[None, :]).sum()
+    return float(diffs / (2 * n * n * mean))
+
+
 def select_hyperparams_uncached(dm, grid, seed: int = 0) -> HyperParamChoice:
     """Grid selection that scores every grid point, clustering with
     `kmedoids_by_points` or `dbscan_by_scan` and scoring with

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from covmin.clustering import (
+    _CHUNK,
     DistanceMatrix,
     _labellings,
     gini,
@@ -19,9 +20,11 @@ from covmin.dataset import ValidationError
 from _oracles import (
     dbscan,
     dbscan_by_scan,
+    gini_by_pairs,
     kmedoids_by_points,
     kmedoids_objective,
     select_hyperparams_uncached,
+    silhouette_by_clusters,
     silhouette_by_points,
 )
 
@@ -72,6 +75,13 @@ def test_eps_step_follows_integrality_within_tolerance():
         ([[0, 1.5], [1.5, 0]], [1.0, 1.5, 2.0]),
     ):
         assert [p["eps"] for p, _ in _labellings(_dm(rows), grid, 0)] == eps
+    # Rows are tested in chunks: the one off-integral pair sits in the last.
+    n = 2 * _CHUNK + 3
+    line = np.abs(np.subtract.outer(np.arange(n), np.arange(n))).astype(float)
+    for off, eps in ((0.0, [1.0, 2.0]), (1e-12, [1.0, 2.0]), (0.5, [1.0, 1.5, 2.0])):
+        m = line.copy()
+        m[n - 1, n - 2] = m[n - 2, n - 1] = 1.0 + off
+        assert [p["eps"] for p, _ in _labellings(_dm(m), grid, 0)] == eps, off
 
 
 def test_kmedoids_recovers_two_groups():
@@ -318,3 +328,53 @@ def test_silhouette_and_selection_close_to_oracles_on_fractional_matrices():
             np.testing.assert_allclose(silhouette(dm, labels),
                                        silhouette_by_points(dm, labels), rtol=1e-12, atol=0)
         assert select_hyperparams(dm, grid) == select_hyperparams_uncached(dm, grid), trial
+
+
+def _singleton_case(n, seed, fractional, kind):
+    """A symmetric n-point matrix, integral or fractional, with a labelling
+    that is all singletons, one cluster, or a few small clusters among
+    mostly singletons."""
+    rng = np.random.default_rng(seed)
+    upper = rng.random((n, n)) * 30 if fractional else rng.integers(0, 30, (n, n)).astype(float)
+    upper = np.triu(upper, 1)
+    labels = list(range(n)) if kind == "all" else [0] * n
+    if kind == "mostly":
+        # A fifth of the points fall into at most n // 15 + 1 shared labels.
+        shared = rng.choice(n, n // 5 + 1, replace=False)
+        for i in shared:
+            labels[i] = n + int(rng.integers(0, n // 15 + 1))
+    rng.shuffle(labels)
+    return DistanceMatrix(upper + upper.T), labels
+
+
+@st.composite
+def _singleton_labelling(draw):
+    n = draw(st.sampled_from((2, 3, 9, 40, _CHUNK - 1, _CHUNK + 1, 2 * _CHUNK + 37)))
+    return _singleton_case(n, draw(st.integers(0, 2**32 - 1)), draw(st.booleans()),
+                           draw(st.sampled_from(("all", "one", "mostly", "mostly"))))
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(_singleton_labelling())
+@example(_singleton_case(2 * _CHUNK + 37, 22, False, "all"))
+@example(_singleton_case(2 * _CHUNK + 37, 22, True, "mostly"))
+@example(_singleton_case(_CHUNK + 1, 7, False, "mostly"))
+@example(_singleton_case(40, 3, True, "one"))
+def test_silhouette_matches_per_cluster_mean_matrix(case):
+    # Singletons are read in chunks of `_CHUNK` columns and `b` is a running
+    # minimum, so every score equals the mean-matrix form bit for bit, also
+    # on fractional matrices.
+    dm, labels = case
+    assert np.array_equal(silhouette(dm, labels), silhouette_by_clusters(dm, labels))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.one_of(st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=80),
+                 _singleton_labelling().map(lambda case: silhouette(*case))))
+@example([0.0] * 59 + [1e-5])
+@example(list(0.3 + 1e-9 * np.arange(60)))
+@example([-1.0] * 7)
+def test_gini_sorted_form_matches_pair_formula(scores):
+    # Nearly equal scores are included: the sorted form sums non-negative
+    # gaps, so it does not cancel there.
+    assert gini(scores) == pytest.approx(gini_by_pairs(scores), rel=1e-12, abs=0)

@@ -110,6 +110,25 @@ def test_bag_matrix_matches_multiset_differences(docs):
     assert np.array_equal(m, pairwise_matrix(docs, lambda a, b: bag_distance(a.tokens, b.tokens)))
 
 
+def test_bag_matrix_groups_tokens_with_equal_postings():
+    # Each group's tokens sit in the same documents with the same counts,
+    # up to 3 per document, so `bag_matrix` adds each group's block once,
+    # times the group's size; single-holder tokens and empty documents mix in.
+    rng = random.Random(22)
+    for trial in range(20):
+        n = rng.randrange(2, 14)
+        tokens = [[f"solo{i}"] * rng.randrange(0, 3) for i in range(n)]
+        for g in range(rng.randrange(1, 7)):
+            counts = {i: rng.randrange(1, 4) for i in rng.sample(range(n), rng.randrange(1, n + 1))}
+            for t in range(rng.randrange(2, 15)):
+                for i, count in counts.items():
+                    tokens[i] += [f"g{g}t{t}"] * count
+        docs = [TokenDoc(tuple(rng.sample(toks, len(toks)))) for toks in tokens]
+        want = np.array([[bag_distance_by_differences(a.tokens, b.tokens) for b in docs]
+                         for a in docs], dtype=np.float64)
+        assert np.array_equal(bag_matrix(docs), want), trial
+
+
 def test_bag_distance_known_values():
     assert bag_distance("John", "Johnny") == 2
     assert bag_distance("abc", "cba") == 0
