@@ -217,13 +217,19 @@ def _is_integral(v: np.ndarray) -> bool:
 
 
 def _labellings(dm: DistanceMatrix, grid: HyperParamGrid, seed: int):
-    """(params, labels) of each grid point in grid order, labelled lazily.
-    DBSCAN eps ascends by `eps_step`; when that is None, the step (1.0 for an
-    integral matrix, else 0.5) is decided once a second eps is needed. An
-    eps-neighbourhood excludes the point itself. Labels depend only on the
-    neighbourhood mask and `min_neighbors`, and a mask only grows with eps,
-    so only the current mask is kept, its neighbourhoods are rebuilt when it
-    changes, and its labels are cached per `min_neighbors`."""
+    """(params, labels) of the grid points that can win, in grid order,
+    labelled lazily.
+
+    K-medoids yields every k. DBSCAN eps ascends by `eps_step`; when that is
+    None, the step (1.0 for an integral matrix, else 0.5) is decided once a
+    second eps is needed. An eps-neighbourhood excludes the point itself.
+    Labels depend only on the neighbourhood mask and `min_neighbors`, and a
+    mask only grows with eps, so each mask is labelled and yielded once, for
+    every `min_neighbors`, at the first grid eps that builds it. When a
+    rebuilt mask equals the current one, the smallest matrix value above
+    that eps is found once, and the grid eps below it are skipped: each
+    repeats the labellings of an earlier eps with the same `min_neighbors`.
+    """
     if grid.algo == "kmeans":
         lo, hi = grid.k_range
         if lo > dm.n:
@@ -233,18 +239,22 @@ def _labellings(dm: DistanceMatrix, grid: HyperParamGrid, seed: int):
             yield {"k": k}, kmedoids(dm, k, seed=seed)
         return
     lo, hi = grid.eps_range
-    v, step, eps, mask = dm.values, grid.eps_step, lo, None
+    # float64 (no copy for the pipeline's matrices), so that an integer
+    # matrix takes the inf initial of the minimum below.
+    v = np.asarray(dm.values, dtype=float)
+    step, eps, mask, next_value = grid.eps_step, lo, None, -np.inf
     while eps <= hi + EPS_SLACK:
         point_eps = round(eps, 9)
-        within = v <= point_eps
-        np.fill_diagonal(within, False)
-        if mask is None or not np.array_equal(within, mask):
-            mask, labelled = within, {}
-            neighborhoods = [np.flatnonzero(row).tolist() for row in within]
-        for mn in range(grid.min_neighbors_range[0], grid.min_neighbors_range[1] + 1):
-            if mn not in labelled:
-                labelled[mn] = _dbscan_labels(neighborhoods, mn)
-            yield {"eps": point_eps, "min_neighbors": mn}, labelled[mn]
+        if point_eps >= next_value:
+            within = v <= point_eps
+            np.fill_diagonal(within, False)
+            if mask is not None and np.array_equal(within, mask):
+                next_value = float(np.min(v, where=v > point_eps, initial=np.inf))
+            else:
+                mask = within
+                neighborhoods = [np.flatnonzero(row).tolist() for row in within]
+                for mn in range(grid.min_neighbors_range[0], grid.min_neighbors_range[1] + 1):
+                    yield {"eps": point_eps, "min_neighbors": mn}, _dbscan_labels(neighborhoods, mn)
         if step is None:
             step = 1.0 if _is_integral(v) else 0.5
         eps += step
@@ -253,15 +263,22 @@ def _labellings(dm: DistanceMatrix, grid: HyperParamGrid, seed: int):
 def select_hyperparams(dm: DistanceMatrix, grid: HyperParamGrid, seed: int = 0) -> HyperParamChoice:
     """Walk the grid and return the point with the highest silhouette, a
     member of the (silhouette up, Gini down) Pareto front. Ties break toward
-    lower Gini, then grid order. Grid points often yield the same labelling;
-    each distinct labelling is scored once."""
+    lower Gini, then grid order. A point that `_labellings` skips repeats an
+    earlier point's labelling, so it could not replace it. Grid points often
+    yield the same labelling; each distinct labelling is scored once. One
+    cluster or only singletons score silhouette 0 at every point, hence
+    mean 0.0 and Gini 0.0, so such a labelling is not scored."""
     best: HyperParamChoice | None = None
     scored: dict[tuple[int, ...], tuple[float, float]] = {}
     for params, labels in _labellings(dm, grid, seed):
         key = tuple(labels)
         if key not in scored:
-            scores = silhouette(dm, labels)
-            scored[key] = float(scores.mean()), gini(scores)
+            # An empty labelling is left to `gini`, which rejects it.
+            if key and len(set(key)) in (1, len(key)):
+                scored[key] = 0.0, 0.0
+            else:
+                scores = silhouette(dm, labels)
+                scored[key] = float(scores.mean()), gini(scores)
         silhouette_mean, dispersion = scored[key]
         # The lexicographic maximum is never dominated, so it is on the
         # front; only a strictly better point replaces an earlier one.

@@ -20,6 +20,7 @@ import numpy as np
 
 from covmin import stemming
 from covmin.clustering import (
+    EPS_SLACK,
     HyperParamChoice,
     _canonical_labels,
     _labellings,
@@ -406,12 +407,34 @@ def gini_by_pairs(scores) -> float:
     return float(diffs / (2 * n * n * mean))
 
 
+def grid_points(dm, grid) -> list[dict]:
+    """Every point of a hyper-parameter grid in grid order, enumerated from
+    the grid's definition: k over `k_range` up to the point count, or each
+    eps from the bottom of `eps_range` by `eps_step` (if unset, 1.0 when
+    every distance is allclose to an integer, else 0.5) with every
+    `min_neighbors`."""
+    if grid.algo == "kmeans":
+        lo, hi = grid.k_range
+        return [{"k": k} for k in range(lo, min(hi, dm.n) + 1)]
+    step = grid.eps_step
+    if step is None:
+        step = 1.0 if np.allclose(dm.values, np.round(dm.values)) else 0.5
+    lo, hi = grid.eps_range
+    mn_lo, mn_hi = grid.min_neighbors_range
+    points = []
+    eps = lo
+    while eps <= hi + EPS_SLACK:
+        points.extend({"eps": round(eps, 9), "min_neighbors": mn} for mn in range(mn_lo, mn_hi + 1))
+        eps += step
+    return points
+
+
 def select_hyperparams_uncached(dm, grid, seed: int = 0) -> HyperParamChoice:
-    """Grid selection that scores every grid point, clustering with
-    `kmedoids_by_points` or `dbscan_by_scan` and scoring with
+    """Grid selection that scores every point of `grid_points`, clustering
+    with `kmedoids_by_points` or `dbscan_by_scan` and scoring with
     `silhouette_by_points`."""
     candidates = []
-    for params, _ in _labellings(dm, grid, seed):
+    for params in grid_points(dm, grid):
         if grid.algo == "kmeans":
             labels = kmedoids_by_points(dm, params["k"], seed=seed)
         else:

@@ -21,6 +21,7 @@ from _oracles import (
     dbscan,
     dbscan_by_scan,
     gini_by_pairs,
+    grid_points,
     kmedoids_by_points,
     kmedoids_objective,
     select_hyperparams_uncached,
@@ -68,13 +69,14 @@ def test_distance_matrix_validation_tolerance():
 
 
 def test_eps_step_follows_integrality_within_tolerance():
+    # The walk yields an eps only where the mask changes, so every matrix
+    # here changes its mask at each grid eps and the yielded eps are the
+    # grid's: d(0, 1) = 1 + off enters at the first eps at or above it, the
+    # 2s at 2.0.
     grid = RunConfig(eps_range=(1.0, 2.0), min_neighbors_range=(1, 1)).grid("dbscan")
-    for rows, eps in (
-        ([[0, 1], [1, 0]], [1.0, 2.0]),
-        ([[0, 1 + 1e-12], [1 + 1e-12, 0]], [1.0, 2.0]),
-        ([[0, 1.5], [1.5, 0]], [1.0, 1.5, 2.0]),
-    ):
-        assert [p["eps"] for p, _ in _labellings(_dm(rows), grid, 0)] == eps
+    for off, eps in ((0.0, [1.0, 2.0]), (1e-12, [1.0, 2.0]), (0.5, [1.0, 1.5, 2.0])):
+        rows = [[0, 1 + off, 2], [1 + off, 0, 2], [2, 2, 0]]
+        assert [p["eps"] for p, _ in _labellings(_dm(rows), grid, 0)] == eps, off
     # Rows are tested in chunks: the one off-integral pair sits in the last.
     n = 2 * _CHUNK + 3
     line = np.abs(np.subtract.outer(np.arange(n), np.arange(n))).astype(float)
@@ -82,6 +84,15 @@ def test_eps_step_follows_integrality_within_tolerance():
         m = line.copy()
         m[n - 1, n - 2] = m[n - 2, n - 1] = 1.0 + off
         assert [p["eps"] for p, _ in _labellings(_dm(m), grid, 0)] == eps, off
+
+
+def test_walk_yields_each_mask_once():
+    # Every distance lies below the first eps, 2.0: the other 16 grid eps
+    # (step 0.5, as the matrix is fractional) repeat its mask and are skipped.
+    dm = _dm([[0, 0.3, 0.7], [0.3, 0, 0.55], [0.7, 0.55, 0]])
+    grid = RunConfig().grid("dbscan")
+    assert [(p["eps"], p["min_neighbors"]) for p, _ in _labellings(dm, grid, 0)] == \
+        [(2.0, mn) for mn in range(1, 6)]
 
 
 def test_kmedoids_recovers_two_groups():
@@ -215,11 +226,11 @@ def test_select_hyperparams_is_on_pareto_front():
         grid = RunConfig(eps_range=(1.0, 6.0), eps_step=1.0,
                          min_neighbors_range=(1, 2)).grid("dbscan")
         choice = select_hyperparams(dm, grid)
-        # No other evaluated point may strictly dominate the choice; spot
+        # No grid point may strictly dominate the choice; spot
         # check against a re-evaluation of the full grid.
-        for params, labels in _labellings(dm, grid, 0):
-            s = float(silhouette(dm, labels).mean())
-            g = gini(silhouette(dm, labels))
+        for params in grid_points(dm, grid):
+            scores = silhouette(dm, dbscan_by_scan(dm, params["eps"], params["min_neighbors"]))
+            s, g = float(scores.mean()), gini(scores)
             assert not (
                 s >= choice.silhouette_mean and g <= choice.gini
                 and (s > choice.silhouette_mean or g < choice.gini)
@@ -378,3 +389,67 @@ def test_gini_sorted_form_matches_pair_formula(scores):
     # Nearly equal scores are included: the sorted form sums non-negative
     # gaps, so it does not cancel there.
     assert gini(scores) == pytest.approx(gini_by_pairs(scores), rel=1e-12, abs=0)
+
+
+@st.composite
+def _repeating_masks(draw):
+    """A symmetric matrix of 1-12 points whose distances are drawn from at
+    most four multiples of 1 or 0.25, with a DBSCAN grid, its eps_step unset
+    or set: masks repeat across grid eps, and distances below the first eps,
+    between grid eps, above the last and duplicated all occur. Multiples of
+    0.25 are summed exactly, so the oracle's scores equal the kernels'."""
+    n = draw(st.integers(1, 12))
+    unit = draw(st.sampled_from((1.0, 0.25)))
+    values = draw(st.lists(st.integers(0, 40), min_size=1, max_size=4))
+    m = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            m[i, j] = m[j, i] = draw(st.sampled_from(values)) * unit
+    lo = draw(st.sampled_from((0.5, 1.0, 2.0)))
+    mn = draw(st.integers(1, 3))
+    grid = RunConfig(eps_range=(lo, lo + draw(st.sampled_from((0.0, 3.0, 8.0)))),
+                     eps_step=draw(st.sampled_from((None, 0.5, 0.75, 1.0))),
+                     min_neighbors_range=(mn, mn + draw(st.integers(0, 3)))).grid("dbscan")
+    return DistanceMatrix(m), grid
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(_repeating_masks())
+@example((_dm([[0, 0.3, 0.7], [0.3, 0, 0.55], [0.7, 0.55, 0]]), RunConfig().grid("dbscan")))
+@example((TWO_GROUPS, RunConfig(eps_range=(0.5, 10.0)).grid("dbscan")))
+@example((DistanceMatrix(TWO_GROUPS.values.astype(int)), RunConfig().grid("dbscan")))
+def test_selection_matches_full_grid_oracle_where_masks_repeat(case):
+    dm, grid = case
+    walked = list(_labellings(dm, grid, 0))
+    yielded = [params for params, _ in walked]
+    full = grid_points(dm, grid)
+    # The walk yields grid points in grid order, each once, and a point it
+    # skips repeats the labelling of the last yielded point with the same
+    # `min_neighbors`.
+    assert yielded == [params for params in full if params in yielded]
+    last = {}
+    for params in full:
+        if params in yielded:
+            last[params["min_neighbors"]] = walked[yielded.index(params)][1]
+        assert dbscan_by_scan(dm, params["eps"], params["min_neighbors"]) == \
+            last[params["min_neighbors"]], params
+    assert select_hyperparams(dm, grid) == select_hyperparams_uncached(dm, grid)
+
+
+def test_trivial_labellings_score_exactly_zero():
+    # `select_hyperparams` records one cluster or only singletons as (0.0,
+    # 0.0) without scoring them; the kernels must agree exactly.
+    for n in range(1, 41):
+        for fractional in (False, True):
+            for kind in ("one", "all"):
+                dm, labels = _singleton_case(n, n, fractional, kind)
+                scores = silhouette(dm, labels)
+                assert scores.mean() == 0.0 and gini(scores) == 0.0, (n, fractional, kind)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_select_hyperparams_rejects_empty_matrix():
+    empty = DistanceMatrix(np.zeros((0, 0)))
+    for algo in ("dbscan", "kmeans"):
+        with pytest.raises(ValueError):
+            select_hyperparams(empty, RunConfig().grid(algo))
