@@ -8,7 +8,6 @@ Run: python3 demos/04_search.py
 """
 
 from covmin.config import RunConfig
-from covmin.reduction import Component
 from covmin.search import ComponentProblem, mocco_run
 
 cover = {
@@ -17,11 +16,10 @@ cover = {
     3: frozenset({"bl2", "bl4"}),
 }
 costs = {1: 2, 2: 3, 3: 3}
-component = Component(cover=cover)
 
 # The search speaks int bitmasks over the sorted inputs: bit k is
 # problem.inputs[k]. mask_of and set_of convert.
-problem = ComponentProblem(component, costs)
+problem = ComponentProblem(cover, costs)
 for members in ({2, 3}, {1, 2}):
     cost, fitness = problem.evaluate(problem.mask_of(members))
     print(f"cost, fitness of {members}:", cost, [round(v, 3) for v in fitness])
@@ -35,7 +33,7 @@ def watch(gen, pops):
     trace.append((gen, cheapest.cost, sorted(problem.set_of(cheapest.mask)), len(pops.misers)))
 
 
-result = mocco_run(component, costs,
+result = mocco_run(cover, costs,
                    RunConfig(n_size=6, generations=40), seed=11,
                    on_generation=watch)
 

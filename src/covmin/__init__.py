@@ -2,8 +2,8 @@
 
 from .config import RunConfig
 from .dataset import Dataset, load_dataset
-from .blocks import BlockId, CoverageMap, build_coverage
-from .reduction import ReductionResult, reduce_problem
+from .blocks import BlockId, build_coverage
+from .reduction import CoverageMap, ReductionResult, reduce_problem
 from .harness import PipelineResult, run_pipeline, bench, vdr
 
 __version__ = "0.1.0"

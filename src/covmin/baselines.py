@@ -10,7 +10,7 @@ import random
 from .blocks import action_cover
 from .config import RunConfig
 from .dataset import Dataset
-from .reduction import Component, min_cover, postings
+from .reduction import min_cover, postings
 
 EXHAUSTIVE_INPUT_LIMIT = 20
 
@@ -60,17 +60,17 @@ def art_select(dataset: Dataset, config: RunConfig, seed: int = 0) -> frozenset:
     return frozenset(rng.choice(holders[bl]) for bl in sorted(holders))
 
 
-def exhaustive_optimal(component: Component, costs) -> frozenset:
-    """Exact minimum-cost cover of the component's objectives by its inputs
+def exhaustive_optimal(cover, costs) -> frozenset:
+    """Exact minimum-cost cover of the union of `cover` by its inputs
     (`reduction.min_cover`). Always found: the objectives are what the
     inputs cover."""
-    if len(component.inputs) > EXHAUSTIVE_INPUT_LIMIT:
+    if len(cover) > EXHAUSTIVE_INPUT_LIMIT:
         raise ExhaustiveLimitError(
-            f"component of {len(component.inputs)} inputs exceeds the "
+            f"component of {len(cover)} inputs exceeds the "
             f"exhaustive limit {EXHAUSTIVE_INPUT_LIMIT}"
         )
-    budget = sum(costs[i] for i in component.cover)
-    return min_cover(component.objectives, component.cover, costs, budget)
+    budget = sum(costs[i] for i in cover)
+    return min_cover(frozenset().union(*cover.values()), cover, costs, budget)
 
 
 def a12_effect_size(sample1, sample2) -> float:

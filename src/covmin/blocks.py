@@ -9,7 +9,6 @@ one subclass anyway.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -19,6 +18,7 @@ from .config import RunConfig
 from .dataset import (Action, Dataset, TokenDoc, ValidationError,
                       build_shared_filter, preprocess_output, tokenize)
 from .distance import action_distance, bag_matrix, lev_matrix, pairwise_matrix
+from .reduction import CoverageMap
 
 Occurrence = tuple[int, int]  # (input id, action position)
 
@@ -35,17 +35,6 @@ class BlockId(NamedTuple):
     def from_str(cls, s: str) -> "BlockId":
         out_cl, method, sub = s.split(":")
         return cls(int(out_cl), method, int(sub))
-
-
-@dataclass(frozen=True)
-class CoverageMap:
-    cover: dict[int, frozenset[BlockId]]
-
-    def all_blocks(self) -> frozenset[BlockId]:
-        return frozenset().union(*self.cover.values())
-
-    def cover_of_set(self, ids) -> frozenset[BlockId]:
-        return frozenset().union(*(self.cover[i] for i in ids))
 
 
 def preprocess_all(dataset: Dataset, config: RunConfig):

@@ -13,10 +13,10 @@ import logging
 import sys
 
 from . import baselines, harness
-from .blocks import BlockId, CoverageMap, build_coverage
+from .blocks import BlockId, build_coverage
 from .config import RunConfig
 from .dataset import Dataset, ValidationError, load_dataset, read_json
-from .reduction import ReductionResult, reduce_problem
+from .reduction import CoverageMap, ReductionResult, reduce_problem
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -98,7 +98,7 @@ def reduction_to_dict(reduction: ReductionResult) -> dict:
         "components": [
             {
                 "inputs": sorted(comp.inputs),
-                "objectives": sorted(bl.as_str() for bl in comp.objectives),
+                "objectives": sorted(bl.as_str() for bl in comp.all_blocks()),
             }
             for comp in reduction.components
         ],
@@ -136,9 +136,12 @@ def cmd_bench(args) -> int:
     for flag, value in (("--reps", args.reps), ("--jobs", args.jobs)):
         if value is not None and value < 1:
             raise ValidationError(f"{flag} must be at least 1, got {value}")
-    algorithms = []
-    for entry in args.algo or ["mocco,greedy,random,art"]:
-        algorithms.extend(a for a in entry.split(",") if a)
+    # Each named algorithm once, in the order of its first mention.
+    algorithms = list(dict.fromkeys(
+        a for entry in args.algo or ["mocco,greedy,random,art"]
+        for a in entry.split(",") if a))
+    if not algorithms:
+        raise ValidationError("--algo names no algorithm")
     unknown = [a for a in algorithms if a not in harness.ALGORITHMS]
     if unknown:
         raise ValidationError(f"unknown algorithms {unknown}; "
@@ -163,8 +166,7 @@ def cmd_oracle(args) -> int:
     coverage = build_coverage(dataset, config, seed)
     costs = dataset.costs()
     reduction = reduce_problem(coverage.cover, costs)
-    solver = harness.component_solver("exhaustive", costs, config)
-    solution = harness.solve(reduction, costs, solver, seed)
+    solution = harness.solve(reduction, costs, "exhaustive", config, seed)
     _write_json({
         "selected": sorted(solution.selected),
         "total_cost": solution.total_cost,

@@ -15,10 +15,10 @@ import time
 from dataclasses import dataclass
 
 from . import baselines
-from .blocks import CoverageMap, build_coverage
+from .blocks import build_coverage
 from .config import RunConfig
 from .dataset import Dataset
-from .reduction import ReductionResult, reduce_problem
+from .reduction import CoverageMap, ReductionResult, reduce_problem
 from .search import mocco_run
 
 logger = logging.getLogger(__name__)
@@ -36,13 +36,21 @@ class Solution:
     total_cost: int
 
 
-def solve(reduction: ReductionResult, costs, solve_component,
-          seed: int) -> Solution:
-    """Minimize every component with `solve_component(component, seed)` and
-    take the union with the necessary inputs. Component `idx` gets the seed
-    `component_seed(seed, idx)`."""
+SOLVERS = ("mocco", "exhaustive")
+
+
+def solve(reduction: ReductionResult, costs, algorithm: str,
+          config: RunConfig, seed: int) -> Solution:
+    """Minimize every component's cover map with the genetic search
+    ("mocco") or the exact solver ("exhaustive") and take the union with the
+    necessary inputs. Component `idx` gets the seed `component_seed(seed,
+    idx)`. `mocco_run` is looked up in this module on every call, so a
+    wrapper installed here sees each one."""
+    if algorithm not in SOLVERS:
+        raise ValueError(f"unknown solver {algorithm!r}; known: {', '.join(SOLVERS)}")
     per_component = tuple(
-        solve_component(comp, component_seed(seed, idx))
+        mocco_run(comp.cover, costs, config, component_seed(seed, idx))
+        if algorithm == "mocco" else baselines.exhaustive_optimal(comp.cover, costs)
         for idx, comp in enumerate(reduction.components)
     )
     selected = reduction.necessary.union(*per_component)
@@ -51,15 +59,6 @@ def solve(reduction: ReductionResult, costs, solve_component,
         per_component=per_component,
         total_cost=sum(costs[i] for i in selected),
     )
-
-
-def component_solver(algorithm: str, costs, config: RunConfig):
-    """`solve_component` for the genetic search ("mocco") or the exact
-    solver ("exhaustive"). `mocco_run` is looked up in this module on every
-    call, so a wrapper installed here sees each one."""
-    if algorithm == "mocco":
-        return lambda comp, seed: mocco_run(comp, costs, config, seed)
-    return lambda comp, seed: baselines.exhaustive_optimal(comp, costs)
 
 
 def vdr(selected, vulnerabilities) -> float:
@@ -115,8 +114,7 @@ def run_pipeline(dataset: Dataset, config: RunConfig,
     costs = dataset.costs()
     coverage = build_coverage(dataset, config, seed)
     reduction = reduce_problem(coverage.cover, costs)
-    solver = component_solver("mocco", costs, config)
-    solution = solve(reduction, costs, solver, seed)
+    solution = solve(reduction, costs, "mocco", config, seed)
     return PipelineResult(
         config_label=config.label(),
         seed=seed,
@@ -210,9 +208,8 @@ def run_repetition(dataset: Dataset, config: RunConfig, algorithms,
         if name == "random":
             continue  # needs the other selection sizes; runs last
         started = time.perf_counter()
-        if name in ("mocco", "exhaustive"):
-            solver = component_solver(name, costs, config)
-            selected = solve(reduction, costs, solver, seed).selected
+        if name in SOLVERS:
+            selected = solve(reduction, costs, name, config, seed).selected
         elif name == "greedy":
             selected = baselines.greedy_cover(coverage.cover, costs)
         elif name == "art":

@@ -1,15 +1,18 @@
-"""Search-space reduction: the redundancy loop, duplicate removal,
-local-dominance removal, overlap-graph component split, and the gain of
-valid removal orders. `min_cover`, the exact minimum-cost cover search,
-decides local dominance and the removal gain and also serves as the exact
-solver in `baselines`. `postings` is the one block -> holding inputs index.
+"""The cover map and search-space reduction: the redundancy loop, duplicate
+removal, local-dominance removal, overlap-graph component split, and the
+gain of valid removal orders. `min_cover`, the exact minimum-cost cover
+search, decides local dominance and the removal gain and also serves as the
+exact solver in `baselines`. `postings` is the one block -> holding inputs
+index.
 
 Functions take a plain coverage mapping (input id -> frozenset of blocks)
 and a cost mapping, so they work both on real coverage maps and on the small
 synthetic instances used in property tests. Blocks are any hashable,
 orderable values. The reduction steps take and return a restricted cover
 map: the search inputs, each mapped to the objectives it still covers, so
-the remaining objectives are the union of its values.
+the remaining objectives are the union of its values. Each component is a
+`CoverageMap` over its slice of that map, the same type `build_coverage`
+returns for the full instance.
 """
 
 from __future__ import annotations
@@ -25,23 +28,25 @@ NEIGHBOR_CAP = 20
 
 
 @dataclass(frozen=True)
-class Component:
-    """An overlap-graph component as its slice of the restricted cover map."""
+class CoverageMap:
+    """A cover map: input id -> frozenset of the blocks it covers."""
     cover: dict
 
     @property
     def inputs(self) -> frozenset:
         return frozenset(self.cover)
 
-    @property
-    def objectives(self) -> frozenset:
+    def all_blocks(self) -> frozenset:
         return frozenset().union(*self.cover.values())
+
+    def cover_of_set(self, ids) -> frozenset:
+        return frozenset().union(*(self.cover[i] for i in ids))
 
 
 @dataclass(frozen=True)
 class ReductionResult:
     necessary: frozenset
-    components: tuple[Component, ...]
+    components: tuple[CoverageMap, ...]
     iterations: int
 
 
@@ -143,7 +148,7 @@ def remove_locally_dominated(rcover, costs):
     return kept
 
 
-def split_components(rcover) -> tuple[Component, ...]:
+def split_components(rcover) -> tuple[CoverageMap, ...]:
     """Connected components of the overlap graph (inputs sharing a remaining
     objective), each carrying its slice of `rcover`. Each is found from its
     smallest input, so they come out ordered by it."""
@@ -164,7 +169,7 @@ def split_components(rcover) -> tuple[Component, ...]:
                     if j in unvisited:
                         unvisited.discard(j)
                         queue.append(j)
-        components.append(Component(cover={i: rcover[i] for i in sorted(comp)}))
+        components.append(CoverageMap({i: rcover[i] for i in sorted(comp)}))
     return tuple(components)
 
 

@@ -1,6 +1,8 @@
 """Many-objective genetic search over one connected component.
 
-Two populations evolve together: roofers (fixed-size, full coverage, least
+The instance is the component's plain cover map (input id -> the
+objectives it covers) and the costs, as for greedy and reduction. Two
+populations evolve together: roofers (fixed-size, full coverage, least
 costly found so far) and misers (non-dominated partial-coverage sets). One
 parent comes from each population once misers exist; crossover swaps the
 two halves of a random objective split; mutation toggles a single input.
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 
 from .config import RunConfig
 from .distance import normalize
-from .reduction import Component, postings, valid_orders_gain
+from .reduction import postings, valid_orders_gain
 
 __all__ = [
     "ComponentProblem", "Individual", "Populations", "dominates", "mocco_run",
@@ -77,14 +79,14 @@ def dominates(f1, f2) -> bool:
 
 
 class ComponentProblem:
-    """A component plus the costs it is minimized under."""
+    """A component's cover map plus the costs it is minimized under."""
 
-    def __init__(self, component: Component, costs):
-        self.cover = component.cover
-        self.objectives = sorted(component.objectives)
-        self.inputs = sorted(self.cover)
+    def __init__(self, cover, costs):
+        self.cover = cover
+        self.inputs = sorted(cover)
         self.costs = costs
-        self.inputs_of = postings(self.cover)
+        self.inputs_of = postings(cover)
+        self.objectives = sorted(self.inputs_of)
         self._min_cost_of = {
             bl: min(costs[i] for i in covering)
             for bl, covering in self.inputs_of.items()
@@ -256,7 +258,7 @@ def update_populations(problem: ComponentProblem, pops: Populations,
     pops.misers, pops.miser_weights = misers, weights
 
 
-def mocco_run(component: Component, costs, config: RunConfig = RunConfig(),
+def mocco_run(cover, costs, config: RunConfig = RunConfig(),
               seed: int = 0, on_generation=None) -> frozenset:
     """Minimize one component; returns a least-cost full-coverage member set.
 
@@ -265,7 +267,7 @@ def mocco_run(component: Component, costs, config: RunConfig = RunConfig(),
     `on_generation(gen, pops)` is an optional observation hook, used by the
     invariant-checking tests.
     """
-    problem = ComponentProblem(component, costs)
+    problem = ComponentProblem(cover, costs)
     rng = random.Random(seed)
     pops = init_roofers(problem, config.n_size, rng)
     if on_generation is not None:

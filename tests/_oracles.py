@@ -470,14 +470,14 @@ class ReferencePopulations:
     misers: list[ReferenceIndividual]
 
 
-def reference_mocco_run(component, costs, config: RunConfig, seed: int = 0,
+def reference_mocco_run(cover, costs, config: RunConfig, seed: int = 0,
                         on_generation=None) -> frozenset:
     """`search.mocco_run` with every individual a frozenset of input ids:
     each miser's exposure recomputed on every selection, duplicates found
     by scanning both populations and crossover halves rebuilt per pair.
     It draws from the RNG exactly as the search does, and reads gains and
     fitness from `ComponentProblem`."""
-    problem = ComponentProblem(component, costs)
+    problem = ComponentProblem(cover, costs)
     rng = random.Random(seed)
     pops = _reference_init_roofers(problem, config.n_size, rng)
     if on_generation is not None:

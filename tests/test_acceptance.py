@@ -14,7 +14,7 @@ from covmin.config import RunConfig
 from covmin.dataset import TokenDoc
 from covmin.distance import bag_matrix, lev_matrix, levenshtein, param_distance, params_match, url_distance
 from covmin.harness import run_pipeline
-from covmin.reduction import Component, reduce_problem, split_components, valid_orders_gain
+from covmin.reduction import reduce_problem, split_components, valid_orders_gain
 from covmin.search import ComponentProblem, crossover, dominates, mocco_run
 from covmin.synthetic import make_synthetic_dataset, planted_optimum_cost
 
@@ -61,7 +61,7 @@ def test_criterion_1_worked_example_fixtures():
         # Crossover halves fixture.
         cover = {1: frozenset({"a"}), 2: frozenset({"b"}), 3: frozenset({"a", "c"}),
                  4: frozenset({"d"}), 5: frozenset({"c", "d"})}
-        problem = ComponentProblem(Component(cover=cover), {i: 1 for i in cover})
+        problem = ComponentProblem(cover, {i: 1 for i in cover})
 
         class Fixed:
             def shuffle(self, items):
@@ -75,7 +75,7 @@ def test_criterion_1_worked_example_fixtures():
 
         # Greedy trap vs optimum.
         greedy = greedy_cover(GREEDY_COVER, GREEDY_COSTS)
-        optimal = exhaustive_optimal(Component(cover=GREEDY_COVER), GREEDY_COSTS)
+        optimal = exhaustive_optimal(GREEDY_COVER, GREEDY_COSTS)
         assert sum(GREEDY_COSTS[i] for i in greedy) == 8
         assert sum(GREEDY_COSTS[i] for i in optimal) == 6
         assert time.perf_counter() - started < 1.0
@@ -160,7 +160,7 @@ def _random_component(rng):
         size = rng.randrange(1, min(n_blocks, 4) + 1)
         cover[i] = frozenset(rng.sample(range(n_blocks), size))
         costs[i] = rng.randrange(1, 10)
-    return Component(cover=cover), costs
+    return cover, costs
 
 
 class _InvariantTracker:
@@ -219,14 +219,14 @@ def _run_desk_scale_searches():
     violations = []
     started = time.perf_counter()
     for k in range(30):
-        comp, costs = _random_component(rng)
-        problem = ComponentProblem(comp, costs)
+        cover, costs = _random_component(rng)
+        problem = ComponentProblem(cover, costs)
         tracker = _InvariantTracker(problem, n_size=20)
-        members = mocco_run(comp, costs,
+        members = mocco_run(cover, costs,
                             RunConfig(n_size=20, generations=150), seed=k,
                             on_generation=tracker)
         got = sum(costs[i] for i in members)
-        want = sum(costs[i] for i in exhaustive_optimal(comp, costs))
+        want = sum(costs[i] for i in exhaustive_optimal(cover, costs))
         total += 1
         if got == want:
             exact += 1
@@ -273,7 +273,7 @@ def test_criterion_5_end_to_end_determinism(tmp_path):
         oracle_cost = sum(costs[i] for i in reduction.necessary) + sum(
             costs[i]
             for c in reduction.components
-            for i in exhaustive_optimal(c, costs)
+            for i in exhaustive_optimal(c.cover, costs)
         )
         assert result.total_cost == oracle_cost == planted_optimum_cost()
         p1, p2 = tmp_path / "r1.json", tmp_path / "r2.json"

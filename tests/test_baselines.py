@@ -15,7 +15,6 @@ from covmin.baselines import (
 )
 from covmin.blocks import build_coverage
 from covmin.config import RunConfig
-from covmin.reduction import Component
 from covmin.synthetic import make_synthetic_dataset
 
 from _oracles import bruteforce_min_cover, coverage_of, random_instance, workload_corpus
@@ -96,7 +95,7 @@ def test_art_select_ignores_input_order(tmp_path):
 
 
 def test_exhaustive_optimal_greedy_instance():
-    result = exhaustive_optimal(Component(cover=GREEDY_COVER), GREEDY_COSTS)
+    result = exhaustive_optimal(GREEDY_COVER, GREEDY_COSTS)
     assert result == frozenset({2, 3})
     assert sum(GREEDY_COSTS[i] for i in result) == 6
 
@@ -106,7 +105,7 @@ def test_exhaustive_matches_bruteforce_random_sweep():
     for _ in range(100):
         cover, costs = random_instance(rng, max_inputs=8, max_blocks=8)
         objectives = coverage_of(cover, cover)
-        result = exhaustive_optimal(Component(cover=cover), costs)
+        result = exhaustive_optimal(cover, costs)
         want, _ = bruteforce_min_cover(frozenset(cover), cover, costs, objectives)
         assert sum(costs[i] for i in result) == want
         assert coverage_of(result, cover) == objectives
@@ -115,7 +114,7 @@ def test_exhaustive_matches_bruteforce_random_sweep():
 def test_exhaustive_input_limit():
     cover = {i: frozenset({"b"}) for i in range(1, 25)}
     with pytest.raises(ExhaustiveLimitError):
-        exhaustive_optimal(Component(cover=cover), {i: 1 for i in cover})
+        exhaustive_optimal(cover, {i: 1 for i in cover})
 
 
 def test_a12_effect_size_fixtures():

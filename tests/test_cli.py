@@ -205,10 +205,10 @@ def test_bench_csv_and_json(tmp_path):
             "--algo", "greedy,random"]
     assert main(args + ["--out", str(csv_out)]) == 0
     assert csv_out.read_text().startswith("algorithm,")
-    assert main(args + ["--algo", "exhaustive", "--out", str(json_out)]) == 0
+    # A repeated name runs once; random runs last.
+    assert main(args + ["--algo", "exhaustive,greedy", "--out", str(json_out)]) == 0
     rows = json.loads(json_out.read_text())["rows"]
-    assert sorted(r["algorithm"] for r in rows) == \
-        ["exhaustive", "greedy", "random"]
+    assert [r["algorithm"] for r in rows] == ["greedy", "exhaustive", "random"]
 
 
 def test_bench_art_row_covers_all_is_computed(tmp_path, capsys):
@@ -283,6 +283,11 @@ def test_malformed_config_algo_and_coverage_exit_code(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: unknown algorithms ['foo']"), err
     assert err.count("\n") == 1
+    for algos in ([","], [",,", ""]):
+        flags = [arg for a in algos for arg in ("--algo", a)]
+        assert main(["bench", "--dataset", BUNDLED] + flags) == 2, algos
+        err = capsys.readouterr().err
+        assert err == "error: --algo names no algorithm\n", err
     for flags in (["--reps", "0"], ["--reps", "-2"], ["--jobs", "-1"], ["--jobs", "0"]):
         assert main(["bench", "--dataset", BUNDLED, "--algo", "greedy"] + flags) == 2, flags
         err = capsys.readouterr().err
@@ -357,6 +362,7 @@ def test_result_bytes_match_golden_files(tmp_path):
     for args, golden in (
         (["minimize", "--seed", "7"], "minimize_synthetic_seed7.json"),
         (["oracle"], "oracle_synthetic.json"),
+        (["reduce", "--seed", "7"], "reduce_synthetic_seed7.json"),
     ):
         out = tmp_path / golden
         assert main(args + ["--dataset", BUNDLED, "--out", str(out)]) == 0

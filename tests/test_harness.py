@@ -12,7 +12,6 @@ from covmin.dataset import Action, Dataset, InputRecord
 from covmin import harness
 from covmin.harness import (
     bench,
-    component_solver,
     run_pipeline,
     run_repetition,
     solve,
@@ -118,12 +117,10 @@ def test_solve_exact_is_optimal_and_mocco_covers():
         universe = coverage_of(cover, cover)
         reduction = reduce_problem(cover, costs)
         want, _ = bruteforce_min_cover(frozenset(cover), cover, costs, universe)
-        exact = solve(reduction, costs,
-                      component_solver("exhaustive", costs, config), seed=3)
+        exact = solve(reduction, costs, "exhaustive", config, seed=3)
         assert exact.total_cost == want
         assert coverage_of(exact.selected, cover) == universe
-        found = solve(reduction, costs,
-                      component_solver("mocco", costs, config), seed=3)
+        found = solve(reduction, costs, "mocco", config, seed=3)
         assert coverage_of(found.selected, cover) == universe
         assert found.total_cost >= want
         assert len(found.per_component) == len(reduction.components)
@@ -178,6 +175,17 @@ def test_bench_random_size_tracks_largest_selection():
     assert by_algo["random"].size == by_algo["greedy"].size
 
 
+def test_solve_rejects_unknown_solver_names():
+    # A three-cycle stays one component, so some solver would have to run.
+    cover = {1: frozenset("ab"), 2: frozenset("bc"), 3: frozenset("ca")}
+    costs = {1: 1, 2: 1, 3: 1}
+    reduction = reduce_problem(cover, costs)
+    assert len(reduction.components) == 1
+    for name in ("greedy", "Mocco", "exhaustiv", ""):
+        with pytest.raises(ValueError, match=f"unknown solver {name!r}"):
+            solve(reduction, costs, name, CONFIG, seed=0)
+
+
 def test_bench_reproducible_modulo_runtime():
     ds = make_synthetic_dataset()
     config = RunConfig(generations=10)
@@ -200,9 +208,9 @@ def test_bench_component_seeds_distinct_across_repetitions(monkeypatch):
     seeds = []
     real_mocco_run = harness.mocco_run
 
-    def recording(component, costs, config, seed, *args, **kwargs):
+    def recording(cover, costs, config, seed, *args, **kwargs):
         seeds.append(seed)
-        return real_mocco_run(component, costs, config, seed, *args, **kwargs)
+        return real_mocco_run(cover, costs, config, seed, *args, **kwargs)
 
     monkeypatch.setattr(harness, "mocco_run", recording)
     bench(make_synthetic_dataset(), RunConfig(generations=5),

@@ -166,8 +166,8 @@ def test_split_components_two_groups():
     }
     comps = split_components(cover)
     assert [sorted(c.inputs) for c in comps] == [[1, 2, 3], [4, 5]]
-    assert comps[0].objectives == frozenset({"a", "b"})
-    assert comps[1].objectives == frozenset({"c", "d"})
+    assert comps[0].all_blocks() == frozenset({"a", "b"})
+    assert comps[1].all_blocks() == frozenset({"c", "d"})
 
 
 def test_valid_orders_gain_on_greedy_instance():
@@ -222,9 +222,9 @@ def test_reduce_problem_is_fixpoint_and_preserves_coverage():
         seen = set(result.necessary)
         for comp in result.components:
             assert not (comp.inputs & seen)
-            assert comp.objectives
+            assert comp.all_blocks()
             # Each component's map is the full cover restricted to it.
-            assert comp.cover == {i: cover[i] & comp.objectives for i in comp.inputs}
+            assert comp.cover == {i: cover[i] & comp.all_blocks() for i in comp.inputs}
             seen |= comp.inputs
         # Re-running on the kept set keeps everything.
         again = reduce_problem({i: cover[i] for i in kept}, costs)
@@ -236,7 +236,7 @@ def test_reduce_problem_is_fixpoint_and_preserves_coverage():
         # objectives cost exactly the optimum over all inputs.
         optimum, _ = bruteforce_min_cover(ids, cover, costs, coverage_of(ids, cover))
         assert sum(costs[i] for i in result.necessary) + sum(
-            bruteforce_min_cover(comp.inputs, cover, costs, comp.objectives)[0]
+            bruteforce_min_cover(comp.inputs, cover, costs, comp.all_blocks())[0]
             for comp in result.components
         ) == optimum
 
@@ -334,10 +334,10 @@ def test_reduce_problem_matches_bruteforce(instance):
     kept = result.necessary.union(*(comp.inputs for comp in result.components))
     assert coverage_of(kept, cover) == coverage_of(ids, cover)
     for comp in result.components:
-        assert comp.cover == {i: cover[i] & comp.objectives for i in comp.inputs}
+        assert comp.cover == {i: cover[i] & comp.all_blocks() for i in comp.inputs}
     optimum, _ = bruteforce_min_cover(ids, cover, costs, coverage_of(ids, cover))
     assert sum(costs[i] for i in result.necessary) + sum(
-        bruteforce_min_cover(comp.inputs, cover, costs, comp.objectives)[0]
+        bruteforce_min_cover(comp.inputs, cover, costs, comp.all_blocks())[0]
         for comp in result.components
     ) == optimum
 

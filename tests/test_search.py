@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import covmin.search
 from covmin.baselines import exhaustive_optimal
 from covmin.config import RunConfig
-from covmin.reduction import EXHAUSTIVE_GAIN_THRESHOLD, Component, valid_orders_gain
+from covmin.reduction import EXHAUSTIVE_GAIN_THRESHOLD, valid_orders_gain
 from covmin.search import (
     ComponentProblem,
     Individual,
@@ -39,11 +39,10 @@ GREEDY_COVER = {
     3: frozenset({"bl2", "bl4"}),
 }
 GREEDY_COSTS = {1: 2, 2: 3, 3: 3}
-GREEDY_COMPONENT = Component(cover=GREEDY_COVER)
 
 
 def _greedy_problem():
-    return ComponentProblem(GREEDY_COMPONENT, GREEDY_COSTS)
+    return ComponentProblem(GREEDY_COVER, GREEDY_COSTS)
 
 
 def test_dominates():
@@ -77,7 +76,7 @@ def test_potential_examples():
     # shift by the cheapest cover of bl2 (in1, cost 2).
     assert problem.potential(problem.mask_of({2, 3}), "bl2") == 2
     # A block covered by a single input always has potential 0.
-    single = ComponentProblem(Component(cover={1: frozenset({"b"})}), {1: 4})
+    single = ComponentProblem({1: frozenset({"b"})}, {1: 4})
     assert single.potential(0, "b") == 0
 
 
@@ -85,7 +84,7 @@ def test_potential_non_negative_random_sweep():
     rng = random.Random(77)
     for _ in range(100):
         cover, costs = random_instance(rng, max_inputs=6, max_blocks=6)
-        problem = ComponentProblem(Component(cover=cover), costs)
+        problem = ComponentProblem(cover, costs)
         mask = problem.mask_of(i for i in cover if rng.random() < 0.5)
         for bl in problem.objectives:
             assert problem.potential(mask, bl) >= 0
@@ -133,7 +132,7 @@ def test_init_roofers_cover_everything():
 
 
 def test_init_roofers_singleton_component():
-    problem = ComponentProblem(Component(cover={7: frozenset({"a", "b"})}), {7: 3})
+    problem = ComponentProblem({7: frozenset({"a", "b"})}, {7: 3})
     pops = init_roofers(problem, n_size=4, rng=random.Random(0))
     assert all(problem.set_of(r.mask) == frozenset({7}) for r in pops.roofers)
 
@@ -184,7 +183,7 @@ def test_crossover_halves_fixture():
         5: frozenset({"c", "d"}),
     }
     costs = {i: 1 for i in cover}
-    problem = ComponentProblem(Component(cover=cover), costs)
+    problem = ComponentProblem(cover, costs)
     p1, p2 = problem.mask_of({1, 3, 4}), problem.mask_of({2, 5})
     # First half {a, b} is covered by inputs {1, 2, 3}; second half {c, d}
     # by {3, 4, 5}.
@@ -208,7 +207,7 @@ def test_mutate_results_are_reduced():
     rng = random.Random(31)
     for _ in range(500):
         cover, costs = random_instance(rng, max_inputs=6, max_blocks=6)
-        problem = ComponentProblem(Component(cover=cover), costs)
+        problem = ComponentProblem(cover, costs)
         members = frozenset(i for i in cover if rng.random() < 0.5)
         mutated = problem.set_of(mutate(problem, problem.mask_of(members), rng))
         for i in mutated:
@@ -243,7 +242,7 @@ def test_update_populations_miser_dominance():
 
 def test_mocco_beats_greedy_trap():
     result = mocco_run(
-        GREEDY_COMPONENT, GREEDY_COSTS,
+        GREEDY_COVER, GREEDY_COSTS,
         RunConfig(n_size=4, generations=50), seed=11,
     )
     assert result == frozenset({2, 3})
@@ -251,9 +250,9 @@ def test_mocco_beats_greedy_trap():
 
 
 def test_mocco_deterministic_per_seed():
-    a = mocco_run(GREEDY_COMPONENT, GREEDY_COSTS,
+    a = mocco_run(GREEDY_COVER, GREEDY_COSTS,
                   RunConfig(n_size=4, generations=30), seed=3)
-    b = mocco_run(GREEDY_COMPONENT, GREEDY_COSTS,
+    b = mocco_run(GREEDY_COVER, GREEDY_COSTS,
                   RunConfig(n_size=4, generations=30), seed=3)
     assert a == b
 
@@ -263,7 +262,7 @@ def test_mocco_matches_bruteforce_on_small_components():
     for _ in range(10):
         cover, costs = random_instance(rng, max_inputs=6, max_blocks=6)
         objectives = frozenset().union(*cover.values())
-        result = mocco_run(Component(cover=cover), costs,
+        result = mocco_run(cover, costs,
                            RunConfig(n_size=8, generations=100), seed=1)
         got = sum(costs[i] for i in result)
         want, _ = bruteforce_min_cover(frozenset(cover), cover, costs, objectives)
@@ -281,54 +280,55 @@ def _component(draw, max_inputs=10):
     costs = draw(st.lists(st.integers(1, 9), min_size=len(covers),
                           max_size=len(covers)))
     cover = dict(enumerate(covers, start=1))
-    return Component(cover=cover), dict(enumerate(costs, start=1)), draw(st.integers(0, 2**16))
+    return cover, dict(enumerate(costs, start=1)), draw(st.integers(0, 2**16))
 
 
 @settings(max_examples=150, derandomize=True, deadline=None)
 @given(_component(), st.integers(2, 6), st.integers(0, 20))
-@example((Component(cover={1: frozenset({0})}), {1: 3}, 0), 2, 0)
-@example((GREEDY_COMPONENT, GREEDY_COSTS, 5), 2, 0)
+@example(({1: frozenset({0})}, {1: 3}, 0), 2, 0)
+@example((GREEDY_COVER, GREEDY_COSTS, 5), 2, 0)
 def test_mocco_covers_every_objective(case, n_size, generations):
-    component, costs, seed = case
-    result = mocco_run(component, costs, RunConfig(n_size=n_size, generations=generations), seed)
-    assert result <= component.inputs
-    assert coverage_of(result, component.cover) == component.objectives
-    exact = exhaustive_optimal(component, costs)
-    assert coverage_of(exact, component.cover) == component.objectives
+    cover, costs, seed = case
+    objectives = coverage_of(cover, cover)
+    result = mocco_run(cover, costs, RunConfig(n_size=n_size, generations=generations), seed)
+    assert result <= cover.keys()
+    assert coverage_of(result, cover) == objectives
+    exact = exhaustive_optimal(cover, costs)
+    assert coverage_of(exact, cover) == objectives
     assert sum(costs[i] for i in exact) <= sum(costs[i] for i in result)
 
 
 @settings(max_examples=150, derandomize=True, deadline=None)
 @given(_component(max_inputs=8))
-@example((GREEDY_COMPONENT, GREEDY_COSTS, 11))
+@example((GREEDY_COVER, GREEDY_COSTS, 11))
 def test_long_mocco_run_and_exhaustive_match_bruteforce(case):
-    component, costs, seed = case
-    optimum, _ = bruteforce_min_cover(component.inputs, component.cover, costs,
-                                      component.objectives)
-    result = mocco_run(component, costs, RunConfig(n_size=8, generations=100), seed)
+    cover, costs, seed = case
+    optimum, _ = bruteforce_min_cover(frozenset(cover), cover, costs,
+                                      coverage_of(cover, cover))
+    result = mocco_run(cover, costs, RunConfig(n_size=8, generations=100), seed)
     assert sum(costs[i] for i in result) == optimum
-    assert sum(costs[i] for i in exhaustive_optimal(component, costs)) == optimum
+    assert sum(costs[i] for i in exhaustive_optimal(cover, costs)) == optimum
 
 
 @settings(max_examples=150, derandomize=True, deadline=None)
 @given(_component(), st.data())
 def test_memo_matches_raw_valid_orders_gain(case, data):
-    component, costs, _ = case
-    problem = ComponentProblem(component, costs)
+    cover, costs, _ = case
+    problem = ComponentProblem(cover, costs)
     subsets = data.draw(st.lists(
-        st.frozensets(st.sampled_from(sorted(component.inputs))), max_size=6))
+        st.frozensets(st.sampled_from(sorted(cover))), max_size=6))
     for _ in range(2):  # the first call solves, the repeat reads the cache
         for s in subsets:
-            gain, order = valid_orders_gain(s, component.cover, costs)
+            gain, order = valid_orders_gain(s, cover, costs)
             assert problem.removal(problem.mask_of(s)) == \
                 (gain, problem.mask_of(s - set(order)))
 
 
-def _generations(run, component, costs, config, seed):
+def _generations(run, cover, costs, config, seed):
     """`run`'s result and, per generation, every roofer's and miser's
     members, cost and fitness, in population order. `mocco_run`'s
     individuals carry a mask, the reference's a frozenset."""
-    set_of = ComponentProblem(component, costs).set_of
+    set_of = ComponentProblem(cover, costs).set_of
     seen = []
 
     def members(ind):
@@ -339,18 +339,18 @@ def _generations(run, component, costs, config, seed):
                      [(members(r), r.cost, r.fitness) for r in pops.roofers],
                      [(members(m), m.cost, m.fitness) for m in pops.misers]))
 
-    return run(component, costs, config, seed, on_generation=record), seen
+    return run(cover, costs, config, seed, on_generation=record), seen
 
 
 # Equal initial roofers at n_size=2, and a miser evicted by a dominating one.
-EVICTING_COMPONENT = Component(cover={
+EVICTING_COVER = {
     1: frozenset({2}), 2: frozenset({1, 2}), 3: frozenset({0, 1}), 4: frozenset({1, 2}),
-})
+}
 EVICTING_COSTS = {1: 1, 2: 2, 3: 7, 4: 7}
 
 
 def test_evicting_example_has_equal_roofers_and_evicts_a_miser():
-    _, seen = _generations(mocco_run, EVICTING_COMPONENT, EVICTING_COSTS,
+    _, seen = _generations(mocco_run, EVICTING_COVER, EVICTING_COSTS,
                            RunConfig(n_size=2, generations=20), 21)
     roofers = [members for members, _, _ in seen[0][1]]
     assert len(set(roofers)) < len(roofers)
@@ -360,13 +360,13 @@ def test_evicting_example_has_equal_roofers_and_evicts_a_miser():
 
 @settings(max_examples=200, derandomize=True, deadline=None)
 @given(_component(), st.integers(2, 8), st.integers(0, 60))
-@example((EVICTING_COMPONENT, EVICTING_COSTS, 21), 2, 20)
-@example((Component(cover={1: frozenset({0})}), {1: 3}, 0), 3, 5)
+@example((EVICTING_COVER, EVICTING_COSTS, 21), 2, 20)
+@example(({1: frozenset({0})}, {1: 3}, 0), 3, 5)
 def test_mocco_run_matches_reference_search(case, n_size, generations):
-    component, costs, seed = case
+    cover, costs, seed = case
     config = RunConfig(n_size=n_size, generations=generations)
-    assert _generations(mocco_run, component, costs, config, seed) == \
-        _generations(reference_mocco_run, component, costs, config, seed)
+    assert _generations(mocco_run, cover, costs, config, seed) == \
+        _generations(reference_mocco_run, cover, costs, config, seed)
 
 
 def test_exposure_called_once_per_admitted_miser(monkeypatch):
@@ -391,7 +391,7 @@ def test_exposure_called_once_per_admitted_miser(monkeypatch):
     rng = random.Random(17)
     for seed in range(10):
         cover, costs = random_instance(rng, max_inputs=8, max_blocks=8)
-        mocco_run(Component(cover=cover), costs,
+        mocco_run(cover, costs,
                   RunConfig(n_size=6, generations=60), seed)
     assert len(admitted) > 10
     assert len(exposed) == len(admitted)
@@ -401,14 +401,14 @@ def test_exposure_called_once_per_admitted_miser(monkeypatch):
 @settings(max_examples=150, derandomize=True, deadline=None)
 @given(_component(), st.data())
 def test_fitness_memo_matches_definition(case, data):
-    component, costs, _ = case
-    problem = ComponentProblem(component, costs)
+    cover, costs, _ = case
+    problem = ComponentProblem(cover, costs)
     subsets = data.draw(st.lists(
-        st.frozensets(st.sampled_from(sorted(component.inputs))), max_size=6))
+        st.frozensets(st.sampled_from(sorted(cover))), max_size=6))
     for _ in range(2):  # the first call evaluates, the repeat reads the memo
         for s in subsets:
             assert problem.evaluate(problem.mask_of(s)) == (
-                sum(costs[i] for i in s), fitness_by_definition(s, component.cover, costs))
+                sum(costs[i] for i in s), fitness_by_definition(s, cover, costs))
 
 
 @pytest.fixture
@@ -438,14 +438,14 @@ def test_problem_solves_each_member_set_once(solved_sets):
 
 def test_problems_with_different_costs_do_not_share_gains(solved_sets):
     cheap_first = _greedy_problem()
-    dear_first = ComponentProblem(GREEDY_COMPONENT, {1: 9, 2: 1, 3: 1})
+    dear_first = ComponentProblem(GREEDY_COVER, {1: 9, 2: 1, 3: 1})
     assert cheap_first.removal(cheap_first.mask_of({1, 2, 3}))[0] == 2
     assert dear_first.removal(dear_first.mask_of({1, 2, 3}))[0] == 9
     assert solved_sets == [frozenset({1, 2, 3})] * 2
 
 
 def test_mocco_run_solves_through_the_search_module_name(solved_sets):
-    mocco_run(GREEDY_COMPONENT, GREEDY_COSTS, RunConfig(n_size=4, generations=30), seed=3)
+    mocco_run(GREEDY_COVER, GREEDY_COSTS, RunConfig(n_size=4, generations=30), seed=3)
     assert solved_sets
     assert len(solved_sets) == len(set(solved_sets))
 
@@ -453,7 +453,7 @@ def test_mocco_run_solves_through_the_search_module_name(solved_sets):
 def test_greedy_fallback_warns_once_per_member_set(caplog):
     n = EXHAUSTIVE_GAIN_THRESHOLD + 2
     cover = {i: frozenset({"a"}) for i in range(1, n + 1)}
-    problem = ComponentProblem(Component(cover=cover), {i: i for i in cover})
+    problem = ComponentProblem(cover, {i: i for i in cover})
     mask = problem.mask_of(cover)
     with caplog.at_level(logging.WARNING, logger="covmin.reduction"):
         first = problem.removal(mask)
