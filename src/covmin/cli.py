@@ -133,19 +133,8 @@ def cmd_minimize(args) -> int:
 
 def cmd_bench(args) -> int:
     dataset, config = _load(args)
-    for flag, value in (("--reps", args.reps), ("--jobs", args.jobs)):
-        if value is not None and value < 1:
-            raise ValidationError(f"{flag} must be at least 1, got {value}")
-    # Each named algorithm once, in the order of its first mention.
-    algorithms = list(dict.fromkeys(
-        a for entry in args.algo or ["mocco,greedy,random,art"]
-        for a in entry.split(",") if a))
-    if not algorithms:
-        raise ValidationError("--algo names no algorithm")
-    unknown = [a for a in algorithms if a not in harness.ALGORITHMS]
-    if unknown:
-        raise ValidationError(f"unknown algorithms {unknown}; "
-                              f"known: {', '.join(harness.ALGORITHMS)}")
+    algorithms = ([a for entry in args.algo for a in entry.split(",") if a]
+                  if args.algo else harness.DEFAULT_ALGORITHMS)
     report = harness.bench(
         dataset, config,
         algorithms=algorithms,

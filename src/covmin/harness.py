@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from . import baselines
 from .blocks import build_coverage
 from .config import RunConfig
-from .dataset import Dataset
-from .reduction import CoverageMap, ReductionResult, reduce_problem
+from .dataset import Dataset, ValidationError
+from .reduction import ReductionResult, reduce_problem
 from .search import mocco_run
 
 logger = logging.getLogger(__name__)
@@ -131,6 +131,7 @@ def run_pipeline(dataset: Dataset, config: RunConfig,
 
 
 ALGORITHMS = ("mocco", "greedy", "random", "art", "exhaustive")
+DEFAULT_ALGORITHMS = ("mocco", "greedy", "random", "art")
 
 
 @dataclass(frozen=True)
@@ -161,6 +162,9 @@ class BenchRow:
 
 @dataclass(frozen=True)
 class BenchReport:
+    """`a12[(a, b)]` is the Vargha-Delaney A12 of a's costs over b's: the
+    chance that a run of `a` costs more than a run of `b`, ties counting half.
+    Below 0.5, `a` is the cheaper algorithm."""
     rows: tuple[BenchRow, ...]
     a12: dict[tuple[str, str], float]
 
@@ -172,41 +176,19 @@ class BenchReport:
 
 
 def run_repetition(dataset: Dataset, config: RunConfig, algorithms,
-                   seed: int, repetition: int,
-                   coverage: CoverageMap | None = None) -> list[BenchRow]:
+                   seed: int, repetition: int) -> list[BenchRow]:
     """One benchmark repetition. The greedy, random and adaptive-sampling
     baselines run on the full instance; the genetic search and the exact
-    solver run after problem reduction. The random baseline draws as many
-    inputs as the largest selection produced by the other algorithms in the
-    same repetition (or the reduced instance size when it runs alone).
-    Every algorithm returns only its selection; `record` scores each row
-    from it and the coverage map."""
+    solver run after problem reduction. The random baseline runs last and
+    draws as many inputs as the largest selection produced by the other
+    algorithms in the same repetition (or the reduced instance size when it
+    runs alone)."""
     costs = dataset.costs()
-    if coverage is None:
-        coverage = build_coverage(dataset, config, seed)
+    coverage = build_coverage(dataset, config, seed)
     reduction = reduce_problem(coverage.cover, costs)
     universe = coverage.all_blocks()
     rows: list[BenchRow] = []
-    sizes: list[int] = []
-
-    def record(name: str, selected: frozenset, started: float) -> None:
-        runtime_ms = (time.perf_counter() - started) * 1000.0
-        rows.append(BenchRow(
-            algorithm=name,
-            config_label=config.label(),
-            seed=seed,
-            repetition=repetition,
-            size=len(selected),
-            cost=sum(costs[i] for i in selected),
-            runtime_ms=runtime_ms,
-            vdr=vdr(selected, dataset.vulnerabilities),
-            covers_all=coverage.cover_of_set(selected) >= universe,
-        ))
-        sizes.append(len(selected))
-
-    for name in algorithms:
-        if name == "random":
-            continue  # needs the other selection sizes; runs last
+    for name in sorted(algorithms, key=lambda a: a == "random"):
         started = time.perf_counter()
         if name in SOLVERS:
             selected = solve(reduction, costs, name, config, seed).selected
@@ -214,32 +196,50 @@ def run_repetition(dataset: Dataset, config: RunConfig, algorithms,
             selected = baselines.greedy_cover(coverage.cover, costs)
         elif name == "art":
             selected = baselines.art_select(dataset, config, seed)
+        elif name == "random":
+            n = max((row.size for row in rows), default=len(reduction.necessary)
+                    + sum(len(c.inputs) for c in reduction.components))
+            selected = baselines.random_select(frozenset(costs), n, seed)
         else:
             raise ValueError(f"unknown algorithm {name!r}")
-        record(name, selected, started)
-
-    if "random" in algorithms:
-        if sizes:
-            n = max(sizes)
-        else:
-            n = len(reduction.necessary) + sum(
-                len(c.inputs) for c in reduction.components)
-        started = time.perf_counter()
-        record("random", baselines.random_select(frozenset(costs), n, seed), started)
+        rows.append(BenchRow(
+            algorithm=name,
+            config_label=config.label(),
+            seed=seed,
+            repetition=repetition,
+            size=len(selected),
+            cost=sum(costs[i] for i in selected),
+            runtime_ms=(time.perf_counter() - started) * 1000.0,
+            vdr=vdr(selected, dataset.vulnerabilities),
+            covers_all=coverage.cover_of_set(selected) >= universe,
+        ))
     return rows
 
 
-def bench(dataset: Dataset, config: RunConfig, algorithms=ALGORITHMS,
+def bench(dataset: Dataset, config: RunConfig, algorithms=DEFAULT_ALGORITHMS,
           repetitions: int | None = None, seed: int | None = None,
-          jobs: int = 1, coverage: CoverageMap | None = None) -> BenchReport:
+          jobs: int = 1) -> BenchReport:
+    """Run `algorithms`, each named once in the order of its first mention,
+    over `repetitions` derived seeds, on `jobs` worker processes. An empty or
+    unknown algorithm list, or fewer than one repetition or job, is a
+    ValidationError."""
+    algorithms = tuple(dict.fromkeys(algorithms))
+    if not algorithms:
+        raise ValidationError("bench names no algorithm")
+    unknown = [a for a in algorithms if a not in ALGORITHMS]
+    if unknown:
+        raise ValidationError(f"unknown algorithms {unknown}; "
+                              f"known: {', '.join(ALGORITHMS)}")
     if seed is None:
         seed = config.seed
     if repetitions is None:
         repetitions = config.repetitions
-    algorithms = tuple(algorithms)
+    for label, value in (("repetitions", repetitions), ("jobs", jobs)):
+        if value < 1:
+            raise ValidationError(f"{label} must be at least 1, got {value}")
     # Repetition seeds step by 2**32, so `component_seed(seed + (r << 32), idx)`
     # never repeats across repetitions for any idx < 2**32.
-    reps = [(dataset, config, algorithms, seed + (r << 32), r, coverage)
+    reps = [(dataset, config, algorithms, seed + (r << 32), r)
             for r in range(repetitions)]
     if jobs > 1 and repetitions > 1:
         from concurrent.futures import ProcessPoolExecutor

@@ -287,11 +287,12 @@ def test_malformed_config_algo_and_coverage_exit_code(tmp_path, capsys):
         flags = [arg for a in algos for arg in ("--algo", a)]
         assert main(["bench", "--dataset", BUNDLED] + flags) == 2, algos
         err = capsys.readouterr().err
-        assert err == "error: --algo names no algorithm\n", err
-    for flags in (["--reps", "0"], ["--reps", "-2"], ["--jobs", "-1"], ["--jobs", "0"]):
-        assert main(["bench", "--dataset", BUNDLED, "--algo", "greedy"] + flags) == 2, flags
+        assert err == "error: bench names no algorithm\n", err
+    for flag, name, value in (("--reps", "repetitions", "0"), ("--reps", "repetitions", "-2"),
+                              ("--jobs", "jobs", "-1"), ("--jobs", "jobs", "0")):
+        assert main(["bench", "--dataset", BUNDLED, "--algo", "greedy", flag, value]) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {flags[0]} must be at least 1"), err
+        assert err == f"error: {name} must be at least 1, got {value}\n", err
         assert err.count("\n") == 1
 
 
@@ -367,6 +368,21 @@ def test_result_bytes_match_golden_files(tmp_path):
         out = tmp_path / golden
         assert main(args + ["--dataset", BUNDLED, "--out", str(out)]) == 0
         assert out.read_bytes() == (GOLDEN / golden).read_bytes(), golden
+
+
+def test_bench_bytes_match_golden_file(tmp_path):
+    # Bench rows and A12 table with the wall-clock `runtime_ms` dropped.
+    # Naming random first pins that it runs last, sized from the largest
+    # other selection. Regenerate under the same rule as the files above;
+    # a change to the adaptive-sampling baseline alters its rows.
+    out = tmp_path / "bench.json"
+    assert main(["bench", "--dataset", BUNDLED, "--seed", "7", "--reps", "2",
+                 "--algo", "random,mocco,exhaustive,greedy,art", "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    for row in report["rows"]:
+        del row["runtime_ms"]
+    got = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    assert got == (GOLDEN / "bench_synthetic_seed7.json").read_text()
 
 
 def test_cluster_bytes_match_golden_file_on_many_pages(tmp_path):

@@ -8,7 +8,7 @@ import pytest
 from covmin.blocks import BlockId, CoverageMap, build_coverage
 from covmin.cli import main
 from covmin.config import RunConfig
-from covmin.dataset import Action, Dataset, InputRecord
+from covmin.dataset import Action, Dataset, InputRecord, ValidationError
 from covmin import harness
 from covmin.harness import (
     bench,
@@ -126,9 +126,11 @@ def test_solve_exact_is_optimal_and_mocco_covers():
         assert len(found.per_component) == len(reduction.components)
 
 
-def _fixture_dataset_and_coverage():
+@pytest.fixture
+def fixture_dataset(monkeypatch):
     # The ratio-trap instance: in1:{bl1,bl2} cost 2, in2:{bl1,bl3} cost 3,
-    # in3:{bl2,bl4} cost 3. Actions are placeholders; coverage is injected.
+    # in3:{bl2,bl4} cost 3. Actions are placeholders; `harness.build_coverage`
+    # returns the hand-built coverage.
     records = tuple(
         InputRecord(
             id=i,
@@ -144,13 +146,13 @@ def _fixture_dataset_and_coverage():
         2: frozenset({bl[0], bl[2]}),
         3: frozenset({bl[1], bl[3]}),
     })
-    return Dataset(inputs=records), coverage
+    monkeypatch.setattr(harness, "build_coverage", lambda *args: coverage)
+    return Dataset(inputs=records)
 
 
-def test_bench_greedy_vs_exhaustive_fixture():
-    ds, coverage = _fixture_dataset_and_coverage()
-    report = bench(ds, CONFIG, algorithms=("greedy", "exhaustive"),
-                   repetitions=1, seed=0, coverage=coverage)
+def test_bench_greedy_vs_exhaustive_fixture(fixture_dataset):
+    report = bench(fixture_dataset, CONFIG, algorithms=("greedy", "exhaustive"),
+                   repetitions=1, seed=0)
     by_algo = {row.algorithm: row for row in report.rows}
     assert len(report.rows) == 2  # one row per algorithm
     assert by_algo["greedy"].cost == 8
@@ -160,17 +162,15 @@ def test_bench_greedy_vs_exhaustive_fixture():
     assert report.a12[("greedy", "exhaustive")] == 1.0
 
 
-def test_bench_identical_cost_distributions_score_half():
-    ds, coverage = _fixture_dataset_and_coverage()
-    report = bench(ds, CONFIG, algorithms=("mocco", "exhaustive"),
-                   repetitions=2, seed=0, coverage=coverage)
+def test_bench_identical_cost_distributions_score_half(fixture_dataset):
+    report = bench(fixture_dataset, CONFIG, algorithms=("mocco", "exhaustive"),
+                   repetitions=2, seed=0)
     assert report.a12[("mocco", "exhaustive")] == 0.5
 
 
-def test_bench_random_size_tracks_largest_selection():
-    ds, coverage = _fixture_dataset_and_coverage()
-    rows = run_repetition(ds, CONFIG, ("greedy", "random"), seed=0,
-                          repetition=0, coverage=coverage)
+def test_bench_random_size_tracks_largest_selection(fixture_dataset):
+    rows = run_repetition(fixture_dataset, CONFIG, ("greedy", "random"), seed=0,
+                          repetition=0)
     by_algo = {row.algorithm: row for row in rows}
     assert by_algo["random"].size == by_algo["greedy"].size
 
@@ -184,6 +184,24 @@ def test_solve_rejects_unknown_solver_names():
     for name in ("greedy", "Mocco", "exhaustiv", ""):
         with pytest.raises(ValueError, match=f"unknown solver {name!r}"):
             solve(reduction, costs, name, CONFIG, seed=0)
+
+
+def test_bench_checks_its_arguments(fixture_dataset):
+    # The library call, not only the CLI, rejects what names no run and
+    # keeps each algorithm once.
+    for kwargs, message in (
+        (dict(algorithms=()), "bench names no algorithm"),
+        (dict(algorithms=("greedy", "nope")), r"unknown algorithms \['nope'\]; known: "),
+        (dict(repetitions=0), "repetitions must be at least 1, got 0"),
+        (dict(jobs=0), "jobs must be at least 1, got 0"),
+    ):
+        with pytest.raises(ValidationError, match=message):
+            bench(fixture_dataset, CONFIG, **{"repetitions": 1, **kwargs})
+    report = bench(fixture_dataset, CONFIG, algorithms=("greedy", "greedy"),
+                   repetitions=2, seed=0)
+    assert [(row.algorithm, row.repetition) for row in report.rows] == [
+        ("greedy", 0), ("greedy", 1)]
+    assert report.a12 == {}
 
 
 def test_bench_reproducible_modulo_runtime():
@@ -232,10 +250,9 @@ def test_bench_parallel_jobs_match_sequential():
     assert strip(seq) == strip(par)
 
 
-def test_bench_report_writers(tmp_path):
-    ds, coverage = _fixture_dataset_and_coverage()
-    report = bench(ds, CONFIG, algorithms=("greedy",), repetitions=1,
-                   seed=0, coverage=coverage)
+def test_bench_report_writers(tmp_path, fixture_dataset):
+    report = bench(fixture_dataset, CONFIG, algorithms=("greedy",), repetitions=1,
+                   seed=0)
     cpath = tmp_path / "r.csv"
     write_bench_csv(report, cpath)
     assert report.to_dict()["rows"][0]["algorithm"] == "greedy"
