@@ -195,9 +195,10 @@ def valid_orders_gain(ids, cover, costs):
             "using greedy removal", len(redundant), EXHAUSTIVE_GAIN_THRESHOLD,
         )
         return _greedy_gain(members, cover, costs)
-    kept_cover = frozenset().union(*(cover[i] for i in sole))
+    uncovered = by_block.keys() - frozenset().union(*(cover[i] for i in sole))
     redundant_cost = sum(costs[i] for i in redundant)
-    kept = min_cover(by_block.keys() - kept_cover, redundant, costs, redundant_cost)
+    # With nothing left to cover, min_cover would return the empty set.
+    kept = min_cover(uncovered, redundant, costs, redundant_cost) if uncovered else frozenset()
     order = [i for i in redundant if i not in kept]
     return redundant_cost - sum(costs[i] for i in kept), order
 

@@ -16,12 +16,14 @@ masks; only `mocco_run`'s result is a frozenset.
 
 from __future__ import annotations
 
+import bisect
 import functools
+import itertools
 import math
 import operator
 import random
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .config import RunConfig
 from .distance import normalize
@@ -50,18 +52,31 @@ class Populations:
     roofer_weights: list[float]
     miser_weights: list[float]
     live: Counter
+    # The `_running_sums` of each weight list, rebuilt only where that list
+    # changes, for `_weighted_choice`.
+    roofer_sums: tuple[float, list[float]]
+    miser_sums: tuple[float, list[float]]
+    # Masks of children that can never be admitted: a covering child
+    # costlier than the costliest roofer (that bound never rises), or a
+    # child dominated by a live miser (one always dominates it, since a
+    # miser leaves only for a newcomer that dominates it).
+    refused: set = field(default_factory=set)
 
     @classmethod
     def of(cls, problem: ComponentProblem, roofers, misers=()) -> Populations:
-        """Populations holding `roofers` and `misers`, their weights and
-        live multiset derived from them."""
+        """Populations holding `roofers` and `misers`, their weights, running
+        sums and live multiset derived from them."""
         roofers, misers = list(roofers), list(misers)
+        roofer_weights = [1.0 / r.cost for r in roofers]
+        miser_weights = [1.0 / problem.exposure(m) for m in misers]
         return cls(
             roofers=roofers,
             misers=misers,
-            roofer_weights=[1.0 / r.cost for r in roofers],
-            miser_weights=[1.0 / problem.exposure(m) for m in misers],
+            roofer_weights=roofer_weights,
+            miser_weights=miser_weights,
             live=Counter(x.mask for x in roofers + misers),
+            roofer_sums=_running_sums(roofer_weights),
+            miser_sums=_running_sums(miser_weights),
         )
 
 
@@ -69,22 +84,20 @@ def dominates(f1, f2) -> bool:
     """Pareto dominance over fitness vectors (minimization)."""
     if len(f1) != len(f2):
         raise ValueError("fitness vectors must have equal length")
-    strictly = False
-    for a, b in zip(f1, f2):
-        if not a <= b:
-            return False
-        if a < b:
-            strictly = True
-    return strictly
+    return all(map(operator.le, f1, f2)) and any(map(operator.lt, f1, f2))
 
 
 class ComponentProblem:
-    """A component's cover map plus the costs it is minimized under."""
+    """A component's cover map plus the costs it is minimized under. Every
+    cost must be positive: selection weighs a roofer by 1 / cost."""
 
     def __init__(self, cover, costs):
         self.cover = cover
         self.inputs = sorted(cover)
         self.costs = costs
+        for i in self.inputs:
+            if costs[i] <= 0:
+                raise ValueError(f"input {i} has cost {costs[i]}; the search needs positive costs")
         self.inputs_of = postings(cover)
         self.objectives = sorted(self.inputs_of)
         self._min_cost_of = {
@@ -149,15 +162,20 @@ class ComponentProblem:
         return Individual(mask, *self.evaluate(mask))
 
 
-def _weighted_choice(rng: random.Random, items, weights):
-    total = sum(weights)
-    x = rng.random() * total
-    acc = 0.0
-    for item, w in zip(items, weights):
-        acc += w
-        if x < acc:
-            return item
-    return items[-1]
+def _running_sums(weights) -> tuple[float, list[float]]:
+    """`sum(weights)` and the sequential prefix sums of `weights`. The total
+    is `sum`'s own, not the last prefix: from Python 3.12 `sum` of floats is
+    compensated and can differ from sequential addition."""
+    return sum(weights), list(itertools.accumulate(weights))
+
+
+def _weighted_choice(rng: random.Random, items, sums):
+    """The first item whose running weight sum exceeds one uniform draw
+    scaled by the total, given `sums = _running_sums(weights)` of positive
+    weights; the last item if rounding leaves the draw above every sum."""
+    total, running = sums
+    k = bisect.bisect_right(running, rng.random() * total)
+    return items[k] if k < len(items) else items[-1]
 
 
 def _forget(live: Counter, mask: int) -> None:
@@ -182,7 +200,7 @@ def init_roofers(problem: ComponentProblem, n_size: int, rng: random.Random) -> 
                 continue
             candidates = problem.inputs_of[bl]
             weights = [1.0 / (1 + occurrence[i]) for i in candidates]
-            pick = _weighted_choice(rng, candidates, weights)
+            pick = _weighted_choice(rng, candidates, _running_sums(weights))
             members |= problem._bit[pick]
             occurrence[pick] += 1
         roofers.append(problem.individual(problem.removal(members)[1]))
@@ -193,15 +211,14 @@ def select_parents(problem: ComponentProblem, pops: Populations,
                    rng: random.Random) -> tuple[Individual, Individual]:
     """A miser (weight 1/exposure) and a roofer (weight 1/cost) when misers
     exist; otherwise two distinct roofers, both weighted by 1/cost."""
-    roofer_weights = pops.roofer_weights
     if pops.misers:
-        miser = _weighted_choice(rng, pops.misers, pops.miser_weights)
-        roofer = _weighted_choice(rng, pops.roofers, roofer_weights)
+        miser = _weighted_choice(rng, pops.misers, pops.miser_sums)
+        roofer = _weighted_choice(rng, pops.roofers, pops.roofer_sums)
         return miser, roofer
-    first = _weighted_choice(rng, pops.roofers, roofer_weights)
+    first = _weighted_choice(rng, pops.roofers, pops.roofer_sums)
     rest = [k for k, r in enumerate(pops.roofers) if r is not first]
     second = _weighted_choice(rng, [pops.roofers[k] for k in rest],
-                              [roofer_weights[k] for k in rest])
+                              _running_sums([pops.roofer_weights[k] for k in rest]))
     return first, second
 
 
@@ -226,23 +243,28 @@ def mutate(problem: ComponentProblem, mask: int, rng: random.Random) -> int:
 
 def update_populations(problem: ComponentProblem, pops: Populations,
                        mask: int, rng: random.Random) -> None:
-    """Fold one offspring into the populations, in place."""
+    """Fold one offspring into the populations, in place. Draws from `rng`
+    only to pick the roofer an admitted covering child evicts."""
     live = pops.live
-    if mask in live:
+    if mask in live or mask in pops.refused:
         return
     cost, fitness = problem.evaluate(mask)
     if not any(fitness[1:]):  # every objective value 0: covers all
         max_cost = max(r.cost for r in pops.roofers)
-        if cost <= max_cost:
-            ties = [idx for idx, r in enumerate(pops.roofers) if r.cost == max_cost]
-            evict = rng.choice(ties)
-            _forget(live, pops.roofers[evict].mask)
-            pops.roofers[evict] = Individual(mask, cost, fitness)
-            pops.roofer_weights[evict] = 1.0 / cost
-            live[mask] += 1
+        if cost > max_cost:
+            pops.refused.add(mask)
+            return
+        ties = [idx for idx, r in enumerate(pops.roofers) if r.cost == max_cost]
+        evict = rng.choice(ties)
+        _forget(live, pops.roofers[evict].mask)
+        pops.roofers[evict] = Individual(mask, cost, fitness)
+        pops.roofer_weights[evict] = 1.0 / cost
+        pops.roofer_sums = _running_sums(pops.roofer_weights)
+        live[mask] += 1
         return
     for miser in pops.misers:
         if dominates(miser.fitness, fitness):
+            pops.refused.add(mask)
             return
     misers, weights = [], []
     for miser, weight in zip(pops.misers, pops.miser_weights):
@@ -256,6 +278,7 @@ def update_populations(problem: ComponentProblem, pops: Populations,
     weights.append(1.0 / problem.exposure(candidate))
     live[mask] += 1
     pops.misers, pops.miser_weights = misers, weights
+    pops.miser_sums = _running_sums(weights)
 
 
 def mocco_run(cover, costs, config: RunConfig = RunConfig(),
@@ -263,7 +286,8 @@ def mocco_run(cover, costs, config: RunConfig = RunConfig(),
     """Minimize one component; returns a least-cost full-coverage member set.
 
     Reads `n_size` and `generations` from `config`; at most
-    `n_size + 2 * generations` individuals are evaluated.
+    `n_size + 2 * generations` individuals are evaluated. Every cost must
+    be positive (`ComponentProblem` raises `ValueError` otherwise).
     `on_generation(gen, pops)` is an optional observation hook, used by the
     invariant-checking tests.
     """

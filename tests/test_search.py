@@ -1,5 +1,6 @@
 import logging
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -13,6 +14,8 @@ from covmin.search import (
     ComponentProblem,
     Individual,
     Populations,
+    _running_sums,
+    _weighted_choice,
     crossover,
     dominates,
     init_roofers,
@@ -23,6 +26,7 @@ from covmin.search import (
 )
 
 from _oracles import (
+    _reference_weighted_choice,
     bruteforce_min_cover,
     coverage_of,
     covers_all,
@@ -162,6 +166,42 @@ def test_select_parents_with_misers():
     p1, p2 = select_parents(problem, pops, random.Random(1))
     assert p1 is miser
     assert p2 is roofer
+
+
+# Positive weights with repeats, and weights tiny beside the total.
+_WEIGHTS = st.lists(st.one_of(
+    st.sampled_from([1.0, 0.5, 1 / 3, 1 / 7, 2.0**-53, 1e-17]),
+    st.floats(min_value=1e-12, max_value=1e3),
+), min_size=1, max_size=25)
+
+
+class _FixedDraw:
+    """Stand-in rng whose `random()` always returns one value."""
+
+    def __init__(self, x):
+        self.x = x
+
+    def random(self):
+        return self.x
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_WEIGHTS, st.integers(0, 2**32))
+@example([1.0], 0)
+@example([1.0, 1e-17, 1e-17, 1e-17], 0)
+def test_weighted_choice_matches_reference(weights, seed):
+    items = list(range(len(weights)))
+    sums = _running_sums(weights)
+    rng, reference_rng = random.Random(seed), random.Random(seed)
+    for _ in range(20):
+        assert _weighted_choice(rng, items, sums) == \
+            _reference_weighted_choice(reference_rng, items, weights)
+    # The extreme draws. 1.0, which `random()` never returns, scales to the
+    # total itself, which can lie past every running sum: the last-item
+    # fallback.
+    for x in (0.0, 1 - 2**-53, 1.0):
+        assert _weighted_choice(_FixedDraw(x), items, sums) == \
+            _reference_weighted_choice(_FixedDraw(x), items, weights)
 
 
 class _FixedOrder:
@@ -367,6 +407,45 @@ def test_mocco_run_matches_reference_search(case, n_size, generations):
     config = RunConfig(n_size=n_size, generations=generations)
     assert _generations(mocco_run, cover, costs, config, seed) == \
         _generations(reference_mocco_run, cover, costs, config, seed)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(_component(), st.integers(2, 8), st.integers(0, 60))
+@example((EVICTING_COVER, EVICTING_COSTS, 21), 2, 20)
+def test_refused_children_stay_inadmissible(case, n_size, generations):
+    """A refused child is never live again: at every later generation it is
+    covering and costlier than the costliest roofer, or dominated by a live
+    miser."""
+    cover, costs, seed = case
+    refused = []
+    update = covmin.search.update_populations
+
+    def recording(problem, pops, child, rng):
+        known = child in pops.refused
+        update(problem, pops, child, rng)
+        if child in pops.refused and not known:
+            refused.append((child, *problem.evaluate(child)))
+
+    def check(gen, pops):
+        max_cost = max(r.cost for r in pops.roofers)
+        for child, cost, fitness in refused:
+            assert child not in pops.live
+            if any(fitness[1:]):
+                assert any(dominates(m.fitness, fitness) for m in pops.misers)
+            else:
+                assert cost > max_cost
+
+    with mock.patch.object(covmin.search, "update_populations", recording):
+        mocco_run(cover, costs, RunConfig(n_size=n_size, generations=generations),
+                  seed, on_generation=check)
+
+
+def test_component_problem_needs_positive_costs():
+    cover = {1: frozenset({"a"}), 2: frozenset({"a", "b"}), 3: frozenset({"b"})}
+    with pytest.raises(ValueError, match="input 1 has cost 0"):
+        mocco_run(cover, {1: 0, 2: 5, 3: 0}, RunConfig(n_size=4, generations=10), 1)
+    with pytest.raises(ValueError, match="input 2 has cost -1"):
+        ComponentProblem(cover, {1: 1, 2: -1, 3: 0})
 
 
 def test_exposure_called_once_per_admitted_miser(monkeypatch):
