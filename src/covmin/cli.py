@@ -74,14 +74,20 @@ def coverage_to_dict(coverage: CoverageMap) -> dict:
 
 
 def coverage_from_dict(obj: dict, path) -> CoverageMap:
-    """Inverse of `coverage_to_dict`; a malformed file at `path` is a ValidationError."""
+    """Inverse of `coverage_to_dict`; a malformed file at `path`, or one that
+    lists an input id twice (as "1" and " 01", say), is a ValidationError."""
     try:
-        cover = {
-            int(i): frozenset(BlockId.from_str(s) for s in blocks)
+        entries = [
+            (int(i), frozenset(BlockId.from_str(s) for s in blocks))
             for i, blocks in obj["cover"].items()
-        }
+        ]
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed coverage file {path}: {exc!r}") from exc
+    cover = {}
+    for i, blocks in entries:
+        if i in cover:
+            raise ValidationError(f"coverage file {path} lists input id {i} twice")
+        cover[i] = blocks
     return CoverageMap(cover)
 
 

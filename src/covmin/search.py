@@ -45,38 +45,35 @@ class Individual:
 class Populations:
     roofers: list[Individual]
     misers: list[Individual]
-    # Kept parallel to the lists above by `update_populations`: each
-    # member's selection weight, computed once when it is admitted (1 / cost
-    # for a roofer, 1 / exposure for a miser), and the multiset of the live
-    # members' masks.
-    roofer_weights: list[float]
+    # Each miser's selection weight, 1 / exposure, computed once when it is
+    # admitted and kept parallel to `misers`. A roofer's weight, 1 / cost,
+    # is computed where it is read.
     miser_weights: list[float]
+    # The multiset of the roofers' masks: the initial roofers can be equal.
     live: Counter
-    # The `_running_sums` of each weight list, rebuilt only where that list
-    # changes, for `_weighted_choice`.
+    # The `_running_sums` of the roofer and the miser weights, rebuilt only
+    # where that population changes, for `_weighted_choice`.
     roofer_sums: tuple[float, list[float]]
     miser_sums: tuple[float, list[float]]
-    # Masks of children that can never be admitted: a covering child
-    # costlier than the costliest roofer (that bound never rises), or a
-    # child dominated by a live miser (one always dominates it, since a
-    # miser leaves only for a newcomer that dominates it).
+    # Masks of children never judged again. A partial child joins once it is
+    # judged: if admitted, it stays a live miser or, once evicted, dominated
+    # for good (a miser leaves only for a newcomer that dominates it, and
+    # dominance is transitive); if refused, a live miser dominates it. A
+    # covering child joins when it is costlier than the costliest roofer,
+    # a bound that never rises.
     refused: set = field(default_factory=set)
 
     @classmethod
-    def of(cls, problem: ComponentProblem, roofers, misers=()) -> Populations:
-        """Populations holding `roofers` and `misers`, their weights, running
-        sums and live multiset derived from them."""
-        roofers, misers = list(roofers), list(misers)
-        roofer_weights = [1.0 / r.cost for r in roofers]
-        miser_weights = [1.0 / problem.exposure(m) for m in misers]
+    def of(cls, roofers) -> Populations:
+        """Populations holding `roofers` and no misers."""
+        roofers = list(roofers)
         return cls(
             roofers=roofers,
-            misers=misers,
-            roofer_weights=roofer_weights,
-            miser_weights=miser_weights,
-            live=Counter(x.mask for x in roofers + misers),
-            roofer_sums=_running_sums(roofer_weights),
-            miser_sums=_running_sums(miser_weights),
+            misers=[],
+            miser_weights=[],
+            live=Counter(r.mask for r in roofers),
+            roofer_sums=_running_sums([1.0 / r.cost for r in roofers]),
+            miser_sums=_running_sums([]),
         )
 
 
@@ -104,25 +101,22 @@ class ComponentProblem:
             bl: min(costs[i] for i in covering)
             for bl, covering in self.inputs_of.items()
         }
-        self.bits = [1 << k for k in range(len(self.inputs))]
-        self._bit = dict(zip(self.inputs, self.bits))
-        self._bit_costs = [(bit, costs[i]) for i, bit in zip(self.inputs, self.bits)]
+        # Input -> its bit in a member mask, in input order.
+        self.bit = {i: 1 << k for k, i in enumerate(self.inputs)}
         # Objective -> the mask of the inputs holding it, in objective order.
         self.holders = {bl: self.mask_of(self.inputs_of[bl]) for bl in self.objectives}
-        # Memos keyed by member mask, valid only for this component's cover
-        # and costs, so they live on the problem: mask -> (removal gain,
-        # reduced mask) from valid_orders_gain, and mask -> (cost, fitness).
+        # Mask -> (removal gain, reduced mask) from valid_orders_gain, valid
+        # only for this component's cover and costs, so it lives here.
         self._solved = {}
-        self._evaluated = {}
 
     def mask_of(self, members) -> int:
         mask = 0
         for i in members:
-            mask |= self._bit[i]
+            mask |= self.bit[i]
         return mask
 
     def set_of(self, mask: int) -> frozenset:
-        return frozenset(i for i, bit in zip(self.inputs, self.bits) if mask & bit)
+        return frozenset(i for i, bit in self.bit.items() if mask & bit)
 
     def removal(self, mask: int) -> tuple[int, int]:
         """The removal gain of `mask` and the mask left once its removable
@@ -138,7 +132,7 @@ class ComponentProblem:
         covering input so the result is never negative."""
         best = -math.inf
         for i in self.inputs_of[bl]:
-            best = max(best, self.removal(mask | self._bit[i])[0] - self.costs[i])
+            best = max(best, self.removal(mask | self.bit[i])[0] - self.costs[i])
         return best + self._min_cost_of[bl]
 
     def exposure(self, ind: Individual) -> float:
@@ -148,15 +142,12 @@ class ComponentProblem:
     def evaluate(self, mask: int) -> tuple[int, tuple[float, ...]]:
         """The cost of `mask` and its fitness: the normalized cost, then per
         objective 0 when covered, else 1 / (potential + 1)."""
-        evaluated = self._evaluated.get(mask)
-        if evaluated is None:
-            cost = sum(c for bit, c in self._bit_costs if mask & bit)
-            fitness = (normalize(cost),) + tuple(
-                0.0 if mask & held else 1.0 / (self.potential(mask, bl) + 1)
-                for bl, held in self.holders.items()
-            )
-            evaluated = self._evaluated[mask] = (cost, fitness)
-        return evaluated
+        cost = sum(self.costs[i] for i, bit in self.bit.items() if mask & bit)
+        fitness = (normalize(cost),) + tuple(
+            0.0 if mask & held else 1.0 / (self.potential(mask, bl) + 1)
+            for bl, held in self.holders.items()
+        )
+        return cost, fitness
 
     def individual(self, mask: int) -> Individual:
         return Individual(mask, *self.evaluate(mask))
@@ -178,12 +169,6 @@ def _weighted_choice(rng: random.Random, items, sums):
     return items[k] if k < len(items) else items[-1]
 
 
-def _forget(live: Counter, mask: int) -> None:
-    live[mask] -= 1
-    if not live[mask]:
-        del live[mask]
-
-
 def init_roofers(problem: ComponentProblem, n_size: int, rng: random.Random) -> Populations:
     """Build n_size full-coverage individuals. Objectives are visited in a
     fresh random order per roofer; the input covering each uncovered
@@ -201,10 +186,10 @@ def init_roofers(problem: ComponentProblem, n_size: int, rng: random.Random) -> 
             candidates = problem.inputs_of[bl]
             weights = [1.0 / (1 + occurrence[i]) for i in candidates]
             pick = _weighted_choice(rng, candidates, _running_sums(weights))
-            members |= problem._bit[pick]
+            members |= problem.bit[pick]
             occurrence[pick] += 1
         roofers.append(problem.individual(problem.removal(members)[1]))
-    return Populations.of(problem, roofers)
+    return Populations.of(roofers)
 
 
 def select_parents(problem: ComponentProblem, pops: Populations,
@@ -216,9 +201,8 @@ def select_parents(problem: ComponentProblem, pops: Populations,
         roofer = _weighted_choice(rng, pops.roofers, pops.roofer_sums)
         return miser, roofer
     first = _weighted_choice(rng, pops.roofers, pops.roofer_sums)
-    rest = [k for k, r in enumerate(pops.roofers) if r is not first]
-    second = _weighted_choice(rng, [pops.roofers[k] for k in rest],
-                              _running_sums([pops.roofer_weights[k] for k in rest]))
+    rest = [r for r in pops.roofers if r is not first]
+    second = _weighted_choice(rng, rest, _running_sums([1.0 / r.cost for r in rest]))
     return first, second
 
 
@@ -238,15 +222,14 @@ def crossover(problem: ComponentProblem, m1: int, m2: int,
 
 def mutate(problem: ComponentProblem, mask: int, rng: random.Random) -> int:
     """Toggle one uniformly chosen component input, then reduce."""
-    return problem.removal(mask ^ rng.choice(problem.bits))[1]
+    return problem.removal(mask ^ (1 << rng.randrange(len(problem.inputs))))[1]
 
 
 def update_populations(problem: ComponentProblem, pops: Populations,
                        mask: int, rng: random.Random) -> None:
     """Fold one offspring into the populations, in place. Draws from `rng`
     only to pick the roofer an admitted covering child evicts."""
-    live = pops.live
-    if mask in live or mask in pops.refused:
+    if mask in pops.live or mask in pops.refused:
         return
     cost, fitness = problem.evaluate(mask)
     if not any(fitness[1:]):  # every objective value 0: covers all
@@ -256,27 +239,22 @@ def update_populations(problem: ComponentProblem, pops: Populations,
             return
         ties = [idx for idx, r in enumerate(pops.roofers) if r.cost == max_cost]
         evict = rng.choice(ties)
-        _forget(live, pops.roofers[evict].mask)
+        pops.live -= Counter((pops.roofers[evict].mask,))
+        pops.live[mask] += 1
         pops.roofers[evict] = Individual(mask, cost, fitness)
-        pops.roofer_weights[evict] = 1.0 / cost
-        pops.roofer_sums = _running_sums(pops.roofer_weights)
-        live[mask] += 1
+        pops.roofer_sums = _running_sums([1.0 / r.cost for r in pops.roofers])
         return
-    for miser in pops.misers:
-        if dominates(miser.fitness, fitness):
-            pops.refused.add(mask)
-            return
+    pops.refused.add(mask)
+    if any(dominates(miser.fitness, fitness) for miser in pops.misers):
+        return
     misers, weights = [], []
     for miser, weight in zip(pops.misers, pops.miser_weights):
-        if dominates(fitness, miser.fitness):
-            _forget(live, miser.mask)
-        else:
+        if not dominates(fitness, miser.fitness):
             misers.append(miser)
             weights.append(weight)
     candidate = Individual(mask, cost, fitness)
     misers.append(candidate)
     weights.append(1.0 / problem.exposure(candidate))
-    live[mask] += 1
     pops.misers, pops.miser_weights = misers, weights
     pops.miser_sums = _running_sums(weights)
 
@@ -287,11 +265,14 @@ def mocco_run(cover, costs, config: RunConfig = RunConfig(),
 
     Reads `n_size` and `generations` from `config`; at most
     `n_size + 2 * generations` individuals are evaluated. Every cost must
-    be positive (`ComponentProblem` raises `ValueError` otherwise).
+    be positive (`ComponentProblem` raises `ValueError` otherwise). A cover
+    with no objectives gives the empty set.
     `on_generation(gen, pops)` is an optional observation hook, used by the
     invariant-checking tests.
     """
     problem = ComponentProblem(cover, costs)
+    if not problem.objectives:  # nothing to cover: the empty set does it
+        return frozenset()
     rng = random.Random(seed)
     pops = init_roofers(problem, config.n_size, rng)
     if on_generation is not None:

@@ -15,7 +15,7 @@ from covmin.dataset import TokenDoc
 from covmin.distance import bag_matrix, lev_matrix, levenshtein, param_distance, params_match, url_distance
 from covmin.harness import run_pipeline
 from covmin.reduction import reduce_problem, split_components, valid_orders_gain
-from covmin.search import ComponentProblem, crossover, dominates, mocco_run
+from covmin.search import ComponentProblem, _running_sums, crossover, dominates, mocco_run
 from covmin.synthetic import make_synthetic_dataset, planted_optimum_cost
 
 from _oracles import (
@@ -199,13 +199,18 @@ class _InvariantTracker:
                 if dominates(past, m.fitness):
                     self.violations.append((gen, "miser dominated by past miser"))
         self.shadow_misers.update(dict.fromkeys(m.fitness for m in pops.misers))
-        # The stored selection weights and live multiset match the lists.
-        if pops.roofer_weights != [1.0 / r.cost for r in pops.roofers]:
-            self.violations.append((gen, "stored roofer weights"))
+        # The stored weights, running sums, live multiset and refusals match
+        # the lists.
         if pops.miser_weights != [1.0 / problem.exposure(m) for m in pops.misers]:
             self.violations.append((gen, "stored miser weights"))
-        if pops.live != Counter(x.mask for x in pops.roofers + pops.misers):
-            self.violations.append((gen, "live member multiset"))
+        if pops.roofer_sums != _running_sums([1.0 / r.cost for r in pops.roofers]):
+            self.violations.append((gen, "roofer running sums"))
+        if pops.miser_sums != _running_sums(pops.miser_weights):
+            self.violations.append((gen, "miser running sums"))
+        if pops.live != Counter(r.mask for r in pops.roofers):
+            self.violations.append((gen, "live roofer multiset"))
+        if any(m.mask not in pops.refused for m in pops.misers):
+            self.violations.append((gen, "live miser not refused"))
 
 
 _DESK_RUNS = {}

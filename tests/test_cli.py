@@ -1,11 +1,16 @@
+import copy
 import dataclasses
+import functools
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from covmin import baselines, harness
 from covmin.blocks import build_coverage
@@ -347,6 +352,7 @@ def test_reduce_coverage_ids_must_match_dataset(tmp_path, capsys):
     for cover, named in (
         ({"1": ["0:GET:0"]}, "missing input ids [2, 3, "),
         ({**every, "41": ["0:GET:0"], "99": []}, "unknown input ids [41, 99]"),
+        ({**every, " 01": []}, "lists input id 1 twice"),
     ):
         cov.write_text(json.dumps({"cover": cover}))
         assert main(["reduce", "--dataset", BUNDLED, "--coverage", str(cov)]) == 2
@@ -355,6 +361,65 @@ def test_reduce_coverage_ids_must_match_dataset(tmp_path, capsys):
         assert err.count("\n") == 1, err
     cov.write_text(json.dumps({"cover": every}))
     assert main(["reduce", "--dataset", BUNDLED, "--coverage", str(cov)]) == 0
+
+
+@functools.cache
+def _cluster_output() -> str:
+    """The text `covmin cluster` writes for the bundled dataset at seed 1."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "coverage.json"
+        assert main(["cluster", "--dataset", BUNDLED, "--seed", "1", "--out", str(out)]) == 0
+        return out.read_text()
+
+
+def _replace_leaf(doc, site, k, j, value):
+    """`doc` with one leaf replaced by `value`: the whole document, its
+    cover, the k-th entry, that entry's key (for odd j the entry also stays
+    under its old key) or its j-th block string, each index taken modulo
+    the length. `doc` is returned as it is where it has no such leaf."""
+    if site == "top":
+        return value
+    if not isinstance(doc, dict):
+        return doc
+    if site == "cover":
+        doc["cover"] = value
+        return doc
+    cover = doc.get("cover")
+    if not isinstance(cover, dict) or not cover:
+        return doc
+    key = sorted(cover)[k % len(cover)]
+    if site == "entry":
+        cover[key] = value
+    elif site == "key":
+        new_key = value if isinstance(value, str) else json.dumps(value)
+        cover[new_key] = cover[key] if j % 2 else cover.pop(key)
+    elif isinstance(cover[key], list) and cover[key]:
+        cover[key][j % len(cover[key])] = value
+    return doc
+
+
+_FUZZ_VALUES = (None, [], {}, -1, 0, 2**70, 1.5, "", "x", True, [1], {"a": 1},
+                "1:POST:x", "a:b:c:d", "01", " 1")
+_LEAF_EDITS = st.lists(st.tuples(
+    st.sampled_from(("top", "cover", "entry", "key", "block")),
+    st.integers(0, 63), st.integers(0, 7),
+    st.sampled_from(_FUZZ_VALUES).map(copy.deepcopy),
+), min_size=1, max_size=2)
+
+
+@settings(max_examples=800, derandomize=True, deadline=None)
+@given(_LEAF_EDITS)
+def test_reduce_on_a_fuzzed_coverage_file_exits_0_or_2(edits):
+    doc = json.loads(_cluster_output())
+    for edit in edits:
+        doc = _replace_leaf(doc, *edit)
+    with tempfile.TemporaryDirectory() as tmp:
+        cov, out = Path(tmp) / "coverage.json", Path(tmp) / "reduced.json"
+        cov.write_text(json.dumps(doc))
+        status = main(["reduce", "--dataset", BUNDLED, "--coverage", str(cov), "--out", str(out)])
+    assert status in (0, 2), (edits, status)
+    if status == 0:  # each input id is listed once
+        assert len({int(key) for key in doc["cover"]}) == len(doc["cover"]), edits
 
 
 def test_result_bytes_match_golden_files(tmp_path):

@@ -1,5 +1,6 @@
 import logging
 import random
+from collections import Counter
 from unittest import mock
 
 import pytest
@@ -146,7 +147,7 @@ def test_select_parents_weights_toward_cheap_roofers():
     cheap = problem.individual(problem.mask_of({2, 3}))  # cost 6
     # Built raw: a roofer of cost 12 with cheap's fitness.
     costly = Individual(mask=problem.mask_of({1, 2, 3}), cost=12, fitness=cheap.fitness)
-    pops = Populations.of(problem, [cheap, costly])
+    pops = Populations.of([cheap, costly])
     rng = random.Random(123)
     first_counts = 0
     draws = 100_000
@@ -161,8 +162,10 @@ def test_select_parents_weights_toward_cheap_roofers():
 def test_select_parents_with_misers():
     problem = _greedy_problem()
     roofer = problem.individual(problem.mask_of({2, 3}))
-    miser = problem.individual(problem.mask_of({2}))
-    pops = Populations.of(problem, [roofer], [miser])
+    pops = Populations.of([roofer])
+    update_populations(problem, pops, problem.mask_of({2}), random.Random(0))
+    [miser] = pops.misers
+    assert problem.set_of(miser.mask) == frozenset({2})
     p1, p2 = select_parents(problem, pops, random.Random(1))
     assert p1 is miser
     assert p2 is roofer
@@ -257,7 +260,7 @@ def test_mutate_results_are_reduced():
 def test_update_populations_roofer_replacement_and_duplicates():
     problem = _greedy_problem()
     worst = problem.individual(problem.mask_of({1, 2, 3}))
-    pops = Populations.of(problem, [worst, worst])
+    pops = Populations.of([worst, worst])
     rng = random.Random(0)
     # Equal-cost full-coverage candidate is accepted (<=, not <).
     update_populations(problem, pops, problem.mask_of({2, 3}), rng)
@@ -271,7 +274,7 @@ def test_update_populations_roofer_replacement_and_duplicates():
 def test_update_populations_miser_dominance():
     problem = _greedy_problem()
     roofer = problem.individual(problem.mask_of({2, 3}))
-    pops = Populations.of(problem, [roofer])
+    pops = Populations.of([roofer])
     rng = random.Random(0)
     update_populations(problem, pops, problem.mask_of({1}), rng)
     assert len(pops.misers) == 1
@@ -413,31 +416,47 @@ def test_mocco_run_matches_reference_search(case, n_size, generations):
 @given(_component(), st.integers(2, 8), st.integers(0, 60))
 @example((EVICTING_COVER, EVICTING_COSTS, 21), 2, 20)
 def test_refused_children_stay_inadmissible(case, n_size, generations):
-    """A refused child is never live again: at every later generation it is
-    covering and costlier than the costliest roofer, or dominated by a live
-    miser."""
+    """At every generation each refused mask is a live miser's, a partial
+    mask dominated by a live miser, or a covering mask costlier than every
+    roofer; none is a roofer's."""
     cover, costs, seed = case
-    refused = []
-    update = covmin.search.update_populations
-
-    def recording(problem, pops, child, rng):
-        known = child in pops.refused
-        update(problem, pops, child, rng)
-        if child in pops.refused and not known:
-            refused.append((child, *problem.evaluate(child)))
+    judge = ComponentProblem(cover, costs)
+    judged = {}
 
     def check(gen, pops):
         max_cost = max(r.cost for r in pops.roofers)
-        for child, cost, fitness in refused:
-            assert child not in pops.live
-            if any(fitness[1:]):
-                assert any(dominates(m.fitness, fitness) for m in pops.misers)
-            else:
+        live_misers = {m.mask for m in pops.misers}
+        for mask in pops.refused:
+            if mask not in judged:
+                judged[mask] = judge.evaluate(mask)
+            cost, fitness = judged[mask]
+            assert mask not in pops.live
+            if not any(fitness[1:]):
                 assert cost > max_cost
+            elif mask not in live_misers:
+                assert any(dominates(m.fitness, fitness) for m in pops.misers)
 
-    with mock.patch.object(covmin.search, "update_populations", recording):
-        mocco_run(cover, costs, RunConfig(n_size=n_size, generations=generations),
-                  seed, on_generation=check)
+    mocco_run(cover, costs, RunConfig(n_size=n_size, generations=generations),
+              seed, on_generation=check)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(_component(), st.integers(2, 8), st.integers(0, 60))
+@example((EVICTING_COVER, EVICTING_COSTS, 21), 2, 20)
+def test_each_partial_mask_is_evaluated_once(case, n_size, generations):
+    cover, costs, seed = case
+    partial = Counter()
+    evaluate = ComponentProblem.evaluate
+
+    def counting(self, mask):
+        cost, fitness = evaluate(self, mask)
+        if any(fitness[1:]):
+            partial[mask] += 1
+        return cost, fitness
+
+    with mock.patch.object(ComponentProblem, "evaluate", counting):
+        mocco_run(cover, costs, RunConfig(n_size=n_size, generations=generations), seed)
+    assert all(n == 1 for n in partial.values()), partial
 
 
 def test_component_problem_needs_positive_costs():
@@ -446,6 +465,12 @@ def test_component_problem_needs_positive_costs():
         mocco_run(cover, {1: 0, 2: 5, 3: 0}, RunConfig(n_size=4, generations=10), 1)
     with pytest.raises(ValueError, match="input 2 has cost -1"):
         ComponentProblem(cover, {1: 1, 2: -1, 3: 0})
+
+
+def test_mocco_run_on_a_cover_with_no_objectives():
+    for cover, costs in (({}, {}), ({1: frozenset()}, {1: 5})):
+        assert mocco_run(cover, costs) == frozenset()
+        assert exhaustive_optimal(cover, costs) == frozenset()
 
 
 def test_exposure_called_once_per_admitted_miser(monkeypatch):
@@ -479,12 +504,12 @@ def test_exposure_called_once_per_admitted_miser(monkeypatch):
 
 @settings(max_examples=150, derandomize=True, deadline=None)
 @given(_component(), st.data())
-def test_fitness_memo_matches_definition(case, data):
+def test_evaluate_matches_definition(case, data):
     cover, costs, _ = case
     problem = ComponentProblem(cover, costs)
     subsets = data.draw(st.lists(
         st.frozensets(st.sampled_from(sorted(cover))), max_size=6))
-    for _ in range(2):  # the first call evaluates, the repeat reads the memo
+    for _ in range(2):  # the repeat reads the removal memo
         for s in subsets:
             assert problem.evaluate(problem.mask_of(s)) == (
                 sum(costs[i] for i in s), fitness_by_definition(s, cover, costs))
