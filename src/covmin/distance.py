@@ -13,6 +13,14 @@ import numpy as np
 
 from .dataset import Action
 
+# The most bytes of bit segments packed into one match table by `lev_matrix`.
+# It bounds the table and each block read out, and sets time; never the result.
+LEV_BATCH_BYTES = 1024
+
+# The number of set bits of each byte value.
+_BYTE_POPCOUNT = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).sum(
+    axis=1, dtype=np.uint8)
+
 
 def normalize(x: float) -> float:
     """Map [0, inf) to [0, 1) monotonically: x / (x + 1)."""
@@ -39,26 +47,31 @@ def levenshtein(a, b) -> int:
         peq[x] = peq.get(x, 0) | bit
         bit <<= 1
     mask = bit - 1
-    pv, mv = _lev_scan(a, peq, mask, bit >> 1, mask & 1)
+    pv, mv = _lev_scan(a, peq, mask, mask & 1)
     return len(a) + pv.bit_count() - mv.bit_count()
 
 
-def _lev_scan(text, eqs, mask: int, top: int, low: int) -> tuple[int, int]:
+def _lev_scan(text, eqs, mask: int, low: int) -> tuple[int, int]:
     """Hyyrö's Levenshtein column step over every item of `text`, against
-    patterns packed into bit segments within `mask`: `eqs` maps an item to
-    its match bits, `top` and `low` hold each segment's top and bottom bit.
-    The addition is carry-blocked at the top bits, the shifts drop what
-    crosses into a bottom bit, where the first row's +1 enters instead, and
-    every vector stays within `mask`, so a complement is an XOR with it.
-    Returns the last column's vertical +1 and -1 delta vectors."""
-    not_top, not_low = mask ^ top, mask ^ low
+    patterns packed into bit segments: `eqs` maps an item to its match bits,
+    `mask` holds every segment's bits and `low` each one's bottom bit.
+    Each segment has a zero pad bit above it, outside `mask`, where the
+    addition's carry out of the segment dies; the shifts drop what crosses
+    into a bottom bit or a pad bit, and the first row's +1 enters at the
+    bottom bits. So the vectors stay within `mask`, and a complement is an
+    XOR with it. An item no pattern holds (eq = 0, so xh = mh = 0) takes a
+    short step. Returns the last column's vertical +1 and -1 delta vectors."""
+    not_low = mask ^ low
     pv, mv = mask, 0
     for x in text:
-        eq = eqs.get(x, 0)
+        eq = eqs.get(x)
+        if eq is None:
+            ph = (((mv | (pv ^ mask)) << 1) | low) & mask
+            pv = (mv | ph) ^ mask
+            mv &= ph
+            continue
         xv = eq | mv
-        y = eq & pv
-        added = ((y & not_top) + (pv & not_top)) ^ ((y ^ pv) & top)
-        xh = (added ^ pv) | eq
+        xh = (((eq & pv) + pv) ^ pv) | eq
         ph = mv | ((xh | pv) ^ mask)
         mh = pv & xh
         ph = ((ph << 1) | low) & mask
@@ -77,22 +90,28 @@ def bag_matrix(docs) -> np.ndarray:
     add min(count_i, count_j) to the intersection of every pair among them,
     so only pairs that share a token cost work. Tokens with identical
     postings add the same block, so each such group adds it once, times the
-    group's size. The arithmetic is int64 until the last step, so the matrix
-    equals the pair loop's exactly.
+    group's size. The intersection is summed in the result array itself and
+    then subtracted from max(len_i, len_j) in place, a block of rows at a
+    time. Every value is an integer far below 2**53, so the float64
+    arithmetic is exact and the matrix equals the pair loop's.
     """
     postings: dict[str, list[tuple[int, int]]] = {}
     for i, doc in enumerate(docs):
         for tok, count in Counter(doc.tokens).items():
             postings.setdefault(tok, []).append((i, count))
     n = len(docs)
-    inter = np.zeros((n, n), dtype=np.int64)
+    out = np.zeros((n, n))
     for posting, size in Counter(map(tuple, postings.values())).items():
         ids, counts = zip(*posting)
-        c = np.array(counts, dtype=np.int64)
+        c = np.array(counts, dtype=np.float64)
         # Each document appears once per posting, so no index repeats.
-        inter[np.ix_(ids, ids)] += size * np.minimum.outer(c, c)
-    lengths = np.array([len(doc.tokens) for doc in docs], dtype=np.int64)
-    return (np.maximum.outer(lengths, lengths) - inter).astype(np.float64)
+        out[np.ix_(ids, ids)] += size * np.minimum.outer(c, c)
+    lengths = np.array([len(doc.tokens) for doc in docs], dtype=np.float64)
+    step = max(1, 2**16 // max(n, 1))  # rows whose max(len_i, len_j) block is at most 512 KiB
+    for r in range(0, n, step):
+        rows = out[r:r + step]
+        np.subtract(np.maximum.outer(lengths[r:r + step], lengths), rows, out=rows)
+    return out
 
 
 def lev_matrix(docs) -> np.ndarray:
@@ -100,50 +119,88 @@ def lev_matrix(docs) -> np.ndarray:
 
     The multi-pattern form of the bit-vector algorithm (Hyyrö, Fredriksson
     and Navarro, "Increased bit-parallelism for approximate and multiple
-    string matching", ACM JEA 10, 2005). Every document is packed into one
-    Python int, each in its own bit segment, the last document lowest, so
-    the documents after document i are exactly the low `off[i]` bits. Each
-    document is scanned once by `_lev_scan` as the text against all of
-    those segments at once. The last column's vertical deltas then give
-    d(i, j) = len(i) + popcount(pv & seg_j) - popcount(mv & seg_j). Every
-    step is integer arithmetic, so the matrix equals the pair loop's
-    exactly.
+    string matching", ACM JEA 10, 2005). Runs of consecutive documents
+    whose segments take at most `LEV_BATCH_BYTES` bytes (a longer document
+    alone) form batches. Within a batch, each document is packed into one
+    Python int in its own byte-aligned bit segment of (len + 8) // 8 bytes,
+    so at least one zero pad bit lies above it, the first document lowest.
+    Each document of the batch is scanned by `_lev_scan` as the text just
+    before it is packed, when the match table holds exactly the documents
+    before it; each later document is scanned once against the whole
+    batch. The last column's vertical deltas give d(i, j) = len(i) +
+    popcount(pv & seg_j) - popcount(mv & seg_j), read off by
+    `_lev_readout` for a batch of rows at once. Every step is integer
+    arithmetic, so the matrix equals the pair loop's exactly; the batch
+    size sets time and memory only.
     """
     n = len(docs)
+    out = np.zeros((n, n))
     lengths = np.array([len(doc.tokens) for doc in docs], dtype=np.int64)
-    off = np.cumsum(lengths[::-1])[::-1] - lengths
-    peq: dict = {}
-    low = top = 0
-    for doc, start in zip(docs, off.tolist()):
-        local: dict = {}
-        bit = 1
-        for tok in doc.tokens:
-            local[tok] = local.get(tok, 0) | bit
-            bit <<= 1
-        if doc.tokens:
-            low |= 1 << start
-            top |= bit >> 1 << start
-        for tok, bits in local.items():
-            peq[tok] = peq.get(tok, 0) | bits << start
-    out = np.zeros((n, n), dtype=np.int64)
-    for i, doc in enumerate(docs[:-1]):
-        width = int(off[i])
-        mask = (1 << width) - 1
-        eqs = {tok: peq[tok] & mask for tok in set(doc.tokens)}
-        pv, mv = _lev_scan(doc.tokens, eqs, mask, top & mask, low & mask)
-        # Running sums of the vertical deltas, read off at segment bounds.
-        delta = _bits(pv, width) - _bits(mv, width)
-        sums = np.zeros(width + 1, dtype=np.int64)
-        np.cumsum(delta, out=sums[1:])
-        start = off[i + 1:]
-        out[i, i + 1:] = len(doc.tokens) + sums[start + lengths[i + 1:]] - sums[start]
-    return (out + out.T).astype(np.float64)
+    sizes = (lengths + 8) // 8
+    bounds, used = [0], 0
+    for i, size in enumerate(sizes.tolist()):
+        if used and used + size > LEV_BATCH_BYTES:
+            bounds.append(i)
+            used = 0
+        used += size
+    bounds.append(n)
+    for b, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+        width = int(sizes[lo:hi].sum())
+        table: dict = {}
+        mask = low = start = 0
+        own = bytearray()
+        for k in range(lo, hi):
+            tokens = docs[k].tokens
+            if k > lo:
+                own += _lev_row(tokens, table, mask, low, width)
+            local: dict = {}
+            bit = 1
+            for tok in tokens:
+                local[tok] = local.get(tok, 0) | bit
+                bit <<= 1
+            for tok, bits in local.items():
+                table[tok] = table.get(tok, 0) | bits << start
+            if tokens:
+                low |= 1 << start
+                mask |= (bit - 1) << start
+            start += 8 * int(sizes[k])
+        for r_lo, r_hi in zip(bounds[b + 1:], bounds[b + 2:]):
+            rows = bytearray()
+            for i in range(r_lo, r_hi):
+                rows += _lev_row(docs[i].tokens, table, mask, low, width)
+            d = _lev_readout(rows, sizes[lo:hi], lengths[r_lo:r_hi])
+            out[r_lo:r_hi, lo:hi] = d
+            out[lo:hi, r_lo:r_hi] = d.T
+        del table  # not needed to read out the batch's own rows
+        if hi - lo > 1:
+            # The row of document k is a distance only to the documents before k.
+            square = out[lo:hi, lo:hi]
+            square[1:] = np.tril(_lev_readout(own, sizes[lo:hi], lengths[lo + 1:hi]))
+            square += square.T
+    return out
 
 
-def _bits(x: int, width: int) -> np.ndarray:
-    """The low `width` bits of a non-negative int as int64 0/1, lowest first."""
-    raw = np.frombuffer(x.to_bytes((width + 7) // 8, "little"), dtype=np.uint8)
-    return np.unpackbits(raw, count=width, bitorder="little").astype(np.int64)
+def _lev_row(text, eqs, mask: int, low: int, width: int) -> bytes:
+    """`_lev_scan` of `text` as one row: pv then mv, `width` little-endian
+    bytes each."""
+    pv, mv = _lev_scan(text, eqs, mask, low)
+    return pv.to_bytes(width, "little") + mv.to_bytes(width, "little")
+
+
+def _lev_readout(rows, sizes, lengths) -> np.ndarray:
+    """The distances of a block of scanned rows (`_lev_row`, one per entry
+    of `lengths`) to each segment of a batch of `sizes` bytes:
+    len(row) + popcount(pv) - popcount(mv) over the segment's bytes. Each
+    segment's count fits the smallest unsigned type that holds its bits."""
+    width = int(sizes.sum())
+    bits = np.frombuffer(rows, dtype=np.uint8).reshape(len(lengths), 2 * width)
+    starts = np.cumsum(sizes) - sizes
+    counts = np.add.reduceat(_BYTE_POPCOUNT[bits], np.concatenate((starts, width + starts)),
+                             axis=1, dtype=np.min_scalar_type(8 * int(sizes.max())))
+    d = counts[:, :len(sizes)].astype(np.float64)
+    d -= counts[:, len(sizes):]
+    d += lengths[:, None]
+    return d
 
 
 def url_distance(u1, u2) -> int:

@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import functools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -420,6 +421,85 @@ def test_reduce_on_a_fuzzed_coverage_file_exits_0_or_2(edits):
     assert status in (0, 2), (edits, status)
     if status == 0:  # each input id is listed once
         assert len({int(key) for key in doc["cover"]}) == len(doc["cover"]), edits
+
+
+@functools.cache
+def _dataset_slice() -> str:
+    """The first six inputs of data/synthetic.json and the vulnerabilities
+    that only they detect, as JSON text."""
+    doc = json.loads(Path(BUNDLED).read_text())
+    inputs = doc["inputs"][:6]
+    ids = {rec["id"] for rec in inputs}
+    return json.dumps({"inputs": inputs, "vulnerabilities": [
+        v for v in doc["vulnerabilities"]
+        if all(set(group) <= ids for group in v["detecting_groups"])]})
+
+
+def _nodes(node, path=()):
+    """The path of every value in a JSON document, the document's own first."""
+    yield path
+    if isinstance(node, dict):
+        children = sorted(node.items())
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        children = ()
+    for key, child in children:
+        yield from _nodes(child, path + (key,))
+
+
+def _replace_node(doc, k, value):
+    """`doc` with its k-th value (a leaf, list or object; `_nodes` order,
+    modulo their number) replaced by `value`."""
+    paths = list(_nodes(doc))
+    path = paths[k % len(paths)]
+    if not path:
+        return value
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return doc
+
+
+_LOADER_FUZZ_VALUES = (None, [], {}, -1, 0, 2**70, 1.5, 1e308, math.nan, math.inf, "", "x",
+                       True, [1], [2, 1], [1e-300, 1e-300], {"a": 1},
+                       "GET", "POST", "http://h/p", "int", "bag", "kmeans")
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 255), st.sampled_from(_LOADER_FUZZ_VALUES)),
+                min_size=1, max_size=2))
+def test_ingest_and_minimize_on_a_fuzzed_dataset_exit_0_or_2(edits):
+    doc = json.loads(_dataset_slice())
+    for k, value in edits:
+        doc = _replace_node(doc, k, copy.deepcopy(value))
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp) / "dataset.json", Path(tmp) / "out.json"
+        path.write_text(json.dumps(doc))
+        for args in (["ingest"], ["minimize", "--seed", "1"]):
+            status = main(args + ["--dataset", str(path), "--out", str(out)])
+            assert status in (0, 2), (edits, args, status)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(sorted(RunConfig.__dataclass_fields__)),
+                          st.sampled_from(_LOADER_FUZZ_VALUES)),
+                min_size=1, max_size=2))
+def test_minimize_on_a_fuzzed_config_file_exits_0_or_2(edits):
+    # Every field of the default configuration is written out, then one or
+    # two are replaced. Each input of the slice is necessary, so any search
+    # settings that pass validation leave the run short.
+    config = json.loads(json.dumps(dataclasses.asdict(RunConfig())))
+    for field, value in edits:
+        config[field] = copy.deepcopy(value)
+    with tempfile.TemporaryDirectory() as tmp:
+        dataset, path, out = (Path(tmp) / name for name in ("dataset.json", "config.json", "out.json"))
+        dataset.write_text(_dataset_slice())
+        path.write_text(json.dumps(config))
+        status = main(["minimize", "--dataset", str(dataset), "--config", str(path),
+                       "--seed", "1", "--out", str(out)])
+    assert status in (0, 2), (edits, status)
 
 
 def test_result_bytes_match_golden_files(tmp_path):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from covmin import distance
 from covmin.dataset import Action, TokenDoc
 from covmin.distance import (
     action_distance,
@@ -187,6 +188,39 @@ def test_lev_matrix_matches_dp(docs):
     assert np.array_equal(m, want)
     assert np.array_equal(m, m.T)
     assert not np.diag(m).any()
+
+
+# Lengths on both sides of the byte bounds of `lev_matrix`'s segments.
+PAD_LENGTHS = (0, 1, 7, 8, 9, 15, 16, 17, 63, 64, 65)
+
+
+@st.composite
+def _batched_documents(draw):
+    """0-12 documents of the PAD_LENGTHS over a 1-3 word vocabulary, each
+    document also drawing from a token of its own that no other one holds."""
+    size = draw(st.integers(1, 3))
+    docs = []
+    for i in range(draw(st.integers(0, 12))):
+        token = st.sampled_from(WORDS[:size] + (f"own{i}",))
+        n = draw(st.sampled_from(PAD_LENGTHS))
+        docs.append(TokenDoc(tuple(draw(st.lists(token, min_size=n, max_size=n)))))
+    return docs
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(_batched_documents())
+@example([TokenDoc(("ok",) * 300), TokenDoc(("ok", "ok"))])
+@example([TokenDoc(("ok",) * 8), TokenDoc(("job",) * 8), TokenDoc(()), TokenDoc(("ok",) * 16)])
+def test_lev_matrix_matches_dp_in_small_batches(docs):
+    # Batches of 1-7 bytes split the documents between rows and between
+    # batches; the first example's segment holds more than 255 set bits.
+    n = len(docs)
+    want = np.array([[levenshtein_dp(a.tokens, b.tokens) for b in docs]
+                     for a in docs], dtype=np.float64).reshape(n, n)
+    with pytest.MonkeyPatch.context() as mp:
+        for batch_bytes in (1, 2, 3, 7):
+            mp.setattr(distance, "LEV_BATCH_BYTES", batch_bytes)
+            assert np.array_equal(lev_matrix(docs), want), batch_bytes
 
 
 def test_url_distance_worked_example():
