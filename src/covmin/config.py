@@ -13,6 +13,9 @@ from .dataset import ValidationError, _checked, read_json
 # The most DBSCAN grid points (eps values times min_neighbors values) a run
 # configuration may ask for; the walk labels each of them in turn.
 MAX_GRID_POINTS = 100_000
+# The most individuals, n_size + 2 * generations, one component's genetic
+# search may evaluate; the search has no other budget.
+MAX_SEARCH_INDIVIDUALS = 100_000
 
 
 @dataclass(frozen=True)
@@ -40,6 +43,11 @@ class RunConfig:
             raise ValidationError("population size must be at least 2")
         if self.generations < 0:
             raise ValidationError("generations must be at least 0")
+        individuals = self.n_size + 2 * self.generations
+        if individuals > MAX_SEARCH_INDIVIDUALS:
+            raise ValidationError(f"n_size {self.n_size} and generations {self.generations} "
+                                  f"make a search of {individuals} individuals (n_size + 2 * "
+                                  f"generations), above the bound of {MAX_SEARCH_INDIVIDUALS}")
         if self.repetitions < 1:
             raise ValidationError("repetitions must be at least 1")
         for name, (lo, hi) in (("k_range", self.k_range),

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from covmin import baselines, harness
 from covmin.blocks import build_coverage
 from covmin.cli import coverage_to_dict, main
-from covmin.config import MAX_GRID_POINTS, RunConfig
+from covmin.config import MAX_GRID_POINTS, MAX_SEARCH_INDIVIDUALS, RunConfig
 from covmin.dataset import ValidationError
 from covmin.synthetic import write_synthetic_dataset
 
@@ -346,6 +346,28 @@ def test_config_bounds_the_dbscan_grid():
     RunConfig(eps_range=(1.0, 1.0 + 0.5 * (MAX_GRID_POINTS - 1)), min_neighbors_range=(1, 1))
 
 
+def test_config_bounds_the_search_budget(tmp_path, capsys):
+    # The defaults are n_size 20 and 100 generations.
+    RunConfig(n_size=MAX_SEARCH_INDIVIDUALS - 200)
+    RunConfig(generations=(MAX_SEARCH_INDIVIDUALS - 20) // 2)
+    for kwargs in ({"n_size": MAX_SEARCH_INDIVIDUALS - 199},
+                   {"generations": (MAX_SEARCH_INDIVIDUALS - 20) // 2 + 1}):
+        with pytest.raises(ValidationError, match="n_size .* and generations .* above the bound"):
+            RunConfig(**kwargs)
+    # A search runs on this slice; without the bound either budget would
+    # keep it running without end.
+    dataset, config = tmp_path / "dataset.json", tmp_path / "config.json"
+    dataset.write_text(_dataset_slice(_COMPONENT_SLICE))
+    for field in ("generations", "n_size"):
+        config.write_text(json.dumps({field: 2**70}))
+        status = main(["minimize", "--dataset", str(dataset), "--config", str(config),
+                       "--seed", "1", "--out", str(tmp_path / "out.json")])
+        err = capsys.readouterr().err
+        assert status == 2, field
+        assert err.startswith("error: n_size ") and err.count("\n") == 1, err
+        assert f"bound of {MAX_SEARCH_INDIVIDUALS}" in err, err
+
+
 def test_reduce_coverage_ids_must_match_dataset(tmp_path, capsys):
     # data/synthetic.json has input ids 1..40.
     cov = tmp_path / "coverage.json"
@@ -424,15 +446,18 @@ def test_reduce_on_a_fuzzed_coverage_file_exits_0_or_2(edits):
 
 
 @functools.cache
-def _dataset_slice() -> str:
-    """The first six inputs of data/synthetic.json and the vulnerabilities
-    that only they detect, as JSON text."""
+def _dataset_slice(ids=frozenset(range(1, 7))) -> str:
+    """The inputs of data/synthetic.json with the given ids (by default the
+    first six) and the vulnerabilities that only they detect, as JSON text."""
     doc = json.loads(Path(BUNDLED).read_text())
-    inputs = doc["inputs"][:6]
-    ids = {rec["id"] for rec in inputs}
+    inputs = [rec for rec in doc["inputs"] if rec["id"] in ids]
     return json.dumps({"inputs": inputs, "vulnerabilities": [
         v for v in doc["vulnerabilities"]
         if all(set(group) <= ids for group in v["detecting_groups"])]})
+
+
+# Inputs 1 and 2 are necessary and 31-34 are one component of the reduction.
+_COMPONENT_SLICE = frozenset({1, 2, 31, 32, 33, 34})
 
 
 def _nodes(node, path=()):
@@ -488,14 +513,14 @@ def test_ingest_and_minimize_on_a_fuzzed_dataset_exit_0_or_2(edits):
                 min_size=1, max_size=2))
 def test_minimize_on_a_fuzzed_config_file_exits_0_or_2(edits):
     # Every field of the default configuration is written out, then one or
-    # two are replaced. Each input of the slice is necessary, so any search
-    # settings that pass validation leave the run short.
+    # two are replaced. Inputs 31-34 are one component, so the search runs,
+    # and the search budget bound keeps every run that passes validation short.
     config = json.loads(json.dumps(dataclasses.asdict(RunConfig())))
     for field, value in edits:
         config[field] = copy.deepcopy(value)
     with tempfile.TemporaryDirectory() as tmp:
         dataset, path, out = (Path(tmp) / name for name in ("dataset.json", "config.json", "out.json"))
-        dataset.write_text(_dataset_slice())
+        dataset.write_text(_dataset_slice(_COMPONENT_SLICE))
         path.write_text(json.dumps(config))
         status = main(["minimize", "--dataset", str(dataset), "--config", str(path),
                        "--seed", "1", "--out", str(out)])
@@ -506,6 +531,7 @@ def test_result_bytes_match_golden_files(tmp_path):
     # Result bytes pinned across code versions: regenerate these files only
     # in a change that means to alter results, and say so in CHANGES.md.
     for args, golden in (
+        (["ingest"], "ingest_synthetic.json"),
         (["minimize", "--seed", "7"], "minimize_synthetic_seed7.json"),
         (["oracle"], "oracle_synthetic.json"),
         (["reduce", "--seed", "7"], "reduce_synthetic_seed7.json"),
