@@ -3,6 +3,9 @@
 Subcommands: ingest, cluster, reduce, minimize, bench, oracle.
 Exit codes: 0 on success, 2 on validation errors (including a file that
 cannot be read or written and a component too large for the exact solver).
+
+Each command imports the pipeline modules it runs, so `covmin ingest`, which
+only loads, imports neither numpy nor the pipeline.
 """
 
 from __future__ import annotations
@@ -11,12 +14,13 @@ import argparse
 import json
 import logging
 import sys
+from typing import TYPE_CHECKING
 
-from . import baselines, harness
-from .blocks import BlockId, build_coverage
 from .config import RunConfig
 from .dataset import Dataset, ValidationError, load_dataset, read_json
-from .reduction import CoverageMap, ReductionResult, reduce_problem
+
+if TYPE_CHECKING:
+    from .reduction import CoverageMap, ReductionResult
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -76,6 +80,9 @@ def coverage_to_dict(coverage: CoverageMap) -> dict:
 def coverage_from_dict(obj: dict, path) -> CoverageMap:
     """Inverse of `coverage_to_dict`; a malformed file at `path`, or one that
     lists an input id twice (as "1" and " 01", say), is a ValidationError."""
+    from .blocks import BlockId
+    from .reduction import CoverageMap
+
     try:
         entries = [
             (int(i), frozenset(BlockId.from_str(s) for s in blocks))
@@ -92,6 +99,8 @@ def coverage_from_dict(obj: dict, path) -> CoverageMap:
 
 
 def cmd_cluster(args) -> int:
+    from .blocks import build_coverage
+
     dataset, config = _load(args)
     coverage = build_coverage(dataset, config, _seed(args, config))
     _write_json(coverage_to_dict(coverage), args.out)
@@ -113,6 +122,9 @@ def reduction_to_dict(reduction: ReductionResult) -> dict:
 
 
 def cmd_reduce(args) -> int:
+    from .blocks import build_coverage
+    from .reduction import reduce_problem
+
     dataset, config = _load(args)
     costs = dataset.costs()
     if args.coverage:
@@ -131,6 +143,8 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_minimize(args) -> int:
+    from . import harness
+
     dataset, config = _load(args)
     result = harness.run_pipeline(dataset, config, _seed(args, config))
     _write_json(result.to_dict(), args.out)
@@ -138,6 +152,8 @@ def cmd_minimize(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    from . import harness
+
     dataset, config = _load(args)
     algorithms = ([a for entry in args.algo for a in entry.split(",") if a]
                   if args.algo else harness.DEFAULT_ALGORITHMS)
@@ -156,6 +172,10 @@ def cmd_bench(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    from . import harness
+    from .blocks import build_coverage
+    from .reduction import reduce_problem
+
     dataset, config = _load(args)
     seed = _seed(args, config)
     coverage = build_coverage(dataset, config, seed)
@@ -211,6 +231,15 @@ _COMMANDS = {
 }
 
 
+def _usage_errors() -> tuple:
+    """What `main` reports as one `error:` line and exit 2. Python evaluates
+    an except clause only once an exception reaches it, so the solvers are
+    imported only after a command has failed."""
+    from .baselines import ExhaustiveLimitError
+
+    return ValidationError, ExhaustiveLimitError, OSError
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     logging.basicConfig(
@@ -219,7 +248,7 @@ def main(argv=None) -> int:
     )
     try:
         return _COMMANDS[args.command](args)
-    except (ValidationError, baselines.ExhaustiveLimitError, OSError) as exc:
+    except _usage_errors() as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

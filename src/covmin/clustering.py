@@ -16,11 +16,10 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .config import EPS_SLACK, HyperParamGrid
 from .dataset import ValidationError
 
 _MAX_KMEDOID_ITER = 100
-# The DBSCAN eps grid runs up to the top of `eps_range` plus this slack.
-EPS_SLACK = 1e-9
 # Matrix rows or columns read per step where a whole-matrix temporary would
 # otherwise be built: singleton columns in `silhouette`, rows in the
 # integrality test of `_labellings`.
@@ -184,17 +183,6 @@ def gini(scores) -> float:
     k = np.arange(1, n)
     diffs = 2 * (k * (n - k) * np.diff(x)).sum()
     return float(diffs / (2 * n * n * mean))
-
-
-class HyperParamGrid(NamedTuple):
-    """One algorithm's grid, as `RunConfig.grid` reads it off the validated
-    run configuration."""
-
-    algo: str  # "kmeans" or "dbscan"
-    k_range: tuple[int, int]
-    eps_range: tuple[float, float]
-    eps_step: float | None  # None: 1.0 for integer matrices else 0.5
-    min_neighbors_range: tuple[int, int]
 
 
 class HyperParamChoice(NamedTuple):

@@ -7,7 +7,6 @@ import types
 import typing
 from dataclasses import dataclass
 
-from .clustering import EPS_SLACK, HyperParamGrid
 from .dataset import ValidationError, _checked, read_json
 
 # The most DBSCAN grid points (eps values times min_neighbors values) a run
@@ -16,6 +15,21 @@ MAX_GRID_POINTS = 100_000
 # The most individuals, n_size + 2 * generations, one component's genetic
 # search may evaluate; the search has no other budget.
 MAX_SEARCH_INDIVIDUALS = 100_000
+# The most repetitions a bench may run; each runs every algorithm once.
+MAX_REPETITIONS = 10_000
+# The DBSCAN eps grid runs up to the top of `eps_range` plus this slack.
+EPS_SLACK = 1e-9
+
+
+class HyperParamGrid(typing.NamedTuple):
+    """One algorithm's grid, as `RunConfig.grid` reads it off the validated
+    run configuration."""
+
+    algo: str  # "kmeans" or "dbscan"
+    k_range: tuple[int, int]
+    eps_range: tuple[float, float]
+    eps_step: float | None  # None: 1.0 for integer matrices else 0.5
+    min_neighbors_range: tuple[int, int]
 
 
 @dataclass(frozen=True)
@@ -48,8 +62,7 @@ class RunConfig:
             raise ValidationError(f"n_size {self.n_size} and generations {self.generations} "
                                   f"make a search of {individuals} individuals (n_size + 2 * "
                                   f"generations), above the bound of {MAX_SEARCH_INDIVIDUALS}")
-        if self.repetitions < 1:
-            raise ValidationError("repetitions must be at least 1")
+        check_repetitions(self.repetitions)
         for name, (lo, hi) in (("k_range", self.k_range),
                                ("min_neighbors_range", self.min_neighbors_range)):
             if not 1 <= lo <= hi:
@@ -103,6 +116,16 @@ class RunConfig:
             key: _typed(value, hints[key], f"config {key!r}")
             for key, value in data.items()
         })
+
+
+def check_repetitions(repetitions: int) -> None:
+    """A ValidationError unless 1 <= `repetitions` <= `MAX_REPETITIONS`;
+    `RunConfig` and `harness.bench`, which `--reps` reaches, both check."""
+    if repetitions < 1:
+        raise ValidationError(f"repetitions must be at least 1, got {repetitions}")
+    if repetitions > MAX_REPETITIONS:
+        raise ValidationError(f"repetitions must be at most {MAX_REPETITIONS}, "
+                              f"got {repetitions}")
 
 
 def _typed(value, hint, what: str):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from . import baselines
 from .blocks import build_coverage
-from .config import RunConfig
+from .config import RunConfig, check_repetitions
 from .dataset import Dataset, ValidationError
 from .reduction import ReductionResult, reduce_problem
 from .search import mocco_run
@@ -221,8 +221,8 @@ def bench(dataset: Dataset, config: RunConfig, algorithms=DEFAULT_ALGORITHMS,
           jobs: int = 1) -> BenchReport:
     """Run `algorithms`, each named once in the order of its first mention,
     over `repetitions` derived seeds, on `jobs` worker processes. An empty or
-    unknown algorithm list, or fewer than one repetition or job, is a
-    ValidationError."""
+    unknown algorithm list, repetitions outside 1 to
+    `config.MAX_REPETITIONS`, or fewer than one job, is a ValidationError."""
     algorithms = tuple(dict.fromkeys(algorithms))
     if not algorithms:
         raise ValidationError("bench names no algorithm")
@@ -234,9 +234,9 @@ def bench(dataset: Dataset, config: RunConfig, algorithms=DEFAULT_ALGORITHMS,
         seed = config.seed
     if repetitions is None:
         repetitions = config.repetitions
-    for label, value in (("repetitions", repetitions), ("jobs", jobs)):
-        if value < 1:
-            raise ValidationError(f"{label} must be at least 1, got {value}")
+    check_repetitions(repetitions)
+    if jobs < 1:
+        raise ValidationError(f"jobs must be at least 1, got {jobs}")
     # Repetition seeds step by 2**32, so `component_seed(seed + (r << 32), idx)`
     # never repeats across repetitions for any idx < 2**32.
     reps = [(dataset, config, algorithms, seed + (r << 32), r)

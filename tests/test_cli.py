@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from covmin import baselines, harness
 from covmin.blocks import build_coverage
 from covmin.cli import coverage_to_dict, main
-from covmin.config import MAX_GRID_POINTS, MAX_SEARCH_INDIVIDUALS, RunConfig
+from covmin.config import MAX_GRID_POINTS, MAX_REPETITIONS, MAX_SEARCH_INDIVIDUALS, RunConfig
 from covmin.dataset import ValidationError
 from covmin.synthetic import write_synthetic_dataset
 
@@ -265,6 +265,7 @@ def test_malformed_config_algo_and_coverage_exit_code(tmp_path, capsys):
         {"k_range": [5, 1], "output_algo": "kmeans"},
         {"generations": -5},
         {"repetitions": 0},
+        {"repetitions": 2**70},
         {"eps_step": 1e-14},
     )] + [(["reduce", "--coverage"], payload) for payload in (
         {"cover": {"1": ["bad"]}},
@@ -300,6 +301,10 @@ def test_malformed_config_algo_and_coverage_exit_code(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err == f"error: {name} must be at least 1, got {value}\n", err
         assert err.count("\n") == 1
+    # Without the bound, --reps 2**70 would build a list of 2**70 runs.
+    assert main(["bench", "--dataset", BUNDLED, "--algo", "greedy", "--reps", str(2**70)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: repetitions must be at most {MAX_REPETITIONS}, got {2**70}\n", err
 
 
 def test_kmeans_k_range_above_a_part_size_is_a_validation_error(tmp_path, capsys):
@@ -344,6 +349,13 @@ def test_config_bounds_the_dbscan_grid():
     # eps_step None is counted at 0.5, the finer of the two steps it may take.
     RunConfig(eps_range=(1.0, 1.0), min_neighbors_range=(1, MAX_GRID_POINTS))
     RunConfig(eps_range=(1.0, 1.0 + 0.5 * (MAX_GRID_POINTS - 1)), min_neighbors_range=(1, 1))
+
+
+def test_config_bounds_the_repetitions():
+    RunConfig(repetitions=MAX_REPETITIONS)
+    with pytest.raises(ValidationError, match=f"repetitions must be at most {MAX_REPETITIONS}, "
+                                              f"got {MAX_REPETITIONS + 1}"):
+        RunConfig(repetitions=MAX_REPETITIONS + 1)
 
 
 def test_config_bounds_the_search_budget(tmp_path, capsys):

@@ -7,7 +7,7 @@ import pytest
 
 from covmin.blocks import BlockId, CoverageMap, build_coverage
 from covmin.cli import main
-from covmin.config import RunConfig
+from covmin.config import MAX_REPETITIONS, RunConfig
 from covmin.dataset import Action, Dataset, InputRecord, ValidationError
 from covmin import harness
 from covmin.harness import (
@@ -193,6 +193,7 @@ def test_bench_checks_its_arguments(fixture_dataset):
         (dict(algorithms=()), "bench names no algorithm"),
         (dict(algorithms=("greedy", "nope")), r"unknown algorithms \['nope'\]; known: "),
         (dict(repetitions=0), "repetitions must be at least 1, got 0"),
+        (dict(repetitions=2**70), f"repetitions must be at most {MAX_REPETITIONS}, got {2**70}"),
         (dict(jobs=0), "jobs must be at least 1, got 0"),
     ):
         with pytest.raises(ValidationError, match=message):

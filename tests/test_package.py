@@ -5,7 +5,23 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# Run in a fresh interpreter: the test process has imported the whole package.
+# Each script runs in a fresh interpreter: the test process has imported the
+# whole package.
+BARE_IMPORT = """
+import sys
+
+import covmin
+
+# A bare import binds no submodule; each is imported by name.
+assert not [m for m in sys.modules if m.startswith("covmin.")], sorted(sys.modules)
+for name in ("blocks", "clustering", "config", "dataset", "harness", "reduction", "search"):
+    assert not hasattr(covmin, name), name
+
+import covmin.blocks
+
+assert covmin.blocks.pairwise_matrix
+"""
+
 LAZY_SURFACE = """
 import sys
 
@@ -41,9 +57,41 @@ else:
 """
 
 
-def test_top_level_names_load_their_submodule_on_first_use():
+# `covmin ingest` only loads: with or without a config, it runs without numpy
+# or the pipeline, and its output is the golden summary.
+INGEST = """
+import sys
+
+from covmin.cli import main
+
+dataset, config, out = sys.argv[1:]
+assert main(["ingest", "--dataset", dataset, "--out", out]) == 0
+assert main(["ingest", "--dataset", dataset, "--config", config, "--out", out]) == 0
+pipeline = {"numpy", "covmin.blocks", "covmin.clustering", "covmin.distance",
+            "covmin.reduction", "covmin.search", "covmin.harness", "covmin.baselines"}
+loaded = pipeline & set(sys.modules)
+assert not loaded, f"covmin ingest imported {sorted(loaded)}"
+"""
+
+
+def _run_fresh(script, *args):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    done = subprocess.run(
-        [sys.executable, "-c", LAZY_SURFACE, str(ROOT / "data" / "synthetic.json")],
-        cwd=ROOT, env=env, capture_output=True, text=True, timeout=60)
+    done = subprocess.run([sys.executable, "-c", script, *map(str, args)],
+                          cwd=ROOT, env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
+
+
+def test_bare_import_binds_no_submodule():
+    _run_fresh(BARE_IMPORT)
+
+
+def test_top_level_names_load_their_submodule_on_first_use():
+    _run_fresh(LAZY_SURFACE, ROOT / "data" / "synthetic.json")
+
+
+def test_ingest_imports_neither_numpy_nor_the_pipeline(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text('{"generations": 10, "eps_range": [1.0, 4.0]}')
+    out = tmp_path / "summary.json"
+    _run_fresh(INGEST, ROOT / "data" / "synthetic.json", config, out)
+    assert out.read_bytes() == (ROOT / "tests" / "data" / "ingest_synthetic.json").read_bytes()
