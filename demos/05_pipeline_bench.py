@@ -24,10 +24,11 @@ print("vulnerability detection rate:", result.vdr)
 print("\nbenchmark, 2 repetitions:")
 report = bench(ds, config, repetitions=2, seed=7)  # mocco, greedy, random, art
 print(f"{'algorithm':<10} {'rep':>3} {'size':>4} {'cost':>5} {'vdr':>5} covers")
-for row in report.rows:
-    print(f"{row.algorithm:<10} {row.repetition:>3} {row.size:>4} "
-          f"{row.cost:>5} {row.vdr:>5.2f} {row.covers_all}")
+for row in report["rows"]:
+    print(f"{row['algorithm']:<10} {row['repetition']:>3} {row['size']:>4} "
+          f"{row['cost']:>5} {row['vdr']:>5.2f} {row['covers_all']}")
 
 print("\nA12 effect sizes on cost (row is cheaper than column when < 0.5):")
-for (a, b), v in sorted(report.a12.items()):
+for pair, v in sorted(report["a12_cost"].items()):
+    a, b = pair.split("|")
     print(f"  {a:<8} vs {b:<8} {v:.2f}")

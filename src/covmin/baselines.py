@@ -9,13 +9,13 @@ import random
 
 from .blocks import action_cover
 from .config import RunConfig
-from .dataset import Dataset
+from .dataset import Dataset, ValidationError
 from .reduction import min_cover, postings
 
 EXHAUSTIVE_INPUT_LIMIT = 20
 
 
-class ExhaustiveLimitError(ValueError):
+class ExhaustiveLimitError(ValidationError):
     """A component has more inputs than the exact solver accepts."""
 
 

@@ -167,7 +167,7 @@ def cmd_bench(args) -> int:
     if args.out and args.out.endswith(".csv"):
         harness.write_bench_csv(report, args.out)
     else:
-        _write_json(report.to_dict(), args.out)
+        _write_json(report, args.out)
     return EXIT_OK
 
 
@@ -231,15 +231,6 @@ _COMMANDS = {
 }
 
 
-def _usage_errors() -> tuple:
-    """What `main` reports as one `error:` line and exit 2. Python evaluates
-    an except clause only once an exception reaches it, so the solvers are
-    imported only after a command has failed."""
-    from .baselines import ExhaustiveLimitError
-
-    return ValidationError, ExhaustiveLimitError, OSError
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     logging.basicConfig(
@@ -248,7 +239,7 @@ def main(argv=None) -> int:
     )
     try:
         return _COMMANDS[args.command](args)
-    except _usage_errors() as exc:
+    except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

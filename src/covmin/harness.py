@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import logging
+import os
 import time
 from dataclasses import dataclass
 
@@ -134,60 +135,19 @@ ALGORITHMS = ("mocco", "greedy", "random", "art", "exhaustive")
 DEFAULT_ALGORITHMS = ("mocco", "greedy", "random", "art")
 
 
-@dataclass(frozen=True)
-class BenchRow:
-    algorithm: str
-    config_label: str
-    seed: int
-    repetition: int
-    size: int
-    cost: int
-    runtime_ms: float
-    vdr: float
-    covers_all: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "algorithm": self.algorithm,
-            "config": self.config_label,
-            "seed": self.seed,
-            "repetition": self.repetition,
-            "size": self.size,
-            "cost": self.cost,
-            "runtime_ms": round(self.runtime_ms, 3),
-            "vdr": self.vdr,
-            "covers_all": self.covers_all,
-        }
-
-
-@dataclass(frozen=True)
-class BenchReport:
-    """`a12[(a, b)]` is the Vargha-Delaney A12 of a's costs over b's: the
-    chance that a run of `a` costs more than a run of `b`, ties counting half.
-    Below 0.5, `a` is the cheaper algorithm."""
-    rows: tuple[BenchRow, ...]
-    a12: dict[tuple[str, str], float]
-
-    def to_dict(self) -> dict:
-        return {
-            "rows": [r.to_dict() for r in self.rows],
-            "a12_cost": {f"{a}|{b}": v for (a, b), v in sorted(self.a12.items())},
-        }
-
-
 def run_repetition(dataset: Dataset, config: RunConfig, algorithms,
-                   seed: int, repetition: int) -> list[BenchRow]:
-    """One benchmark repetition. The greedy, random and adaptive-sampling
-    baselines run on the full instance; the genetic search and the exact
-    solver run after problem reduction. The random baseline runs last and
-    draws as many inputs as the largest selection produced by the other
-    algorithms in the same repetition (or the reduced instance size when it
-    runs alone)."""
+                   seed: int, repetition: int) -> list[dict]:
+    """One benchmark repetition: a row per algorithm, a plain dict whose keys
+    are the CSV columns. The greedy, random and adaptive-sampling baselines
+    run on the full instance; the genetic search and the exact solver run
+    after problem reduction. The random baseline runs last and draws as many
+    inputs as the largest selection produced by the other algorithms in the
+    same repetition (or the reduced instance size when it runs alone)."""
     costs = dataset.costs()
     coverage = build_coverage(dataset, config, seed)
     reduction = reduce_problem(coverage.cover, costs)
     universe = coverage.all_blocks()
-    rows: list[BenchRow] = []
+    rows: list[dict] = []
     for name in sorted(algorithms, key=lambda a: a == "random"):
         started = time.perf_counter()
         if name in SOLVERS:
@@ -197,32 +157,39 @@ def run_repetition(dataset: Dataset, config: RunConfig, algorithms,
         elif name == "art":
             selected = baselines.art_select(dataset, config, seed)
         elif name == "random":
-            n = max((row.size for row in rows), default=len(reduction.necessary)
+            n = max((row["size"] for row in rows), default=len(reduction.necessary)
                     + sum(len(c.inputs) for c in reduction.components))
             selected = baselines.random_select(frozenset(costs), n, seed)
         else:
             raise ValueError(f"unknown algorithm {name!r}")
-        rows.append(BenchRow(
-            algorithm=name,
-            config_label=config.label(),
-            seed=seed,
-            repetition=repetition,
-            size=len(selected),
-            cost=sum(costs[i] for i in selected),
-            runtime_ms=(time.perf_counter() - started) * 1000.0,
-            vdr=vdr(selected, dataset.vulnerabilities),
-            covers_all=coverage.cover_of_set(selected) >= universe,
-        ))
+        rows.append({
+            "algorithm": name,
+            "config": config.label(),
+            "seed": seed,
+            "repetition": repetition,
+            "size": len(selected),
+            "cost": sum(costs[i] for i in selected),
+            "runtime_ms": round((time.perf_counter() - started) * 1000.0, 3),
+            "vdr": vdr(selected, dataset.vulnerabilities),
+            "covers_all": coverage.cover_of_set(selected) >= universe,
+        })
     return rows
 
 
 def bench(dataset: Dataset, config: RunConfig, algorithms=DEFAULT_ALGORITHMS,
           repetitions: int | None = None, seed: int | None = None,
-          jobs: int = 1) -> BenchReport:
+          jobs: int = 1) -> dict:
     """Run `algorithms`, each named once in the order of its first mention,
-    over `repetitions` derived seeds, on `jobs` worker processes. An empty or
-    unknown algorithm list, repetitions outside 1 to
-    `config.MAX_REPETITIONS`, or fewer than one job, is a ValidationError."""
+    over `repetitions` derived seeds, on at most `jobs` worker processes (no
+    more than the repetitions or the CPUs). An empty or unknown algorithm
+    list, repetitions outside 1 to `config.MAX_REPETITIONS`, or fewer than
+    one job, is a ValidationError.
+
+    Returns `{"rows": [...], "a12_cost": {"a|b": value}}`: the rows of
+    `run_repetition` in repetition order, and for each ordered pair of
+    distinct algorithms the Vargha-Delaney A12 of a's costs over b's, the
+    chance that a run of `a` costs more than a run of `b`, ties counting
+    half. Below 0.5, `a` is the cheaper algorithm."""
     algorithms = tuple(dict.fromkeys(algorithms))
     if not algorithms:
         raise ValidationError("bench names no algorithm")
@@ -241,31 +208,27 @@ def bench(dataset: Dataset, config: RunConfig, algorithms=DEFAULT_ALGORITHMS,
     # never repeats across repetitions for any idx < 2**32.
     reps = [(dataset, config, algorithms, seed + (r << 32), r)
             for r in range(repetitions)]
-    if jobs > 1 and repetitions > 1:
+    workers = min(jobs, repetitions, os.cpu_count() or 1)
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(run_repetition, *zip(*reps)))
     else:
         chunks = [run_repetition(*args) for args in reps]
-    rows = tuple(row for chunk in chunks for row in chunk)
+    rows = [row for chunk in chunks for row in chunk]
 
-    cost_samples: dict[str, list[int]] = {name: [] for name in algorithms}
-    for row in rows:
-        cost_samples[row.algorithm].append(row.cost)
-    a12: dict[tuple[str, str], float] = {}
-    for a in algorithms:
-        for b in algorithms:
-            if a != b and cost_samples[a] and cost_samples[b]:
-                a12[(a, b)] = baselines.a12_effect_size(
-                    cost_samples[a], cost_samples[b])
-    return BenchReport(rows=rows, a12=a12)
+    costs = {name: [row["cost"] for row in rows if row["algorithm"] == name]
+             for name in algorithms}
+    return {
+        "rows": rows,
+        "a12_cost": {f"{a}|{b}": baselines.a12_effect_size(costs[a], costs[b])
+                     for a in algorithms for b in algorithms if a != b},
+    }
 
 
-def write_bench_csv(report: BenchReport, path) -> None:
-    fields = ["algorithm", "config", "seed", "repetition", "size", "cost",
-              "runtime_ms", "vdr", "covers_all"]
+def write_bench_csv(report: dict, path) -> None:
+    rows = report["rows"]
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fields)
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
         writer.writeheader()
-        for row in report.rows:
-            writer.writerow(row.to_dict())
+        writer.writerows(rows)

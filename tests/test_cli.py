@@ -1,4 +1,5 @@
 import copy
+import csv
 import dataclasses
 import functools
 import json
@@ -566,6 +567,24 @@ def test_bench_bytes_match_golden_file(tmp_path):
         del row["runtime_ms"]
     got = json.dumps(report, indent=2, sort_keys=True) + "\n"
     assert got == (GOLDEN / "bench_synthetic_seed7.json").read_text()
+
+
+def test_bench_csv_matches_golden_file(tmp_path):
+    # The CSV form of the same run: a fixed header, then each golden row
+    # with every value as `str()` and the wall-clock `runtime_ms` left out.
+    out = tmp_path / "bench.csv"
+    assert main(["bench", "--dataset", BUNDLED, "--seed", "7", "--reps", "2",
+                 "--algo", "random,mocco,exhaustive,greedy,art", "--out", str(out)]) == 0
+    with open(out, encoding="utf-8", newline="") as fh:
+        header = fh.readline().rstrip("\r\n")
+        fh.seek(0)
+        rows = list(csv.DictReader(fh))
+    assert header == "algorithm,config,seed,repetition,size,cost,runtime_ms,vdr,covers_all"
+    golden = json.loads((GOLDEN / "bench_synthetic_seed7.json").read_text())["rows"]
+    assert len(rows) == len(golden)
+    for row, want in zip(rows, golden):
+        del row["runtime_ms"]
+        assert row == {k: str(v) for k, v in want.items()}
 
 
 def test_cluster_bytes_match_golden_file_on_many_pages(tmp_path):

@@ -153,26 +153,26 @@ def fixture_dataset(monkeypatch):
 def test_bench_greedy_vs_exhaustive_fixture(fixture_dataset):
     report = bench(fixture_dataset, CONFIG, algorithms=("greedy", "exhaustive"),
                    repetitions=1, seed=0)
-    by_algo = {row.algorithm: row for row in report.rows}
-    assert len(report.rows) == 2  # one row per algorithm
-    assert by_algo["greedy"].cost == 8
-    assert by_algo["exhaustive"].cost == 6
-    assert by_algo["exhaustive"].covers_all
-    assert report.a12[("exhaustive", "greedy")] == 0.0
-    assert report.a12[("greedy", "exhaustive")] == 1.0
+    by_algo = {row["algorithm"]: row for row in report["rows"]}
+    assert len(report["rows"]) == 2  # one row per algorithm
+    assert by_algo["greedy"]["cost"] == 8
+    assert by_algo["exhaustive"]["cost"] == 6
+    assert by_algo["exhaustive"]["covers_all"]
+    assert report["a12_cost"]["exhaustive|greedy"] == 0.0
+    assert report["a12_cost"]["greedy|exhaustive"] == 1.0
 
 
 def test_bench_identical_cost_distributions_score_half(fixture_dataset):
     report = bench(fixture_dataset, CONFIG, algorithms=("mocco", "exhaustive"),
                    repetitions=2, seed=0)
-    assert report.a12[("mocco", "exhaustive")] == 0.5
+    assert report["a12_cost"]["mocco|exhaustive"] == 0.5
 
 
 def test_bench_random_size_tracks_largest_selection(fixture_dataset):
     rows = run_repetition(fixture_dataset, CONFIG, ("greedy", "random"), seed=0,
                           repetition=0)
-    by_algo = {row.algorithm: row for row in rows}
-    assert by_algo["random"].size == by_algo["greedy"].size
+    by_algo = {row["algorithm"]: row for row in rows}
+    assert by_algo["random"]["size"] == by_algo["greedy"]["size"]
 
 
 def test_solve_rejects_unknown_solver_names():
@@ -200,9 +200,9 @@ def test_bench_checks_its_arguments(fixture_dataset):
             bench(fixture_dataset, CONFIG, **{"repetitions": 1, **kwargs})
     report = bench(fixture_dataset, CONFIG, algorithms=("greedy", "greedy"),
                    repetitions=2, seed=0)
-    assert [(row.algorithm, row.repetition) for row in report.rows] == [
+    assert [(row["algorithm"], row["repetition"]) for row in report["rows"]] == [
         ("greedy", 0), ("greedy", 1)]
-    assert report.a12 == {}
+    assert report["a12_cost"] == {}
 
 
 def test_bench_reproducible_modulo_runtime():
@@ -214,9 +214,9 @@ def test_bench_reproducible_modulo_runtime():
 
     def strip(report):
         return [
-            {k: v for k, v in row.to_dict().items() if k != "runtime_ms"}
-            for row in report.rows
-        ], report.a12
+            {k: v for k, v in row.items() if k != "runtime_ms"}
+            for row in report["rows"]
+        ], report["a12_cost"]
 
     assert strip(r1) == strip(r2)
 
@@ -245,10 +245,48 @@ def test_bench_parallel_jobs_match_sequential():
     seq = bench(ds, config, jobs=1, **kwargs)
     par = bench(ds, config, jobs=2, **kwargs)
     strip = lambda rep: [
-        {k: v for k, v in row.to_dict().items() if k != "runtime_ms"}
-        for row in rep.rows
+        {k: v for k, v in row.items() if k != "runtime_ms"}
+        for row in rep["rows"]
     ]
     assert strip(seq) == strip(par)
+
+
+def test_bench_workers_capped_at_repetitions_and_cpus(monkeypatch, fixture_dataset):
+    # A fake pool records its size and maps in-process, so no worker starts.
+    import concurrent.futures
+
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    strip = lambda rep: [
+        {k: v for k, v in row.items() if k != "runtime_ms"} for row in rep["rows"]]
+    for cpus, repetitions, jobs, want in (
+        (8, 2, 100_000, [2]),
+        (3, 5, 100_000, [3]),
+        (8, 5, 4, [4]),
+        (None, 5, 100_000, []),
+        (8, 1, 100_000, []),
+        (8, 5, 1, []),
+    ):
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
+        sizes.clear()
+        kwargs = dict(algorithms=("greedy", "random"), repetitions=repetitions, seed=3)
+        report = bench(fixture_dataset, CONFIG, jobs=jobs, **kwargs)
+        assert sizes == want, (cpus, repetitions, jobs)
+        assert strip(report) == strip(bench(fixture_dataset, CONFIG, **kwargs))
 
 
 def test_bench_report_writers(tmp_path, fixture_dataset):
@@ -256,7 +294,7 @@ def test_bench_report_writers(tmp_path, fixture_dataset):
                    seed=0)
     cpath = tmp_path / "r.csv"
     write_bench_csv(report, cpath)
-    assert report.to_dict()["rows"][0]["algorithm"] == "greedy"
+    assert report["rows"][0]["algorithm"] == "greedy"
     header, row = cpath.read_text().strip().splitlines()
     assert header.startswith("algorithm,config,seed")
     assert row.startswith("greedy,")
