@@ -53,6 +53,8 @@ class RunConfig:
         for algo in (self.output_algo, self.action_algo):
             if algo not in ("kmeans", "dbscan"):
                 raise ValidationError(f"unknown clustering algorithm: {algo!r}")
+        if not 0 < self.shared_threshold <= 1:
+            raise ValidationError(f"shared_threshold must be in (0, 1], got {self.shared_threshold}")
         if self.n_size < 2:
             raise ValidationError("population size must be at least 2")
         if self.generations < 0:

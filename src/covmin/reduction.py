@@ -186,16 +186,25 @@ def valid_orders_gain(ids, cover, costs):
     removing the most costly currently-redundant input.
     """
     members = sorted(ids)
-    by_block = postings({i: cover[i] for i in members})
-    sole = {holders[0] for holders in by_block.values() if len(holders) == 1}
+    # Block -> its only holder among the members, or None once a second
+    # holder appears.
+    only: dict = {}
+    for i in members:
+        for bl in cover[i]:
+            if only.setdefault(bl, i) != i:  # an earlier member holds it too
+                only[bl] = None
+    sole = set(only.values())
+    sole.discard(None)
     redundant = {i: cover[i] for i in members if i not in sole}
+    if not redundant:
+        return 0, []
     if len(redundant) > EXHAUSTIVE_GAIN_THRESHOLD:
         logger.warning(
             "%d redundant inputs exceed the exhaustive threshold %d: "
             "using greedy removal", len(redundant), EXHAUSTIVE_GAIN_THRESHOLD,
         )
         return _greedy_gain(members, cover, costs)
-    uncovered = by_block.keys() - frozenset().union(*(cover[i] for i in sole))
+    uncovered = only.keys() - frozenset().union(*(cover[i] for i in sole))
     redundant_cost = sum(costs[i] for i in redundant)
     # With nothing left to cover, min_cover would return the empty set.
     kept = min_cover(uncovered, redundant, costs, redundant_cost) if uncovered else frozenset()

@@ -17,7 +17,6 @@ masks; only `mocco_run`'s result is a frozenset.
 from __future__ import annotations
 
 import bisect
-import functools
 import itertools
 import math
 import operator
@@ -78,10 +77,13 @@ class Populations:
 
 
 def dominates(f1, f2) -> bool:
-    """Pareto dominance over fitness vectors (minimization)."""
+    """Pareto dominance over fitness vectors (minimization): no worse
+    everywhere and better somewhere. Both vectors are of one sequence type
+    (tuples in the search). Once no entry is worse, none is NaN, so the
+    vectors differ exactly where one entry is better (-0.0 equals 0.0)."""
     if len(f1) != len(f2):
         raise ValueError("fitness vectors must have equal length")
-    return all(map(operator.le, f1, f2)) and any(map(operator.lt, f1, f2))
+    return f1 != f2 and all(map(operator.le, f1, f2))
 
 
 class ComponentProblem:
@@ -105,6 +107,12 @@ class ComponentProblem:
         self.bit = {i: 1 << k for k, i in enumerate(self.inputs)}
         # Objective -> the mask of the inputs holding it, in objective order.
         self.holders = {bl: self.mask_of(self.inputs_of[bl]) for bl in self.objectives}
+        # The (bit, cost) of each input, in input order, and of each
+        # objective's holders: what `evaluate` and `potential` read per mask.
+        self._bit_costs = [(self.bit[i], costs[i]) for i in self.inputs]
+        self._holder_bit_costs = {
+            bl: [(self.bit[i], costs[i]) for i in self.inputs_of[bl]] for bl in self.objectives
+        }
         # Mask -> (removal gain, reduced mask) from valid_orders_gain, valid
         # only for this component's cover and costs, so it lives here.
         self._solved = {}
@@ -121,18 +129,22 @@ class ComponentProblem:
     def removal(self, mask: int) -> tuple[int, int]:
         """The removal gain of `mask` and the mask left once its removable
         inputs are gone, solved once per mask."""
-        solved = self._solved.get(mask)
-        if solved is None:
-            gain, order = valid_orders_gain(self.set_of(mask), self.cover, self.costs)
-            solved = self._solved[mask] = (gain, mask & ~self.mask_of(order))
+        try:  # a hit, on nearly every call, costs one lookup
+            return self._solved[mask]
+        except KeyError:
+            pass
+        gain, order = valid_orders_gain(self.set_of(mask), self.cover, self.costs)
+        solved = self._solved[mask] = (gain, mask & ~self.mask_of(order))
         return solved
 
     def potential(self, mask: int, bl) -> int:
         """Best benefit-cost balance of covering `bl`, shifted by the cheapest
         covering input so the result is never negative."""
         best = -math.inf
-        for i in self.inputs_of[bl]:
-            best = max(best, self.removal(mask | self.bit[i])[0] - self.costs[i])
+        for bit, cost in self._holder_bit_costs[bl]:
+            balance = self.removal(mask | bit)[0] - cost
+            if balance > best:
+                best = balance
         return best + self._min_cost_of[bl]
 
     def exposure(self, ind: Individual) -> float:
@@ -142,11 +154,11 @@ class ComponentProblem:
     def evaluate(self, mask: int) -> tuple[int, tuple[float, ...]]:
         """The cost of `mask` and its fitness: the normalized cost, then per
         objective 0 when covered, else 1 / (potential + 1)."""
-        cost = sum(self.costs[i] for i, bit in self.bit.items() if mask & bit)
-        fitness = (normalize(cost),) + tuple(
+        cost = sum([cost for bit, cost in self._bit_costs if mask & bit])
+        fitness = (normalize(cost), *[
             0.0 if mask & held else 1.0 / (self.potential(mask, bl) + 1)
             for bl, held in self.holders.items()
-        )
+        ])
         return cost, fitness
 
     def individual(self, mask: int) -> Individual:
@@ -215,8 +227,11 @@ def crossover(problem: ComponentProblem, m1: int, m2: int,
     rng.shuffle(objectives)
     half = math.ceil(len(objectives) / 2)
     holders = problem.holders
-    s1 = functools.reduce(operator.or_, map(holders.__getitem__, objectives[:half]), 0)
-    s2 = functools.reduce(operator.or_, map(holders.__getitem__, objectives[half:]), 0)
+    s1 = s2 = 0
+    for bl in objectives[:half]:
+        s1 |= holders[bl]
+    for bl in objectives[half:]:
+        s2 |= holders[bl]
     return (m1 & s1) | (m2 & s2), (m2 & s1) | (m1 & s2)
 
 
@@ -280,7 +295,10 @@ def mocco_run(cover, costs, config: RunConfig = RunConfig(),
     for gen in range(1, config.generations + 1):
         p1, p2 = select_parents(problem, pops, rng)
         for child in crossover(problem, p1.mask, p2.mask, rng):
-            update_populations(problem, pops, mutate(problem, child, rng), rng)
+            child = mutate(problem, child, rng)
+            # `update_populations`' own first test, made here to save the call.
+            if child not in pops.live and child not in pops.refused:
+                update_populations(problem, pops, child, rng)
         if on_generation is not None:
             on_generation(gen, pops)
     min_cost = min(r.cost for r in pops.roofers)

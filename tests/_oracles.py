@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from covmin import stemming
+from covmin import reduction, stemming
 from covmin.clustering import (
     EPS_SLACK,
     HyperParamChoice,
@@ -89,6 +89,23 @@ def bruteforce_gain(ids, cover, costs) -> int:
         return top
 
     return best(ids)
+
+
+def reference_valid_orders_gain(ids, cover, costs):
+    """`reduction.valid_orders_gain` finding the sole holders from the
+    postings of the members' cover map, without its warning."""
+    members = sorted(ids)
+    by_block = reduction.postings({i: cover[i] for i in members})
+    sole = {holders[0] for holders in by_block.values() if len(holders) == 1}
+    redundant = {i: cover[i] for i in members if i not in sole}
+    if len(redundant) > reduction.EXHAUSTIVE_GAIN_THRESHOLD:
+        return reduction._greedy_gain(members, cover, costs)
+    uncovered = by_block.keys() - frozenset().union(*(cover[i] for i in sole))
+    redundant_cost = sum(costs[i] for i in redundant)
+    kept = (reduction.min_cover(uncovered, redundant, costs, redundant_cost)
+            if uncovered else frozenset())
+    order = [i for i in redundant if i not in kept]
+    return redundant_cost - sum(costs[i] for i in kept), order
 
 
 def dedupe_profiles(cover, costs):

@@ -1,0 +1,80 @@
+"""Time one pipeline run on a benchmark workload scaled past its size.
+
+    python tests/check_scale.py deep-overlap 20
+
+Builds `_oracles.workload_corpus(workload, 1, dir, scale)` (the workload's
+inputs, cycles, duplicates and dominated copies times `scale`) and times one
+`run_pipeline` call on it at seed 1, with timing wrappers around the entry
+points where their callers look them up. Prints one JSON line:
+- `pages`: page occurrences; `distinct`: distinct raw pages;
+- `total_s`: the `run_pipeline` call;
+- `matrix_s`, `select_s`, `silhouette_s`, `search_s`: the summed wall
+  seconds of every `blocks.pairwise_matrix`, `blocks.select_hyperparams`,
+  `clustering.silhouette` and `harness.solve` call (`silhouette_s` is part
+  of `select_s`). A stage whose entry point is never called has no key;
+- `peak_rss_mib`: the process's resident-set high-water mark, corpus
+  generation included.
+
+Single runs on a shared 2-core VM varied by 1.5x at one commit, so compare
+medians of alternating runs.
+"""
+
+import json
+import resource
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
+
+from covmin import blocks, clustering, harness  # noqa: E402
+
+from _oracles import workload_corpus  # noqa: E402
+
+# Stage -> the module and name its entry point is looked up by.
+STAGES = {
+    "matrix_s": (blocks, "pairwise_matrix"),
+    "select_s": (blocks, "select_hyperparams"),
+    "silhouette_s": (clustering, "silhouette"),
+    "search_s": (harness, "solve"),
+}
+
+
+def _timed(totals: dict, stage: str, function):
+    def wrapper(*args, **kwargs):
+        started = time.perf_counter()
+        try:
+            return function(*args, **kwargs)
+        finally:
+            totals[stage] = totals.get(stage, 0.0) + time.perf_counter() - started
+    return wrapper
+
+
+def measure(workload: str, scale: int) -> dict:
+    with tempfile.TemporaryDirectory() as tmp:
+        dataset, config = workload_corpus(workload, 1, tmp, scale)
+    pages = [out for rec in dataset.inputs for out in rec.outputs]
+    totals: dict = {}
+    originals = {stage: getattr(module, name) for stage, (module, name) in STAGES.items()}
+    try:
+        for stage, (module, name) in STAGES.items():
+            setattr(module, name, _timed(totals, stage, originals[stage]))
+        started = time.perf_counter()
+        harness.run_pipeline(dataset, config, 1)
+        total_s = time.perf_counter() - started
+    finally:
+        for stage, (module, name) in STAGES.items():
+            setattr(module, name, originals[stage])
+    return {
+        "workload": workload, "scale": scale, "pages": len(pages),
+        "distinct": len(set(pages)), "total_s": total_s, **totals,
+        "peak_rss_mib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+    }
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 3:
+        sys.exit(f"usage: {sys.argv[0]} WORKLOAD SCALE")
+    print(json.dumps(measure(sys.argv[1], int(sys.argv[2]))))

@@ -281,6 +281,12 @@ def test_malformed_config_algo_and_coverage_exit_code(tmp_path, capsys):
         assert err.startswith("error: ") and err.count("\n") == 1, (payload, err)
         if args[1] == "--coverage":
             assert str(bad) in err, (payload, err)
+    # Rejected at load, so by `ingest` too, with a message naming the field.
+    for value in (2, 0, -0.5, 1.5):
+        bad.write_text(json.dumps({"shared_threshold": value}))
+        assert main(["ingest", "--config", str(bad), "--dataset", BUNDLED]) == 2, value
+        err = capsys.readouterr().err
+        assert err == f"error: shared_threshold must be in (0, 1], got {value}\n", err
     for args in (["minimize", "--config"], ["reduce", "--coverage"]):
         bad.write_text('{"cover": {"1": ["1:GET:')
         assert main(args + [str(bad), "--dataset", BUNDLED]) == 2, args

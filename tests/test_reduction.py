@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from covmin import reduction
 from covmin.reduction import (
+    EXHAUSTIVE_GAIN_THRESHOLD,
     determine_redundancy,
     locally_dominated,
     min_cover,
@@ -30,6 +31,7 @@ from _oracles import (
     random_instance,
     reduce_set,
     redundancy,
+    reference_valid_orders_gain,
     superposition,
 )
 
@@ -191,6 +193,19 @@ def test_greedy_fallback_over_threshold(caplog, monkeypatch):
     assert gain == sum(range(2, 8))  # everything but the cheapest removed
     assert set(order) == set(range(2, 8))
     assert order_is_valid(order, frozenset(cover), cover)
+
+
+def test_valid_orders_gain_witness_matches_reference(caplog, monkeypatch):
+    # The witness order fixes the reduced mask, and so the result bytes.
+    rng = random.Random(6)
+    for threshold in (EXHAUSTIVE_GAIN_THRESHOLD, 3):
+        monkeypatch.setattr(reduction, "EXHAUSTIVE_GAIN_THRESHOLD", threshold)
+        for _ in range(300):
+            cover, costs = random_instance(rng, max_inputs=12, max_blocks=8)
+            ids = frozenset(i for i in cover if rng.random() < 0.8)
+            assert valid_orders_gain(ids, cover, costs) == \
+                reference_valid_orders_gain(ids, cover, costs)
+    assert "exceed the exhaustive threshold 3" in caplog.text
 
 
 def test_reduce_problem_greedy_instance():

@@ -72,6 +72,7 @@ _FITNESS_VALUES = st.one_of(
 def test_dominates_matches_all_any_definition(vectors):
     f1, f2 = vectors
     assert dominates(f1, f2) == dominates_all_any(f1, f2)
+    assert dominates(tuple(f1), tuple(f2)) == dominates_all_any(f1, f2)
     assert not dominates(f1, list(f1))
 
 
@@ -410,6 +411,9 @@ def test_mocco_run_matches_reference_search(case, n_size, generations):
     config = RunConfig(n_size=n_size, generations=generations)
     assert _generations(mocco_run, cover, costs, config, seed) == \
         _generations(reference_mocco_run, cover, costs, config, seed)
+    # The loop without a hook too.
+    assert mocco_run(cover, costs, config, seed) == \
+        reference_mocco_run(cover, costs, config, seed)
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)
