@@ -107,6 +107,12 @@ class ComponentProblem:
         self.bit = {i: 1 << k for k, i in enumerate(self.inputs)}
         # Objective -> the mask of the inputs holding it, in objective order.
         self.holders = {bl: self.mask_of(self.inputs_of[bl]) for bl in self.objectives}
+        # The holder masks as a list, and `_shuffle`'s steps over a list as
+        # long as the objectives: what `init_roofers` and `crossover` shuffle.
+        self.holder_masks = list(self.holders.values())
+        self.shuffle_steps = _shuffle_steps(len(self.objectives))
+        # `(n, n.bit_length())` for n inputs: `mutate`'s index draw.
+        self.input_draw = (len(self.inputs), len(self.inputs).bit_length())
         # The (bit, cost) of each input, in input order, and of each
         # objective's holders: what `evaluate` and `potential` read per mask.
         self._bit_costs = [(self.bit[i], costs[i]) for i in self.inputs]
@@ -165,6 +171,24 @@ class ComponentProblem:
         return Individual(mask, *self.evaluate(mask))
 
 
+def _shuffle_steps(n: int) -> tuple[tuple[int, int, int], ...]:
+    """The Fisher-Yates steps of `random.Random.shuffle` over n items, in
+    its order: `(i, i + 1, (i + 1).bit_length())` for i from n - 1 down to 1."""
+    return tuple((i, i + 1, (i + 1).bit_length()) for i in range(n - 1, 0, -1))
+
+
+def _shuffle(getrandbits, items: list, steps) -> None:
+    """Shuffle `items` in place with the draws `random.Random.shuffle` makes,
+    given `steps = _shuffle_steps(len(items))` and the generator's
+    `getrandbits`: each swap index is `_randbelow(i + 1)`, k-bit draws until
+    one is below i + 1."""
+    for i, n, k in steps:
+        j = getrandbits(k)
+        while j >= n:
+            j = getrandbits(k)
+        items[i], items[j] = items[j], items[i]
+
+
 def _running_sums(weights) -> tuple[float, list[float]]:
     """`sum(weights)` and the sequential prefix sums of `weights`. The total
     is `sum`'s own, not the last prefix: from Python 3.12 `sum` of floats is
@@ -190,7 +214,7 @@ def init_roofers(problem: ComponentProblem, n_size: int, rng: random.Random) -> 
     roofers = []
     for _ in range(n_size):
         order = list(problem.objectives)
-        rng.shuffle(order)
+        _shuffle(rng.getrandbits, order, problem.shuffle_steps)
         members = 0
         for bl in order:
             if members & problem.holders[bl]:  # a pick already covers it
@@ -222,22 +246,29 @@ def crossover(problem: ComponentProblem, m1: int, m2: int,
               rng: random.Random) -> tuple[int, int]:
     """Split the objectives into two random halves; each child takes one
     parent's inputs covering the first half and the other parent's inputs
-    covering the second half."""
-    objectives = list(problem.objectives)
-    rng.shuffle(objectives)
-    half = math.ceil(len(objectives) / 2)
-    holders = problem.holders
+    covering the second half. The split shuffles the holder masks with the
+    draws of `rng.shuffle` over the objectives: only positions matter."""
+    masks = problem.holder_masks.copy()
+    _shuffle(rng.getrandbits, masks, problem.shuffle_steps)
+    half = math.ceil(len(masks) / 2)
     s1 = s2 = 0
-    for bl in objectives[:half]:
-        s1 |= holders[bl]
-    for bl in objectives[half:]:
-        s2 |= holders[bl]
+    for held in masks[:half]:
+        s1 |= held
+    for held in masks[half:]:
+        s2 |= held
     return (m1 & s1) | (m2 & s2), (m2 & s1) | (m1 & s2)
 
 
 def mutate(problem: ComponentProblem, mask: int, rng: random.Random) -> int:
-    """Toggle one uniformly chosen component input, then reduce."""
-    return problem.removal(mask ^ (1 << rng.randrange(len(problem.inputs))))[1]
+    """Toggle one uniformly chosen component input, then reduce. The index
+    takes the draws of `rng.randrange(len(problem.inputs))`: k-bit draws
+    until one is below n, even for n = 1."""
+    n, k = problem.input_draw
+    getrandbits = rng.getrandbits
+    j = getrandbits(k)
+    while j >= n:
+        j = getrandbits(k)
+    return problem.removal(mask ^ (1 << j))[1]
 
 
 def update_populations(problem: ComponentProblem, pops: Populations,

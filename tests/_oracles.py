@@ -492,8 +492,10 @@ def reference_mocco_run(cover, costs, config: RunConfig, seed: int = 0,
     """`search.mocco_run` with every individual a frozenset of input ids:
     each miser's exposure recomputed on every selection, duplicates found
     by scanning both populations and crossover halves rebuilt per pair.
-    It draws from the RNG exactly as the search does, and reads gains and
-    fitness from `ComponentProblem`."""
+    It makes the search's draws through `random.Random`'s own `shuffle`
+    and `choice`, where the search draws from `getrandbits` directly, so it
+    stays an independent check of those draws. It reads gains and fitness
+    from `ComponentProblem`."""
     problem = ComponentProblem(cover, costs)
     rng = random.Random(seed)
     pops = _reference_init_roofers(problem, config.n_size, rng)

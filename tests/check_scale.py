@@ -1,6 +1,8 @@
-"""Time one pipeline run on a benchmark workload scaled past its size.
+"""Time one pipeline run on a benchmark workload scaled past its size, or
+bound the memory of the coverage stage at scale.
 
     python tests/check_scale.py deep-overlap 20
+    python tests/check_scale.py --memory
 
 Builds `_oracles.workload_corpus(workload, 1, dir, scale)` (the workload's
 inputs, cycles, duplicates and dominated copies times `scale`) and times one
@@ -17,6 +19,14 @@ points where their callers look them up. Prints one JSON line:
 
 Single runs on a shared 2-core VM varied by 1.5x at one commit, so compare
 medians of alternating runs.
+
+`--memory` builds `many-pages` x20 and `long-pages` x20 the same way and
+measures the `tracemalloc` peak of one `blocks.build_coverage` call on each
+(corpus generation excluded). It prints one JSON line per workload and exits
+1 when a peak passes its bound. The bounds are the measured peaks (224.9 and
+75.8 MiB) plus about 11% headroom; one more occurrence-sized float64 matrix
+in `cluster_outputs` (122 and 37 MiB at x20) passes them. The two runs take
+about 9 s.
 """
 
 import json
@@ -24,6 +34,7 @@ import resource
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -40,6 +51,10 @@ STAGES = {
     "silhouette_s": (clustering, "silhouette"),
     "search_s": (harness, "solve"),
 }
+
+MEMORY_SCALE = 20
+# Workload -> the bound, in MiB, on the `build_coverage` peak at MEMORY_SCALE.
+MEMORY_BOUNDS_MIB = {"many-pages": 250.0, "long-pages": 85.0}
 
 
 def _timed(totals: dict, stage: str, function):
@@ -74,7 +89,34 @@ def measure(workload: str, scale: int) -> dict:
     }
 
 
+def coverage_peak_mib(workload: str, scale: int) -> float:
+    """The `tracemalloc` peak of one `build_coverage` call on the workload's
+    corpus at seed 1, the returned cover included."""
+    with tempfile.TemporaryDirectory() as tmp:
+        dataset, config = workload_corpus(workload, 1, tmp, scale)
+    tracemalloc.start()
+    try:
+        blocks.build_coverage(dataset, config, 1)
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def check_memory() -> int:
+    failed = False
+    for workload, bound in MEMORY_BOUNDS_MIB.items():
+        peak = coverage_peak_mib(workload, MEMORY_SCALE)
+        failed |= peak > bound
+        print(json.dumps({
+            "workload": workload, "scale": MEMORY_SCALE,
+            "build_coverage_peak_mib": round(peak, 1), "bound_mib": bound,
+        }))
+    return int(failed)
+
+
 if __name__ == "__main__":
+    if sys.argv[1:] == ["--memory"]:
+        sys.exit(check_memory())
     if len(sys.argv) != 3:
-        sys.exit(f"usage: {sys.argv[0]} WORKLOAD SCALE")
+        sys.exit(f"usage: {sys.argv[0]} WORKLOAD SCALE | --memory")
     print(json.dumps(measure(sys.argv[1], int(sys.argv[2]))))

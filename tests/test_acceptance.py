@@ -64,12 +64,22 @@ def test_criterion_1_worked_example_fixtures():
         problem = ComponentProblem(cover, {i: 1 for i in cover})
 
         class Fixed:
-            def shuffle(self, items):
-                items[:] = ["a", "b", "c", "d"]
+            # The (bit count, value) draws of `random.Random.shuffle` that
+            # leave ["a", "b", "c", "d"] in order: `_randbelow(i + 1)` gives
+            # i for i = 3, 2, 1.
+            def __init__(self):
+                self.draws = [(3, 3), (2, 2), (2, 1)]
 
+            def getrandbits(self, k):
+                bits, value = self.draws.pop(0)
+                assert k == bits
+                return value
+
+        fixed = Fixed()
         c1, c2 = map(problem.set_of, crossover(problem,
                                                problem.mask_of(frozenset({1, 3, 4})),
-                                               problem.mask_of(frozenset({2, 5})), Fixed()))
+                                               problem.mask_of(frozenset({2, 5})), fixed))
+        assert fixed.draws == []
         assert c1 == frozenset({1, 3, 5})
         assert c2 == frozenset({2, 3, 4})
 

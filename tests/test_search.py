@@ -16,6 +16,8 @@ from covmin.search import (
     Individual,
     Populations,
     _running_sums,
+    _shuffle,
+    _shuffle_steps,
     _weighted_choice,
     crossover,
     dominates,
@@ -208,14 +210,50 @@ def test_weighted_choice_matches_reference(weights, seed):
             _reference_weighted_choice(_FixedDraw(x), items, weights)
 
 
-class _FixedOrder:
-    """Stand-in rng whose shuffle always produces one fixed order."""
+@pytest.mark.parametrize("n", range(41))
+def test_shuffle_makes_the_draws_of_random_shuffle(n):
+    # `init_roofers` and `crossover` shuffle through `_shuffle`, and the
+    # result bytes rest on its draws being `random.Random.shuffle`'s: the
+    # same order, and the generator left in the same state.
+    steps = _shuffle_steps(n)
+    for seed in range(100):
+        rng, reference = random.Random(seed), random.Random(seed)
+        items, expected = list(range(n)), list(range(n))
+        _shuffle(rng.getrandbits, items, steps)
+        reference.shuffle(expected)
+        assert items == expected
+        assert rng.random() == reference.random()
 
-    def __init__(self, order):
-        self.order = list(order)
 
-    def shuffle(self, items):
-        items[:] = self.order
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 7, 8, 9, 31, 32, 33])
+def test_mutate_draws_as_randrange(n):
+    # Each input is the sole holder of its own objective, so no member set
+    # reduces and the toggled bit shows the drawn index. n = 1 still draws.
+    cover = {i: frozenset({i}) for i in range(n)}
+    problem = ComponentProblem(cover, {i: 1 for i in cover})
+    for seed in range(200):
+        rng, reference = random.Random(seed), random.Random(seed)
+        assert mutate(problem, 0, rng) == 1 << reference.randrange(n)
+        assert rng.random() == reference.random()
+
+
+class _FixedOrder(random.Random):
+    """Stand-in rng whose shuffle of `start` always produces `order`: its
+    `getrandbits` replays the Fisher-Yates draws of `random.Random.shuffle`
+    that turn the one into the other, and checks each draw's bit count."""
+
+    def __init__(self, start, order):
+        super().__init__(0)
+        items, self.draws = list(start), []
+        for i in range(len(items) - 1, 0, -1):
+            j = items.index(order[i])
+            items[i], items[j] = items[j], items[i]
+            self.draws.append(((i + 1).bit_length(), j))
+
+    def getrandbits(self, k):
+        bits, value = self.draws.pop(0)
+        assert k == bits
+        return value
 
 
 def test_crossover_halves_fixture():
@@ -231,8 +269,13 @@ def test_crossover_halves_fixture():
     p1, p2 = problem.mask_of({1, 3, 4}), problem.mask_of({2, 5})
     # First half {a, b} is covered by inputs {1, 2, 3}; second half {c, d}
     # by {3, 4, 5}.
-    child1, child2 = map(problem.set_of, crossover(
-        problem, p1, p2, _FixedOrder(["a", "b", "c", "d"])))
+    order = ["a", "b", "c", "d"]
+    shuffled = list(problem.objectives)
+    _FixedOrder(problem.objectives, order).shuffle(shuffled)
+    assert shuffled == order
+    rng = _FixedOrder(problem.objectives, order)
+    child1, child2 = map(problem.set_of, crossover(problem, p1, p2, rng))
+    assert rng.draws == []
     assert child1 == frozenset({1, 3, 5})
     assert child2 == frozenset({2, 3, 4})
     assert child1 <= problem.set_of(p1 | p2)
