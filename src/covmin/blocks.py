@@ -2,22 +2,20 @@
 method) parts of the action occurrences, their action subclasses, and the
 resulting coverage map.
 
-Action occurrences (input id, position) are clustered rather than
-deduplicated actions; identical actions sit at distance zero and end up in
-one subclass anyway.
+Action occurrences (input id, position) are clustered, not deduplicated
+actions; `pairwise_matrix` computes each distinct action once, and
+identical actions, at distance zero, end up in one subclass.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-import numpy as np
-
 from .clustering import DistanceMatrix, select_hyperparams
 from .config import RunConfig
-from .dataset import (Action, Dataset, TokenDoc, ValidationError,
-                      build_shared_filter, preprocess_output, tokenize)
-from .distance import action_distance, bag_matrix, lev_matrix, pairwise_matrix
+from .dataset import (Action, Dataset, ValidationError, build_shared_filter,
+                      preprocess_output, tokenize)
+from .distance import action_matrix, bag_matrix, lev_matrix, pairwise_matrix
 from .reduction import CoverageMap
 
 Occurrence = tuple[int, int]  # (input id, action position)
@@ -58,13 +56,8 @@ def cluster_outputs(dataset: Dataset, config: RunConfig, seed: int) -> dict[Occu
         raise ValidationError("cannot cluster an empty dataset")
     docs = preprocess_all(dataset, config)
     keys = sorted(docs)
-    # Equal documents are at distance 0 under every metric, so the distance
-    # of each distinct pair is computed once and expanded to all occurrences.
-    index: dict[TokenDoc, int] = {}
-    rows = [index.setdefault(docs[k], len(index)) for k in keys]
     matrix_of = bag_matrix if config.output_metric == "bag" else lev_matrix
-    unique = pairwise_matrix(list(index), matrix_of=matrix_of)
-    matrix = unique[np.ix_(rows, rows)]
+    matrix = pairwise_matrix([docs[k] for k in keys], matrix_of)
     choice = select_hyperparams(DistanceMatrix(matrix), config.grid(config.output_algo), seed)
     return {k: lab for k, lab in zip(keys, choice.labels)}
 
@@ -75,7 +68,7 @@ def cluster_actions(actions: list[Action], config: RunConfig, seed: int) -> list
         raise ValueError("cannot cluster an empty action-set part")
     if len(actions) == 1:
         return [0]
-    matrix = pairwise_matrix(actions, action_distance)
+    matrix = pairwise_matrix(actions, action_matrix)
     if not matrix.any():
         return [0] * len(actions)
     choice = select_hyperparams(DistanceMatrix(matrix), config.grid(config.action_algo), seed)

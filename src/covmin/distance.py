@@ -246,17 +246,24 @@ def action_distance(a1: Action, a2: Action) -> float:
     return url_distance(a1.url_words, a2.url_words) + param_distance(a1.params, a2.params)
 
 
-def pairwise_matrix(items, dist=None, *, matrix_of=None) -> np.ndarray:
-    """Symmetric float64 distance matrix with zero diagonal: `dist` over
-    every pair of `items`, or `matrix_of(items)` when a whole-matrix form of
-    the distance is given instead."""
-    if matrix_of is not None:
-        return matrix_of(items)
-    n = len(items)
+def action_matrix(actions) -> np.ndarray:
+    """`action_distance` of every pair of actions as one float64 matrix."""
+    n = len(actions)
     m = np.zeros((n, n), dtype=np.float64)
     for i in range(n):
         for j in range(i + 1, n):
-            d = float(dist(items[i], items[j]))
-            m[i, j] = d
-            m[j, i] = d
+            m[i, j] = m[j, i] = action_distance(actions[i], actions[j])
     return m
+
+
+def pairwise_matrix(items, matrix_of) -> np.ndarray:
+    """Symmetric distance matrix with zero diagonal over `items`: `matrix_of`
+    over the distinct items in first-occurrence order (equal items are at
+    distance 0 under every metric), expanded to every item when one repeats."""
+    index: dict = {}
+    rows = [index.setdefault(item, len(index)) for item in items]
+    unique = matrix_of(list(index))
+    if len(index) == len(rows):
+        return unique
+    rows = np.array(rows)
+    return unique[rows[:, None], rows]

@@ -244,6 +244,20 @@ def levenshtein_dp(a, b) -> int:
     return prev[-1]
 
 
+def pair_matrix(items, dist) -> np.ndarray:
+    """`dist` over every pair of `items` as one symmetric float64 matrix with
+    zero diagonal, one pair at a time: the loop every whole-matrix form of a
+    distance must equal."""
+    n = len(items)
+    m = np.zeros((n, n), dtype=np.float64)
+    for i in range(n):
+        for j in range(i + 1, n):
+            d = float(dist(items[i], items[j]))
+            m[i, j] = d
+            m[j, i] = d
+    return m
+
+
 def output_distance(d1, d2, metric: str) -> int:
     """The output distance of two TokenDocs, one pair at a time: the pair
     loop that `lev_matrix` and `bag_matrix` replace."""

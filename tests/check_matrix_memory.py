@@ -3,7 +3,7 @@
     python tests/check_matrix_memory.py
 
 Builds the distinct preprocessed documents of `long-pages` x5 and
-`many-pages` x5 at seed 1, as `cluster_outputs` does, and measures the
+`many-pages` x5 at seed 1, as `pairwise_matrix` does, and measures the
 `tracemalloc` peak of one `lev_matrix` call on the first and one
 `bag_matrix` call on the second, the result matrix included. Prints one
 line per matrix and exits 1 when either peak passes its bound. The bounds are

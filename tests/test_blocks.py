@@ -15,10 +15,10 @@ from covmin.blocks import (
 from covmin.config import RunConfig
 from covmin.dataset import (Action, Dataset, InputRecord, TokenDoc, load_dataset,
                             split_url)
-from covmin.distance import pairwise_matrix
 from covmin.synthetic import make_synthetic_dataset
 
-from _oracles import ROOT, output_distance, reference_preprocess_all, workload_corpus
+from _oracles import (ROOT, output_distance, pair_matrix, reference_preprocess_all,
+                      workload_corpus)
 
 CONFIG = RunConfig()
 
@@ -157,9 +157,11 @@ def test_cluster_outputs_expands_distinct_document_matrix(monkeypatch):
         selected.append(dm.values)
         return real_select(dm, grid, seed)
 
-    def pairwise(items, dist=None, **kwargs):
-        matrix_items.append(items)
-        return real_pairwise(items, dist, **kwargs)
+    def pairwise(items, matrix_of):
+        def distinct_matrix(distinct):
+            matrix_items.append(distinct)
+            return matrix_of(distinct)
+        return real_pairwise(items, distinct_matrix)
 
     monkeypatch.setattr(blocks, "select_hyperparams", select)
     monkeypatch.setattr(blocks, "pairwise_matrix", pairwise)
@@ -170,7 +172,7 @@ def test_cluster_outputs_expands_distinct_document_matrix(monkeypatch):
             matrix_items.clear()
             cluster_outputs(dataset, config, seed=0)
             docs = preprocess_all(dataset, config)
-            full = pairwise_matrix(
+            full = pair_matrix(
                 [docs[k] for k in sorted(docs)],
                 lambda a, b: output_distance(a, b, config.output_metric),
             )
@@ -193,7 +195,7 @@ def test_cluster_outputs_lev_matrix_equals_pair_loop_on_long_pages(monkeypatch, 
     docs = preprocess_all(dataset, config)
     index = {}
     rows = [index.setdefault(docs[k], len(index)) for k in sorted(docs)]
-    unique = pairwise_matrix(list(index), lambda a, b: output_distance(a, b, "lev"))
+    unique = pair_matrix(list(index), lambda a, b: output_distance(a, b, "lev"))
     assert np.array_equal(selected[0], unique[np.ix_(rows, rows)])
 
 

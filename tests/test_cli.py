@@ -551,6 +551,7 @@ def test_result_bytes_match_golden_files(tmp_path):
     # in a change that means to alter results, and say so in CHANGES.md.
     for args, golden in (
         (["ingest"], "ingest_synthetic.json"),
+        (["cluster", "--seed", "7"], "cluster_synthetic_seed7.json"),
         (["minimize", "--seed", "7"], "minimize_synthetic_seed7.json"),
         (["oracle"], "oracle_synthetic.json"),
         (["reduce", "--seed", "7"], "reduce_synthetic_seed7.json"),

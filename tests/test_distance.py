@@ -9,6 +9,7 @@ from covmin import distance
 from covmin.dataset import Action, TokenDoc
 from covmin.distance import (
     action_distance,
+    action_matrix,
     bag_matrix,
     lev_matrix,
     levenshtein,
@@ -20,7 +21,8 @@ from covmin.distance import (
     url_distance,
 )
 
-from _oracles import bag_distance, bag_distance_by_differences, levenshtein_dp, output_distance
+from _oracles import (bag_distance, bag_distance_by_differences, levenshtein_dp, output_distance,
+                      pair_matrix)
 
 
 def test_normalize_maps_to_unit_interval():
@@ -108,7 +110,7 @@ def test_bag_matrix_matches_multiset_differences(docs):
     want = np.array([[bag_distance_by_differences(a.tokens, b.tokens) for b in docs]
                      for a in docs], dtype=np.float64).reshape(m.shape)
     assert np.array_equal(m, want)
-    assert np.array_equal(m, pairwise_matrix(docs, lambda a, b: bag_distance(a.tokens, b.tokens)))
+    assert np.array_equal(m, pair_matrix(docs, lambda a, b: bag_distance(a.tokens, b.tokens)))
 
 
 def test_bag_matrix_groups_tokens_with_equal_postings():
@@ -152,8 +154,8 @@ def test_output_distance_oracle_dispatch():
     assert output_distance(d1, d2, "bag") == 0
     docs = [d1, d2, TokenDoc(()), TokenDoc(("ok",) * 4)]
     for metric, matrix_of in (("lev", lev_matrix), ("bag", bag_matrix)):
-        loop = pairwise_matrix(docs, lambda a, b: output_distance(a, b, metric))
-        assert np.array_equal(pairwise_matrix(docs, matrix_of=matrix_of), loop)
+        loop = pair_matrix(docs, lambda a, b: output_distance(a, b, metric))
+        assert np.array_equal(pairwise_matrix(docs, matrix_of), loop)
 
 
 @st.composite
@@ -262,6 +264,8 @@ def test_param_distance_worked_example():
 def test_param_distance_is_one_exactly_when_lists_do_not_match():
     matched = (("a", 1),)
     assert param_distance(matched, (("a", 1),)) == 0.0
+    # Names do not count.
+    assert param_distance(matched, (("b", 1),)) == 0.0
     # Different lengths.
     assert param_distance(matched, ()) == 1.0
     # Same length, different value type at one position.
@@ -304,9 +308,64 @@ def test_action_distance_combines_url_and_params():
 
 def test_pairwise_matrix_shape_and_symmetry():
     items = ["ab", "abc", "zzz"]
-    m = pairwise_matrix(items, levenshtein)
+    m = pairwise_matrix(items, lambda xs: pair_matrix(xs, levenshtein))
     assert m.shape == (3, 3)
     assert np.allclose(m, m.T)
     assert np.allclose(np.diag(m), 0.0)
     assert m[0, 1] == 1
     assert m[0, 2] == 3
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.lists(st.text("ab", max_size=4), max_size=10))
+@example([])
+@example(["ab", "b", ""])
+@example(["ab", "b", "ab", "", "b"])
+def test_pairwise_matrix_computes_each_distinct_item_once(items):
+    calls, results = [], []
+
+    def matrix_of(distinct):
+        calls.append(distinct)
+        results.append(pair_matrix(distinct, levenshtein))
+        return results[-1]
+
+    m = pairwise_matrix(items, matrix_of)
+    assert calls == [list(dict.fromkeys(items))]
+    if len(set(items)) == len(items):
+        assert m is results[0]
+    assert np.array_equal(m, pair_matrix(items, levenshtein))
+
+
+# Unequal actions at distance 0: their parameters differ only in name.
+_NAMES_ONLY = [Action("GET", ("http", "h", "p"), (("a", 1), ("b", "x"))),
+               Action("GET", ("http", "h", "p"), (("b", 1), ("a", "x")))]
+
+
+@st.composite
+def _actions(draw):
+    """0-8 GET actions drawn from a pool of 1-5, so actions repeat, with 2-4
+    URL words over a 3-word vocabulary and 0-3 parameters named "a" or "b"
+    whose values are short str or small int, so parameter lists differ in
+    length and in type at a position."""
+    value = st.one_of(st.text("xy", max_size=3), st.integers(-3, 3))
+    action = st.builds(
+        lambda words, params: Action("GET", tuple(words), tuple(params)),
+        st.lists(st.sampled_from(("http", "h", "p")), min_size=2, max_size=4),
+        st.lists(st.tuples(st.sampled_from("ab"), value), max_size=3))
+    pool = draw(st.lists(action, min_size=1, max_size=5))
+    return draw(st.lists(st.sampled_from(pool), max_size=8))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(_actions())
+@example([])
+@example(_NAMES_ONLY + _NAMES_ONLY[:1])
+def test_action_matrix_equals_action_distance_pair_loop(actions):
+    want = pair_matrix(actions, action_distance)
+    assert np.array_equal(action_matrix(actions), want)
+    # One row per distinct action, even for unequal actions at distance 0.
+    calls = []
+    m = pairwise_matrix(actions, lambda distinct: calls.append(distinct) or action_matrix(distinct))
+    assert calls == [list(dict.fromkeys(actions))]
+    assert np.array_equal(m, want)
+
