@@ -9,12 +9,13 @@ identical actions, at distance zero, end up in one subclass.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import NamedTuple
 
 from .clustering import DistanceMatrix, select_hyperparams
 from .config import RunConfig
 from .dataset import (Action, Dataset, ValidationError, build_shared_filter,
-                      preprocess_output, tokenize)
+                      preprocess_output, stem_table, tokenize)
 from .distance import action_matrix, bag_matrix, lev_matrix, pairwise_matrix
 from .reduction import CoverageMap
 
@@ -38,13 +39,14 @@ class BlockId(NamedTuple):
 def preprocess_all(dataset: Dataset, config: RunConfig):
     """TokenDoc per action occurrence, with the shared-content filter built
     over every raw page in the dataset, duplicates included. Each distinct
-    page is tokenized and preprocessed once. Token outcomes and documents
-    are memoized for this call only, so every run pays for its own work."""
+    page is tokenized and preprocessed once, and each distinct kept word
+    is stemmed once, in one stem table for this call, so every run pays for
+    its own work."""
     pages = [out for rec in dataset.inputs for out in rec.outputs]
     tokens = {raw: tokenize(raw) for raw in dict.fromkeys(pages)}
     shared = build_shared_filter([tokens[raw] for raw in pages], config.shared_threshold)
-    kept: dict[str, str | None] = {}
-    doc_of = {raw: preprocess_output(toks, shared, kept) for raw, toks in tokens.items()}
+    stems = stem_table(chain.from_iterable(tokens.values()), shared)
+    doc_of = {raw: preprocess_output(toks, shared, stems) for raw, toks in tokens.items()}
     return {(rec.id, pos): doc_of[raw]
             for rec in dataset.inputs for pos, raw in enumerate(rec.outputs)}
 

@@ -222,21 +222,21 @@ def build_shared_filter(pages, threshold: float = 0.8) -> frozenset[str]:
     return frozenset(tok for tok, n in freq.items() if n / len(pages) >= threshold)
 
 
+def stem_table(words, shared: frozenset[str] = frozenset()) -> dict[str, str]:
+    """{word: stem(word)} over the distinct words that are neither shared,
+    stopwords nor numeric."""
+    return {word: stem(word) for word in set(words)
+            if word not in shared and word not in STOPWORDS and not word.isdigit()}
+
+
 def preprocess_output(tokens, shared: frozenset[str] = frozenset(),
-                      kept: dict[str, str | None] | None = None) -> TokenDoc:
+                      stems: dict[str, str] | None = None) -> TokenDoc:
     """Drop shared, stop and numeric tokens from a page's `tokenize` list,
     then stem the rest.
 
-    `kept` memoizes each token's outcome (its stem, or None when it is
-    dropped) across the calls that share it and `shared`.
+    `stems` is the `stem_table` of these tokens (or of a superset) with
+    this `shared`; by default it is built from `tokens`.
     """
-    if kept is None:
-        kept = {}
-    out = []
-    for tok in tokens:
-        if tok not in kept:
-            dropped = tok in shared or tok in STOPWORDS or tok.isdigit()
-            kept[tok] = None if dropped else stem(tok)
-        if kept[tok] is not None:
-            out.append(kept[tok])
-    return TokenDoc(tokens=tuple(out))
+    if stems is None:
+        stems = stem_table(tokens, shared)
+    return TokenDoc(tokens=tuple([stems[tok] for tok in tokens if tok in stems]))

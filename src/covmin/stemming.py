@@ -4,11 +4,11 @@ The stemmer is the classic five-step suffix-stripping algorithm for English
 (Porter, "An algorithm for suffix stripping", 1980). It is embedded here so
 the preprocessing pipeline has no runtime dependency on an NLP toolkit.
 
-Each word's consonant/vowel pattern is computed once and kept in step with
-the word, so the measure of a stem is a count over a prefix of the pattern.
-Steps 2-4 look the word's ending up in one dict per suffix length, longest
-first, instead of scanning their rule lists, and only when the word ends in
-the last letter of some rule suffix.
+A step changes a word only if the word ends in one of its suffixes, so a
+word whose last character ends none of them is returned at once. The
+consonant/vowel pattern is computed only for a stem whose measure a rule
+reads. Steps 2-4 look the word's ending up in one dict per suffix length,
+longest first, instead of scanning their rule lists.
 """
 
 from __future__ import annotations
@@ -23,16 +23,10 @@ def _pattern(word: str) -> str:
     """The word's consonant/vowel pattern: a y is a consonant at the start
     or after a vowel, and a vowel after a consonant."""
     cv = word.translate(_CV)
-    if "y" not in cv:
-        return cv
-    out = []
-    prev = "v"
-    for ch in cv:
-        if ch == "y":
-            ch = "v" if prev == "c" else "c"
-        out.append(ch)
-        prev = ch
-    return "".join(out)
+    while "y" in cv:
+        i = cv.index("y")
+        cv = cv[:i] + ("v" if i and cv[i - 1] == "c" else "c") + cv[i + 1:]
+    return cv
 
 
 def _ends_cvc(word: str, cv: str) -> bool:
@@ -51,80 +45,74 @@ def _by_length(rules):
 
 
 def _lookup(word: str, tables):
-    """The (suffix length, replacement) of the longest rule suffix ending
-    `word`, or None."""
+    """The stem left by the longest rule suffix ending `word` and the rule's
+    replacement, or None."""
     last_letters, by_length = tables
     if word[-1:] in last_letters:
         for n, rules in by_length:
             repl = rules.get(word[-n:])
             if repl is not None:
-                return n, repl
+                return word[:-n], repl
     return None
 
 
 def stem(word: str) -> str:
     """Stem a lowercase word of ASCII letters and digits."""
-    if len(word) <= 2:
+    if len(word) <= 2 or word[-1] not in _LAST_LETTERS:
         return word
-    cv = _pattern(word)
 
     # Step 1a: plurals.
     if word.endswith(("sses", "ies")):
-        word, cv = word[:-2], cv[:-2]
+        word = word[:-2]
     elif word.endswith("s") and not word.endswith("ss"):
-        word, cv = word[:-1], cv[:-1]
+        word = word[:-1]
 
     # Step 1b: -eed, -ed, -ing.
     if word.endswith("eed"):
-        if cv.count("vc", 0, len(word) - 3):
-            word, cv = word[:-1], cv[:-1]
+        if _pattern(word[:-3]).count("vc"):
+            word = word[:-1]
     elif word.endswith(("ed", "ing")):
         n = len(word) - (2 if word.endswith("d") else 3)
-        if "v" in cv[:n]:
-            word, cv = word[:n], cv[:n]
+        cv = _pattern(word[:n])
+        if "v" in cv:
+            word = word[:n]
             if word.endswith(("at", "bl", "iz")):
-                word, cv = word + "e", cv + "v"
+                word += "e"
             elif (len(word) >= 2 and word[-1] == word[-2] and cv[-1] == "c"
                   and word[-1] not in "lsz"):
-                word, cv = word[:-1], cv[:-1]
+                word = word[:-1]
             elif cv.count("vc") == 1 and _ends_cvc(word, cv):
-                word, cv = word + "e", cv + "v"
+                word += "e"
 
     # Step 1c: a final y after a vowel somewhere becomes i.
-    if word.endswith("y") and "v" in cv[:-1]:
-        word, cv = word[:-1] + "i", cv[:-1] + "v"
+    if word.endswith("y") and "v" in _pattern(word[:-1]):
+        word = word[:-1] + "i"
 
     # Steps 2 and 3: the longest rule suffix applies if the stem left has a
-    # positive measure. No replacement holds a y, so its pattern needs no
-    # context.
+    # positive measure.
     for tables in (_STEP2, _STEP3):
         hit = _lookup(word, tables)
-        if hit is not None:
-            n = len(word) - hit[0]
-            if cv.count("vc", 0, n):
-                word, cv = word[:n] + hit[1], cv[:n] + hit[1].translate(_CV)
+        if hit is not None and _pattern(hit[0]).count("vc"):
+            word = hit[0] + hit[1]
 
     # Step 4: drop the longest rule suffix (or -ion after s or t) if the
     # stem left has a measure above 1.
     hit = _lookup(word, _STEP4)
-    if hit is not None:
-        n = len(word) - hit[0]
-    elif word.endswith(("sion", "tion")):
-        n = len(word) - 3
-    else:
-        n = len(word)
-    if cv.count("vc", 0, n) > 1:
-        word, cv = word[:n], cv[:n]
+    if hit is None and word.endswith(("sion", "tion")):
+        hit = word[:-3], ""
+    if hit is not None and _pattern(hit[0]).count("vc") > 1:
+        word = hit[0]
 
     # Step 5a: a final e goes after a measure above 1, or a measure of 1
     # without a consonant-vowel-consonant ending before it.
     if word.endswith("e"):
-        m = cv.count("vc", 0, len(word) - 1)
-        if m > 1 or (m == 1 and not _ends_cvc(word[:-1], cv[:-1])):
-            word, cv = word[:-1], cv[:-1]
+        cv = _pattern(word[:-1])
+        m = cv.count("vc")
+        if m > 1 or (m == 1 and not _ends_cvc(word[:-1], cv)):
+            word = word[:-1]
 
     # Step 5b: -ll becomes -l after a measure above 1.
-    if word.endswith("ll") and cv.count("vc") > 1:
+    if word.endswith("ll") and _pattern(word).count("vc") > 1:
         word = word[:-1]
     return word
 
@@ -152,6 +140,13 @@ _STEP4_SUFFIXES = [
 _STEP2 = _by_length(_STEP2_RULES)
 _STEP3 = _by_length(_STEP3_RULES)
 _STEP4 = _by_length((suffix, "") for suffix in _STEP4_SUFFIXES)
+
+# The last letters of every suffix a step tests: the rule tables' and the
+# endings `stem` tests in steps 1, 4 and 5. A word ending in any other
+# character leaves every step as it is.
+_LAST_LETTERS = _STEP2[0] | _STEP3[0] | _STEP4[0] | frozenset(
+    ending[-1] for ending in ("sses", "ies", "s", "eed", "ed", "ing", "y",
+                              "sion", "tion", "e", "ll"))
 
 
 # Standard English stopword list (~170 entries). Tokens are the runs of

@@ -10,8 +10,9 @@ inputs, cycles, duplicates and dominated copies times `scale`) and times one
 points where their callers look them up. Prints one JSON line:
 - `pages`: page occurrences; `distinct`: distinct raw pages;
 - `total_s`: the `run_pipeline` call;
-- `matrix_s`, `select_s`, `silhouette_s`, `search_s`: the summed wall
-  seconds of every `blocks.pairwise_matrix`, `blocks.select_hyperparams`,
+- `preprocess_s`, `matrix_s`, `select_s`, `silhouette_s`, `search_s`: the
+  summed wall seconds of every `blocks.preprocess_all`,
+  `blocks.pairwise_matrix`, `blocks.select_hyperparams`,
   `clustering.silhouette` and `harness.solve` call (`silhouette_s` is part
   of `select_s`). A stage whose entry point is never called has no key;
 - `peak_rss_mib`: the process's resident-set high-water mark, corpus
@@ -47,6 +48,7 @@ from _oracles import workload_corpus  # noqa: E402
 
 # Stage -> the module and name its entry point is looked up by.
 STAGES = {
+    "preprocess_s": (blocks, "preprocess_all"),
     "matrix_s": (blocks, "pairwise_matrix"),
     "select_s": (blocks, "select_hyperparams"),
     "silhouette_s": (clustering, "silhouette"),

@@ -1,3 +1,5 @@
+import importlib
+import pydoc
 import random
 from pathlib import Path
 
@@ -199,6 +201,22 @@ def test_cluster_outputs_lev_matrix_equals_pair_loop_on_long_pages(monkeypatch, 
     assert np.array_equal(selected[0], unique[np.ix_(rows, rows)])
 
 
+def _prose_pages_dataset():
+    """Inputs whose pages are the pydoc HTML of a few standard-library
+    modules, some with non-ASCII text, repeated across and within inputs.
+    Lowercasing turns U+0130 into i and a combining dot, and U+212A into k."""
+    rng = random.Random(11)
+    docs = [pydoc.HTMLDoc().document(importlib.import_module(name))
+            for name in ("textwrap", "shlex", "colorsys", "fnmatch", "difflib")]
+    accents = "<p>Caf\u00e9 r\u00e9sum\u00e9 \u00a9 2024 \u2014 \u0130stanbul \u212aelvin</p>"
+    pages = docs + [doc + accents for doc in docs[:2]]
+    return Dataset(inputs=tuple(
+        _record(i, [("GET", f"http://h/doc{rng.randrange(3)}", rng.choice(pages))
+                    for _ in range(rng.randrange(1, 4))])
+        for i in range(1, 13)
+    ))
+
+
 def test_preprocess_all_matches_two_pass_oracle(tmp_path):
     # The shared filter counts every page, duplicates included: "beta" is on
     # 3 of 5 pages but on only 1 of the 2 distinct ones.
@@ -209,8 +227,10 @@ def test_preprocess_all_matches_two_pass_oracle(tmp_path):
     threshold = RunConfig(shared_threshold=0.6)
     assert set(preprocess_all(duplicates, threshold).values()) == \
         {TokenDoc(()), TokenDoc(("gamma",))}
+    prose = _prose_pages_dataset()
     cases = [(duplicates, threshold), (_repeated_pages_dataset(), CONFIG),
-             (load_dataset(ROOT / "data" / "synthetic.json"), CONFIG)]
+             (load_dataset(ROOT / "data" / "synthetic.json"), CONFIG),
+             (prose, CONFIG), (prose, RunConfig(shared_threshold=0.3))]
     for name in ("long-pages", "many-pages", "deep-overlap"):
         for scale in (1, 5):
             cases.append(workload_corpus(name, 1, tmp_path, scale=scale))

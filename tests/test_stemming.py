@@ -1,8 +1,14 @@
+import re
+import string
+import sysconfig
+from pathlib import Path
+
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from covmin.dataset import load_dataset, tokenize
 from covmin.stemming import (
+    _LAST_LETTERS,
     _STEP2_RULES,
     _STEP3_RULES,
     _STEP4_SUFFIXES,
@@ -94,6 +100,49 @@ def test_stem_matches_reference_on_workload_and_bundled_vocabularies(tmp_path):
     assert len(vocabulary) > 1000
     for word in sorted(vocabulary):
         assert stem(word) == reference_stem(word), word
+
+
+# Source files of the standard library, read where the running interpreter
+# keeps them; their comments and docstrings are English prose.
+_STDLIB_SOURCES = [
+    "argparse.py", "calendar.py", "configparser.py", "difflib.py", "functools.py",
+    "inspect.py", "locale.py", "optparse.py", "pydoc.py", "shutil.py",
+    "subprocess.py", "tarfile.py", "textwrap.py", "typing.py", "collections/__init__.py",
+    "email/message.py", "http/client.py", "logging/__init__.py", "unittest/case.py",
+]
+
+
+def test_stem_matches_reference_on_english_words():
+    # Every token of the workloads and of the bundled dataset ends in x or a
+    # digit, which no suffix ends, so those vocabularies never reach the
+    # rules; English words do. About 0.2 s.
+    stdlib = Path(sysconfig.get_paths()["stdlib"])
+    vocabulary = set()
+    for name in _STDLIB_SOURCES:
+        vocabulary.update(re.findall(r"\b[a-z]+\b", (stdlib / name).read_text(encoding="utf-8")))
+    assert len(vocabulary) > 4000
+    changed = 0
+    for word in sorted(vocabulary):
+        assert stem(word) == reference_stem(word), word
+        changed += stem(word) != word
+    assert changed > 2000
+
+
+def test_early_return_letters_are_the_last_letters_of_every_tested_suffix():
+    tested = ([suffix for suffix, _ in _STEP2_RULES + _STEP3_RULES] + _STEP4_SUFFIXES
+              + ["sses", "ies", "s", "eed", "ed", "ing", "y", "sion", "tion", "e", "ll"])
+    assert _LAST_LETTERS == {suffix[-1] for suffix in tested}
+    assert _LAST_LETTERS == set("cdegilmnrstuy")
+
+
+_OTHER_LAST = sorted(set(string.ascii_lowercase + string.digits) - _LAST_LETTERS)
+
+
+@settings(max_examples=500, derandomize=True, deadline=None)
+@given(_suffixed_words(), st.sampled_from(_OTHER_LAST))
+def test_words_ending_in_no_suffix_letter_stay_as_they_are(word, last):
+    word += last
+    assert stem(word) == word == reference_stem(word)
 
 
 def test_rule_lists_put_each_suffix_before_its_own_suffixes():
