@@ -12,15 +12,22 @@ A member set is an int bitmask over the component's sorted inputs: bit k
 stands for `problem.inputs[k]`, and `ComponentProblem.mask_of` / `set_of`
 convert. Every `ComponentProblem` method and every `Individual` speaks
 masks; only `mocco_run`'s result is a frozenset.
+
+`mocco_run` makes each generation in one straight-line step: parent
+selection, crossover, mutation and the removal-memo read are inline, and
+only a memo miss, the objective shuffle and `update_populations` are calls.
+The step's parts as functions (`select_parents`, `crossover`, `mutate`)
+are test helpers in `tests/_oracles.py`; `reference_mocco_run` there checks
+the loop generation by generation.
 """
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 import operator
 import random
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -108,10 +115,11 @@ class ComponentProblem:
         # Objective -> the mask of the inputs holding it, in objective order.
         self.holders = {bl: self.mask_of(self.inputs_of[bl]) for bl in self.objectives}
         # The holder masks as a list, and `_shuffle`'s steps over a list as
-        # long as the objectives: what `init_roofers` and `crossover` shuffle.
+        # long as the objectives: what `init_roofers` and `mocco_run`'s
+        # crossover shuffle.
         self.holder_masks = list(self.holders.values())
         self.shuffle_steps = _shuffle_steps(len(self.objectives))
-        # `(n, n.bit_length())` for n inputs: `mutate`'s index draw.
+        # `(n, n.bit_length())` for n inputs: `mocco_run`'s mutation draw.
         self.input_draw = (len(self.inputs), len(self.inputs).bit_length())
         # The (bit, cost) of each input, in input order, and of each
         # objective's holders: what `evaluate` and `potential` read per mask.
@@ -119,6 +127,10 @@ class ComponentProblem:
         self._holder_bit_costs = {
             bl: [(self.bit[i], costs[i]) for i in self.inputs_of[bl]] for bl in self.objectives
         }
+        # The cover with each block replaced by its `str`, what `removal`
+        # solves over, so no `BlockId` is hashed or turned into its repr per
+        # solve.
+        self.str_cover = {i: frozenset(map(str, blocks)) for i, blocks in cover.items()}
         # Mask -> (removal gain, reduced mask) from valid_orders_gain, valid
         # only for this component's cover and costs, so it lives here.
         self._solved = {}
@@ -134,12 +146,22 @@ class ComponentProblem:
 
     def removal(self, mask: int) -> tuple[int, int]:
         """The removal gain of `mask` and the mask left once its removable
-        inputs are gone, solved once per mask."""
+        inputs are gone, solved once per mask by `valid_orders_gain` over
+        `str_cover`, the members in ascending order.
+
+        `valid_orders_gain` and `min_cover` use a block only as a set member
+        and through the tie-break `str(b)`, and `str` of a str is itself, so
+        the gain and the witness are the real cover's whenever `str` is
+        injective on the component's blocks. It is on `BlockId`, whose repr
+        names every field, and on any cover of one block type such as the
+        ints or strs of every test cover; it is not on a cover mixing 1 and
+        "1"."""
         try:  # a hit, on nearly every call, costs one lookup
             return self._solved[mask]
         except KeyError:
             pass
-        gain, order = valid_orders_gain(self.set_of(mask), self.cover, self.costs)
+        members = [i for i, bit in self.bit.items() if mask & bit]
+        gain, order = valid_orders_gain(members, self.str_cover, self.costs)
         solved = self._solved[mask] = (gain, mask & ~self.mask_of(order))
         return solved
 
@@ -201,7 +223,7 @@ def _weighted_choice(rng: random.Random, items, sums):
     scaled by the total, given `sums = _running_sums(weights)` of positive
     weights; the last item if rounding leaves the draw above every sum."""
     total, running = sums
-    k = bisect.bisect_right(running, rng.random() * total)
+    k = bisect_right(running, rng.random() * total)
     return items[k] if k < len(items) else items[-1]
 
 
@@ -226,49 +248,6 @@ def init_roofers(problem: ComponentProblem, n_size: int, rng: random.Random) -> 
             occurrence[pick] += 1
         roofers.append(problem.individual(problem.removal(members)[1]))
     return Populations.of(roofers)
-
-
-def select_parents(problem: ComponentProblem, pops: Populations,
-                   rng: random.Random) -> tuple[Individual, Individual]:
-    """A miser (weight 1/exposure) and a roofer (weight 1/cost) when misers
-    exist; otherwise two distinct roofers, both weighted by 1/cost."""
-    if pops.misers:
-        miser = _weighted_choice(rng, pops.misers, pops.miser_sums)
-        roofer = _weighted_choice(rng, pops.roofers, pops.roofer_sums)
-        return miser, roofer
-    first = _weighted_choice(rng, pops.roofers, pops.roofer_sums)
-    rest = [r for r in pops.roofers if r is not first]
-    second = _weighted_choice(rng, rest, _running_sums([1.0 / r.cost for r in rest]))
-    return first, second
-
-
-def crossover(problem: ComponentProblem, m1: int, m2: int,
-              rng: random.Random) -> tuple[int, int]:
-    """Split the objectives into two random halves; each child takes one
-    parent's inputs covering the first half and the other parent's inputs
-    covering the second half. The split shuffles the holder masks with the
-    draws of `rng.shuffle` over the objectives: only positions matter."""
-    masks = problem.holder_masks.copy()
-    _shuffle(rng.getrandbits, masks, problem.shuffle_steps)
-    half = math.ceil(len(masks) / 2)
-    s1 = s2 = 0
-    for held in masks[:half]:
-        s1 |= held
-    for held in masks[half:]:
-        s2 |= held
-    return (m1 & s1) | (m2 & s2), (m2 & s1) | (m1 & s2)
-
-
-def mutate(problem: ComponentProblem, mask: int, rng: random.Random) -> int:
-    """Toggle one uniformly chosen component input, then reduce. The index
-    takes the draws of `rng.randrange(len(problem.inputs))`: k-bit draws
-    until one is below n, even for n = 1."""
-    n, k = problem.input_draw
-    getrandbits = rng.getrandbits
-    j = getrandbits(k)
-    while j >= n:
-        j = getrandbits(k)
-    return problem.removal(mask ^ (1 << j))[1]
 
 
 def update_populations(problem: ComponentProblem, pops: Populations,
@@ -323,15 +302,60 @@ def mocco_run(cover, costs, config: RunConfig = RunConfig(),
     pops = init_roofers(problem, config.n_size, rng)
     if on_generation is not None:
         on_generation(0, pops)
+    getrandbits, uniform = rng.getrandbits, rng.random
+    solved, removal = problem._solved, problem.removal
+    # `update_populations` changes these in place; it rebinds only the
+    # misers and the running sums, which are read per generation.
+    roofers, live, refused = pops.roofers, pops.live, pops.refused
+    holder_masks, shuffle_steps = problem.holder_masks, problem.shuffle_steps
+    half = math.ceil(len(holder_masks) / 2)
+    n, k = problem.input_draw
     for gen in range(1, config.generations + 1):
-        p1, p2 = select_parents(problem, pops, rng)
-        for child in crossover(problem, p1.mask, p2.mask, rng):
-            child = mutate(problem, child, rng)
+        # Parents, as `_weighted_choice` draws them: a miser (weight
+        # 1 / exposure) and a roofer (weight 1 / cost) when misers exist;
+        # otherwise two distinct roofers, both weighted by 1 / cost.
+        misers = pops.misers
+        if misers:
+            total, running = pops.miser_sums
+            j = bisect_right(running, uniform() * total)
+            p1 = misers[j] if j < len(misers) else misers[-1]
+            total, running = pops.roofer_sums
+            j = bisect_right(running, uniform() * total)
+            p2 = roofers[j] if j < len(roofers) else roofers[-1]
+        else:
+            total, running = pops.roofer_sums
+            j = min(bisect_right(running, uniform() * total), len(roofers) - 1)
+            p1 = roofers[j]
+            rest = roofers[:j] + roofers[j + 1:]
+            total, running = _running_sums([1.0 / r.cost for r in rest])
+            j = bisect_right(running, uniform() * total)
+            p2 = rest[j] if j < len(rest) else rest[-1]
+        # Crossover: split the objectives into two random halves, by
+        # shuffling their holder masks with the draws of `rng.shuffle` over
+        # the objectives; each child takes one parent's inputs covering the
+        # first half and the other's covering the second.
+        masks = holder_masks.copy()
+        _shuffle(getrandbits, masks, shuffle_steps)
+        s1 = s2 = 0
+        for held in masks[:half]:
+            s1 |= held
+        for held in masks[half:]:
+            s2 |= held
+        m1, m2 = p1.mask, p2.mask
+        for child in ((m1 & s1) | (m2 & s2), (m2 & s1) | (m1 & s2)):
+            # Mutation toggles one input, drawn as `rng.randrange(n)` draws
+            # it: k-bit draws until one is below n, even for n = 1. Then
+            # the child is reduced.
+            j = getrandbits(k)
+            while j >= n:
+                j = getrandbits(k)
+            child ^= 1 << j
+            child = (solved[child] if child in solved else removal(child))[1]
             # `update_populations`' own first test, made here to save the call.
-            if child not in pops.live and child not in pops.refused:
+            if child not in live and child not in refused:
                 update_populations(problem, pops, child, rng)
         if on_generation is not None:
             on_generation(gen, pops)
-    min_cost = min(r.cost for r in pops.roofers)
-    best = [r for r in pops.roofers if r.cost == min_cost]
+    min_cost = min(r.cost for r in roofers)
+    best = [r for r in roofers if r.cost == min_cost]
     return problem.set_of(rng.choice(best).mask)

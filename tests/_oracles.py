@@ -30,7 +30,7 @@ from covmin.config import RunConfig
 from covmin.dataset import TokenDoc, load_dataset
 from covmin.distance import levenshtein
 from covmin.reduction import valid_orders_gain
-from covmin.search import ComponentProblem
+from covmin.search import ComponentProblem, _running_sums, _shuffle, _weighted_choice
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -612,6 +612,52 @@ def _reference_update_populations(problem, pops, members, rng):
     pops.misers = [m for m in pops.misers
                    if not dominates_all_any(candidate.fitness, m.fitness)]
     pops.misers.append(candidate)
+
+
+# --- the parts of `search.mocco_run`'s generation step as functions over
+# masks, drawing as the loop draws, which runs them inline; the unit
+# fixtures check them, and `reference_mocco_run` checks the loop ---
+
+
+def select_parents(problem, pops, rng):
+    """A miser (weight 1/exposure) and a roofer (weight 1/cost) when misers
+    exist; otherwise two distinct roofers, both weighted by 1/cost."""
+    if pops.misers:
+        miser = _weighted_choice(rng, pops.misers, pops.miser_sums)
+        roofer = _weighted_choice(rng, pops.roofers, pops.roofer_sums)
+        return miser, roofer
+    first = _weighted_choice(rng, pops.roofers, pops.roofer_sums)
+    rest = [r for r in pops.roofers if r is not first]
+    second = _weighted_choice(rng, rest, _running_sums([1.0 / r.cost for r in rest]))
+    return first, second
+
+
+def crossover(problem, m1: int, m2: int, rng) -> tuple[int, int]:
+    """Split the objectives into two random halves; each child takes one
+    parent's inputs covering the first half and the other parent's inputs
+    covering the second half. The split shuffles the holder masks with the
+    draws of `rng.shuffle` over the objectives: only positions matter."""
+    masks = problem.holder_masks.copy()
+    _shuffle(rng.getrandbits, masks, problem.shuffle_steps)
+    half = math.ceil(len(masks) / 2)
+    s1 = s2 = 0
+    for held in masks[:half]:
+        s1 |= held
+    for held in masks[half:]:
+        s2 |= held
+    return (m1 & s1) | (m2 & s2), (m2 & s1) | (m1 & s2)
+
+
+def mutate(problem, mask: int, rng) -> int:
+    """Toggle one uniformly chosen component input, then reduce. The index
+    takes the draws of `rng.randrange(len(problem.inputs))`: k-bit draws
+    until one is below n, even for n = 1."""
+    n, k = problem.input_draw
+    getrandbits = rng.getrandbits
+    j = getrandbits(k)
+    while j >= n:
+        j = getrandbits(k)
+    return problem.removal(mask ^ (1 << j))[1]
 
 
 def fitness_by_definition(members, cover, costs) -> tuple[float, ...]:

@@ -10,11 +10,13 @@ inputs, cycles, duplicates and dominated copies times `scale`) and times one
 points where their callers look them up. Prints one JSON line:
 - `pages`: page occurrences; `distinct`: distinct raw pages;
 - `total_s`: the `run_pipeline` call;
-- `preprocess_s`, `matrix_s`, `select_s`, `silhouette_s`, `search_s`: the
-  summed wall seconds of every `blocks.preprocess_all`,
+- `preprocess_s`, `matrix_s`, `select_s`, `silhouette_s`, `search_s`,
+  `gain_s`: the summed wall seconds of every `blocks.preprocess_all`,
   `blocks.pairwise_matrix`, `blocks.select_hyperparams`,
-  `clustering.silhouette` and `harness.solve` call (`silhouette_s` is part
-  of `select_s`). A stage whose entry point is never called has no key;
+  `clustering.silhouette`, `harness.solve` and `search.valid_orders_gain`
+  call (`silhouette_s` is part of `select_s`, and `gain_s`, the search's
+  removal-memo misses, part of `search_s`). A stage whose entry point is
+  never called has no key;
 - `peak_rss_mib`: the process's resident-set high-water mark, corpus
   generation included.
 
@@ -42,7 +44,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
-from covmin import blocks, clustering, harness  # noqa: E402
+from covmin import blocks, clustering, harness, search  # noqa: E402
 
 from _oracles import workload_corpus  # noqa: E402
 
@@ -53,6 +55,7 @@ STAGES = {
     "select_s": (blocks, "select_hyperparams"),
     "silhouette_s": (clustering, "silhouette"),
     "search_s": (harness, "solve"),
+    "gain_s": (search, "valid_orders_gain"),
 }
 
 MEMORY_SCALE = 20

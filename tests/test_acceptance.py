@@ -15,13 +15,14 @@ from covmin.dataset import TokenDoc
 from covmin.distance import bag_matrix, lev_matrix, levenshtein, param_distance, params_match, url_distance
 from covmin.harness import run_pipeline
 from covmin.reduction import reduce_problem, split_components, valid_orders_gain
-from covmin.search import ComponentProblem, _running_sums, crossover, dominates, mocco_run
+from covmin.search import ComponentProblem, _running_sums, dominates, mocco_run
 from covmin.synthetic import make_synthetic_dataset, planted_optimum_cost
 
 from _oracles import (
     bruteforce_gain,
     coverage_of,
     covers_all,
+    crossover,
     dedupe_profiles,
     dominance_relation,
     has_cycle,

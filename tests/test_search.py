@@ -1,6 +1,8 @@
+import json
 import logging
 import random
 from collections import Counter
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 
 import covmin.search
 from covmin.baselines import exhaustive_optimal
+from covmin.blocks import BlockId
 from covmin.config import RunConfig
 from covmin.reduction import EXHAUSTIVE_GAIN_THRESHOLD, valid_orders_gain
 from covmin.search import (
@@ -19,12 +22,9 @@ from covmin.search import (
     _shuffle,
     _shuffle_steps,
     _weighted_choice,
-    crossover,
     dominates,
     init_roofers,
     mocco_run,
-    mutate,
-    select_parents,
     update_populations,
 )
 
@@ -33,11 +33,14 @@ from _oracles import (
     bruteforce_min_cover,
     coverage_of,
     covers_all,
+    crossover,
     dominates_all_any,
     fitness_by_definition,
     is_redundant_in,
+    mutate,
     random_instance,
     reference_mocco_run,
+    select_parents,
 )
 
 GREEDY_COVER = {
@@ -411,6 +414,54 @@ def test_memo_matches_raw_valid_orders_gain(case, data):
                 (gain, problem.mask_of(s - set(order)))
 
 
+_BLOCK_IDS = st.builds(BlockId, st.integers(0, 30), st.sampled_from(["GET", "POST"]),
+                       st.integers(0, 2))
+
+
+@st.composite
+def _block_id_cover(draw):
+    """A cover of 1-8 inputs over `BlockId`s with output classes 0-30, where
+    repr order differs from both tuple order and `as_str()` order (1 < 19 <
+    2 by repr, 19 < 1 by `as_str()`), at costs of 1-3 so cheapest covers
+    tie, and a set of its members."""
+    pool = draw(st.lists(_BLOCK_IDS, min_size=1, max_size=8, unique=True))
+    covers = draw(st.lists(st.frozensets(st.sampled_from(pool), min_size=1, max_size=4),
+                           min_size=1, max_size=8))
+    cover = dict(enumerate(covers, start=1))
+    costs = {i: draw(st.integers(1, 3)) for i in cover}
+    return cover, costs, draw(st.frozensets(st.sampled_from(sorted(cover))))
+
+
+# Both blocks have four holders, so `min_cover` branches first on the one
+# whose `str` is least: (1, GET, 0) by repr, keeping input 2, but
+# (19, POST, 0) by `as_str()`, keeping inputs 1 and 6 at the same cost.
+_A, _B = BlockId(1, "GET", 0), BlockId(19, "POST", 0)
+AS_STR_TIE_COVER = {
+    1: frozenset({_B}), 2: frozenset({_A, _B}), 3: frozenset({_B}),
+    4: frozenset({_A, _B}), 5: frozenset({_A}), 6: frozenset({_A}),
+}
+AS_STR_TIE_COSTS = {1: 1, 2: 2, 3: 1, 4: 2, 5: 3, 6: 1}
+
+
+def test_as_str_keying_changes_the_witness():
+    cover, costs = AS_STR_TIE_COVER, AS_STR_TIE_COSTS
+    as_str = {i: frozenset(bl.as_str() for bl in blocks) for i, blocks in cover.items()}
+    assert valid_orders_gain(cover, cover, costs) == (8, [1, 3, 4, 5, 6])
+    assert valid_orders_gain(cover, as_str, costs) == (8, [2, 3, 4, 5])
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_block_id_cover())
+@example((AS_STR_TIE_COVER, AS_STR_TIE_COSTS, frozenset(AS_STR_TIE_COVER)))
+def test_removal_gain_over_the_str_view_is_the_real_covers(case):
+    cover, costs, members = case
+    problem = ComponentProblem(cover, costs)
+    gain, order = valid_orders_gain(members, cover, costs)
+    assert valid_orders_gain(sorted(members), problem.str_cover, costs) == (gain, order)
+    mask = problem.mask_of(members)
+    assert problem.removal(mask) == (gain, mask & ~problem.mask_of(order))
+
+
 def _generations(run, cover, costs, config, seed):
     """`run`'s result and, per generation, every roofer's and miser's
     members, cost and fitness, in population order. `mocco_run`'s
@@ -614,3 +665,55 @@ def test_greedy_fallback_warns_once_per_member_set(caplog):
     warnings = [r for r in caplog.records if r.levelno == logging.WARNING]
     assert len(warnings) == 1
     assert "exhaustive threshold" in warnings[0].getMessage()
+
+
+# `random_instance(random.Random(k), max_inputs=40, max_blocks=20)` for the
+# first twelve k that give at least 8 inputs (10 to 38), each searched at two
+# seeds under the default `RunConfig`.
+GOLDEN_INSTANCES = (0, 1, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12)
+GOLDEN_SEEDS = (1, 2)
+MOCCO_GOLDEN = Path(__file__).resolve().parent / "data" / "mocco_components.json"
+
+
+def _mocco_component_runs() -> list[dict]:
+    """One record per golden instance and seed: its input count, the
+    result, the final roofers and misers (members, in population order),
+    and, seen through `on_generation`, how many generations replaced a
+    roofer and how many distinct misers were ever admitted.
+    `tests/data/mocco_components.json` holds these records, one a line."""
+    runs = []
+    for k in GOLDEN_INSTANCES:
+        cover, costs = random_instance(random.Random(k), max_inputs=40, max_blocks=20)
+        set_of = ComponentProblem(cover, costs).set_of
+        for seed in GOLDEN_SEEDS:
+            seen = {"pops": None, "roofers": None, "replaced": 0, "misers": set()}
+
+            def observe(gen, pops, seen=seen):
+                roofers = [r.mask for r in pops.roofers]
+                if seen["roofers"] is not None and roofers != seen["roofers"]:
+                    seen["replaced"] += 1
+                seen["pops"], seen["roofers"] = pops, roofers
+                seen["misers"].update(m.mask for m in pops.misers)
+
+            result = mocco_run(cover, costs, RunConfig(), seed, on_generation=observe)
+            pops = seen["pops"]
+            runs.append({
+                "instance": k, "seed": seed, "inputs": len(cover),
+                "result": sorted(result),
+                "roofers": [sorted(set_of(r.mask)) for r in pops.roofers],
+                "misers": [sorted(set_of(m.mask)) for m in pops.misers],
+                "roofer_replacing_generations": seen["replaced"],
+                "misers_admitted": len(seen["misers"]),
+            })
+    return runs
+
+
+def test_mocco_run_matches_golden_components():
+    # Regenerate only in a change that means to alter results, and say so
+    # in CHANGES.md.
+    runs = _mocco_component_runs()
+    assert runs == json.loads(MOCCO_GOLDEN.read_text())
+    # The loop does real work here: covering children evict roofers
+    # (`rng.choice(ties)`), and partial ones are admitted as misers.
+    assert any(run["roofer_replacing_generations"] for run in runs)
+    assert any(run["misers_admitted"] for run in runs)
