@@ -3,7 +3,9 @@
 Run: python3 demos/01_distances.py
 """
 
-from covmin.dataset import Action, preprocess_output, tokenize
+from covmin.blocks import preprocess_all
+from covmin.config import RunConfig
+from covmin.dataset import Action, Dataset, InputRecord
 from covmin.distance import (
     action_distance,
     bag_matrix,
@@ -13,10 +15,15 @@ from covmin.distance import (
     url_distance,
 )
 
-# Page texts are tokenized, stripped of markup and stopwords, and stemmed
-# before any distance is taken.
-doc1 = preprocess_output(tokenize("<h1>Job created</h1> The build is running"))
-doc2 = preprocess_output(tokenize("<h1>Job deleted</h1> The build has stopped"))
+# Page texts are stripped of markup, of the words most pages share ("job"
+# and "build" are on both), of stopwords and numbers, and stemmed before any
+# distance is taken.
+get = Action(method="GET", url_words=("http", "hostname", "job"))
+pages = ("<h1>Job created</h1> The build is running",
+         "<h1>Job deleted</h1> The build has stopped")
+run = InputRecord(id=1, actions=(get, get), outputs=pages, mr_action_counts={"mr": 1})
+docs = preprocess_all(Dataset(inputs=(run,)), RunConfig())
+doc1, doc2 = docs[(1, 0)], docs[(1, 1)]
 print("tokens 1:", doc1.tokens)
 print("tokens 2:", doc2.tokens)
 # Output distances are taken as whole matrices over the distinct documents.

@@ -9,15 +9,16 @@ identical actions, at distance zero, end up in one subclass.
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import chain
 from typing import NamedTuple
 
 from .clustering import DistanceMatrix, select_hyperparams
 from .config import RunConfig
-from .dataset import (Action, Dataset, ValidationError, build_shared_filter,
-                      preprocess_output, stem_table, tokenize)
+from .dataset import Action, Dataset, TokenDoc, ValidationError, tokenize
 from .distance import action_matrix, bag_matrix, lev_matrix, pairwise_matrix
 from .reduction import CoverageMap
+from .stemming import STOPWORDS, stem
 
 Occurrence = tuple[int, int]  # (input id, action position)
 
@@ -37,16 +38,26 @@ class BlockId(NamedTuple):
 
 
 def preprocess_all(dataset: Dataset, config: RunConfig):
-    """TokenDoc per action occurrence, with the shared-content filter built
-    over every raw page in the dataset, duplicates included. Each distinct
-    page is tokenized and preprocessed once, and each distinct kept word
-    is stemmed once, in one stem table for this call, so every run pays for
-    its own work."""
+    """TokenDoc per action occurrence: each page's `tokenize` words, less
+    the shared, stop and numeric ones, stemmed.
+
+    A word is shared when at least `config.shared_threshold` of the pages
+    hold it, every page counted, duplicates included: boilerplate shared
+    across most pages (menus, version strings, dates) cannot characterize
+    a page. Each distinct page is tokenized once and gives one document,
+    returned for every occurrence, and each kept word is stemmed once, in
+    a table local to this call, so every run pays for its own work."""
     pages = [out for rec in dataset.inputs for out in rec.outputs]
-    tokens = {raw: tokenize(raw) for raw in dict.fromkeys(pages)}
-    shared = build_shared_filter([tokens[raw] for raw in pages], config.shared_threshold)
-    stems = stem_table(chain.from_iterable(tokens.values()), shared)
-    doc_of = {raw: preprocess_output(toks, shared, stems) for raw, toks in tokens.items()}
+    occurrences = Counter(pages)
+    tokens = {raw: tokenize(raw) for raw in occurrences}
+    # Each distinct page's word set, once per occurrence of the page.
+    freq = Counter(chain.from_iterable(
+        [*set(tokens[raw])] * n for raw, n in occurrences.items()))
+    stems = {tok: stem(tok) for tok, n in freq.items()
+             if n / len(pages) < config.shared_threshold
+             and tok not in STOPWORDS and not tok.isdigit()}
+    doc_of = {raw: TokenDoc(tuple([stems[tok] for tok in toks if tok in stems]))
+              for raw, toks in tokens.items()}
     return {(rec.id, pos): doc_of[raw]
             for rec in dataset.inputs for pos, raw in enumerate(rec.outputs)}
 

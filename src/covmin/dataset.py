@@ -1,4 +1,4 @@
-"""Dataset loading, validation, cost computation, and output text preprocessing.
+"""Dataset loading, validation, cost computation, and page tokenization.
 
 An input is an identified sequence of HTTP actions with the raw page text
 recorded for each action and a map of per-relation action counts used as the
@@ -11,10 +11,7 @@ from __future__ import annotations
 import json
 import logging
 import re
-from collections import Counter
 from dataclasses import dataclass, field
-
-from .stemming import STOPWORDS, stem
 
 logger = logging.getLogger(__name__)
 
@@ -166,27 +163,32 @@ def load_dataset(path) -> Dataset:
             continue
         records.append(rec)
 
-    vulns = []
+    vulns = {}
     for index, obj in enumerate(_objects(raw, "vulnerabilities")):
         entry = f"{path}: vulnerability entry {index}"
         vuln_id = _field(obj, "id", str, entry)
+        if vuln_id in vulns:
+            raise ValidationError(f"duplicate vulnerability id {vuln_id!r}")
         groups = tuple(
             frozenset(_checked(i, int, "detecting group member")
                       for i in _checked(grp, list, "detecting group"))
             for grp in _field(obj, "detecting_groups", list, entry)
         )
         for grp in groups:
+            if not grp:
+                # An empty group would hold in every selection.
+                raise ValidationError(f"vulnerability {vuln_id!r} has an empty detecting group")
             missing = grp - seen_ids
             if missing:
                 raise ValidationError(
                     f"vulnerability {vuln_id!r} references unknown inputs {sorted(missing)}"
                 )
-        vulns.append((vuln_id, groups))
+        vulns[vuln_id] = groups
 
-    return Dataset(inputs=tuple(records), vulnerabilities=tuple(vulns))
+    return Dataset(inputs=tuple(records), vulnerabilities=tuple(vulns.items()))
 
 
-# --- output text preprocessing ---
+# --- page tokens ---
 
 _TAG_RE = re.compile(r"<[^>]*>")
 _TOKEN_RE = re.compile(r"[0-9a-z]+")
@@ -201,42 +203,3 @@ def tokenize(raw: str) -> list[str]:
     """The words of a page: markup stripped, lowercased, the runs of ASCII
     letters and digits."""
     return _TOKEN_RE.findall(_TAG_RE.sub(" ", raw).lower())
-
-
-def build_shared_filter(pages, threshold: float = 0.8) -> frozenset[str]:
-    """Tokens present in at least `threshold` of the pages, each page given
-    by its `tokenize` list.
-
-    Boilerplate shared across most pages (menus, version strings, dates)
-    cannot characterize a specific page, so it is filtered out before any
-    further processing.
-    """
-    pages = list(pages)
-    if not pages:
-        raise ValidationError("cannot build a shared-content filter from zero documents")
-    if not (0.0 < threshold <= 1.0):
-        raise ValidationError(f"threshold must be in (0, 1], got {threshold}")
-    freq: Counter[str] = Counter()
-    for tokens in pages:
-        freq.update(set(tokens))
-    return frozenset(tok for tok, n in freq.items() if n / len(pages) >= threshold)
-
-
-def stem_table(words, shared: frozenset[str] = frozenset()) -> dict[str, str]:
-    """{word: stem(word)} over the distinct words that are neither shared,
-    stopwords nor numeric."""
-    return {word: stem(word) for word in set(words)
-            if word not in shared and word not in STOPWORDS and not word.isdigit()}
-
-
-def preprocess_output(tokens, shared: frozenset[str] = frozenset(),
-                      stems: dict[str, str] | None = None) -> TokenDoc:
-    """Drop shared, stop and numeric tokens from a page's `tokenize` list,
-    then stem the rest.
-
-    `stems` is the `stem_table` of these tokens (or of a superset) with
-    this `shared`; by default it is built from `tokens`.
-    """
-    if stems is None:
-        stems = stem_table(tokens, shared)
-    return TokenDoc(tokens=tuple([stems[tok] for tok in tokens if tok in stems]))

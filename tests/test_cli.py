@@ -73,6 +73,11 @@ def test_ingest_validation_error_exit_code(tmp_path, capsys):
                         {"name": "q", "type": "blob", "value": "x"})),
         {"inputs": [good_input],
          "vulnerabilities": [{"id": [1, 2], "detecting_groups": [[1]]}]},
+        {"inputs": [good_input],
+         "vulnerabilities": [{"id": "v", "detecting_groups": [[1], []]}]},
+        {"inputs": [good_input],
+         "vulnerabilities": [{"id": "v", "detecting_groups": [[1]]},
+                             {"id": "v", "detecting_groups": []}]},
     ):
         bad.write_text(json.dumps(payload))
         assert main(["ingest", "--dataset", str(bad)]) == 2, payload

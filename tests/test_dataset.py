@@ -6,15 +6,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from covmin.blocks import preprocess_all
+from covmin.config import RunConfig
 from covmin.dataset import (
     Action,
     Dataset,
     InputRecord,
     ValidationError,
-    build_shared_filter,
     compute_cost,
     load_dataset,
-    preprocess_output,
     split_url,
     tokenize,
 )
@@ -129,6 +129,19 @@ def test_unknown_vulnerability_member_rejected(tmp_path):
         }))
 
 
+def test_empty_group_and_repeated_vulnerability_id_rejected(tmp_path):
+    undetected = {"id": "v1", "detecting_groups": []}
+    for vulns, match in (
+        ([{"id": "v1", "detecting_groups": [[1], []]}], "'v1' has an empty detecting group"),
+        ([undetected, undetected], "duplicate vulnerability id 'v1'"),
+    ):
+        with pytest.raises(ValidationError, match=match):
+            load_dataset(_write(tmp_path, {"inputs": [_input(1)], "vulnerabilities": vulns}))
+    # A vulnerability without groups is legal: nothing detects it.
+    dataset = load_dataset(_write(tmp_path, {"inputs": [_input(1)], "vulnerabilities": [undetected]}))
+    assert dataset.vulnerabilities == (("v1", ()),)
+
+
 def test_malformed_json_rejected(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{nope")
@@ -136,13 +149,26 @@ def test_malformed_json_rejected(tmp_path):
         load_dataset(path)
 
 
+def _preprocessed(pages, threshold=0.8):
+    """The tokens `preprocess_all` keeps of each page, one page per input."""
+    get = Action(method="GET", url_words=("http", "host", "page"))
+    dataset = Dataset(inputs=tuple(
+        InputRecord(id=i, actions=(get,), outputs=(page,), mr_action_counts={"mr": 1})
+        for i, page in enumerate(pages, start=1)
+    ))
+    docs = preprocess_all(dataset, RunConfig(shared_threshold=threshold))
+    return [docs[(i, 0)].tokens for i in range(1, len(pages) + 1)]
+
+
 def test_preprocess_strips_markup_stopwords_numbers_and_stems():
-    doc = preprocess_output(tokenize("<p>The administrators deleted 42 running jobs</p>"))
-    assert "42" not in doc.tokens
-    assert "the" not in doc.tokens
-    assert "administr" in doc.tokens
-    assert "delet" in doc.tokens
-    assert "run" in doc.tokens
+    # A second page keeps the first page's words below the shared threshold.
+    doc, _ = _preprocessed(["<p>The administrators deleted 42 running jobs</p>",
+                            "<p>unrelated</p>"])
+    assert "42" not in doc
+    assert "the" not in doc
+    assert "administr" in doc
+    assert "delet" in doc
+    assert "run" in doc
 
 
 def test_shared_filter_drops_boilerplate():
@@ -153,17 +179,16 @@ def test_shared_filter_drops_boilerplate():
         "menu version home delta",
         "menu version home epsilon",
     ]
-    shared = build_shared_filter(map(tokenize, docs), threshold=0.8)
-    assert {"menu", "version", "home"} <= shared
-    assert "alpha" not in shared
-    doc = preprocess_output(tokenize(docs[0]), shared)
-    assert doc.tokens == ("alpha",)
+    kept = _preprocessed(docs, threshold=0.8)
+    assert not {"menu", "version", "home"} & set().union(*kept)
+    assert kept[0] == ("alpha",)
 
 
 def test_shared_filter_threshold_is_document_frequency():
+    # "alpha" is on exactly 3 of the 4 pages, 0.75; "gamma" on 2 of them.
     docs = ["alpha beta", "alpha gamma", "delta gamma", "alpha zeta"]
-    shared = build_shared_filter(map(tokenize, docs), threshold=0.75)
-    assert shared == frozenset({"alpha"})
+    kept = _preprocessed(docs, threshold=0.75)
+    assert kept == [("beta",), ("gamma",), ("delta", "gamma"), ("zeta",)]
 
 
 @settings(max_examples=500, derandomize=True, deadline=None)

@@ -29,7 +29,8 @@ from covmin import load_dataset
 
 dataset = load_dataset(sys.argv[1])
 assert len(dataset.inputs) == 40
-loaded = {"numpy", "covmin.harness", "covmin.search", "covmin.clustering"} & set(sys.modules)
+loaded = {"numpy", "covmin.harness", "covmin.search", "covmin.clustering",
+          "covmin.stemming"} & set(sys.modules)
 assert not loaded, f"loading a dataset imported {sorted(loaded)}"
 
 import covmin
@@ -57,8 +58,8 @@ else:
 """
 
 
-# `covmin ingest` only loads: with or without a config, it runs without numpy
-# or the pipeline, and its output is the golden summary.
+# `covmin ingest` only loads: with or without a config, it runs without numpy,
+# the pipeline or the stemmer, and its output is the golden summary.
 INGEST = """
 import sys
 
@@ -68,7 +69,8 @@ dataset, config, out = sys.argv[1:]
 assert main(["ingest", "--dataset", dataset, "--out", out]) == 0
 assert main(["ingest", "--dataset", dataset, "--config", config, "--out", out]) == 0
 pipeline = {"numpy", "covmin.blocks", "covmin.clustering", "covmin.distance",
-            "covmin.reduction", "covmin.search", "covmin.harness", "covmin.baselines"}
+            "covmin.reduction", "covmin.search", "covmin.harness", "covmin.baselines",
+            "covmin.stemming"}
 loaded = pipeline & set(sys.modules)
 assert not loaded, f"covmin ingest imported {sorted(loaded)}"
 """
