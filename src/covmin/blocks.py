@@ -79,8 +79,6 @@ def cluster_actions(actions: list[Action], config: RunConfig, seed: int) -> list
     """Subclass labels for the actions of one (output class, method) part."""
     if not actions:
         raise ValueError("cannot cluster an empty action-set part")
-    if len(actions) == 1:
-        return [0]
     matrix = pairwise_matrix(actions, action_matrix)
     if not matrix.any():
         return [0] * len(actions)

@@ -139,6 +139,7 @@ def load_dataset(path) -> Dataset:
 
     records = []
     seen_ids = set()
+    dropped = set()
     for index, obj in enumerate(_objects(raw, "inputs")):
         entry = f"{path}: input entry {index}"
         input_id = _field(obj, "id", int, entry)
@@ -160,6 +161,7 @@ def load_dataset(path) -> Dataset:
         seen_ids.add(rec.id)
         if compute_cost(rec) == 0:
             logger.warning("dropping input %d: zero cost, never exercised", rec.id)
+            dropped.add(rec.id)
             continue
         records.append(rec)
 
@@ -182,6 +184,13 @@ def load_dataset(path) -> Dataset:
             if missing:
                 raise ValidationError(
                     f"vulnerability {vuln_id!r} references unknown inputs {sorted(missing)}"
+                )
+            zero_cost = grp & dropped
+            if zero_cost:
+                # The group could never hold once its zero-cost members go.
+                raise ValidationError(
+                    f"vulnerability {vuln_id!r} references dropped zero-cost inputs "
+                    f"{sorted(zero_cost)}"
                 )
         vulns[vuln_id] = groups
 

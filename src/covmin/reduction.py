@@ -1,9 +1,9 @@
 """The cover map and search-space reduction: the redundancy loop, duplicate
 removal, local-dominance removal, overlap-graph component split, and the
 gain of valid removal orders. `min_cover`, the exact minimum-cost cover
-search, decides local dominance and the removal gain and also serves as the
-exact solver in `baselines`. `postings` is the one block -> holding inputs
-index.
+search, finds a locally-dominated input's replacement among the inputs
+still kept, finds the removal gain, and also serves as the exact solver in
+`baselines`. `postings` is the one block -> holding inputs index.
 
 Functions take a plain coverage mapping (input id -> frozenset of blocks)
 and a cost mapping, so they work both on real coverage maps and on the small
@@ -112,38 +112,27 @@ def min_cover(objectives, cover, costs, budget):
     return best_set
 
 
-def locally_dominated(input_id, rcover, costs, by_block) -> bool:
-    """True iff some subset of the input's overlap neighbors replicates its
-    remaining coverage at no greater cost. `by_block` is the postings of
-    `rcover` or of a map it was cut from with the same values: its holders
-    that are still keys of `rcover` are the neighbours."""
-    target = rcover[input_id]
-    if not target:
-        return True
-    neighbors = {j for bl in target for j in by_block[bl] if j in rcover}
-    neighbors.discard(input_id)
-    if len(neighbors) > NEIGHBOR_CAP:
-        logger.warning(
-            "input %s has %d overlap neighbors (cap %d): conservatively kept",
-            input_id, len(neighbors), NEIGHBOR_CAP,
-        )
-        return False
-    return min_cover(
-        target, {j: rcover[j] for j in neighbors}, costs, costs[input_id]
-    ) is not None
-
-
 def remove_locally_dominated(rcover, costs):
-    """Remove, in id order, every input dominated in the pre-removal state
-    (where the neighbour cap is judged) that the inputs still left dominate
-    too, so no removal strands coverage. Through zero-cost inputs two inputs
-    can dominate each other: 2 and 3 in the cover {1: {a}, 2: {a, b},
-    3: {b, c}, 4: {c}} at costs 0, 1, 1, 0."""
+    """Remove, in id order, every input whose remaining coverage the inputs
+    still kept among its overlap neighbours replicate at no greater cost
+    (`min_cover` finds the replacement), so no removal strands coverage.
+    The neighbour cap is judged over its neighbours in `rcover`: above it
+    the input is kept. Through zero-cost inputs two inputs can dominate each
+    other: 2 and 3 in the cover {1: {a}, 2: {a, b}, 3: {b, c}, 4: {c}} at
+    costs 0, 1, 1, 0, where 2 goes and 3 stays."""
     by_block = postings(rcover)
     kept = dict(rcover)
     for i in sorted(rcover):
-        if (locally_dominated(i, rcover, costs, by_block)
-                and locally_dominated(i, kept, costs, by_block)):
+        target = rcover[i]
+        neighbors = {j for bl in target for j in by_block[bl]}
+        neighbors.discard(i)
+        if len(neighbors) > NEIGHBOR_CAP:
+            logger.warning(
+                "input %s has %d overlap neighbors (cap %d): conservatively kept",
+                i, len(neighbors), NEIGHBOR_CAP,
+            )
+        elif min_cover(target, {j: kept[j] for j in neighbors if j in kept},
+                       costs, costs[i]) is not None:
             del kept[i]
     return kept
 

@@ -10,10 +10,11 @@ inputs, cycles, duplicates and dominated copies times `scale`) and times one
 points where their callers look them up. Prints one JSON line:
 - `pages`: page occurrences; `distinct`: distinct raw pages;
 - `total_s`: the `run_pipeline` call;
-- `preprocess_s`, `matrix_s`, `select_s`, `silhouette_s`, `search_s`,
-  `gain_s`: the summed wall seconds of every `blocks.preprocess_all`,
-  `blocks.pairwise_matrix`, `blocks.select_hyperparams`,
-  `clustering.silhouette`, `harness.solve` and `search.valid_orders_gain`
+- `preprocess_s`, `matrix_s`, `select_s`, `silhouette_s`, `reduce_s`,
+  `search_s`, `gain_s`: the summed wall seconds of every
+  `blocks.preprocess_all`, `blocks.pairwise_matrix`,
+  `blocks.select_hyperparams`, `clustering.silhouette`,
+  `harness.reduce_problem`, `harness.solve` and `search.valid_orders_gain`
   call (`silhouette_s` is part of `select_s`, and `gain_s`, the search's
   removal-memo misses, part of `search_s`). A stage whose entry point is
   never called has no key;
@@ -54,6 +55,7 @@ STAGES = {
     "matrix_s": (blocks, "pairwise_matrix"),
     "select_s": (blocks, "select_hyperparams"),
     "silhouette_s": (clustering, "silhouette"),
+    "reduce_s": (harness, "reduce_problem"),
     "search_s": (harness, "solve"),
     "gain_s": (search, "valid_orders_gain"),
 }

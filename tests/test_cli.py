@@ -78,6 +78,8 @@ def test_ingest_validation_error_exit_code(tmp_path, capsys):
         {"inputs": [good_input],
          "vulnerabilities": [{"id": "v", "detecting_groups": [[1]]},
                              {"id": "v", "detecting_groups": []}]},
+        {"inputs": [good_input, {**good_input, "id": 2, "mr_action_counts": {"a": 0}}],
+         "vulnerabilities": [{"id": "v", "detecting_groups": [[1, 2]]}]},
     ):
         bad.write_text(json.dumps(payload))
         assert main(["ingest", "--dataset", str(bad)]) == 2, payload

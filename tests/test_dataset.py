@@ -129,6 +129,15 @@ def test_unknown_vulnerability_member_rejected(tmp_path):
         }))
 
 
+def test_group_naming_dropped_zero_cost_input_rejected(tmp_path):
+    # Loading drops input 2, so the group {1, 2} could never hold.
+    with pytest.raises(ValidationError, match=r"'v1' references dropped zero-cost inputs \[2\]"):
+        load_dataset(_write(tmp_path, {
+            "inputs": [_input(1), _input(2, cost=0)],
+            "vulnerabilities": [{"id": "v1", "detecting_groups": [[1, 2]]}],
+        }))
+
+
 def test_empty_group_and_repeated_vulnerability_id_rejected(tmp_path):
     undetected = {"id": "v1", "detecting_groups": []}
     for vulns, match in (

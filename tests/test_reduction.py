@@ -8,7 +8,6 @@ from covmin import reduction
 from covmin.reduction import (
     EXHAUSTIVE_GAIN_THRESHOLD,
     determine_redundancy,
-    locally_dominated,
     min_cover,
     postings,
     reduce_problem,
@@ -91,22 +90,23 @@ def test_remove_duplicates_keeps_lowest_id():
 
 def test_locally_dominated_examples():
     # {in2, in3} replicates in1's coverage but costs 6 > 2.
-    assert not locally_dominated(1, GREEDY_COVER, GREEDY_COSTS, postings(GREEDY_COVER))
+    assert remove_locally_dominated(GREEDY_COVER, GREEDY_COSTS) == GREEDY_COVER
 
     cover = {1: frozenset({"b1"}), 2: frozenset({"b1", "b2"})}
     costs = {1: 5, 2: 3}
-    assert locally_dominated(1, cover, costs, postings(cover))
-    assert not locally_dominated(2, cover, costs, postings(cover))
+    assert set(remove_locally_dominated(cover, costs)) == {2}
+    # An input with no remaining objectives needs no replacement.
+    assert set(remove_locally_dominated({1: frozenset(), 2: frozenset({"b"})}, {1: 1, 2: 1})) == {2}
 
 
 def test_locally_dominated_neighbor_cap_conservative(caplog, monkeypatch):
     cover = {i: frozenset({"shared"}) for i in range(1, 30)}
     costs = {i: 1 for i in cover}
     monkeypatch.setattr(reduction, "NEIGHBOR_CAP", 5)
-    assert not locally_dominated(1, cover, costs, postings(cover))
+    assert remove_locally_dominated(cover, costs) == cover
     assert "28 overlap neighbors (cap 5)" in caplog.text
     monkeypatch.setattr(reduction, "NEIGHBOR_CAP", 28)
-    assert locally_dominated(1, cover, costs, postings(cover))
+    assert set(remove_locally_dominated(cover, costs)) == {29}
 
 
 def test_postings_lists_holders_in_id_order():
@@ -156,6 +156,33 @@ def test_remove_locally_dominated_matches_bruteforce():
                     decided_by_kept += 1
         assert remove_locally_dominated(cover, costs) == kept
     assert decided_by_kept
+
+
+@pytest.mark.parametrize("cap", [1, 2, 3])
+def test_remove_locally_dominated_neighbor_cap_matches_bruteforce(cap, caplog, monkeypatch):
+    # An input with more overlap neighbours than the cap before any removal
+    # is kept and logged once; every other input follows the two-state rule.
+    monkeypatch.setattr(reduction, "NEIGHBOR_CAP", cap)
+    rng = random.Random(31)
+    capped_dominated = 0
+    for _ in range(200):
+        cover, _ = random_instance(rng, max_inputs=7, max_blocks=7)
+        costs = {i: rng.randrange(4) for i in cover}
+        capped = {
+            i for i in cover
+            if len({j for bl in cover[i] for j in cover if bl in cover[j]} - {i}) > cap
+        }
+        kept = dict(cover)
+        for i in sorted(cover):
+            if i in capped:
+                capped_dominated += _dominated_in(i, kept, costs)
+            elif _dominated_in(i, cover, costs) and _dominated_in(i, kept, costs):
+                del kept[i]
+        caplog.clear()
+        assert remove_locally_dominated(cover, costs) == kept
+        warnings = [r for r in caplog.records if "overlap neighbors" in r.getMessage()]
+        assert len(warnings) == len(capped)
+    assert capped_dominated
 
 
 def test_split_components_two_groups():
@@ -381,17 +408,6 @@ def test_min_cover_matches_bruteforce_within_budget():
         assert sum(costs[i] for i in found) == want
         assert min_cover(objectives, cover, costs, want - 1) is None
     assert min_cover(frozenset({"a", "b"}), {1: frozenset({"a"})}, {1: 1}, 5) is None
-
-
-def test_locally_dominated_matches_unrestricted_bruteforce():
-    # The neighbor-restricted branch-and-bound must agree with the plain
-    # definition quantifying over every subset of the other inputs.
-    rng = random.Random(17)
-    for _ in range(150):
-        cover, costs = random_instance(rng, max_inputs=7, max_blocks=7)
-        for i in sorted(cover):
-            expected = _dominated_in(i, cover, costs)
-            assert locally_dominated(i, cover, costs, postings(cover)) == expected
 
 
 def test_dominance_relation_asymmetric_transitive_acyclic():
