@@ -32,10 +32,6 @@ def _load(args) -> tuple[Dataset, RunConfig]:
     return dataset, config
 
 
-def _seed(args, config: RunConfig) -> int:
-    return args.seed if args.seed is not None else config.seed
-
-
 def _write_json(obj, path) -> None:
     if path is None or path == "-":
         json.dump(obj, sys.stdout, indent=2, sort_keys=True)
@@ -102,7 +98,7 @@ def cmd_cluster(args) -> int:
     from .blocks import build_coverage
 
     dataset, config = _load(args)
-    coverage = build_coverage(dataset, config, _seed(args, config))
+    coverage = build_coverage(dataset, config, args.seed)
     _write_json(coverage_to_dict(coverage), args.out)
     return EXIT_OK
 
@@ -136,7 +132,7 @@ def cmd_reduce(args) -> int:
                 f"coverage file {args.coverage} does not match the dataset: "
                 f"missing input ids {missing}, unknown input ids {unknown}")
     else:
-        coverage = build_coverage(dataset, config, _seed(args, config))
+        coverage = build_coverage(dataset, config, args.seed)
     reduction = reduce_problem(coverage.cover, costs)
     _write_json(reduction_to_dict(reduction), args.out)
     return EXIT_OK
@@ -146,7 +142,7 @@ def cmd_minimize(args) -> int:
     from . import harness
 
     dataset, config = _load(args)
-    result = harness.run_pipeline(dataset, config, _seed(args, config))
+    result = harness.run_pipeline(dataset, config, args.seed)
     _write_json(result.to_dict(), args.out)
     return EXIT_OK
 
@@ -161,7 +157,7 @@ def cmd_bench(args) -> int:
         dataset, config,
         algorithms=algorithms,
         repetitions=args.reps,
-        seed=_seed(args, config),
+        seed=args.seed,
         jobs=args.jobs,
     )
     if args.out and args.out.endswith(".csv"):
@@ -177,11 +173,10 @@ def cmd_oracle(args) -> int:
     from .reduction import reduce_problem
 
     dataset, config = _load(args)
-    seed = _seed(args, config)
-    coverage = build_coverage(dataset, config, seed)
+    coverage = build_coverage(dataset, config, args.seed)
     costs = dataset.costs()
     reduction = reduce_problem(coverage.cover, costs)
-    solution = harness.solve(reduction, costs, "exhaustive", config, seed)
+    solution = harness.solve(reduction, costs, "exhaustive", config, args.seed)
     _write_json({
         "selected": sorted(solution.selected),
         "total_cost": solution.total_cost,
@@ -195,13 +190,12 @@ def build_parser() -> argparse.ArgumentParser:
         prog="covmin",
         description="Coverage-preserving minimization of action-sequence test suites.",
     )
-    parser.add_argument("-v", "--verbose", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, coverage_flag=False):
         p.add_argument("--dataset", required=True, help="dataset JSON file")
         p.add_argument("--config", help="run configuration JSON file")
-        p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default=None, help="output path (default stdout)")
         if coverage_flag:
             p.add_argument("--coverage", help="precomputed coverage JSON file")
@@ -215,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_bench)
     p_bench.add_argument("--algo", action="append",
                          help="algorithm name, repeatable or comma separated")
-    p_bench.add_argument("--reps", type=int, default=None)
+    p_bench.add_argument("--reps", type=int, default=1)
     p_bench.add_argument("--jobs", type=int, default=1)
     common(sub.add_parser("oracle", help="exact optimum via branch and bound"))
     return parser
@@ -233,10 +227,7 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    logging.basicConfig(
-        level=logging.DEBUG if args.verbose else logging.WARNING,
-        format="%(levelname)s %(name)s: %(message)s",
-    )
+    logging.basicConfig(level=logging.WARNING, format="%(levelname)s %(name)s: %(message)s")
     try:
         return _COMMANDS[args.command](args)
     except (ValidationError, OSError) as exc:

@@ -213,10 +213,12 @@ def _labellings(dm: DistanceMatrix, grid: HyperParamGrid, seed: int):
     second eps is needed. An eps-neighbourhood excludes the point itself.
     Labels depend only on the neighbourhood mask and `min_neighbors`, and a
     mask only grows with eps, so each mask is labelled and yielded once, for
-    every `min_neighbors`, at the first grid eps that builds it. When a
-    rebuilt mask equals the current one, the smallest matrix value above
-    that eps is found once, and the grid eps below it are skipped: each
-    repeats the labellings of an earlier eps with the same `min_neighbors`.
+    every `min_neighbors`, at the first grid eps that builds it. After a
+    mask is yielded, the smallest off-diagonal distance above its eps is
+    found once: the grid eps below it build the same mask and are skipped,
+    each repeating the labellings of an earlier eps with the same
+    `min_neighbors`, and the first grid eps at or above it builds a larger
+    mask.
     """
     if grid.algo == "kmeans":
         lo, hi = grid.k_range
@@ -230,19 +232,19 @@ def _labellings(dm: DistanceMatrix, grid: HyperParamGrid, seed: int):
     # float64 (no copy for the pipeline's matrices), so that an integer
     # matrix takes the inf initial of the minimum below.
     v = np.asarray(dm.values, dtype=float)
-    step, eps, mask, next_value = grid.eps_step, lo, None, -np.inf
+    step, eps, next_value = grid.eps_step, lo, -np.inf
     while eps <= hi + EPS_SLACK:
         point_eps = round(eps, 9)
         if point_eps >= next_value:
             within = v <= point_eps
             np.fill_diagonal(within, False)
-            if mask is not None and np.array_equal(within, mask):
-                next_value = float(np.min(v, where=v > point_eps, initial=np.inf))
-            else:
-                mask = within
-                neighborhoods = [np.flatnonzero(row).tolist() for row in within]
-                for mn in range(grid.min_neighbors_range[0], grid.min_neighbors_range[1] + 1):
-                    yield {"eps": point_eps, "min_neighbors": mn}, _dbscan_labels(neighborhoods, mn)
+            neighborhoods = [np.flatnonzero(row).tolist() for row in within]
+            for mn in range(grid.min_neighbors_range[0], grid.min_neighbors_range[1] + 1):
+                yield {"eps": point_eps, "min_neighbors": mn}, _dbscan_labels(neighborhoods, mn)
+            # The diagonal, allclose to 0 but maybe above a tiny eps, is
+            # left out, so it never ends a skip.
+            np.fill_diagonal(within, True)
+            next_value = float(np.min(v, where=~within, initial=np.inf))
         if step is None:
             step = 1.0 if _is_integral(v) else 0.5
         eps += step

@@ -15,8 +15,6 @@ MAX_GRID_POINTS = 100_000
 # The most individuals, n_size + 2 * generations, one component's genetic
 # search may evaluate; the search has no other budget.
 MAX_SEARCH_INDIVIDUALS = 100_000
-# The most repetitions a bench may run; each runs every algorithm once.
-MAX_REPETITIONS = 10_000
 # The DBSCAN eps grid runs up to the top of `eps_range` plus this slack.
 EPS_SLACK = 1e-9
 
@@ -44,8 +42,6 @@ class RunConfig:
     min_neighbors_range: tuple[int, int] = (1, 5)
     n_size: int = 20
     generations: int = 100
-    repetitions: int = 1
-    seed: int = 0
 
     def __post_init__(self):
         if self.output_metric not in ("lev", "bag"):
@@ -64,7 +60,6 @@ class RunConfig:
             raise ValidationError(f"n_size {self.n_size} and generations {self.generations} "
                                   f"make a search of {individuals} individuals (n_size + 2 * "
                                   f"generations), above the bound of {MAX_SEARCH_INDIVIDUALS}")
-        check_repetitions(self.repetitions)
         for name, (lo, hi) in (("k_range", self.k_range),
                                ("min_neighbors_range", self.min_neighbors_range)):
             if not 1 <= lo <= hi:
@@ -118,16 +113,6 @@ class RunConfig:
             key: _typed(value, hints[key], f"config {key!r}")
             for key, value in data.items()
         })
-
-
-def check_repetitions(repetitions: int) -> None:
-    """A ValidationError unless 1 <= `repetitions` <= `MAX_REPETITIONS`;
-    `RunConfig` and `harness.bench`, which `--reps` reaches, both check."""
-    if repetitions < 1:
-        raise ValidationError(f"repetitions must be at least 1, got {repetitions}")
-    if repetitions > MAX_REPETITIONS:
-        raise ValidationError(f"repetitions must be at most {MAX_REPETITIONS}, "
-                              f"got {repetitions}")
 
 
 def _typed(value, hint, what: str):

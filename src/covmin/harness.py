@@ -17,12 +17,15 @@ from dataclasses import dataclass
 
 from . import baselines
 from .blocks import build_coverage
-from .config import RunConfig, check_repetitions
+from .config import RunConfig
 from .dataset import Dataset, ValidationError
 from .reduction import ReductionResult, reduce_problem
 from .search import mocco_run
 
 logger = logging.getLogger(__name__)
+
+# The most repetitions a bench may run; each runs every algorithm once.
+MAX_REPETITIONS = 10_000
 
 
 def component_seed(seed: int, index: int) -> int:
@@ -106,12 +109,9 @@ class PipelineResult:
         }
 
 
-def run_pipeline(dataset: Dataset, config: RunConfig,
-                 seed: int | None = None) -> PipelineResult:
+def run_pipeline(dataset: Dataset, config: RunConfig, seed: int = 0) -> PipelineResult:
     """Full minimization run. Deterministic for a given (dataset, config,
     seed); wall-clock time is deliberately kept out of the result."""
-    if seed is None:
-        seed = config.seed
     costs = dataset.costs()
     coverage = build_coverage(dataset, config, seed)
     reduction = reduce_problem(coverage.cover, costs)
@@ -177,12 +177,11 @@ def run_repetition(dataset: Dataset, config: RunConfig, algorithms,
 
 
 def bench(dataset: Dataset, config: RunConfig, algorithms=DEFAULT_ALGORITHMS,
-          repetitions: int | None = None, seed: int | None = None,
-          jobs: int = 1) -> dict:
+          repetitions: int = 1, seed: int = 0, jobs: int = 1) -> dict:
     """Run `algorithms`, each named once in the order of its first mention,
     over `repetitions` derived seeds, on at most `jobs` worker processes (no
     more than the repetitions or the CPUs). An empty or unknown algorithm
-    list, repetitions outside 1 to `config.MAX_REPETITIONS`, or fewer than
+    list, repetitions outside 1 to `MAX_REPETITIONS`, or fewer than
     one job, is a ValidationError.
 
     Returns `{"rows": [...], "a12_cost": {"a|b": value}}`: the rows of
@@ -197,11 +196,11 @@ def bench(dataset: Dataset, config: RunConfig, algorithms=DEFAULT_ALGORITHMS,
     if unknown:
         raise ValidationError(f"unknown algorithms {unknown}; "
                               f"known: {', '.join(ALGORITHMS)}")
-    if seed is None:
-        seed = config.seed
-    if repetitions is None:
-        repetitions = config.repetitions
-    check_repetitions(repetitions)
+    if repetitions < 1:
+        raise ValidationError(f"repetitions must be at least 1, got {repetitions}")
+    if repetitions > MAX_REPETITIONS:
+        raise ValidationError(f"repetitions must be at most {MAX_REPETITIONS}, "
+                              f"got {repetitions}")
     if jobs < 1:
         raise ValidationError(f"jobs must be at least 1, got {jobs}")
     # Repetition seeds step by 2**32, so `component_seed(seed + (r << 32), idx)`

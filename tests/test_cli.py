@@ -17,8 +17,8 @@ from hypothesis import strategies as st
 from covmin import baselines, harness
 from covmin.blocks import build_coverage
 from covmin.cli import coverage_to_dict, main
-from covmin.config import MAX_GRID_POINTS, MAX_REPETITIONS, MAX_SEARCH_INDIVIDUALS, RunConfig
-from covmin.dataset import ValidationError
+from covmin.config import MAX_GRID_POINTS, MAX_SEARCH_INDIVIDUALS, RunConfig
+from covmin.dataset import ValidationError, load_dataset
 from covmin.synthetic import write_synthetic_dataset
 
 from _oracles import workload_corpus
@@ -204,11 +204,12 @@ def test_minimize_bytes_independent_of_hash_seed():
 def test_minimize_honors_config_file(tmp_path):
     ds = _dataset(tmp_path)
     cfg = tmp_path / "config.json"
-    cfg.write_text(json.dumps({"generations": 20, "n_size": 6, "seed": 9}))
+    cfg.write_text(json.dumps({"generations": 20, "n_size": 6}))
     out = tmp_path / "r.json"
-    assert main(["minimize", "--dataset", ds, "--config", str(cfg),
+    assert main(["minimize", "--dataset", ds, "--config", str(cfg), "--seed", "9",
                  "--out", str(out)]) == 0
-    assert json.loads(out.read_text())["seed"] == 9
+    result = harness.run_pipeline(load_dataset(ds), RunConfig(generations=20, n_size=6), 9)
+    assert out.read_text() == json.dumps(result.to_dict(), indent=2, sort_keys=True) + "\n"
 
 
 def test_bench_csv_and_json(tmp_path):
@@ -272,8 +273,6 @@ def test_malformed_config_algo_and_coverage_exit_code(tmp_path, capsys):
         {"min_neighbors_range": [0, 5]},
         {"k_range": [5, 1], "output_algo": "kmeans"},
         {"generations": -5},
-        {"repetitions": 0},
-        {"repetitions": 2**70},
         {"eps_step": 1e-14},
     )] + [(["reduce", "--coverage"], payload) for payload in (
         {"cover": {"1": ["bad"]}},
@@ -288,6 +287,12 @@ def test_malformed_config_algo_and_coverage_exit_code(tmp_path, capsys):
         assert err.startswith("error: ") and err.count("\n") == 1, (payload, err)
         if args[1] == "--coverage":
             assert str(bad) in err, (payload, err)
+    # The seed and the repetition count are arguments, not config fields.
+    for payload in ({"seed": 1}, {"repetitions": 2}):
+        bad.write_text(json.dumps(payload))
+        assert main(["minimize", "--config", str(bad), "--dataset", BUNDLED]) == 2, payload
+        err = capsys.readouterr().err
+        assert err == f"error: unknown config keys: {list(payload)}\n", err
     # Rejected at load, so by `ingest` too, with a message naming the field.
     for value in (2, 0, -0.5, 1.5):
         bad.write_text(json.dumps({"shared_threshold": value}))
@@ -318,7 +323,7 @@ def test_malformed_config_algo_and_coverage_exit_code(tmp_path, capsys):
     # Without the bound, --reps 2**70 would build a list of 2**70 runs.
     assert main(["bench", "--dataset", BUNDLED, "--algo", "greedy", "--reps", str(2**70)]) == 2
     err = capsys.readouterr().err
-    assert err == f"error: repetitions must be at most {MAX_REPETITIONS}, got {2**70}\n", err
+    assert err == f"error: repetitions must be at most {harness.MAX_REPETITIONS}, got {2**70}\n", err
 
 
 def test_kmeans_k_range_above_a_part_size_is_a_validation_error(tmp_path, capsys):
@@ -363,13 +368,6 @@ def test_config_bounds_the_dbscan_grid():
     # eps_step None is counted at 0.5, the finer of the two steps it may take.
     RunConfig(eps_range=(1.0, 1.0), min_neighbors_range=(1, MAX_GRID_POINTS))
     RunConfig(eps_range=(1.0, 1.0 + 0.5 * (MAX_GRID_POINTS - 1)), min_neighbors_range=(1, 1))
-
-
-def test_config_bounds_the_repetitions():
-    RunConfig(repetitions=MAX_REPETITIONS)
-    with pytest.raises(ValidationError, match=f"repetitions must be at most {MAX_REPETITIONS}, "
-                                              f"got {MAX_REPETITIONS + 1}"):
-        RunConfig(repetitions=MAX_REPETITIONS + 1)
 
 
 def test_config_bounds_the_search_budget(tmp_path, capsys):

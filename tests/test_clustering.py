@@ -418,6 +418,10 @@ def _repeating_masks(draw):
 @example((_dm([[0, 0.3, 0.7], [0.3, 0, 0.55], [0.7, 0.55, 0]]), RunConfig().grid("dbscan")))
 @example((TWO_GROUPS, RunConfig(eps_range=(0.5, 10.0)).grid("dbscan")))
 @example((DistanceMatrix(TWO_GROUPS.values.astype(int)), RunConfig().grid("dbscan")))
+# A diagonal allclose to 0 but above the first eps (1e-12 rounds to 0.0)
+# must not end the skip of the grid eps 1.0, whose mask is the first one's.
+@example((_dm([[1e-9, 2.0, 3.0], [2.0, 1e-9, 3.0], [3.0, 3.0, 1e-9]]),
+          RunConfig(eps_range=(1e-12, 3.0)).grid("dbscan")))
 def test_selection_matches_full_grid_oracle_where_masks_repeat(case):
     dm, grid = case
     walked = list(_labellings(dm, grid, 0))
@@ -427,6 +431,15 @@ def test_selection_matches_full_grid_oracle_where_masks_repeat(case):
     # skips repeats the labelling of the last yielded point with the same
     # `min_neighbors`.
     assert yielded == [params for params in full if params in yielded]
+    # Each neighbourhood mask is labelled once: no two yielded eps build
+    # the same one.
+    epses = list(dict.fromkeys(params["eps"] for params in yielded))
+    masks = set()
+    for eps in epses:
+        within = dm.values <= eps
+        np.fill_diagonal(within, False)
+        masks.add(within.tobytes())
+    assert len(masks) == len(epses), epses
     last = {}
     for params in full:
         if params in yielded:

@@ -7,10 +7,11 @@ import pytest
 
 from covmin.blocks import BlockId, CoverageMap, build_coverage
 from covmin.cli import main
-from covmin.config import MAX_REPETITIONS, RunConfig
+from covmin.config import RunConfig
 from covmin.dataset import Action, Dataset, InputRecord, ValidationError
 from covmin import harness
 from covmin.harness import (
+    MAX_REPETITIONS,
     bench,
     run_pipeline,
     run_repetition,
@@ -203,6 +204,18 @@ def test_bench_checks_its_arguments(fixture_dataset):
     assert [(row["algorithm"], row["repetition"]) for row in report["rows"]] == [
         ("greedy", 0), ("greedy", 1)]
     assert report["a12_cost"] == {}
+
+
+def test_bench_bounds_the_repetitions(monkeypatch, fixture_dataset):
+    # `bench` alone bounds a repetition count; a stub repetition runs nothing.
+    calls = []
+    monkeypatch.setattr(harness, "run_repetition", lambda *args: calls.append(args) or [])
+    bench(fixture_dataset, CONFIG, algorithms=("greedy",), repetitions=MAX_REPETITIONS)
+    assert len(calls) == MAX_REPETITIONS
+    with pytest.raises(ValidationError, match=f"repetitions must be at most {MAX_REPETITIONS}, "
+                                              f"got {MAX_REPETITIONS + 1}"):
+        bench(fixture_dataset, CONFIG, algorithms=("greedy",), repetitions=MAX_REPETITIONS + 1)
+    assert len(calls) == MAX_REPETITIONS
 
 
 def test_bench_reproducible_modulo_runtime():
