@@ -192,44 +192,35 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, coverage_flag=False):
+    def common(p, run, coverage_flag=False):
         p.add_argument("--dataset", required=True, help="dataset JSON file")
         p.add_argument("--config", help="run configuration JSON file")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default=None, help="output path (default stdout)")
         if coverage_flag:
             p.add_argument("--coverage", help="precomputed coverage JSON file")
+        p.set_defaults(run=run)
 
-    common(sub.add_parser("ingest", help="validate a dataset and print a summary"))
-    common(sub.add_parser("cluster", help="build the coverage map"))
-    common(sub.add_parser("reduce", help="reduce the minimization problem"),
+    common(sub.add_parser("ingest", help="validate a dataset and print a summary"), cmd_ingest)
+    common(sub.add_parser("cluster", help="build the coverage map"), cmd_cluster)
+    common(sub.add_parser("reduce", help="reduce the minimization problem"), cmd_reduce,
            coverage_flag=True)
-    common(sub.add_parser("minimize", help="run the full minimization pipeline"))
+    common(sub.add_parser("minimize", help="run the full minimization pipeline"), cmd_minimize)
     p_bench = sub.add_parser("bench", help="compare algorithms over repetitions")
-    common(p_bench)
+    common(p_bench, cmd_bench)
     p_bench.add_argument("--algo", action="append",
                          help="algorithm name, repeatable or comma separated")
     p_bench.add_argument("--reps", type=int, default=1)
     p_bench.add_argument("--jobs", type=int, default=1)
-    common(sub.add_parser("oracle", help="exact optimum via branch and bound"))
+    common(sub.add_parser("oracle", help="exact optimum via branch and bound"), cmd_oracle)
     return parser
-
-
-_COMMANDS = {
-    "ingest": cmd_ingest,
-    "cluster": cmd_cluster,
-    "reduce": cmd_reduce,
-    "minimize": cmd_minimize,
-    "bench": cmd_bench,
-    "oracle": cmd_oracle,
-}
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     logging.basicConfig(level=logging.WARNING, format="%(levelname)s %(name)s: %(message)s")
     try:
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -213,30 +213,19 @@ def url_distance(u1, u2) -> int:
     return len(u1) + len(u2) - 2 * lca
 
 
-def param_value_distance(v1: str | int, v2: str | int) -> int | None:
-    """Character edit distance for str pairs, absolute difference for int
-    pairs, None (undefined) for mixed types."""
-    if type(v1) is not type(v2):
-        return None
-    if isinstance(v1, str):
-        return levenshtein(v1, v2)
-    return abs(v1 - v2)
-
-
-def params_match(p1, p2) -> bool:
-    return len(p1) == len(p2) and all(
-        type(a[1]) is type(b[1]) for a, b in zip(p1, p2)
-    )
-
-
 def param_distance(p1, p2) -> float:
-    """In [0, 1]; exactly 1 iff the parameter lists do not match."""
-    if not params_match(p1, p2):
+    """In [0, 1]; exactly 1 iff the parameter lists do not match: their
+    lengths differ, or the value types at some position do. Otherwise the
+    normalized sum of each position's normalized value distance: character
+    edit distance for str values, absolute difference for int values. One
+    pass over the positions judges the match and sums the distances."""
+    if len(p1) != len(p2):
         return 1.0
     total = 0.0
     for (_, v1), (_, v2) in zip(p1, p2):
-        d = param_value_distance(v1, v2)
-        total += normalize(d)
+        if type(v1) is not type(v2):
+            return 1.0
+        total += normalize(levenshtein(v1, v2) if isinstance(v1, str) else abs(v1 - v2))
     return normalize(total)
 
 

@@ -15,8 +15,6 @@ identical, so action clustering yields one subclass per class and method.
 
 from __future__ import annotations
 
-import json
-
 from .dataset import Action, Dataset, InputRecord, split_url
 
 _UNIQUE_COUNT = 30
@@ -66,41 +64,3 @@ def make_synthetic_dataset() -> Dataset:
         ("v-either", (frozenset({5}), frozenset({6}))),
     )
     return Dataset(inputs=tuple(records), vulnerabilities=vulnerabilities)
-
-
-def write_dataset(ds: Dataset, path) -> None:
-    """Serialize a dataset in the on-disk JSON schema that `load_dataset`
-    reads back."""
-    payload = {
-        "inputs": [
-            {
-                "id": rec.id,
-                "actions": [
-                    {
-                        "method": act.method,
-                        "url": act.url_words[0] + "://" + "/".join(act.url_words[1:]),
-                        "params": [
-                            {"name": name, "type": type(value).__name__, "value": value}
-                            for name, value in act.params
-                        ],
-                    }
-                    for act in rec.actions
-                ],
-                "outputs": list(rec.outputs),
-                "mr_action_counts": rec.mr_action_counts,
-            }
-            for rec in ds.inputs
-        ],
-        "vulnerabilities": [
-            {"id": vid, "detecting_groups": [sorted(g) for g in groups]}
-            for vid, groups in ds.vulnerabilities
-        ],
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def write_synthetic_dataset(path) -> None:
-    """Serialize the synthetic dataset in the on-disk JSON schema."""
-    write_dataset(make_synthetic_dataset(), path)

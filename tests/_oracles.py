@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import dataclasses
 import importlib.util
+import json
 import math
 import random
 import re
@@ -28,9 +29,10 @@ from covmin.clustering import (
 )
 from covmin.config import RunConfig
 from covmin.dataset import TokenDoc, load_dataset
-from covmin.distance import levenshtein
+from covmin.distance import levenshtein, normalize
 from covmin.reduction import valid_orders_gain
 from covmin.search import ComponentProblem, _running_sums, _shuffle, _weighted_choice
+from covmin.synthetic import make_synthetic_dataset
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -244,6 +246,26 @@ def levenshtein_dp(a, b) -> int:
     return prev[-1]
 
 
+def param_lists_match(p1, p2) -> bool:
+    """Two parameter lists match when they have the same length and the same
+    value type at every position; names do not count."""
+    return len(p1) == len(p2) and all(type(a[1]) is type(b[1]) for a, b in zip(p1, p2))
+
+
+def param_distance_two_pass(p1, p2) -> float:
+    """The parameter distance in two passes: 1 unless the lists match, then
+    the normalized sum, in position order, of each position's normalized
+    value distance (character edit distance for strs, absolute difference
+    for ints): the reference that `distance.param_distance` must equal
+    exactly."""
+    if not param_lists_match(p1, p2):
+        return 1.0
+    total = 0.0
+    for (_, v1), (_, v2) in zip(p1, p2):
+        total += normalize(levenshtein_dp(v1, v2) if isinstance(v1, str) else abs(v1 - v2))
+    return normalize(total)
+
+
 def pair_matrix(items, dist) -> np.ndarray:
     """`dist` over every pair of `items` as one symmetric float64 matrix with
     zero diagonal, one pair at a time: the loop every whole-matrix form of a
@@ -289,6 +311,45 @@ def workload_corpus(name: str, seed: int, directory, scale: int = 1):
     path = Path(directory) / f"{name}-{seed}.json"
     bench_run.generate(spec, seed).write(path)
     return load_dataset(path), RunConfig(**workload.config)
+
+
+def write_dataset(ds, path) -> None:
+    """Serialize a dataset in the on-disk JSON schema that `load_dataset`
+    reads back."""
+    payload = {
+        "inputs": [
+            {
+                "id": rec.id,
+                "actions": [
+                    {
+                        "method": act.method,
+                        "url": act.url_words[0] + "://" + "/".join(act.url_words[1:]),
+                        "params": [
+                            {"name": name, "type": type(value).__name__, "value": value}
+                            for name, value in act.params
+                        ],
+                    }
+                    for act in rec.actions
+                ],
+                "outputs": list(rec.outputs),
+                "mr_action_counts": rec.mr_action_counts,
+            }
+            for rec in ds.inputs
+        ],
+        "vulnerabilities": [
+            {"id": vid, "detecting_groups": [sorted(g) for g in groups]}
+            for vid, groups in ds.vulnerabilities
+        ],
+    }
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def write_synthetic_dataset(path) -> None:
+    """Serialize `covmin.synthetic.make_synthetic_dataset()` in the on-disk
+    JSON schema: the bytes of `data/synthetic.json`."""
+    write_dataset(make_synthetic_dataset(), path)
 
 
 def bag_distance(a, b) -> int:

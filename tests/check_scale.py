@@ -1,5 +1,6 @@
 """Time one pipeline run on a benchmark workload scaled past its size, or
-bound the memory of the coverage stage at scale.
+bound the memory of the output distance matrices and the coverage stage at
+scale.
 
     python tests/check_scale.py deep-overlap 20
     python tests/check_scale.py --memory
@@ -24,14 +25,23 @@ points where their callers look them up. Prints one JSON line:
 Single runs on a shared 2-core VM varied by 1.5x at one commit, so compare
 medians of alternating runs.
 
-`--memory` builds `many-pages` x20 and `long-pages` x20 the same way and
-measures the `tracemalloc` peak of one `blocks.build_coverage` call on each
-(corpus generation excluded). It prints one JSON line per workload and exits
-1 when a peak passes its bound. The bounds are the measured peaks (178.0 and
-61.4 MiB) plus about 11% headroom. Keeping the distinct-document matrix alive
-beside the occurrence matrix, as `cluster_outputs` once did, peaks at 224.9
-and 75.8 MiB and fails them, and so does one more occurrence-sized float64
-matrix (122 and 37 MiB at x20). The two runs take about 9 s.
+`--memory` builds corpora the same way and measures the `tracemalloc` peak
+of four calls, the returned value included and corpus generation and
+preprocessing excluded. It prints one JSON line per check and exits 1 when
+any peak passes its bound:
+- `lev_matrix` on the distinct preprocessed documents of `long-pages` x5
+  and `bag_matrix` on those of `many-pages` x5, as `pairwise_matrix` passes
+  them. The bounds are the measured peaks (4.5 and 5.1 MiB, for results of
+  1.3 and 3.6 MiB) plus more than 25% headroom; a match table as wide as
+  all the documents, or three matrix-sized temporaries, fails them (12.8
+  and 11.5 MiB).
+- `blocks.build_coverage` on `many-pages` x20 and `long-pages` x20. The
+  bounds are the measured peaks (178.0 and 61.4 MiB) plus about 11%
+  headroom. Keeping the distinct-document matrix alive beside the
+  occurrence matrix, as `cluster_outputs` once did, peaks at 224.9 and
+  75.8 MiB and fails them, and so does one more occurrence-sized float64
+  matrix (122 and 37 MiB at x20).
+The four checks take about 10 s.
 """
 
 import json
@@ -45,7 +55,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
-from covmin import blocks, clustering, harness, search  # noqa: E402
+from covmin import blocks, clustering, distance, harness, search  # noqa: E402
 
 from _oracles import workload_corpus  # noqa: E402
 
@@ -60,9 +70,13 @@ STAGES = {
     "gain_s": (search, "valid_orders_gain"),
 }
 
-MEMORY_SCALE = 20
-# Workload -> the bound, in MiB, on the `build_coverage` peak at MEMORY_SCALE.
-MEMORY_BOUNDS_MIB = {"many-pages": 198.0, "long-pages": 68.0}
+# (workload, scale, the call measured, the bound in MiB on its peak).
+MEMORY_BOUNDS_MIB = (
+    ("long-pages", 5, "lev_matrix", 6.0),
+    ("many-pages", 5, "bag_matrix", 7.0),
+    ("many-pages", 20, "build_coverage", 198.0),
+    ("long-pages", 20, "build_coverage", 68.0),
+)
 
 
 def _timed(totals: dict, stage: str, function):
@@ -97,14 +111,26 @@ def measure(workload: str, scale: int) -> dict:
     }
 
 
-def coverage_peak_mib(workload: str, scale: int) -> float:
-    """The `tracemalloc` peak of one `build_coverage` call on the workload's
-    corpus at seed 1, the returned cover included."""
+def memory_call(workload: str, scale: int, call: str) -> tuple:
+    """The function that `call` names and its arguments on the workload's
+    corpus at seed 1: `build_coverage` on the dataset, or an output matrix on
+    its distinct documents. Only these outlive this call: a corpus kept
+    alive beside a matrix call raised the `bag_matrix` peak by 0.1 MiB."""
     with tempfile.TemporaryDirectory() as tmp:
         dataset, config = workload_corpus(workload, 1, tmp, scale)
+    if call == "build_coverage":
+        return blocks.build_coverage, (dataset, config, 1)
+    docs = blocks.preprocess_all(dataset, config)
+    return getattr(distance, call), (list(dict.fromkeys(docs[k] for k in sorted(docs))),)
+
+
+def memory_peak_mib(workload: str, scale: int, call: str) -> float:
+    """The `tracemalloc` peak of one `call` (see `memory_call`), the returned
+    value included."""
+    function, args = memory_call(workload, scale, call)
     tracemalloc.start()
     try:
-        blocks.build_coverage(dataset, config, 1)
+        function(*args)
         return tracemalloc.get_traced_memory()[1] / 2**20
     finally:
         tracemalloc.stop()
@@ -112,12 +138,12 @@ def coverage_peak_mib(workload: str, scale: int) -> float:
 
 def check_memory() -> int:
     failed = False
-    for workload, bound in MEMORY_BOUNDS_MIB.items():
-        peak = coverage_peak_mib(workload, MEMORY_SCALE)
+    for workload, scale, call, bound in MEMORY_BOUNDS_MIB:
+        peak = memory_peak_mib(workload, scale, call)
         failed |= peak > bound
         print(json.dumps({
-            "workload": workload, "scale": MEMORY_SCALE,
-            "build_coverage_peak_mib": round(peak, 1), "bound_mib": bound,
+            "workload": workload, "scale": scale, "call": call,
+            "peak_mib": round(peak, 2), "bound_mib": bound,
         }))
     return int(failed)
 

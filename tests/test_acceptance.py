@@ -12,7 +12,7 @@ from covmin.baselines import a12_effect_size, art_select, exhaustive_optimal, gr
 from covmin.blocks import build_coverage
 from covmin.config import RunConfig
 from covmin.dataset import TokenDoc
-from covmin.distance import bag_matrix, lev_matrix, levenshtein, param_distance, params_match, url_distance
+from covmin.distance import bag_matrix, lev_matrix, levenshtein, param_distance, url_distance
 from covmin.harness import run_pipeline
 from covmin.reduction import reduce_problem, split_components, valid_orders_gain
 from covmin.search import ComponentProblem, _running_sums, dominates, mocco_run
@@ -28,6 +28,7 @@ from _oracles import (
     has_cycle,
     is_redundant_in,
     order_is_valid,
+    param_lists_match,
     random_instance,
 )
 
@@ -330,7 +331,7 @@ def test_criterion_6_distance_properties():
             p1, p2 = rand_params(), rand_params()
             d = param_distance(p1, p2)
             assert 0.0 <= d <= 1.0
-            assert (d == 1.0) == (not params_match(p1, p2))
+            assert (d == 1.0) == (not param_lists_match(p1, p2))
 
     _report(6, "distance properties", run)
 

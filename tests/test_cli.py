@@ -19,9 +19,8 @@ from covmin.blocks import build_coverage
 from covmin.cli import coverage_to_dict, main
 from covmin.config import MAX_GRID_POINTS, MAX_SEARCH_INDIVIDUALS, RunConfig
 from covmin.dataset import ValidationError, load_dataset
-from covmin.synthetic import write_synthetic_dataset
 
-from _oracles import workload_corpus
+from _oracles import workload_corpus, write_synthetic_dataset
 
 ROOT = Path(__file__).resolve().parents[1]
 BUNDLED = str(ROOT / "data" / "synthetic.json")

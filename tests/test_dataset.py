@@ -18,9 +18,8 @@ from covmin.dataset import (
     split_url,
     tokenize,
 )
-from covmin.synthetic import write_dataset, write_synthetic_dataset
 
-from _oracles import reference_tokenize
+from _oracles import reference_tokenize, write_dataset, write_synthetic_dataset
 
 BUNDLED = Path(__file__).resolve().parents[1] / "data" / "synthetic.json"
 

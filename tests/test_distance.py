@@ -16,13 +16,11 @@ from covmin.distance import (
     normalize,
     pairwise_matrix,
     param_distance,
-    param_value_distance,
-    params_match,
     url_distance,
 )
 
 from _oracles import (bag_distance, bag_distance_by_differences, levenshtein_dp, output_distance,
-                      pair_matrix)
+                      pair_matrix, param_distance_two_pass, param_lists_match)
 
 
 def test_normalize_maps_to_unit_interval():
@@ -247,9 +245,11 @@ def test_url_distance_triangle_inequality_random_sweep():
 
 
 def test_param_value_distance_kinds():
-    assert param_value_distance(10, 42) == 32
-    assert param_value_distance("John", "Johnny") == 2
-    assert param_value_distance(10, "10") is None
+    # A single-parameter list's distance is its one value distance,
+    # normalized once as a term and once as the sum.
+    assert param_distance((("a", 10),), (("a", 42),)) == normalize(normalize(32))
+    assert param_distance((("a", "John"),), (("a", "Johnny"),)) == normalize(normalize(2))
+    assert param_distance((("a", 10),), (("a", "10"),)) == 1.0
 
 
 def test_param_distance_worked_example():
@@ -257,7 +257,7 @@ def test_param_distance_worked_example():
     # normalized sum lands near 0.71.
     p1 = (("a", 10), ("b", "John"), ("c", "qwerty"))
     p2 = (("a", 42), ("b", "Johnny"), ("c", "qwertyuiop"))
-    assert params_match(p1, p2)
+    assert param_lists_match(p1, p2)
     assert param_distance(p1, p2) == pytest.approx(0.71, abs=0.005)
 
 
@@ -289,7 +289,51 @@ def test_param_distance_range_random_sweep():
         d = param_distance(p1, p2)
         assert 0.0 <= d <= 1.0
         if d == 1.0:
-            assert not params_match(p1, p2)
+            assert not param_lists_match(p1, p2)
+
+
+_PARAM_NAMES = st.sampled_from(("a", "b", "q"))
+
+
+def _param_value(kind):
+    return st.integers(0, 60) if kind is int else st.text("xyz", max_size=6)
+
+
+@st.composite
+def _param_list_pair(draw):
+    """Two parameter lists of 0-5 (name, value) pairs with str or int values
+    and names drawn apart. The second takes the first's value types, then
+    either stays so, gains or loses a pair, or flips the value type at its
+    first, middle or last position."""
+    kinds = draw(st.lists(st.sampled_from((str, int)), max_size=5))
+    p1 = [(draw(_PARAM_NAMES), draw(_param_value(kind))) for kind in kinds]
+    p2 = [(draw(_PARAM_NAMES), draw(_param_value(kind))) for kind in kinds]
+    change = draw(st.sampled_from(("none", "longer", "shorter", "first", "middle", "last")))
+    if change == "longer":
+        p2.append((draw(_PARAM_NAMES), draw(_param_value(draw(st.sampled_from((str, int)))))))
+    elif change == "shorter" and p2:
+        del p2[draw(st.integers(0, len(p2) - 1))]
+    elif change in ("first", "middle", "last") and p2:
+        i = {"first": 0, "middle": len(p2) // 2, "last": len(p2) - 1}[change]
+        name, value = p2[i]
+        p2[i] = (name, draw(_param_value(str if isinstance(value, int) else int)))
+    return tuple(p1), tuple(p2)
+
+
+@settings(max_examples=500, derandomize=True, deadline=None)
+@given(_param_list_pair())
+@example(((), ()))
+@example(((), (("a", 1),)))
+@example(((("a", 1), ("b", "x")), (("a", 1),)))
+@example(((("a", 1), ("b", "x"), ("c", 2)), (("a", "1"), ("b", "x"), ("c", 2))))
+@example(((("a", 1), ("b", "x"), ("c", 2)), (("a", 1), ("b", 0), ("c", 2))))
+@example(((("a", 1), ("b", "x"), ("c", 2)), (("a", 1), ("b", "x"), ("c", "2"))))
+@example(((("a", 1), ("b", "xy")), (("q", 5), ("a", "y"))))
+def test_param_distance_equals_two_pass_oracle(pair):
+    p1, p2 = pair
+    want = param_distance_two_pass(p1, p2)
+    assert param_distance(p1, p2) == want
+    assert param_distance(p2, p1) == want
 
 
 def test_action_distance_combines_url_and_params():

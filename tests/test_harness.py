@@ -20,10 +20,10 @@ from covmin.harness import (
     write_bench_csv,
 )
 from covmin.reduction import reduce_problem
-from covmin.synthetic import make_synthetic_dataset, planted_optimum_cost, write_synthetic_dataset
+from covmin.synthetic import make_synthetic_dataset, planted_optimum_cost
 
 from _oracles import (bruteforce_min_cover, coverage_of, perfbench_run, random_instance,
-                      workload_corpus)
+                      workload_corpus, write_synthetic_dataset)
 
 CONFIG = RunConfig()
 ROOT = Path(__file__).resolve().parents[1]
