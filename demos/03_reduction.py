@@ -8,7 +8,7 @@ the greedy total of 8.
 Run: python3 demos/03_reduction.py
 """
 
-from covmin.reduction import determine_redundancy, reduce_problem, valid_orders_gain
+from covmin.reduction import CoverIndex, determine_redundancy, reduce_problem, valid_orders_gain
 
 cover = {
     1: frozenset({"bl1", "bl2"}),
@@ -23,8 +23,10 @@ necessary, _ = determine_redundancy(cover)
 for i in sorted(ids):
     print(f"in{i}:", "necessary" if i in necessary else "redundant")
 
-gain, order = valid_orders_gain(ids, cover, costs)
-print("\nmax removable cost:", gain, "via removal order", order)
+# The removal gain works on bits: input k of the index is bit k of a mask.
+index = CoverIndex.of(cover, costs)
+gain, removed = valid_orders_gain((1 << len(index.inputs)) - 1, index)
+print("\nmax removable cost:", gain, "via removal order", sorted(index.set_of(removed)))
 
 result = reduce_problem(cover, costs)
 print("necessary inputs:", sorted(result.necessary))

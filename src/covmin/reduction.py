@@ -1,9 +1,13 @@
 """The cover map and search-space reduction: the redundancy loop, duplicate
 removal, local-dominance removal, overlap-graph component split, and the
-gain of valid removal orders. `min_cover`, the exact minimum-cost cover
-search, finds a locally-dominated input's replacement among the inputs
-still kept, finds the removal gain, and also serves as the exact solver in
-`baselines`. `postings` is the one block -> holding inputs index.
+gain of valid removal orders. `postings` is the one block -> holding inputs
+index, and `CoverIndex` is its bit form: input k is bit k in ascending id
+order, objective j is bit j in `str(block)` order. `_cheapest_cover`, the
+one exact minimum-cost cover search, runs over those bits and has three
+callers: local dominance finds an input's replacement among the inputs
+still kept, `valid_orders_gain` finds the removal gain of a member mask,
+and `min_cover`, its set-level adapter, is the exact solver in
+`baselines`.
 
 Functions take a plain coverage mapping (input id -> frozenset of blocks)
 and a cost mapping, so they work both on real coverage maps and on the small
@@ -18,7 +22,6 @@ returns for the full instance.
 from __future__ import annotations
 
 import logging
-from collections import Counter
 from dataclasses import dataclass
 
 logger = logging.getLogger(__name__)
@@ -79,62 +82,139 @@ def remove_duplicates(rcover, costs):
     return {i: rcover[i] for i in best.values()}
 
 
+@dataclass(frozen=True)
+class CoverIndex:
+    """The bit form of a cover map and its costs, derived from its
+    `postings`: input bit k is the k-th input id in ascending order, and
+    objective bit j the j-th block in `str` order."""
+    inputs: list
+    blocks: list
+    # Objective bit j -> the mask of the inputs holding it.
+    holders: list
+    # Input bit k -> (1 << k, its cost, the mask of the objectives it holds).
+    entries: list
+
+    @classmethod
+    def of(cls, cover, costs, by_block=None) -> CoverIndex:
+        """The index of `cover`, from `by_block = postings(cover)` when the
+        caller has it."""
+        if by_block is None:
+            by_block = postings(cover)
+        inputs = sorted(cover)
+        bit = {i: 1 << k for k, i in enumerate(inputs)}
+        held = dict.fromkeys(inputs, 0)
+        blocks = sorted(by_block, key=str)
+        holders = []
+        for j, bl in enumerate(blocks):
+            mask = 0
+            for i in by_block[bl]:
+                mask |= bit[i]
+                held[i] |= 1 << j
+            holders.append(mask)
+        return cls(inputs, blocks, holders, [(bit[i], costs[i], held[i]) for i in inputs])
+
+    def set_of(self, mask: int) -> frozenset:
+        return frozenset(i for k, i in enumerate(self.inputs) if mask >> k & 1)
+
+
+def _cheapest_cover(index: CoverIndex, objectives: int, candidates: int, budget):
+    """The cheapest mask of `candidates` holding every objective bit of
+    `objectives` at an integer cost of at most `budget`, or None.
+    Branch-and-bound: always branch on the uncovered objective with the
+    fewest candidate holders (lowest bit, so least `str`, on ties), trying
+    them from the lowest bit, and prune at the incumbent, so the first
+    cheapest cover found wins. Candidate holders are fixed for the search,
+    so the branching order is sorted once."""
+    entries = index.entries
+    branches = []
+    rest = objectives
+    while rest:
+        low = rest & -rest
+        held = index.holders[low.bit_length() - 1] & candidates
+        if not held:
+            return None
+        options = []
+        while held:
+            bit = held & -held
+            options.append(entries[bit.bit_length() - 1])
+            held ^= bit
+        branches.append((len(options), low, options))
+        rest ^= low
+    branches.sort(key=lambda b: b[:2])
+    # The incumbent [mask, cost], shared down the recursion; a nested
+    # recursive function would be a reference cycle per call, left for the
+    # garbage collector.
+    best = [None, budget + 1]
+    if best[1] <= 0:  # even the empty selection is over budget
+        return None
+    if not objectives:
+        return 0
+    _branch([(low, options) for _, low, options in branches], best, 0, 0, objectives)
+    return best[0]
+
+
+def _branch(branches, best, selected, sel_cost, uncovered):
+    """Extend `selected` by each holder, in order, of the first objective of
+    `branches` still in `uncovered`, recording a cheaper cover in `best`."""
+    for low, options in branches:
+        if uncovered & low:
+            break
+    for bit, cost, held in options:
+        cost += sel_cost
+        if cost < best[1]:
+            left = uncovered & ~held
+            if left:
+                _branch(branches, best, selected | bit, cost, left)
+            else:
+                best[0], best[1] = selected | bit, cost
+
+
 def min_cover(objectives, cover, costs, budget):
     """Cheapest subset of the inputs of `cover` covering `objectives` at an
-    integer cost of at most `budget`, or None. Branch-and-bound: always
-    branch on the uncovered objective with the fewest covering inputs (ties
-    by `str`), trying them in id order, and prune at the incumbent, so the
-    first cheapest cover found wins."""
-    inputs_of = postings(cover)
-    objectives = frozenset(objectives)
-    if not inputs_of.keys() >= objectives:
-        return None
-    best_set = None
-    best_cost = budget + 1
-
-    def branch(selected, sel_cost, uncovered):
-        nonlocal best_cost, best_set
-        if sel_cost >= best_cost:
-            return
-        if not uncovered:
-            best_cost = sel_cost
-            best_set = frozenset(selected)
-            return
-        bl = min(uncovered, key=lambda b: (len(inputs_of[b]), str(b)))
-        for i in inputs_of[bl]:
-            if i in selected:
-                continue
-            selected.add(i)
-            branch(selected, sel_cost + costs[i], uncovered - cover[i])
-            selected.discard(i)
-
-    branch(set(), 0, objectives)
-    return best_set
+    integer cost of at most `budget`, or None: `_cheapest_cover` over the
+    `CoverIndex` of `cover`, taking and returning ids and blocks. The exact
+    solver's entry point."""
+    index = CoverIndex.of(cover, costs)
+    bit_of = {bl: 1 << j for j, bl in enumerate(index.blocks)}
+    wanted = 0
+    for bl in objectives:
+        if bl not in bit_of:
+            return None
+        wanted |= bit_of[bl]
+    found = _cheapest_cover(index, wanted, (1 << len(index.inputs)) - 1, budget)
+    return None if found is None else index.set_of(found)
 
 
 def remove_locally_dominated(rcover, costs):
     """Remove, in id order, every input whose remaining coverage the inputs
     still kept among its overlap neighbours replicate at no greater cost
-    (`min_cover` finds the replacement), so no removal strands coverage.
-    The neighbour cap is judged over its neighbours in `rcover`: above it
-    the input is kept. Through zero-cost inputs two inputs can dominate each
-    other: 2 and 3 in the cover {1: {a}, 2: {a, b}, 3: {b, c}, 4: {c}} at
-    costs 0, 1, 1, 0, where 2 goes and 3 stays."""
-    by_block = postings(rcover)
-    kept = dict(rcover)
-    for i in sorted(rcover):
-        target = rcover[i]
-        neighbors = {j for bl in target for j in by_block[bl]}
-        neighbors.discard(i)
-        if len(neighbors) > NEIGHBOR_CAP:
+    (`_cheapest_cover` finds the replacement), so no removal strands
+    coverage. Its neighbours are the holders of its objectives, read from
+    one `CoverIndex` per call. The neighbour cap is judged over its
+    neighbours in `rcover`: above it the input is kept. Through zero-cost
+    inputs two inputs can dominate each other: 2 and 3 in the cover {1:
+    {a}, 2: {a, b}, 3: {b, c}, 4: {c}} at costs 0, 1, 1, 0, where 2 goes and
+    3 stays."""
+    index = CoverIndex.of(rcover, costs)
+    holders = index.holders
+    kept = (1 << len(index.inputs)) - 1
+    for i, (bit, cost, held) in zip(index.inputs, index.entries):
+        neighbors = 0
+        rest = held
+        while rest:
+            low = rest & -rest
+            neighbors |= holders[low.bit_length() - 1]
+            rest ^= low
+        neighbors &= ~bit
+        if neighbors.bit_count() > NEIGHBOR_CAP:
             logger.warning(
                 "input %s has %d overlap neighbors (cap %d): conservatively kept",
-                i, len(neighbors), NEIGHBOR_CAP,
+                i, neighbors.bit_count(), NEIGHBOR_CAP,
             )
-        elif min_cover(target, {j: kept[j] for j in neighbors if j in kept},
-                       costs, costs[i]) is not None:
-            del kept[i]
-    return kept
+        elif _cheapest_cover(index, held, neighbors & kept, cost) is not None:
+            kept &= ~bit
+    kept_ids = index.set_of(kept)
+    return {i: blocks for i, blocks in rcover.items() if i in kept_ids}
 
 
 def split_components(rcover) -> tuple[CoverageMap, ...]:
@@ -162,61 +242,72 @@ def split_components(rcover) -> tuple[CoverageMap, ...]:
     return tuple(components)
 
 
-def valid_orders_gain(ids, cover, costs):
-    """Maximal removable cost over valid removal orders, plus one witness.
+def _held(members) -> tuple[int, int]:
+    """The objectives the `CoverIndex` entries `members` hold, and those
+    only one of them holds."""
+    once = twice = 0
+    for _, _, held in members:
+        twice |= once & held
+        once |= held
+    return once, once & ~twice
+
+
+def valid_orders_gain(mask: int, index: CoverIndex) -> tuple[int, int]:
+    """Maximal removable cost over valid removal orders of the members of
+    `mask`, plus one witness: the mask of the inputs removed.
 
     A set of inputs can be removed one at a time, each redundant when it
     goes, exactly when the inputs left still cover every block; then any
     order is valid. An input that is the sole cover of a block stays in
     every such cover, so the gain is the cost of the redundant inputs minus
     the cheapest cover, among them only, of the blocks the others leave
-    uncovered. The witness is the redundant inputs that cover drops, in id
-    order. Above the redundant-input threshold, falls back to greedily
-    removing the most costly currently-redundant input.
+    uncovered. The witness is the redundant inputs outside that cover.
+    Above the redundant-input threshold, falls back to greedily removing
+    the most costly currently-redundant input.
     """
-    members = sorted(ids)
-    # Block -> its only holder among the members, or None once a second
-    # holder appears.
-    only: dict = {}
-    for i in members:
-        for bl in cover[i]:
-            if only.setdefault(bl, i) != i:  # an earlier member holds it too
-                only[bl] = None
-    sole = set(only.values())
-    sole.discard(None)
-    redundant = {i: cover[i] for i in members if i not in sole}
+    members = [entry for entry in index.entries if mask & entry[0]]
+    once, single = _held(members)
+    sole_held = redundant = redundant_cost = 0
+    for bit, cost, held in members:
+        if held & single:
+            sole_held |= held
+        else:
+            redundant |= bit
+            redundant_cost += cost
     if not redundant:
-        return 0, []
-    if len(redundant) > EXHAUSTIVE_GAIN_THRESHOLD:
+        return 0, 0
+    if redundant.bit_count() > EXHAUSTIVE_GAIN_THRESHOLD:
         logger.warning(
             "%d redundant inputs exceed the exhaustive threshold %d: "
-            "using greedy removal", len(redundant), EXHAUSTIVE_GAIN_THRESHOLD,
+            "using greedy removal", redundant.bit_count(), EXHAUSTIVE_GAIN_THRESHOLD,
         )
-        return _greedy_gain(members, cover, costs)
-    uncovered = only.keys() - frozenset().union(*(cover[i] for i in sole))
-    redundant_cost = sum(costs[i] for i in redundant)
-    # With nothing left to cover, min_cover would return the empty set.
-    kept = min_cover(uncovered, redundant, costs, redundant_cost) if uncovered else frozenset()
-    order = [i for i in redundant if i not in kept]
-    return redundant_cost - sum(costs[i] for i in kept), order
+        return _greedy_gain(mask, index)
+    uncovered = once & ~sole_held
+    # With nothing left to cover, every redundant input goes.
+    kept = _cheapest_cover(index, uncovered, redundant, redundant_cost) if uncovered else 0
+    gain = redundant_cost
+    for bit, cost, _ in members:
+        if kept & bit:
+            gain -= cost
+    return gain, redundant & ~kept
 
 
-def _greedy_gain(members, cover, costs):
-    superpos = Counter()
-    for i in members:
-        superpos.update(cover[i])
-    remaining = set(members)
+def _greedy_gain(mask: int, index: CoverIndex) -> tuple[int, int]:
+    """Remove the costliest currently-redundant member, the lowest id on
+    cost ties, until none is redundant: the removed cost and mask."""
+    remaining = mask
     gain = 0
-    order = []
     while True:
-        candidates = [i for i in remaining if all(superpos[bl] >= 2 for bl in cover[i])]
-        if not candidates:
-            return gain, order
-        pick = max(candidates, key=lambda i: (costs[i], -i))
-        remaining.discard(pick)
-        superpos.subtract(cover[pick])
-        gain += costs[pick]
-        order.append(pick)
+        members = [entry for entry in index.entries if remaining & entry[0]]
+        _, single = _held(members)
+        pick = pick_cost = None
+        for bit, cost, held in members:
+            if not held & single and (pick is None or cost > pick_cost):
+                pick, pick_cost = bit, cost
+        if pick is None:
+            return gain, mask & ~remaining
+        remaining ^= pick
+        gain += pick_cost
 
 
 def reduce_problem(cover, costs) -> ReductionResult:

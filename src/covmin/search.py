@@ -11,7 +11,9 @@ Every individual is kept reduced (no redundant members).
 A member set is an int bitmask over the component's sorted inputs: bit k
 stands for `problem.inputs[k]`, and `ComponentProblem.mask_of` / `set_of`
 convert. Every `ComponentProblem` method and every `Individual` speaks
-masks; only `mocco_run`'s result is a frozenset.
+masks; only `mocco_run`'s result is a frozenset. A memo miss hands the
+mask itself to `reduction.valid_orders_gain`, with the component's
+`CoverIndex`, built once, whose input bits are the same.
 
 `mocco_run` makes each generation in one straight-line step: parent
 selection, crossover, mutation and the removal-memo read are inline, and
@@ -33,7 +35,7 @@ from dataclasses import dataclass, field
 
 from .config import RunConfig
 from .distance import normalize
-from .reduction import postings, valid_orders_gain
+from .reduction import CoverIndex, postings, valid_orders_gain
 
 __all__ = [
     "ComponentProblem", "Individual", "Populations", "dominates", "mocco_run",
@@ -121,16 +123,15 @@ class ComponentProblem:
         self.shuffle_steps = _shuffle_steps(len(self.objectives))
         # `(n, n.bit_length())` for n inputs: `mocco_run`'s mutation draw.
         self.input_draw = (len(self.inputs), len(self.inputs).bit_length())
-        # The (bit, cost) of each input, in input order, and of each
-        # objective's holders: what `evaluate` and `potential` read per mask.
-        self._bit_costs = [(self.bit[i], costs[i]) for i in self.inputs]
+        # The (bit, cost) of each objective's holders: what `potential`
+        # reads per mask.
         self._holder_bit_costs = {
             bl: [(self.bit[i], costs[i]) for i in self.inputs_of[bl]] for bl in self.objectives
         }
-        # The cover with each block replaced by its `str`, what `removal`
-        # solves over, so no `BlockId` is hashed or turned into its repr per
-        # solve.
-        self.str_cover = {i: frozenset(map(str, blocks)) for i, blocks in cover.items()}
+        # The bit form of the cover, what `removal` solves over; its input
+        # bits are the member-mask bits above, and `evaluate` reads each
+        # input's (bit, cost) from its entries.
+        self.index = CoverIndex.of(cover, costs, self.inputs_of)
         # Mask -> (removal gain, reduced mask) from valid_orders_gain, valid
         # only for this component's cover and costs, so it lives here.
         self._solved = {}
@@ -147,22 +148,13 @@ class ComponentProblem:
     def removal(self, mask: int) -> tuple[int, int]:
         """The removal gain of `mask` and the mask left once its removable
         inputs are gone, solved once per mask by `valid_orders_gain` over
-        `str_cover`, the members in ascending order.
-
-        `valid_orders_gain` and `min_cover` use a block only as a set member
-        and through the tie-break `str(b)`, and `str` of a str is itself, so
-        the gain and the witness are the real cover's whenever `str` is
-        injective on the component's blocks. It is on `BlockId`, whose repr
-        names every field, and on any cover of one block type such as the
-        ints or strs of every test cover; it is not on a cover mixing 1 and
-        "1"."""
+        the component's `CoverIndex`, whose input bits are the mask's."""
         try:  # a hit, on nearly every call, costs one lookup
             return self._solved[mask]
         except KeyError:
             pass
-        members = [i for i, bit in self.bit.items() if mask & bit]
-        gain, order = valid_orders_gain(members, self.str_cover, self.costs)
-        solved = self._solved[mask] = (gain, mask & ~self.mask_of(order))
+        gain, removed = valid_orders_gain(mask, self.index)
+        solved = self._solved[mask] = (gain, mask & ~removed)
         return solved
 
     def potential(self, mask: int, bl) -> int:
@@ -182,7 +174,7 @@ class ComponentProblem:
     def evaluate(self, mask: int) -> tuple[int, tuple[float, ...]]:
         """The cost of `mask` and its fitness: the normalized cost, then per
         objective 0 when covered, else 1 / (potential + 1)."""
-        cost = sum([cost for bit, cost in self._bit_costs if mask & bit])
+        cost = sum([cost for bit, cost, _ in self.index.entries if mask & bit])
         fitness = (normalize(cost), *[
             0.0 if mask & held else 1.0 / (self.potential(mask, bl) + 1)
             for bl, held in self.holders.items()

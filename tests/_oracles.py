@@ -30,7 +30,7 @@ from covmin.clustering import (
 from covmin.config import RunConfig
 from covmin.dataset import TokenDoc, load_dataset
 from covmin.distance import levenshtein, normalize
-from covmin.reduction import valid_orders_gain
+from covmin.reduction import CoverIndex, valid_orders_gain
 from covmin.search import ComponentProblem, _running_sums, _shuffle, _weighted_choice
 from covmin.synthetic import make_synthetic_dataset
 
@@ -93,21 +93,89 @@ def bruteforce_gain(ids, cover, costs) -> int:
     return best(ids)
 
 
+def gain_of(ids, cover, costs):
+    """`reduction.valid_orders_gain` on the members `ids` of `cover`, over
+    the `CoverIndex` of `cover`: the gain and the removed inputs in
+    ascending id order."""
+    index = CoverIndex.of(cover, costs)
+    mask = sum(1 << k for k, i in enumerate(index.inputs) if i in ids)
+    gain, removed = valid_orders_gain(mask, index)
+    return gain, sorted(index.set_of(removed))
+
+
 def reference_valid_orders_gain(ids, cover, costs):
-    """`reduction.valid_orders_gain` finding the sole holders from the
-    postings of the members' cover map, without its warning."""
+    """`reduction.valid_orders_gain` over sets: the sole holders from the
+    postings of the members' cover map, the cheapest cover of what they
+    leave by `min_cover_by_sets` and, above the threshold, `greedy_gain_by_sets`,
+    without its warning. The removed inputs come in ascending id order."""
     members = sorted(ids)
     by_block = reduction.postings({i: cover[i] for i in members})
     sole = {holders[0] for holders in by_block.values() if len(holders) == 1}
     redundant = {i: cover[i] for i in members if i not in sole}
     if len(redundant) > reduction.EXHAUSTIVE_GAIN_THRESHOLD:
-        return reduction._greedy_gain(members, cover, costs)
+        gain, order = greedy_gain_by_sets(members, cover, costs)
+        return gain, sorted(order)
     uncovered = by_block.keys() - frozenset().union(*(cover[i] for i in sole))
     redundant_cost = sum(costs[i] for i in redundant)
-    kept = (reduction.min_cover(uncovered, redundant, costs, redundant_cost)
+    kept = (min_cover_by_sets(uncovered, redundant, costs, redundant_cost)
             if uncovered else frozenset())
     order = [i for i in redundant if i not in kept]
     return redundant_cost - sum(costs[i] for i in kept), order
+
+
+def min_cover_by_sets(objectives, cover, costs, budget):
+    """`reduction.min_cover` as a search over sets of ids and blocks: the
+    cheapest subset of the inputs of `cover` covering `objectives` at an
+    integer cost of at most `budget`, or None. Branch-and-bound: always
+    branch on the uncovered objective with the fewest covering inputs (ties
+    by `str`), trying them in id order, and prune at the incumbent, so the
+    first cheapest cover found wins."""
+    inputs_of = reduction.postings(cover)
+    objectives = frozenset(objectives)
+    if not inputs_of.keys() >= objectives:
+        return None
+    best_set = None
+    best_cost = budget + 1
+
+    def branch(selected, sel_cost, uncovered):
+        nonlocal best_cost, best_set
+        if sel_cost >= best_cost:
+            return
+        if not uncovered:
+            best_cost = sel_cost
+            best_set = frozenset(selected)
+            return
+        bl = min(uncovered, key=lambda b: (len(inputs_of[b]), str(b)))
+        for i in inputs_of[bl]:
+            if i in selected:
+                continue
+            selected.add(i)
+            branch(selected, sel_cost + costs[i], uncovered - cover[i])
+            selected.discard(i)
+
+    branch(set(), 0, objectives)
+    return best_set
+
+
+def greedy_gain_by_sets(members, cover, costs):
+    """The greedy removal of `valid_orders_gain` over sets: remove the
+    costliest currently-redundant member, the lowest id on cost ties, until
+    none is redundant. Returns the removed cost and the removal order."""
+    superpos = Counter()
+    for i in members:
+        superpos.update(cover[i])
+    remaining = set(members)
+    gain = 0
+    order = []
+    while True:
+        candidates = [i for i in remaining if all(superpos[bl] >= 2 for bl in cover[i])]
+        if not candidates:
+            return gain, order
+        pick = max(candidates, key=lambda i: (costs[i], -i))
+        remaining.discard(pick)
+        superpos.subtract(cover[pick])
+        gain += costs[pick]
+        order.append(pick)
 
 
 def dedupe_profiles(cover, costs):
@@ -214,7 +282,7 @@ def redundancy(input_id, ids, cover) -> int:
 
 def reduce_set(ids, cover, costs) -> frozenset:
     """Apply a maximal-gain valid removal order and return what remains."""
-    _, order = valid_orders_gain(ids, cover, costs)
+    _, order = gain_of(ids, cover, costs)
     return frozenset(ids) - set(order)
 
 
@@ -722,7 +790,8 @@ def mutate(problem, mask: int, rng) -> int:
 
 
 def fitness_by_definition(members, cover, costs) -> tuple[float, ...]:
-    """The search's fitness vector computed from raw `valid_orders_gain`:
+    """The search's fitness vector computed from raw `valid_orders_gain`
+    calls (`gain_of`):
     the normalized cost, then per objective in sorted order 0 when covered,
     else 1 / (potential + 1). The potential is the best gain of adding a
     holder minus its cost, shifted by the cheapest holder's cost."""
@@ -734,7 +803,7 @@ def fitness_by_definition(members, cover, costs) -> tuple[float, ...]:
             values.append(0.0)
             continue
         holders = [i for i in sorted(cover) if bl in cover[i]]
-        best = max(valid_orders_gain(members | {i}, cover, costs)[0] - costs[i]
+        best = max(gain_of(members | {i}, cover, costs)[0] - costs[i]
                    for i in holders)
         values.append(1.0 / (best + min(costs[i] for i in holders) + 1))
     cost = sum(costs[i] for i in members)

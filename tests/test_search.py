@@ -36,12 +36,15 @@ from _oracles import (
     crossover,
     dominates_all_any,
     fitness_by_definition,
+    gain_of,
     is_redundant_in,
     mutate,
     random_instance,
     reference_mocco_run,
+    reference_valid_orders_gain,
     select_parents,
 )
+from _strategies import block_id_cover
 
 GREEDY_COVER = {
     1: frozenset({"bl1", "bl2"}),
@@ -409,31 +412,13 @@ def test_memo_matches_raw_valid_orders_gain(case, data):
         st.frozensets(st.sampled_from(sorted(cover))), max_size=6))
     for _ in range(2):  # the first call solves, the repeat reads the cache
         for s in subsets:
-            gain, order = valid_orders_gain(s, cover, costs)
+            gain, order = gain_of(s, cover, costs)
             assert problem.removal(problem.mask_of(s)) == \
                 (gain, problem.mask_of(s - set(order)))
 
 
-_BLOCK_IDS = st.builds(BlockId, st.integers(0, 30), st.sampled_from(["GET", "POST"]),
-                       st.integers(0, 2))
-
-
-@st.composite
-def _block_id_cover(draw):
-    """A cover of 1-8 inputs over `BlockId`s with output classes 0-30, where
-    repr order differs from both tuple order and `as_str()` order (1 < 19 <
-    2 by repr, 19 < 1 by `as_str()`), at costs of 1-3 so cheapest covers
-    tie, and a set of its members."""
-    pool = draw(st.lists(_BLOCK_IDS, min_size=1, max_size=8, unique=True))
-    covers = draw(st.lists(st.frozensets(st.sampled_from(pool), min_size=1, max_size=4),
-                           min_size=1, max_size=8))
-    cover = dict(enumerate(covers, start=1))
-    costs = {i: draw(st.integers(1, 3)) for i in cover}
-    return cover, costs, draw(st.frozensets(st.sampled_from(sorted(cover))))
-
-
-# Both blocks have four holders, so `min_cover` branches first on the one
-# whose `str` is least: (1, GET, 0) by repr, keeping input 2, but
+# Both blocks have four holders, so the cover search branches first on the
+# one whose `str` is least: (1, GET, 0) by repr, keeping input 2, but
 # (19, POST, 0) by `as_str()`, keeping inputs 1 and 6 at the same cost.
 _A, _B = BlockId(1, "GET", 0), BlockId(19, "POST", 0)
 AS_STR_TIE_COVER = {
@@ -446,18 +431,17 @@ AS_STR_TIE_COSTS = {1: 1, 2: 2, 3: 1, 4: 2, 5: 3, 6: 1}
 def test_as_str_keying_changes_the_witness():
     cover, costs = AS_STR_TIE_COVER, AS_STR_TIE_COSTS
     as_str = {i: frozenset(bl.as_str() for bl in blocks) for i, blocks in cover.items()}
-    assert valid_orders_gain(cover, cover, costs) == (8, [1, 3, 4, 5, 6])
-    assert valid_orders_gain(cover, as_str, costs) == (8, [2, 3, 4, 5])
+    assert gain_of(cover, cover, costs) == (8, [1, 3, 4, 5, 6])
+    assert gain_of(cover, as_str, costs) == (8, [2, 3, 4, 5])
 
 
 @settings(max_examples=300, derandomize=True, deadline=None)
-@given(_block_id_cover())
+@given(block_id_cover())
 @example((AS_STR_TIE_COVER, AS_STR_TIE_COSTS, frozenset(AS_STR_TIE_COVER)))
-def test_removal_gain_over_the_str_view_is_the_real_covers(case):
+def test_removal_gain_on_block_ids_matches_the_set_oracle(case):
     cover, costs, members = case
     problem = ComponentProblem(cover, costs)
-    gain, order = valid_orders_gain(members, cover, costs)
-    assert valid_orders_gain(sorted(members), problem.str_cover, costs) == (gain, order)
+    gain, order = reference_valid_orders_gain(members, cover, costs)
     mask = problem.mask_of(members)
     assert problem.removal(mask) == (gain, mask & ~problem.mask_of(order))
 
@@ -618,9 +602,9 @@ def solved_sets(monkeypatch):
     """Every member set `covmin.search` hands to `valid_orders_gain`."""
     calls = []
 
-    def counting(ids, cover, costs, *args):
-        calls.append(frozenset(ids))
-        return valid_orders_gain(ids, cover, costs, *args)
+    def counting(mask, index, *args):
+        calls.append(index.set_of(mask))
+        return valid_orders_gain(mask, index, *args)
 
     monkeypatch.setattr(covmin.search, "valid_orders_gain", counting)
     return calls
