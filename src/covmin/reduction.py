@@ -95,11 +95,8 @@ class CoverIndex:
     entries: list
 
     @classmethod
-    def of(cls, cover, costs, by_block=None) -> CoverIndex:
-        """The index of `cover`, from `by_block = postings(cover)` when the
-        caller has it."""
-        if by_block is None:
-            by_block = postings(cover)
+    def of(cls, cover, costs) -> CoverIndex:
+        by_block = postings(cover)
         inputs = sorted(cover)
         bit = {i: 1 << k for k, i in enumerate(inputs)}
         held = dict.fromkeys(inputs, 0)

@@ -101,11 +101,15 @@ class ComponentProblem:
 
     def __init__(self, cover, costs):
         self.cover = cover
-        self.inputs = sorted(cover)
         self.costs = costs
-        for i in self.inputs:
+        for i in sorted(cover):
             if costs[i] <= 0:
                 raise ValueError(f"input {i} has cost {costs[i]}; the search needs positive costs")
+        # The bit form of the cover, what `removal` solves over: the one
+        # owner of the input -> member-mask bit mapping.
+        self.index = CoverIndex.of(cover, costs)
+        self.inputs = self.index.inputs
+        entry_of = dict(zip(self.inputs, self.index.entries))
         self.inputs_of = postings(cover)
         self.objectives = sorted(self.inputs_of)
         self._min_cost_of = {
@@ -113,7 +117,7 @@ class ComponentProblem:
             for bl, covering in self.inputs_of.items()
         }
         # Input -> its bit in a member mask, in input order.
-        self.bit = {i: 1 << k for k, i in enumerate(self.inputs)}
+        self.bit = {i: bit for i, (bit, _, _) in entry_of.items()}
         # Objective -> the mask of the inputs holding it, in objective order.
         self.holders = {bl: self.mask_of(self.inputs_of[bl]) for bl in self.objectives}
         # The holder masks as a list, and `_shuffle`'s steps over a list as
@@ -126,12 +130,8 @@ class ComponentProblem:
         # The (bit, cost) of each objective's holders: what `potential`
         # reads per mask.
         self._holder_bit_costs = {
-            bl: [(self.bit[i], costs[i]) for i in self.inputs_of[bl]] for bl in self.objectives
+            bl: [entry_of[i][:2] for i in self.inputs_of[bl]] for bl in self.objectives
         }
-        # The bit form of the cover, what `removal` solves over; its input
-        # bits are the member-mask bits above, and `evaluate` reads each
-        # input's (bit, cost) from its entries.
-        self.index = CoverIndex.of(cover, costs, self.inputs_of)
         # Mask -> (removal gain, reduced mask) from valid_orders_gain, valid
         # only for this component's cover and costs, so it lives here.
         self._solved = {}
@@ -143,7 +143,7 @@ class ComponentProblem:
         return mask
 
     def set_of(self, mask: int) -> frozenset:
-        return frozenset(i for i, bit in self.bit.items() if mask & bit)
+        return self.index.set_of(mask)
 
     def removal(self, mask: int) -> tuple[int, int]:
         """The removal gain of `mask` and the mask left once its removable
