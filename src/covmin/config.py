@@ -117,7 +117,7 @@ class RunConfig:
 
 def _typed(value, hint, what: str):
     """`value` checked against a field type: `X | None` takes null, a tuple
-    type takes a list of that length, a float takes an int."""
+    type takes a list of that length, a float an int that `float` takes."""
     if isinstance(hint, types.UnionType):
         if value is None:
             return None
@@ -129,5 +129,9 @@ def _typed(value, hint, what: str):
             raise ValidationError(f"{what} must have {len(kinds)} items, got {value!r}")
         return tuple(_typed(v, k, what) for v, k in zip(items, kinds))
     if hint is float and type(value) is int:
+        try:
+            float(value)
+        except OverflowError:
+            raise ValidationError(f"{what} must be float, got an int too large for one") from None
         return value
     return _checked(value, hint, what)

@@ -124,11 +124,11 @@ def _parse_action(obj: dict, entry: str) -> Action:
 
 def read_json(path, what: str):
     """The JSON value in the file at `path`. A file that is not UTF-8 JSON
-    is a ValidationError naming it as the `what` file."""
+    or nests too deep is a ValidationError naming it as the `what` file."""
     try:
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise ValidationError(f"malformed {what} file {path}: {exc}") from exc
 
 

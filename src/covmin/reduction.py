@@ -2,8 +2,9 @@
 removal, local-dominance removal, overlap-graph component split, and the
 gain of valid removal orders. `postings` is the one block -> holding inputs
 index, and `CoverIndex` is its bit form: input k is bit k in ascending id
-order, objective j is bit j in `str(block)` order. `_cheapest_cover`, the
-one exact minimum-cost cover search, runs over those bits and has three
+order, objective j is bit j in sorted block order, the one objective order
+that reduction and the genetic search share. `_cheapest_cover`, the one
+exact minimum-cost cover search, runs over those bits and has three
 callers: local dominance finds an input's replacement among the inputs
 still kept, `valid_orders_gain` finds the removal gain of a member mask,
 and `min_cover`, its set-level adapter, is the exact solver in
@@ -86,29 +87,30 @@ def remove_duplicates(rcover, costs):
 class CoverIndex:
     """The bit form of a cover map and its costs, derived from its
     `postings`: input bit k is the k-th input id in ascending order, and
-    objective bit j the j-th block in `str` order."""
+    objective bit j the j-th block in sorted order."""
     inputs: list
     blocks: list
     # Objective bit j -> the mask of the inputs holding it.
     holders: list
     # Input bit k -> (1 << k, its cost, the mask of the objectives it holds).
     entries: list
+    # Objective bit j -> its block's position in `str` order.
+    rank: list
 
     @classmethod
     def of(cls, cover, costs) -> CoverIndex:
         by_block = postings(cover)
-        inputs = sorted(cover)
+        inputs, blocks = sorted(cover), sorted(by_block)
         bit = {i: 1 << k for k, i in enumerate(inputs)}
         held = dict.fromkeys(inputs, 0)
-        blocks = sorted(by_block, key=str)
-        holders = []
+        holders = [0] * len(blocks)
         for j, bl in enumerate(blocks):
-            mask = 0
             for i in by_block[bl]:
-                mask |= bit[i]
+                holders[j] |= bit[i]
                 held[i] |= 1 << j
-            holders.append(mask)
-        return cls(inputs, blocks, holders, [(bit[i], costs[i], held[i]) for i in inputs])
+        by_str = {bl: r for r, bl in enumerate(sorted(blocks, key=str))}
+        entries = [(bit[i], costs[i], held[i]) for i in inputs]
+        return cls(inputs, blocks, holders, entries, [by_str[bl] for bl in blocks])
 
     def set_of(self, mask: int) -> frozenset:
         return frozenset(i for k, i in enumerate(self.inputs) if mask >> k & 1)
@@ -118,16 +120,17 @@ def _cheapest_cover(index: CoverIndex, objectives: int, candidates: int, budget)
     """The cheapest mask of `candidates` holding every objective bit of
     `objectives` at an integer cost of at most `budget`, or None.
     Branch-and-bound: always branch on the uncovered objective with the
-    fewest candidate holders (lowest bit, so least `str`, on ties), trying
-    them from the lowest bit, and prune at the incumbent, so the first
-    cheapest cover found wins. Candidate holders are fixed for the search,
-    so the branching order is sorted once."""
+    fewest candidate holders (least `str(block)`, by `rank`, on ties),
+    trying them from the lowest bit, and prune at the incumbent, so the
+    first cheapest cover found wins. Candidate holders are fixed for the
+    search, so the branching order is sorted once."""
     entries = index.entries
     branches = []
     rest = objectives
     while rest:
         low = rest & -rest
-        held = index.holders[low.bit_length() - 1] & candidates
+        j = low.bit_length() - 1
+        held = index.holders[j] & candidates
         if not held:
             return None
         options = []
@@ -135,7 +138,7 @@ def _cheapest_cover(index: CoverIndex, objectives: int, candidates: int, budget)
             bit = held & -held
             options.append(entries[bit.bit_length() - 1])
             held ^= bit
-        branches.append((len(options), low, options))
+        branches.append((len(options), index.rank[j], low, options))
         rest ^= low
     branches.sort(key=lambda b: b[:2])
     # The incumbent [mask, cost], shared down the recursion; a nested
@@ -146,7 +149,7 @@ def _cheapest_cover(index: CoverIndex, objectives: int, candidates: int, budget)
         return None
     if not objectives:
         return 0
-    _branch([(low, options) for _, low, options in branches], best, 0, 0, objectives)
+    _branch([(low, options) for _, _, low, options in branches], best, 0, 0, objectives)
     return best[0]
 
 

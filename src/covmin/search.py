@@ -11,9 +11,9 @@ Every individual is kept reduced (no redundant members).
 A member set is an int bitmask over the component's sorted inputs: bit k
 stands for `problem.inputs[k]`, and `ComponentProblem.mask_of` / `set_of`
 convert. Every `ComponentProblem` method and every `Individual` speaks
-masks; only `mocco_run`'s result is a frozenset. A memo miss hands the
-mask itself to `reduction.valid_orders_gain`, with the component's
-`CoverIndex`, built once, whose input bits are the same.
+masks; only `mocco_run`'s result is a frozenset. The component's
+`CoverIndex`, built once, is its only holder table: objective j is its bit
+j, and a memo miss hands it and the mask to `reduction.valid_orders_gain`.
 
 `mocco_run` makes each generation in one straight-line step: parent
 selection, crossover, mutation and the removal-memo read are inline, and
@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 
 from .config import RunConfig
 from .distance import normalize
-from .reduction import CoverIndex, postings, valid_orders_gain
+from .reduction import CoverIndex, valid_orders_gain
 
 __all__ = [
     "ComponentProblem", "Individual", "Populations", "dominates", "mocco_run",
@@ -105,33 +105,25 @@ class ComponentProblem:
         for i in sorted(cover):
             if costs[i] <= 0:
                 raise ValueError(f"input {i} has cost {costs[i]}; the search needs positive costs")
-        # The bit form of the cover, what `removal` solves over: the one
-        # owner of the input -> member-mask bit mapping.
-        self.index = CoverIndex.of(cover, costs)
-        self.inputs = self.index.inputs
-        entry_of = dict(zip(self.inputs, self.index.entries))
-        self.inputs_of = postings(cover)
-        self.objectives = sorted(self.inputs_of)
-        self._min_cost_of = {
-            bl: min(costs[i] for i in covering)
-            for bl, covering in self.inputs_of.items()
-        }
+        # The bit form of the cover: the one owner of both bit orders.
+        self.index = index = CoverIndex.of(cover, costs)
+        self.inputs = index.inputs
+        self.objectives = index.blocks
         # Input -> its bit in a member mask, in input order.
-        self.bit = {i: bit for i, (bit, _, _) in entry_of.items()}
-        # Objective -> the mask of the inputs holding it, in objective order.
-        self.holders = {bl: self.mask_of(self.inputs_of[bl]) for bl in self.objectives}
-        # The holder masks as a list, and `_shuffle`'s steps over a list as
-        # long as the objectives: what `init_roofers` and `mocco_run`'s
-        # crossover shuffle.
-        self.holder_masks = list(self.holders.values())
+        self.bit = {i: bit for i, (bit, _, _) in zip(self.inputs, index.entries)}
+        # Objective j -> the mask of the inputs holding it, and `_shuffle`'s
+        # steps over a list as long as the objectives: what `init_roofers`
+        # and `mocco_run`'s crossover shuffle.
+        self.holder_masks = index.holders
         self.shuffle_steps = _shuffle_steps(len(self.objectives))
         # `(n, n.bit_length())` for n inputs: `mocco_run`'s mutation draw.
         self.input_draw = (len(self.inputs), len(self.inputs).bit_length())
-        # The (bit, cost) of each objective's holders: what `potential`
-        # reads per mask.
-        self._holder_bit_costs = {
-            bl: [entry_of[i][:2] for i in self.inputs_of[bl]] for bl in self.objectives
-        }
+        # Objective j -> the (bit, cost) of its holders in input order, what
+        # `init_roofers` draws from and `potential` reads, and their least cost.
+        self.holder_bit_costs = [
+            [entry[:2] for entry in index.entries if entry[0] & held] for held in index.holders
+        ]
+        self._min_cost_of = [min(cost for _, cost in pairs) for pairs in self.holder_bit_costs]
         # Mask -> (removal gain, reduced mask) from valid_orders_gain, valid
         # only for this component's cover and costs, so it lives here.
         self._solved = {}
@@ -157,15 +149,15 @@ class ComponentProblem:
         solved = self._solved[mask] = (gain, mask & ~removed)
         return solved
 
-    def potential(self, mask: int, bl) -> int:
-        """Best benefit-cost balance of covering `bl`, shifted by the cheapest
-        covering input so the result is never negative."""
+    def potential(self, mask: int, j: int) -> int:
+        """Best benefit-cost balance of covering objective j, shifted by its
+        cheapest holder so the result is never negative."""
         best = -math.inf
-        for bit, cost in self._holder_bit_costs[bl]:
+        for bit, cost in self.holder_bit_costs[j]:
             balance = self.removal(mask | bit)[0] - cost
             if balance > best:
                 best = balance
-        return best + self._min_cost_of[bl]
+        return best + self._min_cost_of[j]
 
     def exposure(self, ind: Individual) -> float:
         """Sum of the objective values: the tail of the fitness vector."""
@@ -176,8 +168,8 @@ class ComponentProblem:
         objective 0 when covered, else 1 / (potential + 1)."""
         cost = sum([cost for bit, cost, _ in self.index.entries if mask & bit])
         fitness = (normalize(cost), *[
-            0.0 if mask & held else 1.0 / (self.potential(mask, bl) + 1)
-            for bl, held in self.holders.items()
+            0.0 if mask & held else 1.0 / (self.potential(mask, j) + 1)
+            for j, held in enumerate(self.holder_masks)
         ])
         return cost, fitness
 
@@ -224,19 +216,19 @@ def init_roofers(problem: ComponentProblem, n_size: int, rng: random.Random) -> 
     fresh random order per roofer; the input covering each uncovered
     objective is drawn with probability inversely tied to how often it was
     picked so far, favoring diversity."""
-    occurrence = {i: 0 for i in problem.inputs}
+    occurrence = dict.fromkeys(problem.bit.values(), 0)  # input bit -> picks
     roofers = []
     for _ in range(n_size):
-        order = list(problem.objectives)
+        order = list(range(len(problem.objectives)))
         _shuffle(rng.getrandbits, order, problem.shuffle_steps)
         members = 0
-        for bl in order:
-            if members & problem.holders[bl]:  # a pick already covers it
+        for j in order:
+            if members & problem.holder_masks[j]:  # a pick already covers it
                 continue
-            candidates = problem.inputs_of[bl]
-            weights = [1.0 / (1 + occurrence[i]) for i in candidates]
-            pick = _weighted_choice(rng, candidates, _running_sums(weights))
-            members |= problem.bit[pick]
+            candidates = problem.holder_bit_costs[j]
+            weights = [1.0 / (1 + occurrence[bit]) for bit, _ in candidates]
+            pick = _weighted_choice(rng, candidates, _running_sums(weights))[0]
+            members |= pick
             occurrence[pick] += 1
         roofers.append(problem.individual(problem.removal(members)[1]))
     return Populations.of(roofers)

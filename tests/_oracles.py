@@ -678,16 +678,17 @@ def _reference_weighted_choice(rng, items, weights):
 
 
 def _reference_init_roofers(problem, n_size, rng):
+    inputs_of = reduction.postings(problem.cover)
     occurrence = {i: 0 for i in problem.inputs}
     roofers = []
     for _ in range(n_size):
-        order = list(problem.objectives)
+        order = sorted(inputs_of)
         rng.shuffle(order)
         members, covered = set(), set()
         for bl in order:
             if bl in covered:
                 continue
-            candidates = problem.inputs_of[bl]
+            candidates = inputs_of[bl]
             weights = [1.0 / (1 + occurrence[i]) for i in candidates]
             pick = _reference_weighted_choice(rng, candidates, weights)
             members.add(pick)
@@ -712,14 +713,15 @@ def _reference_select_parents(problem, pops, rng):
 
 
 def _reference_crossover(problem, p1, p2, rng):
-    objectives = list(problem.objectives)
+    inputs_of = reduction.postings(problem.cover)
+    objectives = sorted(inputs_of)
     rng.shuffle(objectives)
     half = math.ceil(len(objectives) / 2)
     s1, s2 = set(), set()
     for bl in objectives[:half]:
-        s1.update(problem.inputs_of[bl])
+        s1.update(inputs_of[bl])
     for bl in objectives[half:]:
-        s2.update(problem.inputs_of[bl])
+        s2.update(inputs_of[bl])
     return ((p1.members & s1) | (p2.members & s2),
             (p2.members & s1) | (p1.members & s2))
 

@@ -273,6 +273,7 @@ def test_malformed_config_algo_and_coverage_exit_code(tmp_path, capsys):
         {"k_range": [5, 1], "output_algo": "kmeans"},
         {"generations": -5},
         {"eps_step": 1e-14},
+        {"eps_range": [2, 10**400]},
     )] + [(["reduce", "--coverage"], payload) for payload in (
         {"cover": {"1": ["bad"]}},
         {"cover": {"x": ["1:GET:0"]}},
@@ -298,12 +299,19 @@ def test_malformed_config_algo_and_coverage_exit_code(tmp_path, capsys):
         assert main(["ingest", "--config", str(bad), "--dataset", BUNDLED]) == 2, value
         err = capsys.readouterr().err
         assert err == f"error: shared_threshold must be in (0, 1], got {value}\n", err
-    for args in (["minimize", "--config"], ["reduce", "--coverage"]):
-        bad.write_text('{"cover": {"1": ["1:GET:')
-        assert main(args + [str(bad), "--dataset", BUNDLED]) == 2, args
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1, (args, err)
-        assert str(bad) in err, (args, err)
+    # Truncated, and nested deeper than the JSON decoder recurses.
+    deep = '{"inputs": ' + "[" * 1000 + "]" * 1000 + "}"
+    for text in ('{"cover": {"1": ["1:GET:', deep):
+        for args in (["minimize", "--config"], ["reduce", "--coverage"]):
+            bad.write_text(text)
+            assert main(args + [str(bad), "--dataset", BUNDLED]) == 2, args
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1, (args, err)
+            assert str(bad) in err, (args, err)
+    assert main(["ingest", "--dataset", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert str(bad) in err, err
     assert main(["bench", "--dataset", BUNDLED, "--algo", "greedy,foo"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: unknown algorithms ['foo']"), err

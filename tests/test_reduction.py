@@ -210,10 +210,46 @@ def test_cover_index_orders_inputs_by_id_and_blocks_by_str():
     cover = {3: frozenset({10, 9}), 1: frozenset({9}), 2: frozenset()}
     index = CoverIndex.of(cover, {1: 5, 2: 6, 3: 7})
     assert index.inputs == [1, 2, 3]
-    assert index.blocks == [10, 9]  # "10" < "9"
-    assert index.holders == [0b100, 0b101]
-    assert index.entries == [(0b001, 5, 0b10), (0b010, 6, 0), (0b100, 7, 0b11)]
+    assert index.blocks == [9, 10]
+    assert index.rank == [1, 0]  # "10" < "9"
+    assert index.holders == [0b101, 0b100]
+    assert index.entries == [(0b001, 5, 0b01), (0b010, 6, 0), (0b100, 7, 0b11)]
     assert index.set_of(0b101) == frozenset({1, 3})
+
+
+@st.composite
+def _cover_over(draw, blocks):
+    """A cover of 0-6 inputs, with ids out of order, over a pool of
+    `blocks`, some inputs holding none, at costs of 0-3."""
+    pool = draw(st.lists(blocks, min_size=1, max_size=6, unique=True))
+    ids = draw(st.lists(st.integers(0, 50), max_size=6, unique=True))
+    cover = {i: draw(st.frozensets(st.sampled_from(pool), max_size=4)) for i in ids}
+    return cover, {i: draw(st.integers(0, 3)) for i in ids}
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.one_of(
+    # Powers of 3 and `BlockId`s, whose `str` order differs from their own
+    # (27 < 3 by `str`), and short strings, whose does not.
+    _cover_over(st.sampled_from([3 ** k for k in range(8)])),
+    _cover_over(st.text("1aB", max_size=3)),
+    block_id_cover().map(lambda case: case[:2]),
+))
+def test_cover_index_matches_postings_in_sorted_block_order(case):
+    cover, costs = case
+    index = CoverIndex.of(cover, costs)
+    by_block = postings(cover)
+    bit = {i: 1 << k for k, i in enumerate(sorted(cover))}
+    assert index.inputs == sorted(cover)
+    assert index.blocks == sorted(by_block)
+    assert index.holders == [sum(bit[i] for i in by_block[bl]) for bl in index.blocks]
+    assert index.entries == [
+        (bit[i], costs[i], sum(1 << j for j, bl in enumerate(index.blocks) if bl in cover[i]))
+        for i in sorted(cover)
+    ]
+    by_rank = sorted(range(len(index.blocks)), key=index.rank.__getitem__)
+    assert sorted(index.rank) == list(range(len(index.blocks)))
+    assert [index.blocks[j] for j in by_rank] == sorted(by_block, key=str)
 
 
 def test_valid_orders_gain_on_greedy_instance():

@@ -87,11 +87,12 @@ def test_dominates_matches_all_any_definition(vectors):
 def test_potential_examples():
     problem = _greedy_problem()
     # Adding in1 to {in2, in3} makes in1 removable again: gain 2, own cost 2,
-    # shift by the cheapest cover of bl2 (in1, cost 2).
-    assert problem.potential(problem.mask_of({2, 3}), "bl2") == 2
+    # shift by the cheapest cover of bl2, objective 1 (in1, cost 2).
+    assert problem.objectives[1] == "bl2"
+    assert problem.potential(problem.mask_of({2, 3}), 1) == 2
     # A block covered by a single input always has potential 0.
     single = ComponentProblem({1: frozenset({"b"})}, {1: 4})
-    assert single.potential(0, "b") == 0
+    assert single.potential(0, 0) == 0
 
 
 def test_potential_non_negative_random_sweep():
@@ -100,8 +101,8 @@ def test_potential_non_negative_random_sweep():
         cover, costs = random_instance(rng, max_inputs=6, max_blocks=6)
         problem = ComponentProblem(cover, costs)
         mask = problem.mask_of(i for i in cover if rng.random() < 0.5)
-        for bl in problem.objectives:
-            assert problem.potential(mask, bl) >= 0
+        for j in range(len(problem.objectives)):
+            assert problem.potential(mask, j) >= 0
 
 
 def test_objective_value_and_exposure():
@@ -109,13 +110,14 @@ def test_objective_value_and_exposure():
     # Fitness entries follow the cost, one per objective: bl1, bl2, bl3, bl4.
     full, partial = problem.mask_of({2, 3}), problem.mask_of({2})
     assert problem.evaluate(full)[1][1] == 0.0
-    # An uncovered block with potential 2 scores 1/(2+1): bl3 under {1, 3}.
+    # An uncovered block with potential 2 scores 1/(2+1): bl3, objective 2,
+    # under {1, 3}.
     missing_bl3 = problem.mask_of({1, 3})
-    assert not missing_bl3 & problem.holders["bl3"]
-    assert problem.potential(missing_bl3, "bl3") == 2
+    assert not missing_bl3 & problem.holder_masks[2]
+    assert problem.potential(missing_bl3, 2) == 2
     assert problem.evaluate(missing_bl3)[1][3] == pytest.approx(1 / 3)
-    # Uncovered block with potential 0 scores exactly 1.
-    assert not partial & problem.holders["bl2"]
+    # Uncovered block with potential 0 scores exactly 1: bl2, objective 1.
+    assert not partial & problem.holder_masks[1]
     assert problem.evaluate(partial)[1][2] == 1.0
     assert problem.exposure(problem.individual(full)) == 0.0
     assert problem.exposure(problem.individual(partial)) > 0.0
@@ -615,8 +617,8 @@ def test_problem_solves_each_member_set_once(solved_sets):
     for members in ({1, 2, 3}, {2, 3}, {2}):
         mask = problem.mask_of(members)
         assert problem.removal(mask) == problem.removal(mask)
-        for bl in problem.objectives:
-            problem.potential(mask, bl)
+        for j in range(len(problem.objectives)):
+            problem.potential(mask, j)
     problem.individual(problem.removal(problem.mask_of({1, 2, 3}))[1])
     assert solved_sets
     assert len(solved_sets) == len(set(solved_sets))
