@@ -192,19 +192,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, run, coverage_flag=False):
+    def common(p, run):
         p.add_argument("--dataset", required=True, help="dataset JSON file")
         p.add_argument("--config", help="run configuration JSON file")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default=None, help="output path (default stdout)")
-        if coverage_flag:
-            p.add_argument("--coverage", help="precomputed coverage JSON file")
         p.set_defaults(run=run)
 
     common(sub.add_parser("ingest", help="validate a dataset and print a summary"), cmd_ingest)
     common(sub.add_parser("cluster", help="build the coverage map"), cmd_cluster)
-    common(sub.add_parser("reduce", help="reduce the minimization problem"), cmd_reduce,
-           coverage_flag=True)
+    p_reduce = sub.add_parser("reduce", help="reduce the minimization problem")
+    common(p_reduce, cmd_reduce)
+    p_reduce.add_argument("--coverage", help="precomputed coverage JSON file")
     common(sub.add_parser("minimize", help="run the full minimization pipeline"), cmd_minimize)
     p_bench = sub.add_parser("bench", help="compare algorithms over repetitions")
     common(p_bench, cmd_bench)

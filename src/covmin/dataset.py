@@ -15,6 +15,10 @@ from dataclasses import dataclass, field
 
 logger = logging.getLogger(__name__)
 
+# I-JSON's interoperable integer range is magnitudes up to 2**53 - 1 (RFC
+# 7493, section 2.2); every float derived from an int within it is finite.
+MAX_SAFE_INT = 2**53 - 1
+
 
 class ValidationError(ValueError):
     """Raised when a dataset file violates the schema or an invariant."""
@@ -109,7 +113,10 @@ def _parse_param(obj: dict, entry: str) -> tuple[str, str | int]:
     name, type_name = _field(obj, "name", str, entry), _field(obj, "type", str, entry)
     for kind in (str, int):
         if type_name == kind.__name__:
-            return name, _field(obj, "value", kind, entry)
+            value = _field(obj, "value", kind, entry)
+            if kind is int and abs(value) > MAX_SAFE_INT:
+                raise ValidationError(f"{entry} 'value' is outside I-JSON's ±(2**53 - 1)")
+            return name, value
     raise ValidationError(f"{entry}: unknown parameter type {type_name!r}")
 
 
@@ -123,23 +130,26 @@ def _parse_action(obj: dict, entry: str) -> Action:
 
 
 def read_json(path, what: str):
-    """The JSON value in the file at `path`. A file that is not UTF-8 JSON
-    or nests too deep is a ValidationError naming it as the `what` file."""
+    """The JSON value in the file at `path`. A file that is not UTF-8 JSON,
+    holds an integer of more digits than Python converts, or nests too deep
+    is a ValidationError naming it as the `what` file."""
     try:
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
-    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise ValidationError(f"malformed {what} file {path}: {exc}") from exc
 
 
 def load_dataset(path) -> Dataset:
-    """Load and validate a dataset file, dropping zero-cost inputs."""
+    """Load and validate a dataset file, dropping zero-cost inputs. Int
+    parameter values and the total cost stay within I-JSON's integer range."""
     raw = read_json(path, "dataset")
     _checked(raw, dict, f"top level of {path}")
 
     records = []
     seen_ids = set()
     dropped = set()
+    total_cost = 0
     for index, obj in enumerate(_objects(raw, "inputs")):
         entry = f"{path}: input entry {index}"
         input_id = _field(obj, "id", int, entry)
@@ -159,7 +169,12 @@ def load_dataset(path) -> Dataset:
         if rec.id in seen_ids:
             raise ValidationError(f"duplicate input id {rec.id}")
         seen_ids.add(rec.id)
-        if compute_cost(rec) == 0:
+        cost = compute_cost(rec)
+        total_cost += cost
+        if total_cost > MAX_SAFE_INT:
+            raise ValidationError(
+                f"{path}: input {rec.id} takes the total cost above I-JSON's 2**53 - 1")
+        if cost == 0:
             logger.warning("dropping input %d: zero cost, never exercised", rec.id)
             dropped.add(rec.id)
             continue

@@ -94,8 +94,6 @@ class CoverIndex:
     holders: list
     # Input bit k -> (1 << k, its cost, the mask of the objectives it holds).
     entries: list
-    # Objective bit j -> its block's position in `str` order.
-    rank: list
 
     @classmethod
     def of(cls, cover, costs) -> CoverIndex:
@@ -108,9 +106,7 @@ class CoverIndex:
             for i in by_block[bl]:
                 holders[j] |= bit[i]
                 held[i] |= 1 << j
-        by_str = {bl: r for r, bl in enumerate(sorted(blocks, key=str))}
-        entries = [(bit[i], costs[i], held[i]) for i in inputs]
-        return cls(inputs, blocks, holders, entries, [by_str[bl] for bl in blocks])
+        return cls(inputs, blocks, holders, [(bit[i], costs[i], held[i]) for i in inputs])
 
     def set_of(self, mask: int) -> frozenset:
         return frozenset(i for k, i in enumerate(self.inputs) if mask >> k & 1)
@@ -120,7 +116,7 @@ def _cheapest_cover(index: CoverIndex, objectives: int, candidates: int, budget)
     """The cheapest mask of `candidates` holding every objective bit of
     `objectives` at an integer cost of at most `budget`, or None.
     Branch-and-bound: always branch on the uncovered objective with the
-    fewest candidate holders (least `str(block)`, by `rank`, on ties),
+    fewest candidate holders (the lowest bit, so the least block, on ties),
     trying them from the lowest bit, and prune at the incumbent, so the
     first cheapest cover found wins. Candidate holders are fixed for the
     search, so the branching order is sorted once."""
@@ -129,8 +125,7 @@ def _cheapest_cover(index: CoverIndex, objectives: int, candidates: int, budget)
     rest = objectives
     while rest:
         low = rest & -rest
-        j = low.bit_length() - 1
-        held = index.holders[j] & candidates
+        held = index.holders[low.bit_length() - 1] & candidates
         if not held:
             return None
         options = []
@@ -138,9 +133,9 @@ def _cheapest_cover(index: CoverIndex, objectives: int, candidates: int, budget)
             bit = held & -held
             options.append(entries[bit.bit_length() - 1])
             held ^= bit
-        branches.append((len(options), index.rank[j], low, options))
+        branches.append((low, options))
         rest ^= low
-    branches.sort(key=lambda b: b[:2])
+    branches.sort(key=lambda b: len(b[1]))  # stable: ties stay in bit order
     # The incumbent [mask, cost], shared down the recursion; a nested
     # recursive function would be a reference cycle per call, left for the
     # garbage collector.
@@ -149,7 +144,7 @@ def _cheapest_cover(index: CoverIndex, objectives: int, candidates: int, budget)
         return None
     if not objectives:
         return 0
-    _branch([(low, options) for _, _, low, options in branches], best, 0, 0, objectives)
+    _branch(branches, best, 0, 0, objectives)
     return best[0]
 
 

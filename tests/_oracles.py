@@ -127,9 +127,9 @@ def min_cover_by_sets(objectives, cover, costs, budget):
     """`reduction.min_cover` as a search over sets of ids and blocks: the
     cheapest subset of the inputs of `cover` covering `objectives` at an
     integer cost of at most `budget`, or None. Branch-and-bound: always
-    branch on the uncovered objective with the fewest covering inputs (ties
-    by `str`), trying them in id order, and prune at the incumbent, so the
-    first cheapest cover found wins."""
+    branch on the uncovered objective with the fewest covering inputs (the
+    least block on ties), trying them in id order, and prune at the
+    incumbent, so the first cheapest cover found wins."""
     inputs_of = reduction.postings(cover)
     objectives = frozenset(objectives)
     if not inputs_of.keys() >= objectives:
@@ -145,7 +145,7 @@ def min_cover_by_sets(objectives, cover, costs, budget):
             best_cost = sel_cost
             best_set = frozenset(selected)
             return
-        bl = min(uncovered, key=lambda b: (len(inputs_of[b]), str(b)))
+        bl = min(uncovered, key=lambda b: (len(inputs_of[b]), b))
         for i in inputs_of[bl]:
             if i in selected:
                 continue

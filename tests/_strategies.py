@@ -14,9 +14,9 @@ _BLOCK_IDS = st.builds(BlockId, st.integers(0, 30), st.sampled_from(["GET", "POS
 @st.composite
 def block_id_cover(draw):
     """A cover of 1-8 inputs over `BlockId`s with output classes 0-30, where
-    repr order differs from both tuple order and `as_str()` order (1 < 19 <
-    2 by repr, 19 < 1 by `as_str()`), at costs of 1-3 so cheapest covers
-    tie, and a set of its members."""
+    tuple order differs from the order of their strings (19 < 2 by repr, 19
+    < 1 by `as_str()`), at costs of 1-3 so cheapest covers tie, and a set of
+    its members."""
     pool = draw(st.lists(_BLOCK_IDS, min_size=1, max_size=8, unique=True))
     covers = draw(st.lists(st.frozensets(st.sampled_from(pool), min_size=1, max_size=4),
                            min_size=1, max_size=8))

@@ -299,19 +299,19 @@ def test_malformed_config_algo_and_coverage_exit_code(tmp_path, capsys):
         assert main(["ingest", "--config", str(bad), "--dataset", BUNDLED]) == 2, value
         err = capsys.readouterr().err
         assert err == f"error: shared_threshold must be in (0, 1], got {value}\n", err
-    # Truncated, and nested deeper than the JSON decoder recurses.
+    # Truncated, nested deeper than the JSON decoder recurses, and holding
+    # an integer of more digits than Python converts.
     deep = '{"inputs": ' + "[" * 1000 + "]" * 1000 + "}"
-    for text in ('{"cover": {"1": ["1:GET:', deep):
-        for args in (["minimize", "--config"], ["reduce", "--coverage"]):
-            bad.write_text(text)
-            assert main(args + [str(bad), "--dataset", BUNDLED]) == 2, args
+    huge = '{"inputs": [{"id": 1' + "0" * 5000 + "}]}"
+    for text in ('{"cover": {"1": ["1:GET:', deep, huge):
+        bad.write_text(text)
+        for args in (["minimize", "--config", str(bad), "--dataset", BUNDLED],
+                     ["reduce", "--coverage", str(bad), "--dataset", BUNDLED],
+                     ["ingest", "--dataset", str(bad)]):
+            assert main(args) == 2, args
             err = capsys.readouterr().err
             assert err.startswith("error: ") and err.count("\n") == 1, (args, err)
             assert str(bad) in err, (args, err)
-    assert main(["ingest", "--dataset", str(bad)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1, err
-    assert str(bad) in err, err
     assert main(["bench", "--dataset", BUNDLED, "--algo", "greedy,foo"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: unknown algorithms ['foo']"), err
@@ -397,6 +397,25 @@ def test_config_bounds_the_search_budget(tmp_path, capsys):
         assert status == 2, field
         assert err.startswith("error: n_size ") and err.count("\n") == 1, err
         assert f"bound of {MAX_SEARCH_INDIVIDUALS}" in err, err
+
+
+def test_dataset_ints_beyond_i_json_exit_2(tmp_path, capsys):
+    # Both made `minimize` raise OverflowError turning an int into a float.
+    huge_param, huge_cost = (json.loads(Path(BUNDLED).read_text()) for _ in range(2))
+    for action, value in zip(huge_param["inputs"][0]["actions"], (0, 10**400)):
+        action["params"] = [{"name": "n", "type": "int", "value": value}]
+    for rec in huge_cost["inputs"]:
+        if rec["id"] in range(31, 35):
+            rec["mr_action_counts"] = {"mr1": 10**400}
+    dataset = tmp_path / "dataset.json"
+    for doc, named in ((huge_param, "input entry 0 action 1 parameter 0 'value' is outside "),
+                       (huge_cost, "input 31 takes the total cost above ")):
+        dataset.write_text(json.dumps(doc))
+        for command in ("ingest", "minimize"):
+            assert main([command, "--dataset", str(dataset)]) == 2, (named, command)
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {dataset}: {named}"), err
+            assert err.count("\n") == 1, err
 
 
 def test_reduce_coverage_ids_must_match_dataset(tmp_path, capsys):
@@ -518,8 +537,8 @@ def _replace_node(doc, k, value):
     return doc
 
 
-_LOADER_FUZZ_VALUES = (None, [], {}, -1, 0, 2**70, 1.5, 1e308, math.nan, math.inf, "", "x",
-                       True, [1], [2, 1], [1e-300, 1e-300], {"a": 1},
+_LOADER_FUZZ_VALUES = (None, [], {}, -1, 0, 2**70, 10**400, 1.5, 1e308, math.nan, math.inf,
+                       "", "x", True, [1], [2, 1], [1e-300, 1e-300], {"a": 1},
                        "GET", "POST", "http://h/p", "int", "bag", "kmeans")
 
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from covmin.blocks import preprocess_all
 from covmin.config import RunConfig
 from covmin.dataset import (
+    MAX_SAFE_INT,
     Action,
     Dataset,
     InputRecord,
@@ -148,6 +149,26 @@ def test_empty_group_and_repeated_vulnerability_id_rejected(tmp_path):
     # A vulnerability without groups is legal: nothing detects it.
     dataset = load_dataset(_write(tmp_path, {"inputs": [_input(1)], "vulnerabilities": [undetected]}))
     assert dataset.vulnerabilities == (("v1", ()),)
+
+
+def test_ints_are_bounded_at_i_json_range(tmp_path):
+    def with_param(value):
+        rec = _input(1)
+        rec["actions"][0]["params"] = [{"name": "n", "type": "int", "value": value}]
+        return {"inputs": [rec]}
+
+    for value in (MAX_SAFE_INT, -MAX_SAFE_INT):
+        assert load_dataset(_write(tmp_path, with_param(value))).inputs[0].actions[0].params == \
+            (("n", value),)
+    for value in (MAX_SAFE_INT + 1, -MAX_SAFE_INT - 1):
+        with pytest.raises(ValidationError, match="parameter 0 'value' is outside"):
+            load_dataset(_write(tmp_path, with_param(value)))
+    # The bound is on the running total: inputs 1-3 reach it, input 4 crosses it.
+    at_bound = [_input(1, cost=MAX_SAFE_INT - 1), _input(2, cost=0), _input(3, cost=1)]
+    assert sum(load_dataset(_write(tmp_path, {"inputs": at_bound})).costs().values()) == \
+        MAX_SAFE_INT
+    with pytest.raises(ValidationError, match="input 4 takes the total cost above"):
+        load_dataset(_write(tmp_path, {"inputs": at_bound + [_input(4, cost=1), _input(5)]}))
 
 
 def test_malformed_json_rejected(tmp_path):

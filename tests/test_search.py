@@ -420,8 +420,9 @@ def test_memo_matches_raw_valid_orders_gain(case, data):
 
 
 # Both blocks have four holders, so the cover search branches first on the
-# one whose `str` is least: (1, GET, 0) by repr, keeping input 2, but
-# (19, POST, 0) by `as_str()`, keeping inputs 1 and 6 at the same cost.
+# least block: (1, GET, 0) as a `BlockId`, keeping input 2, but (19, POST, 0)
+# as an `as_str()` string ("19:" < "1:G"), keeping inputs 1 and 6 at the same
+# cost.
 _A, _B = BlockId(1, "GET", 0), BlockId(19, "POST", 0)
 AS_STR_TIE_COVER = {
     1: frozenset({_B}), 2: frozenset({_A, _B}), 3: frozenset({_B}),
