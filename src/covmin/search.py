@@ -15,6 +15,13 @@ masks; only `mocco_run`'s result is a frozenset. The component's
 `CoverIndex`, built once, is its only holder table: objective j is its bit
 j, and a memo miss hands it and the mask to `reduction.valid_orders_gain`.
 
+A partial child is admitted in one pass over the misers, and `dominates`,
+the one dominance test, runs only where a necessary pre-check holds: the
+would-be dominator covers every objective the other covers, at a
+normalized cost no higher. Each miser's covered-objective mask is kept in
+`Populations.miser_covered`. `init_roofers` evaluates each distinct
+initial roofer once; equal roofers share one `Individual`.
+
 `mocco_run` makes each generation in one straight-line step: parent
 selection, crossover, mutation and the removal-memo read are inline, and
 only a memo miss, the objective shuffle and `update_populations` are calls.
@@ -51,12 +58,21 @@ class Individual:
 
 @dataclass
 class Populations:
+    """The roofers and the misers, with what is derived from them kept next
+    to them: per miser its selection weight and covered-objective mask, the
+    roofers' mask multiset and both populations' running weight sums, each
+    rebuilt only where its population changes; and the masks never judged
+    again."""
     roofers: list[Individual]
     misers: list[Individual]
     # Each miser's selection weight, 1 / exposure, computed once when it is
     # admitted and kept parallel to `misers`. A roofer's weight, 1 / cost,
     # is computed where it is read.
     miser_weights: list[float]
+    # Each miser's covered-objective mask (bit j set when it covers
+    # objective j), kept parallel to `misers` for `update_populations`'
+    # dominance pre-check.
+    miser_covered: list[int]
     # The multiset of the roofers' masks: the initial roofers can be equal.
     live: Counter
     # The `_running_sums` of the roofer and the miser weights, rebuilt only
@@ -79,6 +95,7 @@ class Populations:
             roofers=roofers,
             misers=[],
             miser_weights=[],
+            miser_covered=[],
             live=Counter(r.mask for r in roofers),
             roofer_sums=_running_sums([1.0 / r.cost for r in roofers]),
             miser_sums=_running_sums([]),
@@ -217,6 +234,7 @@ def init_roofers(problem: ComponentProblem, n_size: int, rng: random.Random) -> 
     objective is drawn with probability inversely tied to how often it was
     picked so far, favoring diversity."""
     occurrence = dict.fromkeys(problem.bit.values(), 0)  # input bit -> picks
+    individuals = {}  # reduced mask -> its Individual, evaluated once
     roofers = []
     for _ in range(n_size):
         order = list(range(len(problem.objectives)))
@@ -230,14 +248,27 @@ def init_roofers(problem: ComponentProblem, n_size: int, rng: random.Random) -> 
             pick = _weighted_choice(rng, candidates, _running_sums(weights))[0]
             members |= pick
             occurrence[pick] += 1
-        roofers.append(problem.individual(problem.removal(members)[1]))
+        mask = problem.removal(members)[1]
+        roofer = individuals.get(mask)
+        if roofer is None:
+            roofer = individuals[mask] = problem.individual(mask)
+        roofers.append(roofer)
     return Populations.of(roofers)
 
 
 def update_populations(problem: ComponentProblem, pops: Populations,
                        mask: int, rng: random.Random) -> None:
     """Fold one offspring into the populations, in place. Draws from `rng`
-    only to pick the roofer an admitted covering child evicts."""
+    only to pick the roofer an admitted covering child evicts.
+
+    A partial child is admitted in one pass over the misers, returning at
+    the first that dominates it; the misers are an antichain, so none
+    before that one can be dominated by the child. `dominates` runs only
+    behind a necessary pre-check: a dominating vector is no worse in every
+    entry, so it covers every objective the other covers (an uncovered
+    objective's value is positive) and its normalized cost, `fitness[0]`,
+    is no higher. The raw costs cannot stand in for `fitness[0]`:
+    `normalize` ties distinct large costs."""
     if mask in pops.live or mask in pops.refused:
         return
     cost, fitness = problem.evaluate(mask)
@@ -254,17 +285,27 @@ def update_populations(problem: ComponentProblem, pops: Populations,
         pops.roofer_sums = _running_sums([1.0 / r.cost for r in pops.roofers])
         return
     pops.refused.add(mask)
-    if any(dominates(miser.fitness, fitness) for miser in pops.misers):
-        return
-    misers, weights = [], []
-    for miser, weight in zip(pops.misers, pops.miser_weights):
-        if not dominates(fitness, miser.fitness):
-            misers.append(miser)
-            weights.append(weight)
+    entries = problem.index.entries
+    covered, rest = 0, mask
+    while rest:
+        low = rest & -rest
+        covered |= entries[low.bit_length() - 1][2]
+        rest ^= low
+    norm = fitness[0]
+    misers, weights, miser_covered = [], [], []
+    for miser, weight, held in zip(pops.misers, pops.miser_weights, pops.miser_covered):
+        if not covered & ~held and miser.fitness[0] <= norm and dominates(miser.fitness, fitness):
+            return
+        if not held & ~covered and norm <= miser.fitness[0] and dominates(fitness, miser.fitness):
+            continue
+        misers.append(miser)
+        weights.append(weight)
+        miser_covered.append(held)
     candidate = Individual(mask, cost, fitness)
     misers.append(candidate)
     weights.append(1.0 / problem.exposure(candidate))
-    pops.misers, pops.miser_weights = misers, weights
+    miser_covered.append(covered)
+    pops.misers, pops.miser_weights, pops.miser_covered = misers, weights, miser_covered
     pops.miser_sums = _running_sums(weights)
 
 
@@ -289,7 +330,7 @@ def mocco_run(cover, costs, config: RunConfig = RunConfig(),
     getrandbits, uniform = rng.getrandbits, rng.random
     solved, removal = problem._solved, problem.removal
     # `update_populations` changes these in place; it rebinds only the
-    # misers and the running sums, which are read per generation.
+    # miser lists and the running sums, which are read per generation.
     roofers, live, refused = pops.roofers, pops.live, pops.refused
     holder_masks, shuffle_steps = problem.holder_masks, problem.shuffle_steps
     half = math.ceil(len(holder_masks) / 2)

@@ -31,7 +31,14 @@ from covmin.config import RunConfig
 from covmin.dataset import TokenDoc, load_dataset
 from covmin.distance import levenshtein, normalize
 from covmin.reduction import CoverIndex, valid_orders_gain
-from covmin.search import ComponentProblem, _running_sums, _shuffle, _weighted_choice
+from covmin.search import (
+    ComponentProblem,
+    Individual,
+    _running_sums,
+    _shuffle,
+    _weighted_choice,
+    dominates,
+)
 from covmin.synthetic import make_synthetic_dataset
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -752,15 +759,53 @@ def _reference_update_populations(problem, pops, members, rng):
 
 def select_parents(problem, pops, rng):
     """A miser (weight 1/exposure) and a roofer (weight 1/cost) when misers
-    exist; otherwise two distinct roofers, both weighted by 1/cost."""
+    exist; otherwise two roofers at distinct positions, both weighted by
+    1/cost. Equal initial roofers share one `Individual`, so the second is
+    drawn from the others by position, not by identity."""
     if pops.misers:
         miser = _weighted_choice(rng, pops.misers, pops.miser_sums)
         roofer = _weighted_choice(rng, pops.roofers, pops.roofer_sums)
         return miser, roofer
-    first = _weighted_choice(rng, pops.roofers, pops.roofer_sums)
-    rest = [r for r in pops.roofers if r is not first]
+    k = _weighted_choice(rng, range(len(pops.roofers)), pops.roofer_sums)
+    rest = pops.roofers[:k] + pops.roofers[k + 1:]
     second = _weighted_choice(rng, rest, _running_sums([1.0 / r.cost for r in rest]))
-    return first, second
+    return pops.roofers[k], second
+
+
+def update_populations_two_pass(problem, pops, mask, rng) -> None:
+    """`search.update_populations` as two passes over the misers, testing
+    dominance between the child and every miser: the oracle of its one
+    pass behind a pre-check. A miser's covered-objective mask is read off
+    its fitness here (bit j set where entry j + 1 is 0)."""
+    if mask in pops.live or mask in pops.refused:
+        return
+    cost, fitness = problem.evaluate(mask)
+    if not any(fitness[1:]):
+        max_cost = max(r.cost for r in pops.roofers)
+        if cost > max_cost:
+            pops.refused.add(mask)
+            return
+        ties = [idx for idx, r in enumerate(pops.roofers) if r.cost == max_cost]
+        evict = rng.choice(ties)
+        pops.live -= Counter((pops.roofers[evict].mask,))
+        pops.live[mask] += 1
+        pops.roofers[evict] = Individual(mask, cost, fitness)
+        pops.roofer_sums = _running_sums([1.0 / r.cost for r in pops.roofers])
+        return
+    pops.refused.add(mask)
+    if any(dominates(miser.fitness, fitness) for miser in pops.misers):
+        return
+    kept = [(miser, weight) for miser, weight in zip(pops.misers, pops.miser_weights)
+            if not dominates(fitness, miser.fitness)]
+    candidate = Individual(mask, cost, fitness)
+    kept.append((candidate, 1.0 / problem.exposure(candidate)))
+    pops.misers = [miser for miser, _ in kept]
+    pops.miser_weights = [weight for _, weight in kept]
+    pops.miser_covered = [
+        sum(1 << j for j, value in enumerate(miser.fitness[1:]) if not value)
+        for miser in pops.misers
+    ]
+    pops.miser_sums = _running_sums(pops.miser_weights)
 
 
 def crossover(problem, m1: int, m2: int, rng) -> tuple[int, int]:

@@ -12,13 +12,18 @@ points where their callers look them up. Prints one JSON line:
 - `pages`: page occurrences; `distinct`: distinct raw pages;
 - `total_s`: the `run_pipeline` call;
 - `preprocess_s`, `matrix_s`, `select_s`, `silhouette_s`, `reduce_s`,
-  `search_s`, `gain_s`: the summed wall seconds of every
+  `search_s`, `gain_s`, `admit_s`: the summed wall seconds of every
   `blocks.preprocess_all`, `blocks.pairwise_matrix`,
   `blocks.select_hyperparams`, `clustering.silhouette`,
-  `harness.reduce_problem`, `harness.solve` and `search.valid_orders_gain`
-  call (`silhouette_s` is part of `select_s`, and `gain_s`, the search's
-  removal-memo misses, part of `search_s`). A stage whose entry point is
-  never called has no key;
+  `harness.reduce_problem`, `harness.solve`, `search.valid_orders_gain`
+  and `search.update_populations` call (`silhouette_s` is part of
+  `select_s`; `gain_s`, the search's removal-memo misses, and `admit_s`,
+  its admissions of children into the populations, are parts of
+  `search_s`). A stage whose entry point is never called has no key;
+- `gc_s`: the garbage collector's wall seconds during the `run_pipeline`
+  call, timed through `gc.callbacks`. A collection is charged to the stage
+  it lands in as well, so a stage that moved by about `gc_s` between two
+  runs may only have caught a collection;
 - `peak_rss_mib`: the process's resident-set high-water mark, corpus
   generation included.
 
@@ -44,6 +49,7 @@ any peak passes its bound:
 The four checks take about 10 s.
 """
 
+import gc
 import json
 import resource
 import sys
@@ -68,6 +74,7 @@ STAGES = {
     "reduce_s": (harness, "reduce_problem"),
     "search_s": (harness, "solve"),
     "gain_s": (search, "valid_orders_gain"),
+    "admit_s": (search, "update_populations"),
 }
 
 # (workload, scale, the call measured, the bound in MiB on its peak).
@@ -89,19 +96,36 @@ def _timed(totals: dict, stage: str, function):
     return wrapper
 
 
+def _collector_clock(totals: dict):
+    """A `gc.callbacks` entry adding each collection's wall seconds to
+    `totals["gc_s"]`."""
+    totals["gc_s"] = 0.0
+    started = []
+
+    def callback(phase, info):
+        if phase == "start":
+            started.append(time.perf_counter())
+        else:
+            totals["gc_s"] += time.perf_counter() - started.pop()
+    return callback
+
+
 def measure(workload: str, scale: int) -> dict:
     with tempfile.TemporaryDirectory() as tmp:
         dataset, config = workload_corpus(workload, 1, tmp, scale)
     pages = [out for rec in dataset.inputs for out in rec.outputs]
     totals: dict = {}
     originals = {stage: getattr(module, name) for stage, (module, name) in STAGES.items()}
+    clock = _collector_clock(totals)
     try:
         for stage, (module, name) in STAGES.items():
             setattr(module, name, _timed(totals, stage, originals[stage]))
+        gc.callbacks.append(clock)
         started = time.perf_counter()
         harness.run_pipeline(dataset, config, 1)
         total_s = time.perf_counter() - started
     finally:
+        gc.callbacks.remove(clock)
         for stage, (module, name) in STAGES.items():
             setattr(module, name, originals[stage])
     return {

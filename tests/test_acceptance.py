@@ -216,6 +216,12 @@ class _InvariantTracker:
         # the lists.
         if pops.miser_weights != [1.0 / problem.exposure(m) for m in pops.misers]:
             self.violations.append((gen, "stored miser weights"))
+        covered = [coverage_of(problem.set_of(m.mask), problem.cover) for m in pops.misers]
+        if pops.miser_covered != [
+            sum(1 << j for j, bl in enumerate(problem.objectives) if bl in blocks)
+            for blocks in covered
+        ]:
+            self.violations.append((gen, "stored miser covered objectives"))
         if pops.roofer_sums != _running_sums([1.0 / r.cost for r in pops.roofers]):
             self.violations.append((gen, "roofer running sums"))
         if pops.miser_sums != _running_sums(pops.miser_weights):

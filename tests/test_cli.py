@@ -11,7 +11,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from covmin import baselines, harness
@@ -388,7 +388,7 @@ def test_config_bounds_the_search_budget(tmp_path, capsys):
     # A search runs on this slice; without the bound either budget would
     # keep it running without end.
     dataset, config = tmp_path / "dataset.json", tmp_path / "config.json"
-    dataset.write_text(_dataset_slice(_COMPONENT_SLICE))
+    dataset.write_text(_dataset_slice())
     for field in ("generations", "n_size"):
         config.write_text(json.dumps({field: 2**70}))
         status = main(["minimize", "--dataset", str(dataset), "--config", str(config),
@@ -495,19 +495,19 @@ def test_reduce_on_a_fuzzed_coverage_file_exits_0_or_2(edits):
         assert len({int(key) for key in doc["cover"]}) == len(doc["cover"]), edits
 
 
-@functools.cache
-def _dataset_slice(ids=frozenset(range(1, 7))) -> str:
-    """The inputs of data/synthetic.json with the given ids (by default the
-    first six) and the vulnerabilities that only they detect, as JSON text."""
-    doc = json.loads(Path(BUNDLED).read_text())
-    inputs = [rec for rec in doc["inputs"] if rec["id"] in ids]
-    return json.dumps({"inputs": inputs, "vulnerabilities": [
-        v for v in doc["vulnerabilities"]
-        if all(set(group) <= ids for group in v["detecting_groups"])]})
-
-
 # Inputs 1 and 2 are necessary and 31-34 are one component of the reduction.
 _COMPONENT_SLICE = frozenset({1, 2, 31, 32, 33, 34})
+
+
+@functools.cache
+def _dataset_slice() -> str:
+    """The inputs of data/synthetic.json in `_COMPONENT_SLICE` and the
+    vulnerabilities that only they detect, as JSON text."""
+    doc = json.loads(Path(BUNDLED).read_text())
+    inputs = [rec for rec in doc["inputs"] if rec["id"] in _COMPONENT_SLICE]
+    return json.dumps({"inputs": inputs, "vulnerabilities": [
+        v for v in doc["vulnerabilities"]
+        if all(set(group) <= _COMPONENT_SLICE for group in v["detecting_groups"])]})
 
 
 def _nodes(node, path=()):
@@ -542,10 +542,30 @@ _LOADER_FUZZ_VALUES = (None, [], {}, -1, 0, 2**70, 10**400, 1.5, 1e308, math.nan
                        "GET", "POST", "http://h/p", "int", "bag", "kmeans")
 
 
+def _node_index(path: tuple) -> int:
+    """The k for which `_replace_node` replaces the value at `path` of
+    `_dataset_slice()`."""
+    return list(_nodes(json.loads(_dataset_slice()))).index(path)
+
+
+# Two actions of input 1 with int parameters 0 and 10**400, which the action
+# distance subtracts; and 10**400 as the cost of each of inputs 31-34, so none
+# is dominated and the search normalizes their costs. Either made `minimize`
+# exit 1 with OverflowError.
+_HUGE_PARAM_ACTIONS = [
+    {"method": "GET", "url": "http://host/u0",
+     "params": [{"name": "n", "type": "int", "value": value}]}
+    for value in (0, 10**400)
+]
+
+
 @settings(max_examples=300, derandomize=True, deadline=None)
 @given(st.lists(st.tuples(st.integers(0, 255), st.sampled_from(_LOADER_FUZZ_VALUES)),
                 min_size=1, max_size=2))
+@example([(_node_index(("inputs", 0, "actions")), _HUGE_PARAM_ACTIONS)])
+@example([(_node_index(("inputs", k, "mr_action_counts", "mr1")), 10**400) for k in range(2, 6)])
 def test_ingest_and_minimize_on_a_fuzzed_dataset_exit_0_or_2(edits):
+    # Inputs 31-34 are one component, so an edit can reach the search.
     doc = json.loads(_dataset_slice())
     for k, value in edits:
         doc = _replace_node(doc, k, copy.deepcopy(value))
@@ -570,7 +590,7 @@ def test_minimize_on_a_fuzzed_config_file_exits_0_or_2(edits):
         config[field] = copy.deepcopy(value)
     with tempfile.TemporaryDirectory() as tmp:
         dataset, path, out = (Path(tmp) / name for name in ("dataset.json", "config.json", "out.json"))
-        dataset.write_text(_dataset_slice(_COMPONENT_SLICE))
+        dataset.write_text(_dataset_slice())
         path.write_text(json.dumps(config))
         status = main(["minimize", "--dataset", str(dataset), "--config", str(path),
                        "--seed", "1", "--out", str(out)])

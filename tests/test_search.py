@@ -43,6 +43,7 @@ from _oracles import (
     reference_mocco_run,
     reference_valid_orders_gain,
     select_parents,
+    update_populations_two_pass,
 )
 from _strategies import block_id_cover
 
@@ -168,6 +169,14 @@ def test_select_parents_weights_toward_cheap_roofers():
             first_counts += 1
     # P(cheap) = (1/6) / (1/6 + 1/12) = 2/3; the pair is always distinct.
     assert first_counts / draws == pytest.approx(2 / 3, abs=0.05)
+
+
+def test_select_parents_takes_equal_roofers_as_two_parents():
+    # Equal initial roofers share one Individual.
+    problem = _greedy_problem()
+    roofer = problem.individual(problem.mask_of({2, 3}))
+    pops = Populations.of([roofer, roofer])
+    assert select_parents(problem, pops, random.Random(0)) == (roofer, roofer)
 
 
 def test_select_parents_with_misers():
@@ -542,6 +551,60 @@ def test_each_partial_mask_is_evaluated_once(case, n_size, generations):
     with mock.patch.object(ComponentProblem, "evaluate", counting):
         mocco_run(cover, costs, RunConfig(n_size=n_size, generations=generations), seed)
     assert all(n == 1 for n in partial.values()), partial
+
+
+def test_init_roofers_evaluates_each_distinct_roofer_once():
+    problem = ComponentProblem(EVICTING_COVER, EVICTING_COSTS)
+    evaluated = Counter()
+    evaluate = problem.evaluate
+
+    def counting(mask):
+        evaluated[mask] += 1
+        return evaluate(mask)
+
+    problem.evaluate = counting
+    pops = init_roofers(problem, n_size=8, rng=random.Random(21))
+    assert pops.live == Counter(r.mask for r in pops.roofers)
+    assert max(pops.live.values()) > 1  # equal roofers, counted as such
+    assert evaluated == Counter(pops.live.keys())
+
+
+# Inputs 1 and 2 hold objective "a" alone, at costs that `normalize` ties;
+# input 3 holds "a" and "b". {1} dominates {2}: their `fitness[0]` is equal,
+# and adding 3 to {1} frees the dearer input, so its "b" value is lower.
+TIED_COVER = {1: frozenset({"a"}), 2: frozenset({"a"}), 3: frozenset({"a", "b"})}
+TIED_COSTS = {1: 10**9 + 1, 2: 10**9, 3: 5}
+
+
+def test_a_miser_dominates_at_a_normalized_cost_tie():
+    problem = ComponentProblem(TIED_COVER, TIED_COSTS)
+    dear, cheap = problem.individual(0b001), problem.individual(0b010)
+    assert dear.fitness[0] == cheap.fitness[0] and dear.cost > cheap.cost
+    assert dominates(dear.fitness, cheap.fitness)
+    for order in ((0b001, 0b010), (0b010, 0b001)):
+        pops = init_roofers(problem, n_size=2, rng=random.Random(0))
+        for mask in order:
+            update_populations(problem, pops, mask, random.Random(0))
+        assert [m.mask for m in pops.misers] == [0b001], order
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_component(), st.integers(1, 6), st.lists(st.integers(0, 2**10 - 1), max_size=40))
+@example((TIED_COVER, TIED_COSTS, 0), 2, [0b001, 0b010])
+@example((TIED_COVER, TIED_COSTS, 0), 2, [0b010, 0b001])
+def test_update_populations_matches_two_pass_admission(case, n_size, masks):
+    """Folding the same reduced children through the one-pass admission and
+    the two-pass oracle leaves equal populations after every child."""
+    cover, costs, seed = case
+    problem = ComponentProblem(cover, costs)
+    full = (1 << len(problem.inputs)) - 1
+    fused, two_pass = (init_roofers(problem, n_size, random.Random(seed)) for _ in range(2))
+    fused_rng, two_pass_rng = random.Random(seed), random.Random(seed)
+    for mask in masks:
+        mask = problem.removal(mask & full)[1]
+        update_populations(problem, fused, mask, fused_rng)
+        update_populations_two_pass(problem, two_pass, mask, two_pass_rng)
+        assert fused == two_pass, mask
 
 
 def test_component_problem_needs_positive_costs():
