@@ -10,7 +10,7 @@ identical actions, at distance zero, end up in one subclass.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import chain
+from itertools import chain, repeat
 from typing import NamedTuple
 
 from .clustering import DistanceMatrix, select_hyperparams
@@ -51,8 +51,8 @@ def preprocess_all(dataset: Dataset, config: RunConfig):
     occurrences = Counter(pages)
     tokens = {raw: tokenize(raw) for raw in occurrences}
     # Each distinct page's word set, once per occurrence of the page.
-    freq = Counter(chain.from_iterable(
-        [*set(tokens[raw])] * n for raw, n in occurrences.items()))
+    freq = Counter(chain.from_iterable(chain.from_iterable(
+        repeat(set(tokens[raw]), n) for raw, n in occurrences.items())))
     stems = {tok: stem(tok) for tok, n in freq.items()
              if n / len(pages) < config.shared_threshold
              and tok not in STOPWORDS and not tok.isdigit()}

@@ -21,8 +21,8 @@ from .dataset import ValidationError
 
 _MAX_KMEDOID_ITER = 100
 # Matrix rows or columns read per step where a whole-matrix temporary would
-# otherwise be built: singleton columns in `silhouette`, rows in the
-# integrality test of `_labellings`.
+# otherwise be built: singleton columns and the columns of equal-size
+# clusters in `silhouette`, rows in the integrality test of `_labellings`.
 _CHUNK = 256
 
 
@@ -117,16 +117,21 @@ def silhouette(dm: DistanceMatrix, labels) -> np.ndarray:
     """Per-point (b - a) / max(a, b); points in singleton clusters score 0.
 
     `b` is a running minimum over the clusters' mean distances, with no
-    n x (number of clusters) array. One pass per multi-member cluster: its
-    matrix columns give every point's mean distance to it, set to inf for
-    its own members. `a` is summed in member order, as a loop over the
-    members would; the cluster means sum each row sequentially, which
-    equals numpy's pairwise 1-D `mean` for integer and half-integer
-    distances and for clusters of fewer than 8 members, and may differ from
-    it in the last bits otherwise. A singleton's mean is its column itself,
-    so singletons are read `_CHUNK` columns at a time; a singleton is not
-    scored, so its own entry needs no inf. A minimum does not depend on
-    order, so the scores equal those of one mean matrix bit for bit.
+    n x (number of clusters) array. The multi-member clusters are grouped
+    by size m, and each run of equal-size clusters whose members make at
+    most `_CHUNK` columns (one cluster when m is larger) is gathered as one
+    (n, c, m) array: its sums over the last axis, divided by m, give every
+    point's mean distance to each of the c clusters, set to inf for the
+    cluster's own members. The gather keeps the point axis contiguous, as
+    `v[:, members]` does, so numpy adds each cluster's m columns in member
+    order, which equals numpy's pairwise 1-D `mean` for integer and
+    half-integer distances and for clusters of fewer than 8 members, and
+    may differ from it in the last bits otherwise. `a` is a cumulative sum
+    over each member's row of the cluster, also in member order. A
+    singleton's mean is its column itself, so singletons are read `_CHUNK`
+    columns at a time; a singleton is not scored, so its own entry needs
+    no inf. A minimum does not depend on order, so the scores equal those
+    of one mean matrix bit for bit.
     """
     n = dm.n
     if len(labels) != n:
@@ -141,19 +146,23 @@ def silhouette(dm: DistanceMatrix, labels) -> np.ndarray:
     a = np.zeros(n)
     b = np.full(n, np.inf)
     scored = np.zeros(n, dtype=bool)
-    singletons = []
+    by_size: dict[int, list[list[int]]] = {}
     for members in clusters.values():
-        if len(members) == 1:
-            singletons.append(members[0])
-            continue
-        columns = v[:, members]
-        mean = columns.sum(axis=1) / len(members)
-        mean[members] = np.inf
-        np.minimum(b, mean, out=b)
-        scored[members] = True
-        block = columns[members]
-        np.fill_diagonal(block, 0.0)
-        a[members] = np.cumsum(block, axis=1)[:, -1] / (len(members) - 1)
+        by_size.setdefault(len(members), []).append(members)
+    singletons = [i for (i,) in by_size.pop(1, [])]
+    for m, group in by_size.items():
+        step = max(1, _CHUNK // m)
+        for start in range(0, len(group), step):
+            idx = np.array(group[start:start + step])
+            own = np.arange(len(idx))[:, None]
+            gathered = v[:, idx]
+            mean = gathered.sum(axis=2) / m
+            mean[idx, own] = np.inf
+            np.minimum(b, mean.min(axis=1), out=b)
+            scored[idx] = True
+            block = gathered[idx, own]
+            block[:, np.arange(m), np.arange(m)] = 0.0
+            a[idx] = np.cumsum(block, axis=2)[:, :, -1] / (m - 1)
     for start in range(0, len(singletons), _CHUNK):
         np.minimum(b, v[:, singletons[start:start + _CHUNK]].min(axis=1), out=b)
     denom = np.maximum(a, b)

@@ -215,7 +215,10 @@ def load_dataset(path) -> Dataset:
 # --- page tokens ---
 
 _TAG_RE = re.compile(r"<[^>]*>")
-_TOKEN_RE = re.compile(r"[0-9a-z]+")
+# Keeps the bytes of ASCII digits and lowercase letters, and makes every
+# other byte a space.
+_WORD_BYTES = bytes(c if chr(c) in "0123456789abcdefghijklmnopqrstuvwxyz" else 32
+                    for c in range(256))
 
 
 @dataclass(frozen=True)
@@ -225,5 +228,8 @@ class TokenDoc:
 
 def tokenize(raw: str) -> list[str]:
     """The words of a page: markup stripped, lowercased, the runs of ASCII
-    letters and digits."""
-    return _TOKEN_RE.findall(_TAG_RE.sub(" ", raw).lower())
+    letters and digits. Every other code point, once lowercased, ends a
+    word: ASCII encoding makes each non-ASCII one a "?", and the byte
+    table makes it and every other byte a space."""
+    text = _TAG_RE.sub(" ", raw).lower().encode("ascii", "replace")
+    return text.translate(_WORD_BYTES).decode("ascii").split()

@@ -123,7 +123,9 @@ def lev_matrix(docs) -> np.ndarray:
     whose segments take at most `LEV_BATCH_BYTES` bytes (a longer document
     alone) form batches. Within a batch, each document is packed into one
     Python int in its own byte-aligned bit segment of (len + 8) // 8 bytes,
-    so at least one zero pad bit lies above it, the first document lowest.
+    so at least one zero pad bit lies above it, the first document lowest:
+    the match table maps each token to the OR of the bits start + position
+    of its occurrences, one loop over the document's tokens.
     Each document of the batch is scanned by `_lev_scan` as the text just
     before it is packed, when the match table holds exactly the documents
     before it; each later document is scanned once against the whole
@@ -153,16 +155,13 @@ def lev_matrix(docs) -> np.ndarray:
             tokens = docs[k].tokens
             if k > lo:
                 own += _lev_row(tokens, table, mask, low, width)
-            local: dict = {}
-            bit = 1
+            first = bit = 1 << start
             for tok in tokens:
-                local[tok] = local.get(tok, 0) | bit
+                table[tok] = table.get(tok, 0) | bit
                 bit <<= 1
-            for tok, bits in local.items():
-                table[tok] = table.get(tok, 0) | bits << start
             if tokens:
-                low |= 1 << start
-                mask |= (bit - 1) << start
+                low |= first
+                mask |= bit - first
             start += 8 * int(sizes[k])
         for r_lo, r_hi in zip(bounds[b + 1:], bounds[b + 2:]):
             rows = bytearray()

@@ -3,12 +3,18 @@ bound the memory of the output distance matrices and the coverage stage at
 scale.
 
     python tests/check_scale.py deep-overlap 20
+    python tests/check_scale.py many-pages 5 output_algo=kmeans
     python tests/check_scale.py --memory
 
 Builds `_oracles.workload_corpus(workload, 1, dir, scale)` (the workload's
 inputs, cycles, duplicates and dominated copies times `scale`) and times one
 `run_pipeline` call on it at seed 1, with timing wrappers around the entry
-points where their callers look them up. Prints one JSON line:
+points where their callers look them up. Each KEY=VALUE after the scale
+replaces a field of the workload's `RunConfig`: VALUE is read as JSON, or
+as a string when it is not JSON (`output_algo=kmeans`,
+`eps_range=[1,4]`), and the workload's config with the replaced fields goes
+through `RunConfig.from_dict`, so a bad key or value exits with its
+`ValidationError`. Prints one JSON line:
 - `pages`: page occurrences; `distinct`: distinct raw pages;
 - `total_s`: the `run_pipeline` call;
 - `preprocess_s`, `matrix_s`, `select_s`, `silhouette_s`, `reduce_s`,
@@ -49,6 +55,7 @@ any peak passes its bound:
 The four checks take about 10 s.
 """
 
+import dataclasses
 import gc
 import json
 import resource
@@ -62,6 +69,8 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
 from covmin import blocks, clustering, distance, harness, search  # noqa: E402
+from covmin.config import RunConfig  # noqa: E402
+from covmin.dataset import ValidationError  # noqa: E402
 
 from _oracles import workload_corpus  # noqa: E402
 
@@ -110,9 +119,25 @@ def _collector_clock(totals: dict):
     return callback
 
 
-def measure(workload: str, scale: int) -> dict:
+def with_overrides(config: RunConfig, assignments) -> RunConfig:
+    """`config` with the field each KEY=VALUE of `assignments` names
+    replaced (see the module docstring)."""
+    data = json.loads(json.dumps(dataclasses.asdict(config)))
+    for assignment in assignments:
+        key, sep, value = assignment.partition("=")
+        if not sep:
+            raise ValidationError(f"a config override must be KEY=VALUE, got {assignment!r}")
+        try:
+            data[key] = json.loads(value)
+        except json.JSONDecodeError:
+            data[key] = value
+    return RunConfig.from_dict(data)
+
+
+def measure(workload: str, scale: int, assignments=()) -> dict:
     with tempfile.TemporaryDirectory() as tmp:
         dataset, config = workload_corpus(workload, 1, tmp, scale)
+    config = with_overrides(config, assignments)
     pages = [out for rec in dataset.inputs for out in rec.outputs]
     totals: dict = {}
     originals = {stage: getattr(module, name) for stage, (module, name) in STAGES.items()}
@@ -175,6 +200,9 @@ def check_memory() -> int:
 if __name__ == "__main__":
     if sys.argv[1:] == ["--memory"]:
         sys.exit(check_memory())
-    if len(sys.argv) != 3:
-        sys.exit(f"usage: {sys.argv[0]} WORKLOAD SCALE | --memory")
-    print(json.dumps(measure(sys.argv[1], int(sys.argv[2]))))
+    if len(sys.argv) < 3:
+        sys.exit(f"usage: {sys.argv[0]} WORKLOAD SCALE [KEY=VALUE ...] | --memory")
+    try:
+        print(json.dumps(measure(sys.argv[1], int(sys.argv[2]), sys.argv[3:])))
+    except ValidationError as error:
+        sys.exit(f"error: {error}")

@@ -365,16 +365,60 @@ def _singleton_labelling(draw):
                            draw(st.sampled_from(("all", "one", "mostly", "mostly"))))
 
 
-@settings(max_examples=60, derandomize=True, deadline=None)
-@given(_singleton_labelling())
+# Cluster sizes below and from 8 members, where numpy's pairwise sum starts,
+# and one above `_CHUNK` columns.
+_EQUAL_SIZES = (2, 7, 8, 9, 33, _CHUNK + 1)
+
+
+def _equal_size_case(n, counts, seed, fractional):
+    """A symmetric n-point matrix, integral or fractional, labelled with
+    `counts[size]` clusters of each size and singletons for the rest of the
+    points, in shuffled order."""
+    rng = np.random.default_rng(seed)
+    upper = rng.random((n, n)) * 30 if fractional else rng.integers(0, 30, (n, n)).astype(float)
+    upper = np.triu(upper, 1)
+    labels = [lab for lab, size in enumerate(
+        size for size, count in counts.items() for _ in range(count)) for _ in range(size)]
+    labels += range(n, 2 * n - len(labels))
+    rng.shuffle(labels)
+    return DistanceMatrix(upper + upper.T), labels
+
+
+@st.composite
+def _equal_size_labelling(draw):
+    """3-300 points with many clusters of a few equal sizes. The count of a
+    size is often the most clusters of one `_CHUNK`-column gather or one
+    more, so gathers of full, partial and several chunks all occur."""
+    n = draw(st.integers(3, 300))
+    counts, room = {}, n
+    for size in draw(st.lists(st.sampled_from(_EQUAL_SIZES), min_size=1, max_size=3, unique=True)):
+        if size <= room:
+            per_chunk = max(1, _CHUNK // size)
+            count = min(room // size, draw(st.sampled_from((per_chunk, per_chunk + 1))
+                                           | st.integers(1, room // size)))
+            counts[size] = count
+            room -= size * count
+    return _equal_size_case(n, counts, draw(st.integers(0, 2**32 - 1)), draw(st.booleans()))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.one_of(_singleton_labelling(), _equal_size_labelling()))
 @example(_singleton_case(2 * _CHUNK + 37, 22, False, "all"))
 @example(_singleton_case(2 * _CHUNK + 37, 22, True, "mostly"))
 @example(_singleton_case(_CHUNK + 1, 7, False, "mostly"))
 @example(_singleton_case(40, 3, True, "one"))
+@example(_equal_size_case(300, {2: 128, 33: 1}, 1, True))
+@example(_equal_size_case(300, {2: 129, 8: 5}, 2, True))
+@example(_equal_size_case(300, {8: 33, 9: 3}, 3, True))
+@example(_equal_size_case(300, {9: 29, 7: 5}, 4, False))
+@example(_equal_size_case(300, {33: 8, 7: 1}, 5, True))
+@example(_equal_size_case(290, {_CHUNK + 1: 1, 7: 4}, 6, True))
+@example(_equal_size_case(3, {2: 1}, 7, False))
 def test_silhouette_matches_per_cluster_mean_matrix(case):
-    # Singletons are read in chunks of `_CHUNK` columns and `b` is a running
-    # minimum, so every score equals the mean-matrix form bit for bit, also
-    # on fractional matrices.
+    # Singletons are read in chunks of `_CHUNK` columns, equal-size clusters
+    # are gathered up to `_CHUNK` columns at a time and summed in member
+    # order, and `b` is a running minimum, so every score equals the
+    # mean-matrix form bit for bit, also on fractional matrices.
     dm, labels = case
     assert np.array_equal(silhouette(dm, labels), silhouette_by_clusters(dm, labels))
 

@@ -225,5 +225,11 @@ def test_shared_filter_threshold_is_document_frequency():
                                   st.characters())))
 @example("<p class='x'>Jobs: 42 RUNNING</p>")
 @example("\u0130stanbul \u212aelvin \ufb01le")
+@example("ab\ud800cd \udfff")  # lone surrogates
+@example("a\x00b\x7fc\x80d")  # NUL, DEL and the first byte past ASCII
+@example("x\U00010400y \U0001f600z")  # non-BMP: a Deseret capital, an emoji
+@example("\uff21\uff41 A1a")  # full-width letters
+@example("keep <unclosed tag text")
+@example(" ".join(f"W{i}<b>x{i}</b>\u00e9-" for i in range(70))[:700])  # a 700-character page
 def test_tokenize_matches_split_and_filter(text):
     assert tokenize(text) == reference_tokenize(text)
