@@ -18,7 +18,7 @@ cover = {
 costs = {1: 2, 2: 3, 3: 3}
 
 # The search speaks int bitmasks over the sorted inputs: bit k is
-# problem.inputs[k]. mask_of and set_of convert.
+# problem.index.inputs[k]. mask_of and set_of convert.
 problem = ComponentProblem(cover, costs)
 for members in ({2, 3}, {1, 2}):
     cost, fitness = problem.evaluate(problem.mask_of(members))

@@ -3,11 +3,14 @@ removal, local-dominance removal, overlap-graph component split, and the
 gain of valid removal orders. `postings` is the one block -> holding inputs
 index, and `CoverIndex` is its bit form: input k is bit k in ascending id
 order, objective j is bit j in sorted block order, the one objective order
-that reduction and the genetic search share. `_cheapest_cover`, the one
-exact minimum-cost cover search, runs over those bits and has three
-callers: local dominance finds an input's replacement among the inputs
-still kept, `valid_orders_gain` finds the removal gain of a member mask,
-and `min_cover`, its set-level adapter, is the exact solver in
+that reduction and the genetic search share. It lists each objective's
+holders once, as a mask (`holders`) and as their entries in input order
+(`holder_entries`), the one holder table of both stages.
+`_cheapest_cover`, the one exact minimum-cost cover search, runs over
+those bits, takes each branch's holders from `holder_entries`, and has
+three callers: local dominance finds an input's replacement among the
+inputs still kept, `valid_orders_gain` finds the removal gain of a member
+mask, and `min_cover`, its set-level adapter, is the exact solver in
 `baselines`.
 
 Functions take a plain coverage mapping (input id -> frozenset of blocks)
@@ -94,6 +97,8 @@ class CoverIndex:
     holders: list
     # Input bit k -> (1 << k, its cost, the mask of the objectives it holds).
     entries: list
+    # Objective bit j -> the entries of the inputs holding it, in input order.
+    holder_entries: list
 
     @classmethod
     def of(cls, cover, costs) -> CoverIndex:
@@ -106,7 +111,9 @@ class CoverIndex:
             for i in by_block[bl]:
                 holders[j] |= bit[i]
                 held[i] |= 1 << j
-        return cls(inputs, blocks, holders, [(bit[i], costs[i], held[i]) for i in inputs])
+        entry = {i: (bit[i], costs[i], held[i]) for i in inputs}
+        return cls(inputs, blocks, holders, list(entry.values()),
+                   [[entry[i] for i in by_block[bl]] for bl in blocks])
 
     def set_of(self, mask: int) -> frozenset:
         return frozenset(i for k, i in enumerate(self.inputs) if mask >> k & 1)
@@ -120,19 +127,13 @@ def _cheapest_cover(index: CoverIndex, objectives: int, candidates: int, budget)
     trying them from the lowest bit, and prune at the incumbent, so the
     first cheapest cover found wins. Candidate holders are fixed for the
     search, so the branching order is sorted once."""
-    entries = index.entries
     branches = []
     rest = objectives
     while rest:
         low = rest & -rest
-        held = index.holders[low.bit_length() - 1] & candidates
-        if not held:
+        options = [e for e in index.holder_entries[low.bit_length() - 1] if e[0] & candidates]
+        if not options:
             return None
-        options = []
-        while held:
-            bit = held & -held
-            options.append(entries[bit.bit_length() - 1])
-            held ^= bit
         branches.append((low, options))
         rest ^= low
     branches.sort(key=lambda b: len(b[1]))  # stable: ties stay in bit order

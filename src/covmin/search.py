@@ -9,9 +9,9 @@ two halves of a random objective split; mutation toggles a single input.
 Every individual is kept reduced (no redundant members).
 
 A member set is an int bitmask over the component's sorted inputs: bit k
-stands for `problem.inputs[k]`, and `ComponentProblem.mask_of` / `set_of`
-convert. Every `ComponentProblem` method and every `Individual` speaks
-masks; only `mocco_run`'s result is a frozenset. The component's
+stands for `problem.index.inputs[k]`, and `ComponentProblem.mask_of` /
+`set_of` convert. Every `ComponentProblem` method and every `Individual`
+speaks masks; only `mocco_run`'s result is a frozenset. The component's
 `CoverIndex`, built once, is its only holder table: objective j is its bit
 j, and a memo miss hands it and the mask to `reduction.valid_orders_gain`.
 
@@ -122,33 +122,25 @@ class ComponentProblem:
         for i in sorted(cover):
             if costs[i] <= 0:
                 raise ValueError(f"input {i} has cost {costs[i]}; the search needs positive costs")
-        # The bit form of the cover: the one owner of both bit orders.
+        # The bit form of the cover: the one owner of both bit orders and
+        # of the holder table.
         self.index = index = CoverIndex.of(cover, costs)
-        self.inputs = index.inputs
-        self.objectives = index.blocks
-        # Input -> its bit in a member mask, in input order.
-        self.bit = {i: bit for i, (bit, _, _) in zip(self.inputs, index.entries)}
-        # Objective j -> the mask of the inputs holding it, and `_shuffle`'s
-        # steps over a list as long as the objectives: what `init_roofers`
-        # and `mocco_run`'s crossover shuffle.
-        self.holder_masks = index.holders
-        self.shuffle_steps = _shuffle_steps(len(self.objectives))
-        # `(n, n.bit_length())` for n inputs: `mocco_run`'s mutation draw.
-        self.input_draw = (len(self.inputs), len(self.inputs).bit_length())
-        # Objective j -> the (bit, cost) of its holders in input order, what
-        # `init_roofers` draws from and `potential` reads, and their least cost.
-        self.holder_bit_costs = [
-            [entry[:2] for entry in index.entries if entry[0] & held] for held in index.holders
-        ]
-        self._min_cost_of = [min(cost for _, cost in pairs) for pairs in self.holder_bit_costs]
+        # `_shuffle`'s steps over a list as long as the objectives: what
+        # `init_roofers` and `mocco_run`'s crossover shuffle.
+        self.shuffle_steps = _shuffle_steps(len(index.blocks))
+        # Objective j -> the least cost of its holders, `potential`'s shift.
+        self._min_cost_of = [min(e[1] for e in held) for held in index.holder_entries]
         # Mask -> (removal gain, reduced mask) from valid_orders_gain, valid
         # only for this component's cover and costs, so it lives here.
         self._solved = {}
 
     def mask_of(self, members) -> int:
+        """The mask of `members`; `KeyError` names an id outside the
+        component."""
+        entry = dict(zip(self.index.inputs, self.index.entries))
         mask = 0
         for i in members:
-            mask |= self.bit[i]
+            mask |= entry[i][0]
         return mask
 
     def set_of(self, mask: int) -> frozenset:
@@ -170,7 +162,7 @@ class ComponentProblem:
         """Best benefit-cost balance of covering objective j, shifted by its
         cheapest holder so the result is never negative."""
         best = -math.inf
-        for bit, cost in self.holder_bit_costs[j]:
+        for bit, cost, _ in self.index.holder_entries[j]:
             balance = self.removal(mask | bit)[0] - cost
             if balance > best:
                 best = balance
@@ -186,7 +178,7 @@ class ComponentProblem:
         cost = sum([cost for bit, cost, _ in self.index.entries if mask & bit])
         fitness = (normalize(cost), *[
             0.0 if mask & held else 1.0 / (self.potential(mask, j) + 1)
-            for j, held in enumerate(self.holder_masks)
+            for j, held in enumerate(self.index.holders)
         ])
         return cost, fitness
 
@@ -233,18 +225,19 @@ def init_roofers(problem: ComponentProblem, n_size: int, rng: random.Random) -> 
     fresh random order per roofer; the input covering each uncovered
     objective is drawn with probability inversely tied to how often it was
     picked so far, favoring diversity."""
-    occurrence = dict.fromkeys(problem.bit.values(), 0)  # input bit -> picks
+    index = problem.index
+    occurrence = {bit: 0 for bit, _, _ in index.entries}  # input bit -> picks
     individuals = {}  # reduced mask -> its Individual, evaluated once
     roofers = []
     for _ in range(n_size):
-        order = list(range(len(problem.objectives)))
+        order = list(range(len(index.blocks)))
         _shuffle(rng.getrandbits, order, problem.shuffle_steps)
         members = 0
         for j in order:
-            if members & problem.holder_masks[j]:  # a pick already covers it
+            if members & index.holders[j]:  # a pick already covers it
                 continue
-            candidates = problem.holder_bit_costs[j]
-            weights = [1.0 / (1 + occurrence[bit]) for bit, _ in candidates]
+            candidates = index.holder_entries[j]
+            weights = [1.0 / (1 + occurrence[bit]) for bit, _, _ in candidates]
             pick = _weighted_choice(rng, candidates, _running_sums(weights))[0]
             members |= pick
             occurrence[pick] += 1
@@ -321,7 +314,7 @@ def mocco_run(cover, costs, config: RunConfig = RunConfig(),
     invariant-checking tests.
     """
     problem = ComponentProblem(cover, costs)
-    if not problem.objectives:  # nothing to cover: the empty set does it
+    if not problem.index.blocks:  # nothing to cover: the empty set does it
         return frozenset()
     rng = random.Random(seed)
     pops = init_roofers(problem, config.n_size, rng)
@@ -332,9 +325,10 @@ def mocco_run(cover, costs, config: RunConfig = RunConfig(),
     # `update_populations` changes these in place; it rebinds only the
     # miser lists and the running sums, which are read per generation.
     roofers, live, refused = pops.roofers, pops.live, pops.refused
-    holder_masks, shuffle_steps = problem.holder_masks, problem.shuffle_steps
+    holder_masks, shuffle_steps = problem.index.holders, problem.shuffle_steps
     half = math.ceil(len(holder_masks) / 2)
-    n, k = problem.input_draw
+    n = len(problem.index.inputs)
+    k = n.bit_length()
     for gen in range(1, config.generations + 1):
         # Parents, as `_weighted_choice` draws them: a miser (weight
         # 1 / exposure) and a roofer (weight 1 / cost) when misers exist;

@@ -268,7 +268,7 @@ def bruteforce_min_cover(ids, cover, costs, objectives):
 
 def covers_all(problem, members) -> bool:
     """Whether `members` cover every objective of a `ComponentProblem`."""
-    return coverage_of(members, problem.cover) == frozenset(problem.objectives)
+    return coverage_of(members, problem.cover) == frozenset(problem.index.blocks)
 
 
 def superposition(bl, ids, cover) -> int:
@@ -654,7 +654,7 @@ def reference_mocco_run(cover, costs, config: RunConfig, seed: int = 0,
     for gen in range(1, config.generations + 1):
         p1, p2 = _reference_select_parents(problem, pops, rng)
         for child in _reference_crossover(problem, p1, p2, rng):
-            toggle = rng.choice(problem.inputs)
+            toggle = rng.choice(problem.index.inputs)
             child = child - {toggle} if toggle in child else child | {toggle}
             _reference_update_populations(problem, pops, _reference_reduce(problem, child), rng)
         if on_generation is not None:
@@ -686,7 +686,7 @@ def _reference_weighted_choice(rng, items, weights):
 
 def _reference_init_roofers(problem, n_size, rng):
     inputs_of = reduction.postings(problem.cover)
-    occurrence = {i: 0 for i in problem.inputs}
+    occurrence = {i: 0 for i in problem.index.inputs}
     roofers = []
     for _ in range(n_size):
         order = sorted(inputs_of)
@@ -813,7 +813,7 @@ def crossover(problem, m1: int, m2: int, rng) -> tuple[int, int]:
     parent's inputs covering the first half and the other parent's inputs
     covering the second half. The split shuffles the holder masks with the
     draws of `rng.shuffle` over the objectives: only positions matter."""
-    masks = problem.holder_masks.copy()
+    masks = problem.index.holders.copy()
     _shuffle(rng.getrandbits, masks, problem.shuffle_steps)
     half = math.ceil(len(masks) / 2)
     s1 = s2 = 0
@@ -826,9 +826,10 @@ def crossover(problem, m1: int, m2: int, rng) -> tuple[int, int]:
 
 def mutate(problem, mask: int, rng) -> int:
     """Toggle one uniformly chosen component input, then reduce. The index
-    takes the draws of `rng.randrange(len(problem.inputs))`: k-bit draws
-    until one is below n, even for n = 1."""
-    n, k = problem.input_draw
+    takes the draws of `rng.randrange(n)` for the n component inputs:
+    k-bit draws until one is below n, even for n = 1."""
+    n = len(problem.index.inputs)
+    k = n.bit_length()
     getrandbits = rng.getrandbits
     j = getrandbits(k)
     while j >= n:

@@ -218,7 +218,7 @@ class _InvariantTracker:
             self.violations.append((gen, "stored miser weights"))
         covered = [coverage_of(problem.set_of(m.mask), problem.cover) for m in pops.misers]
         if pops.miser_covered != [
-            sum(1 << j for j, bl in enumerate(problem.objectives) if bl in blocks)
+            sum(1 << j for j, bl in enumerate(problem.index.blocks) if bl in blocks)
             for blocks in covered
         ]:
             self.violations.append((gen, "stored miser covered objectives"))

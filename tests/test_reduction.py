@@ -213,6 +213,7 @@ def test_cover_index_orders_inputs_by_id_and_blocks_in_sorted_order():
     assert index.blocks == [9, 10]  # not "10" < "9"
     assert index.holders == [0b101, 0b100]
     assert index.entries == [(0b001, 5, 0b01), (0b010, 6, 0), (0b100, 7, 0b11)]
+    assert index.holder_entries == [[(0b001, 5, 0b01), (0b100, 7, 0b11)], [(0b100, 7, 0b11)]]
     assert index.set_of(0b101) == frozenset({1, 3})
 
 
@@ -246,6 +247,8 @@ def test_cover_index_matches_postings_in_sorted_block_order(case):
         (bit[i], costs[i], sum(1 << j for j, bl in enumerate(index.blocks) if bl in cover[i]))
         for i in sorted(cover)
     ]
+    entry = dict(zip(index.inputs, index.entries))
+    assert index.holder_entries == [[entry[i] for i in by_block[bl]] for bl in index.blocks]
 
 
 def test_valid_orders_gain_on_greedy_instance():

@@ -89,7 +89,7 @@ def test_potential_examples():
     problem = _greedy_problem()
     # Adding in1 to {in2, in3} makes in1 removable again: gain 2, own cost 2,
     # shift by the cheapest cover of bl2, objective 1 (in1, cost 2).
-    assert problem.objectives[1] == "bl2"
+    assert problem.index.blocks[1] == "bl2"
     assert problem.potential(problem.mask_of({2, 3}), 1) == 2
     # A block covered by a single input always has potential 0.
     single = ComponentProblem({1: frozenset({"b"})}, {1: 4})
@@ -102,7 +102,7 @@ def test_potential_non_negative_random_sweep():
         cover, costs = random_instance(rng, max_inputs=6, max_blocks=6)
         problem = ComponentProblem(cover, costs)
         mask = problem.mask_of(i for i in cover if rng.random() < 0.5)
-        for j in range(len(problem.objectives)):
+        for j in range(len(problem.index.blocks)):
             assert problem.potential(mask, j) >= 0
 
 
@@ -114,11 +114,11 @@ def test_objective_value_and_exposure():
     # An uncovered block with potential 2 scores 1/(2+1): bl3, objective 2,
     # under {1, 3}.
     missing_bl3 = problem.mask_of({1, 3})
-    assert not missing_bl3 & problem.holder_masks[2]
+    assert not missing_bl3 & problem.index.holders[2]
     assert problem.potential(missing_bl3, 2) == 2
     assert problem.evaluate(missing_bl3)[1][3] == pytest.approx(1 / 3)
     # Uncovered block with potential 0 scores exactly 1: bl2, objective 1.
-    assert not partial & problem.holder_masks[1]
+    assert not partial & problem.index.holders[1]
     assert problem.evaluate(partial)[1][2] == 1.0
     assert problem.exposure(problem.individual(full)) == 0.0
     assert problem.exposure(problem.individual(partial)) > 0.0
@@ -287,10 +287,10 @@ def test_crossover_halves_fixture():
     # First half {a, b} is covered by inputs {1, 2, 3}; second half {c, d}
     # by {3, 4, 5}.
     order = ["a", "b", "c", "d"]
-    shuffled = list(problem.objectives)
-    _FixedOrder(problem.objectives, order).shuffle(shuffled)
+    shuffled = list(problem.index.blocks)
+    _FixedOrder(problem.index.blocks, order).shuffle(shuffled)
     assert shuffled == order
-    rng = _FixedOrder(problem.objectives, order)
+    rng = _FixedOrder(problem.index.blocks, order)
     child1, child2 = map(problem.set_of, crossover(problem, p1, p2, rng))
     assert rng.draws == []
     assert child1 == frozenset({1, 3, 5})
@@ -423,9 +423,13 @@ def test_memo_matches_raw_valid_orders_gain(case, data):
         st.frozensets(st.sampled_from(sorted(cover))), max_size=6))
     for _ in range(2):  # the first call solves, the repeat reads the cache
         for s in subsets:
+            assert problem.set_of(problem.mask_of(s)) == s
             gain, order = gain_of(s, cover, costs)
             assert problem.removal(problem.mask_of(s)) == \
                 (gain, problem.mask_of(s - set(order)))
+    # An id outside the component has no bit: `mask_of` refuses it.
+    with pytest.raises(KeyError):
+        problem.mask_of({1, len(cover) + 1})
 
 
 # Both blocks have four holders, so the cover search branches first on the
@@ -597,7 +601,7 @@ def test_update_populations_matches_two_pass_admission(case, n_size, masks):
     the two-pass oracle leaves equal populations after every child."""
     cover, costs, seed = case
     problem = ComponentProblem(cover, costs)
-    full = (1 << len(problem.inputs)) - 1
+    full = (1 << len(problem.index.inputs)) - 1
     fused, two_pass = (init_roofers(problem, n_size, random.Random(seed)) for _ in range(2))
     fused_rng, two_pass_rng = random.Random(seed), random.Random(seed)
     for mask in masks:
@@ -681,7 +685,7 @@ def test_problem_solves_each_member_set_once(solved_sets):
     for members in ({1, 2, 3}, {2, 3}, {2}):
         mask = problem.mask_of(members)
         assert problem.removal(mask) == problem.removal(mask)
-        for j in range(len(problem.objectives)):
+        for j in range(len(problem.index.blocks)):
             problem.potential(mask, j)
     problem.individual(problem.removal(problem.mask_of({1, 2, 3}))[1])
     assert solved_sets
